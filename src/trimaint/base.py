@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import chain
+
 from trimaint.partition import Threshold
 from trimaint.store import CostMeter, RejectedDelete
 from trimaint.iterators import StaleIterator
@@ -45,7 +47,8 @@ class EngineBase:
         self.version += 1
 
     def db_size(self):
-        return sum(p.size() for p in self.parts.values())
+        parts = self.parts
+        return parts["R"].size() + parts["S"].size() + parts["T"].size()
 
     def rel_items(self):
         return {name: list(p.items()) for name, p in self.parts.items()}
@@ -70,15 +73,29 @@ class EngineBase:
 
     # -- label-group access: several parts treated as one relation --------
 
+    # Groups have one or two labels; each is read part by part, in label
+    # order, with no generator in between.
+
     def _lookup_group(self, part, labels, key):
-        return sum(part.part(lab).lookup(key) for lab in labels)
+        parts = part.parts
+        if len(labels) == 1:
+            return parts[labels[0]].lookup(key)
+        a, b = labels
+        return parts[a].lookup(key) + parts[b].lookup(key)
 
     def _slice_group(self, part, labels, cols, sub):
-        for lab in labels:
-            yield from part.part(lab).slice_items(cols, sub)
+        parts = part.parts
+        if len(labels) == 1:
+            return parts[labels[0]].slice_items(cols, sub)
+        a, b = labels
+        return chain(parts[a].slice_items(cols, sub), parts[b].slice_items(cols, sub))
 
     def _count_group(self, part, labels, cols, sub):
-        return sum(part.part(lab).slice_count(cols, sub) for lab in labels)
+        parts = part.parts
+        if len(labels) == 1:
+            return parts[labels[0]].slice_count(cols, sub)
+        a, b = labels
+        return parts[a].slice_count(cols, sub) + parts[b].slice_count(cols, sub)
 
     def merged_group(self, name, labels, suffix="all"):
         """Copy the named parts into one indexed relation (init-time joins)."""

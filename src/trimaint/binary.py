@@ -112,14 +112,14 @@ class BinaryEngine(EngineBase):
         self.l_hh = Relation("res2_L_HH", 2, (), m)
         self.st_agg = Relation("agg_st", 2, (), m)
         self.st_closed = Relation("closed_st", 2, (), m)
-        self.pair_rs = Relation("pair2_rs", 3, ((0, 2), (0, 1)), m)
+        self.pair_rs = Relation("pair2_rs", 3, ((0, 2), (0, 1)), m, linked=((0, 2),))
         self.hat_rs = Relation("hat2_rs", 2, (), m)
-        self.closed_rs = Relation("closed_rs", 2, ((1,),), m)
+        self.closed_rs = Relation("closed_rs", 2, ((1,),), m, linked=((1,),))
         self.root_rs = Relation("root2_rs", 1, (), m)
         self.bsz_rs = {}
-        self.pair_tr = Relation("pair2_tr", 3, ((0, 2), (1, 2)), m)
+        self.pair_tr = Relation("pair2_tr", 3, ((0, 2), (1, 2)), m, linked=((0, 2),))
         self.hat_tr = Relation("hat2_tr", 2, (), m)
-        self.closed_tr = Relation("closed_tr", 2, ((1,),), m)
+        self.closed_tr = Relation("closed_tr", 2, ((1,),), m, linked=((1,),))
         self.root_tr = Relation("root2_tr", 1, (), m)
         self.bsz_tr = {}
 

@@ -28,6 +28,11 @@ from trimaint.workload import (
 
 K_OF = {"d0": 0, "d1": 1, "d2": 2, "d3": 3}
 
+
+class InputError(Exception):
+    """A flag value or file content the command line refuses (exit 2)."""
+
+
 CSV_HEADER = (
     "query",
     "epsilon",
@@ -253,18 +258,58 @@ def dump_result(eng, out=None):
         print(" ".join(str(v) for v in key + (res[key],)), file=out)
 
 
+def check_epsilon(eps):
+    if not 0.0 <= eps <= 1.0:
+        raise InputError(f"--epsilon must be in [0, 1], got {eps:g}")
+    return eps
+
+
+def check_double(args):
+    if args.double_partition and args.query != "d0":
+        raise InputError("--double-partition applies to --query d0 only")
+
+
+def check_skew(text):
+    # parse_skew only asserts that a zipf exponent is positive
+    if text == "uniform":
+        return
+    if text.startswith("zipf:"):
+        try:
+            if float(text[len("zipf:"):]) > 0.0:
+                return
+        except ValueError:
+            pass
+    raise InputError(f"--skew must be uniform or zipf:S with S > 0, got {text!r}")
+
+
+def workload_spec(args, updates):
+    """WorkloadSpec from the generator flags, refusing bad values."""
+    check_skew(args.skew)
+    try:
+        return WorkloadSpec(
+            seed=args.seed,
+            domain=args.domain,
+            updates=updates,
+            delete_frac=args.delete_frac,
+            skew=args.skew,
+        )
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+
+
+def parse_list(text, kind, flag):
+    """Comma list of numbers, as bench takes for a grid axis."""
+    try:
+        return [kind(tok) for tok in text.split(",")]
+    except ValueError:
+        raise InputError(f"{flag} must be a comma list of numbers, got {text!r}") from None
+
+
 def load_updates(args):
     if args.stream:
         with open(args.stream) as fh:
             return parse_stream(fh)
-    spec = WorkloadSpec(
-        seed=args.seed,
-        domain=args.domain,
-        updates=args.updates,
-        delete_frac=args.delete_frac,
-        skew=args.skew,
-    )
-    return list(stream(spec))
+    return list(stream(workload_spec(args, args.updates)))
 
 
 def load_database(path):
@@ -274,7 +319,8 @@ def load_database(path):
     for rel, key, m in updates:
         d = rels[rel]
         new = d.get(key, 0) + m
-        assert new >= 0, f"database file deletes below zero at {rel}{key}"
+        if new < 0:
+            raise InputError(f"{path}: database deletes below zero at {rel}{key}")
         if new == 0:
             d.pop(key, None)
         else:
@@ -283,6 +329,8 @@ def load_database(path):
 
 
 def cmd_run(args):
+    check_epsilon(args.epsilon)
+    check_double(args)
     updates = load_updates(args)
     t0 = time.monotonic()
     drv, rejected, max_update = run_stream(
@@ -302,6 +350,10 @@ def cmd_run(args):
 
 
 def cmd_verify(args):
+    check_epsilon(args.epsilon)
+    check_double(args)
+    if args.verify_cadence < 0:
+        raise InputError(f"--verify-cadence must be nonnegative, got {args.verify_cadence}")
     updates = load_updates(args)
     ok, bad, _ = verify_stream(
         args.query, args.epsilon, updates, args.double_partition, args.verify_cadence
@@ -314,21 +366,19 @@ def cmd_verify(args):
 
 
 def cmd_bench(args):
-    epsilons = [float(tok) for tok in args.epsilon.split(",")]
-    sizes = [int(tok) for tok in args.updates.split(",")]
-    spec = WorkloadSpec(
-        seed=args.seed,
-        domain=args.domain,
-        updates=1,
-        delete_frac=args.delete_frac,
-        skew=args.skew,
-    )
+    check_double(args)
+    epsilons = [check_epsilon(eps) for eps in parse_list(args.epsilon, float, "--epsilon")]
+    sizes = parse_list(args.updates, int, "--updates")
+    if min(sizes) < 0:
+        raise InputError(f"--updates must be nonnegative, got {args.updates}")
+    spec = workload_spec(args, 1)
     rows = bench_sweep(args.query, epsilons, sizes, spec, args.double_partition)
     write_rows(rows, args.out)
     return 0
 
 
 def cmd_oumv(args):
+    check_epsilon(args.epsilon)
     with open(args.matrix) as fh:
         matrix = parse_matrix(fh)
     with open(args.vectors) as fh:
@@ -413,7 +463,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, DimensionMismatch, OSError) as exc:
+    except (ParseError, DimensionMismatch, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

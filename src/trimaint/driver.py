@@ -24,7 +24,8 @@ ENGINES = {
 
 
 def make_engine(query, epsilon, double=False, meter=None, rd=None, sd=None, td=None):
-    assert not double or query == "d0", "double partitioning applies to d0 only"
+    if double and query != "d0":
+        raise ValueError("double partitioning applies to d0 only")
     cls = ENGINES[(query, double)]
     return cls.from_database(rd or {}, sd or {}, td or {}, epsilon, meter)
 
@@ -51,38 +52,55 @@ class Driver:
     def on_update(self, rel, key, m):
         """Apply one update, then rebalance if any invariant broke.
 
-        Raises RejectedDelete before touching anything if the delete
-        would overshoot; the state is unchanged in that case.
+        Raises ValueError for an unknown relation, a key that is not a
+        pair or a zero multiplicity, and RejectedDelete if the delete
+        would overshoot; in every case before touching anything, so the
+        state is unchanged. Returns this update's ops by phase; the ops
+        outside a rebalance land in the meter's current phase, which is
+        apply unless the caller opened another.
         """
-        assert m != 0
         eng = self.engine
-        before = eng.meter.snapshot()
-        with eng.meter.phase("apply"):
-            label = eng.parts[rel].affected_label(key, eng.epsilon)
-            eng.apply_update(rel, label, key, m)
+        part = eng.parts.get(rel)
+        if part is None:
+            raise ValueError(f"unknown relation {rel!r}")
+        if len(key) != 2:
+            raise ValueError(f"{rel}{key}: a key has two values")
+        if m == 0:
+            raise ValueError(f"{rel}{key}: zero multiplicity")
+        meter = eng.meter
+        t0 = meter.total
+        eng.apply_update(rel, part.affected_label(key, eng.epsilon), key, m)
         size = eng.db_size()
         n = eng.threshold.N
+        major = minor = 0
         if size == n:
-            self._major(2 * n)
+            major = self._major(2 * n)
         elif size < n // 4:
-            self._major(max(n // 2 - 1, 1))
+            major = self._major(max(n // 2 - 1, 1))
         else:
-            self._minor(rel, key)
+            minor = self._minor(rel, key)
         self.updates += 1
-        after = eng.meter.snapshot()
-        self.last_costs = {k: after[k] - before[k] for k in after}
-        eng.meter.last_update = self.last_costs["total"]
+        total = meter.total - t0
+        self.last_costs = {"total": total, "apply": total - major - minor,
+                           "major": major, "minor": minor}
+        meter.last_update = total
         return self.last_costs
 
     def _major(self, new_n):
+        """Rebuild at threshold base new_n; returns the ops it took."""
         eng = self.engine
         self._notify("major:before")
         self.majors += 1
+        t0 = eng.meter.total
         with eng.meter.phase("major"):
             eng.rebuild(eng.rel_items(), new_n)
+        ops = eng.meter.total - t0
         self._notify("major:after")
+        return ops
 
     def _minor(self, rel, key):
+        """Move the values whose loose condition broke; returns the ops of
+        the moves (the checks before them are not part of the minor)."""
         eng = self.engine
         part = eng.parts[rel]
         theta = eng.threshold.theta
@@ -104,13 +122,16 @@ class Driver:
                 # both sides can only break toward the same class.
                 assert dx == dy
         if not moves:
-            return
+            return 0
         self._notify("minor:before")
         self.minors += 1
+        t0 = eng.meter.total
         with eng.meter.phase("minor"):
             for side, value, direction in moves:
                 self._move_value(rel, side, value, direction)
+        ops = eng.meter.total - t0
         self._notify("minor:after")
+        return ops
 
     def _move_value(self, rel, side, value, direction):
         part = self.engine.parts[rel]
@@ -159,7 +180,7 @@ class Driver:
             part.check_disjoint()
             for lab in part.labels:
                 r = part.part(lab)
-                assert all(m != 0 for m in (e.mult for e in r.entries.values())), r.name
+                assert all(m != 0 for m in r.entries.values()), r.name
                 if deep:
                     r.check_consistency()
         if deep:

@@ -163,7 +163,7 @@ class RangeCollection:
 
 
 class SliceCollection:
-    """Hop-iterator collection over one index slice of a Relation.
+    """Hop-iterator collection over one slice of a Relation's linked index.
 
     Elements are the full entry tuples of sigma_{cols=sub}K in insertion
     order. The relation must stay unmodified while the collection is live.
@@ -190,7 +190,7 @@ class SliceCollection:
 
 
 class MappedSliceCollection:
-    """Slice collection whose elements are a projection of the entry tuples.
+    """Linked-slice collection whose elements are a projection of the entry tuples.
 
     `to_element` maps a stored tuple to the exposed element; `to_key` maps
     an element back to the full tuple (well-defined because the slice key

@@ -25,8 +25,10 @@ class Threshold:
     __slots__ = ("N", "epsilon", "theta")
 
     def __init__(self, N, epsilon):
-        assert N >= 1
-        assert 0.0 <= epsilon <= 1.0
+        if not N >= 1:
+            raise ValueError(f"threshold base must be at least 1, got {N}")
+        if not 0.0 <= epsilon <= 1.0:
+            raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
         self.N = N
         self.epsilon = epsilon
         self.theta = float(N) ** epsilon
@@ -49,15 +51,18 @@ class SinglePartition:
             lab: Relation(f"{name}^{lab}", arity, index_cols, meter)
             for lab in self.labels
         }
+        self._h = self.parts["H"]
+        self._l = self.parts["L"]
+        self._cols = (var,)
 
     def part(self, lab):
         return self.parts[lab]
 
     def size(self):
-        return sum(len(p) for p in self.parts.values())
+        return len(self._h.entries) + len(self._l.entries)
 
     def total(self, key):
-        return sum(p.lookup(key) for p in self.parts.values())
+        return self._h.lookup(key) + self._l.lookup(key)
 
     def items(self):
         for p in self.parts.values():
@@ -65,25 +70,24 @@ class SinglePartition:
 
     def degree(self, side, value):
         assert side == "X"
-        cols = (self.var,)
-        return sum(p.slice_count(cols, value) for p in self.parts.values())
+        cols = self._cols
+        return self._h.slice_count(cols, value) + self._l.slice_count(cols, value)
 
     def affected_label(self, key, epsilon):
         """Part an update with this tuple lands in (heavy wins ties)."""
         if epsilon == 0:
             return "H"
-        x = key[self.var]
-        return "H" if self.parts["H"].contains((self.var,), x) else "L"
+        return "H" if self._h.contains(self._cols, key[self.var]) else "L"
 
     def violation(self, side, value, theta):
         """Move direction needed to restore loose conditions, or None."""
         assert side == "X"
-        cols = (self.var,)
+        cols = self._cols
         deg = self.degree(side, value)
-        if self.parts["H"].contains(cols, value):
+        if self._h.contains(cols, value):
             if 2 * deg < theta:
                 return "to_light"
-        elif self.parts["L"].contains(cols, value):
+        elif self._l.contains(cols, value):
             if 2 * deg >= 3 * theta:
                 return "to_heavy"
         return None
@@ -121,15 +125,23 @@ class DoublePartition:
             lab: Relation(f"{name}^{lab}", arity, index_cols, meter)
             for lab in self.labels
         }
+        hh, hl, lh, ll = self._all = tuple(self.parts.values())
+        # per side: (column, its two heavy parts, its two light parts)
+        self._sides = {
+            "X": ((self.vx,), (hh, hl), (lh, ll)),
+            "Y": ((self.vy,), (hh, lh), (hl, ll)),
+        }
 
     def part(self, lab):
         return self.parts[lab]
 
     def size(self):
-        return sum(len(p) for p in self.parts.values())
+        hh, hl, lh, ll = self._all
+        return len(hh.entries) + len(hl.entries) + len(lh.entries) + len(ll.entries)
 
     def total(self, key):
-        return sum(p.lookup(key) for p in self.parts.values())
+        hh, hl, lh, ll = self._all
+        return hh.lookup(key) + hl.lookup(key) + lh.lookup(key) + ll.lookup(key)
 
     def items(self):
         for p in self.parts.values():
@@ -143,15 +155,14 @@ class DoublePartition:
         return self.vy, ("HH", "LH"), ("HL", "LL")
 
     def degree(self, side, value):
-        var = self.vx if side == "X" else self.vy
-        return sum(p.slice_count((var,), value) for p in self.parts.values())
+        cols = self._sides[side][0]
+        hh, hl, lh, ll = self._all
+        return (hh.slice_count(cols, value) + hl.slice_count(cols, value)
+                + lh.slice_count(cols, value) + ll.slice_count(cols, value))
 
     def side_class(self, side, value):
-        var, heavy_labs, _ = self._side(side)
-        for lab in heavy_labs:
-            if self.parts[lab].contains((var,), value):
-                return "H"
-        return "L"
+        cols, (h1, h2), _ = self._sides[side]
+        return "H" if h1.contains(cols, value) or h2.contains(cols, value) else "L"
 
     def affected_label(self, key, epsilon):
         if epsilon == 0:
@@ -161,12 +172,12 @@ class DoublePartition:
         return xc + yc
 
     def violation(self, side, value, theta):
-        var, heavy_labs, light_labs = self._side(side)
+        cols, (h1, h2), (l1, l2) = self._sides[side]
         deg = self.degree(side, value)
-        if any(self.parts[lab].contains((var,), value) for lab in heavy_labs):
+        if h1.contains(cols, value) or h2.contains(cols, value):
             if 2 * deg < theta:
                 return "to_light"
-        elif any(self.parts[lab].contains((var,), value) for lab in light_labs):
+        elif l1.contains(cols, value) or l2.contains(cols, value):
             if 2 * deg >= 3 * theta:
                 return "to_heavy"
         return None

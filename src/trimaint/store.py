@@ -1,15 +1,36 @@
 """Multiplicity-annotated relations with constant-time indexed access.
 
-Entries live in a hash map keyed by tuple. Every declared projection keeps,
-per projection key, an insertion-ordered doubly-linked list of entry nodes
-plus a counter, so slice iteration runs with constant delay and slice
-cardinality is available in O(1). Entries hold back-pointers to their list
-nodes, which makes deletion O(#indexes).
+`entries` maps each stored tuple to its nonzero multiplicity. Every
+declared projection is an index from projection key to the slice of
+tuples under it, of one of two kinds:
+
+  * hash (the default): the slice is an insertion-ordered dict of its
+    tuples, so add, remove and count are one dict operation each and a
+    slice walk runs in insertion order;
+  * linked (listed in `linked=`): the slice is an insertion-ordered
+    doubly-linked list with a node per tuple, which also answers
+    `slice_head` and `slice_next` in O(1). Hop iterators need that
+    successor step; nothing else does, so only their indexes pay for it.
+
+CPython dicts keep the slots of deleted keys until they next grow, and
+iterating walks those slots too: a dict that shrank from a million keys
+to one still takes milliseconds to yield its first key, delay the meter
+cannot see. So every dict that is iterated and can shrink (`entries` and
+each hash slice) is rebuilt once its length falls below a quarter of its
+high-water mark, charged one tick per entry moved; the rebuilt dict's
+mark is its new length. Dicts whose mark is at most COMPACT_FLOOR are
+left alone: CPython sizes a dict from its live keys whenever it grows, so
+one that never held more than that many keys has a small constant number
+of slots to walk.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from operator import itemgetter
+
+# high-water mark at or below which a dict is never rebuilt (see above)
+COMPACT_FLOOR = 8
 
 
 class RejectedDelete(Exception):
@@ -17,62 +38,73 @@ class RejectedDelete(Exception):
 
 
 class MissingIndex(Exception):
-    """No index was declared for the requested projection."""
+    """No index of the needed kind was declared for the requested projection."""
 
 
 class CostMeter:
     """Counts elementary operations, bucketed by maintenance phase.
 
-    One unit is charged per map operation, per index-list step, and per
-    arithmetic combine. Wall-clock time is never part of the contract;
+    One unit is charged per map operation, per index-list step, per
+    arithmetic combine, and per entry a dict rebuild moves. Wall-clock time is never part of the contract;
     tests and the bench harness compare these counters instead.
+
+    Charging is one add to `total` (hot paths add to it directly). Phase
+    totals are settled at the `phase()` brackets: the ops since the last
+    bracket edge belong to the phase that was current in between, which
+    is "apply" outside any bracket.
     """
 
-    __slots__ = ("total", "phases", "last_update", "_bucket")
+    __slots__ = ("total", "last_update", "_bucket", "_mark", "_settled")
 
     def __init__(self):
         self.total = 0
-        self.phases = {"apply": 0, "major": 0, "minor": 0}
         self.last_update = 0
         self._bucket = "apply"
+        self._mark = 0
+        self._settled = {"apply": 0, "major": 0, "minor": 0}
 
     def tick(self, n=1):
         self.total += n
-        self.phases[self._bucket] += n
+
+    def _enter(self, name):
+        prev = self._bucket
+        self._settled[prev] += self.total - self._mark
+        self._mark = self.total
+        self._bucket = name
+        return prev
 
     @contextmanager
     def phase(self, name):
-        assert name in self.phases
-        prev, self._bucket = self._bucket, name
+        if name not in self._settled:
+            raise ValueError(f"unknown phase {name!r}")
+        prev = self._enter(name)
         try:
             yield
         finally:
-            self._bucket = prev
+            self._enter(prev)
+
+    @property
+    def phases(self):
+        """Ops per phase so far, as a fresh dict."""
+        out = dict(self._settled)
+        out[self._bucket] += self.total - self._mark
+        return out
 
     def snapshot(self):
         return {"total": self.total, **self.phases}
 
 
 class _Node:
-    __slots__ = ("entry", "prev", "nxt")
+    __slots__ = ("key", "prev", "nxt")
 
-    def __init__(self, entry):
-        self.entry = entry
+    def __init__(self, key):
+        self.key = key
         self.prev = None
         self.nxt = None
 
 
-class _Entry:
-    __slots__ = ("key", "mult", "nodes")
-
-    def __init__(self, key, mult, n_indexes):
-        self.key = key
-        self.mult = mult
-        self.nodes = [None] * n_indexes
-
-
 class _KeyList:
-    """Insertion-ordered doubly-linked list of the entries under one index key."""
+    """Insertion-ordered doubly-linked list of the tuples under one index key."""
 
     __slots__ = ("head", "tail", "count")
 
@@ -83,7 +115,6 @@ class _KeyList:
 
     def append(self, node):
         node.prev = self.tail
-        node.nxt = None
         if self.tail is None:
             self.head = node
         else:
@@ -100,7 +131,6 @@ class _KeyList:
             self.tail = node.prev
         else:
             node.nxt.prev = node.prev
-        node.prev = node.nxt = None
         self.count -= 1
 
 
@@ -115,30 +145,43 @@ class Relation:
     """A finite map from tuples to nonzero signed integer multiplicities.
 
     Indexes are fixed at construction: `index_cols` is a sequence of
-    column-position tuples, one per projection that must support slicing.
+    column-position tuples, one per projection that must support slicing;
+    those also listed in `linked` are linked indexes (see the module
+    docstring). Each index is a tuple (projector, slices, marks, nodes):
+    slices maps projection key to slice, marks holds the high-water mark
+    of each hash slice above COMPACT_FLOOR, and nodes maps each stored
+    tuple to its list node for a linked index and is None for a hash one.
     """
 
-    __slots__ = ("name", "arity", "meter", "index_cols", "entries", "indexes",
-                 "_by_cols")
+    __slots__ = ("name", "arity", "meter", "index_cols", "entries", "_hwm",
+                 "_by_cols", "_indexes")
 
-    def __init__(self, name, arity, index_cols=(), meter=None):
+    def __init__(self, name, arity, index_cols=(), meter=None, linked=()):
         self.name = name
         self.arity = arity
         self.meter = meter if meter is not None else CostMeter()
-        self.index_cols = tuple(tuple(c) for c in index_cols)
-        for cols in self.index_cols:
-            assert all(0 <= c < arity for c in cols), (name, cols)
+        self.index_cols = index_cols = tuple(map(tuple, index_cols))
         self.entries = {}
-        self.indexes = [dict() for _ in self.index_cols]
-        self._by_cols = {cols: i for i, cols in enumerate(self.index_cols)}
+        self._hwm = 0
+        by_cols = {}
+        for cols in index_cols:
+            for c in cols:
+                if not 0 <= c < arity:
+                    raise ValueError(f"{name}: index column {c} outside arity {arity}")
+            # itemgetter projects like subkey, in one C-level call
+            by_cols[cols] = (itemgetter(*cols), {}, {}, {} if cols in linked else None)
+        for cols in linked:
+            if tuple(cols) not in by_cols:
+                raise ValueError(f"{name}: linked index {cols} is not declared")
+        self._by_cols = by_cols
+        self._indexes = tuple(by_cols.values())
 
     def __len__(self):
         return len(self.entries)
 
     def lookup(self, key):
-        self.meter.tick()
-        e = self.entries.get(key)
-        return e.mult if e is not None else 0
+        self.meter.total += 1
+        return self.entries.get(key, 0)
 
     def apply_delta(self, key, m):
         """Add m to the multiplicity of `key`; return the new multiplicity.
@@ -148,49 +191,84 @@ class Relation:
         """
         assert m != 0
         assert len(key) == self.arity, (self.name, key)
-        e = self.entries.get(key)
-        old = e.mult if e is not None else 0
+        entries = self.entries
+        old = entries.get(key, 0)
         new = old + m
         if new < 0:
             raise RejectedDelete(f"{self.name}{key}: {old} {m:+d} < 0")
-        self.meter.tick()
-        if e is None:
-            e = _Entry(key, new, len(self.index_cols))
-            self.entries[key] = e
-            for i, cols in enumerate(self.index_cols):
-                self.meter.tick()
-                sub = subkey(key, cols)
-                lst = self.indexes[i].get(sub)
-                if lst is None:
-                    lst = self.indexes[i][sub] = _KeyList()
-                node = _Node(e)
-                e.nodes[i] = node
-                lst.append(node)
-        elif new == 0:
-            del self.entries[key]
-            for i, cols in enumerate(self.index_cols):
-                self.meter.tick()
-                sub = subkey(key, cols)
-                lst = self.indexes[i][sub]
-                lst.remove(e.nodes[i])
-                e.nodes[i] = None
-                if lst.count == 0:
-                    del self.indexes[i][sub]
-        else:
-            e.mult = new
-        return new
+        meter = self.meter
+        if old and new:
+            entries[key] = new
+            meter.total += 1
+            return new
+        indexes = self._indexes
+        meter.total += 1 + len(indexes)
+        if new:
+            entries[key] = new
+            n = len(entries)
+            if n > self._hwm:
+                self._hwm = n
+            for project, slices, marks, nodes in indexes:
+                sub = project(key)
+                s = slices.get(sub)
+                if nodes is not None:
+                    if s is None:
+                        s = slices[sub] = _KeyList()
+                    node = nodes[key] = _Node(key)
+                    s.append(node)
+                elif s is None:
+                    slices[sub] = {key: None}
+                else:
+                    s[key] = None
+                    n = len(s)
+                    if n > COMPACT_FLOOR and n > marks.get(sub, 0):
+                        marks[sub] = n
+            return new
+        del entries[key]
+        for project, slices, marks, nodes in indexes:
+            sub = project(key)
+            s = slices[sub]
+            if nodes is not None:
+                s.remove(nodes.pop(key))
+                if not s.count:
+                    del slices[sub]
+                continue
+            del s[key]
+            n = len(s)
+            if not n:
+                del slices[sub]
+                if marks:
+                    marks.pop(sub, None)
+            elif marks:
+                mark = marks.get(sub)
+                if mark is not None and 4 * n < mark:
+                    slices[sub] = dict(s)
+                    meter.total += n
+                    if n > COMPACT_FLOOR:
+                        marks[sub] = n
+                    else:
+                        del marks[sub]
+        n = len(entries)
+        if 4 * n < self._hwm and self._hwm > COMPACT_FLOOR:
+            self.entries = dict(entries)
+            meter.total += n
+            self._hwm = n
+        return 0
 
-    def _index_id(self, cols):
-        i = self._by_cols.get(cols)
-        if i is None:
-            raise MissingIndex(f"{self.name}: no index on columns {cols}")
-        return i
+    def _missing(self, cols, kind="index"):
+        return MissingIndex(f"{self.name}: no {kind} on columns {cols}")
 
     def slice_count(self, cols, sub):
         """|sigma_{cols=sub}K|: number of distinct tuples under the key, O(1)."""
-        self.meter.tick()
-        lst = self.indexes[self._index_id(cols)].get(sub)
-        return lst.count if lst is not None else 0
+        self.meter.total += 1
+        try:
+            _, slices, _, nodes = self._by_cols[cols]
+        except KeyError:
+            raise self._missing(cols) from None
+        s = slices.get(sub)
+        if s is None:
+            return 0
+        return len(s) if nodes is None else s.count
 
     def contains(self, cols, sub):
         """Projection membership test, O(1)."""
@@ -201,60 +279,94 @@ class Relation:
 
         The relation must not be mutated while the generator is live.
         """
-        i = self._index_id(cols)
-        self.meter.tick()
-        lst = self.indexes[i].get(sub)
-        node = lst.head if lst is not None else None
+        try:
+            _, slices, _, nodes = self._by_cols[cols]
+        except KeyError:
+            raise self._missing(cols) from None
+        meter = self.meter
+        meter.total += 1
+        s = slices.get(sub)
+        if s is None:
+            return
+        entries = self.entries
+        if nodes is None:
+            for k in s:
+                meter.total += 1
+                yield k, entries[k]
+            return
+        node = s.head
         while node is not None:
-            self.meter.tick()
-            e = node.entry
-            yield e.key, e.mult
+            meter.total += 1
+            k = node.key
+            yield k, entries[k]
             node = node.nxt
 
+    def _linked(self, cols):
+        ix = self._by_cols.get(cols)
+        if ix is None or ix[3] is None:
+            raise self._missing(cols, "linked index")
+        return ix
+
     def slice_head(self, cols, sub):
-        """First tuple in the slice's insertion order, or None if empty."""
-        self.meter.tick()
-        lst = self.indexes[self._index_id(cols)].get(sub)
-        return lst.head.entry.key if lst is not None and lst.head else None
+        """First tuple in a linked slice's insertion order, or None if empty."""
+        self.meter.total += 1
+        s = self._linked(cols)[1].get(sub)
+        return s.head.key if s is not None else None
 
     def slice_next(self, cols, key):
-        """Tuple following `key` inside its slice list, or None at the end.
+        """Tuple following `key` inside its linked slice, or None at the end.
 
         `key` must currently be stored.
         """
-        self.meter.tick()
-        i = self._index_id(cols)
-        node = self.entries[key].nodes[i]
-        return node.nxt.entry.key if node.nxt is not None else None
+        self.meter.total += 1
+        nxt = self._linked(cols)[3][key].nxt
+        return nxt.key if nxt is not None else None
 
     def index_keys(self, cols):
         """Yield the distinct projection keys of an index (pi_{cols}K)."""
-        for sub in self.indexes[self._index_id(cols)]:
-            self.meter.tick()
+        ix = self._by_cols.get(cols)
+        if ix is None:
+            raise self._missing(cols)
+        for sub in ix[1]:
+            self.meter.total += 1
             yield sub
 
     def items(self):
         """Yield all (tuple, multiplicity) pairs in insertion order."""
-        for e in self.entries.values():
-            self.meter.tick()
-            yield e.key, e.mult
+        meter = self.meter
+        for kv in self.entries.items():
+            meter.total += 1
+            yield kv
 
     def check_consistency(self):
         """Exhaustive index audit for tests; O(|K| * #indexes)."""
-        for e in self.entries.values():
-            assert e.mult != 0, e.key
-        for i, cols in enumerate(self.index_cols):
+        entries = self.entries
+        for key, mult in entries.items():
+            assert mult != 0, key
+            assert len(key) == self.arity, key
+        assert not (4 * len(entries) < self._hwm and self._hwm > COMPACT_FLOOR), self.name
+        for cols, (project, slices, marks, nodes) in self._by_cols.items():
             seen = 0
-            for sub, lst in self.indexes[i].items():
-                assert lst.count > 0, (self.name, cols, sub)
-                n, node = 0, lst.head
-                while node is not None:
-                    e = node.entry
-                    assert self.entries.get(e.key) is e
-                    assert subkey(e.key, cols) == sub
-                    assert e.nodes[i] is node
-                    n += 1
-                    node = node.nxt
-                assert n == lst.count, (self.name, cols, sub)
-                seen += n
-            assert seen == len(self.entries), (self.name, cols)
+            for sub, s in slices.items():
+                if nodes is None:
+                    keys = list(s)
+                    mark = marks.get(sub)
+                    if mark is not None:
+                        assert mark > COMPACT_FLOOR and 4 * len(s) >= mark, (self.name, cols, sub)
+                else:
+                    keys, node, prev = [], s.head, None
+                    while node is not None:
+                        assert node.prev is prev
+                        assert nodes[node.key] is node
+                        keys.append(node.key)
+                        prev, node = node, node.nxt
+                    assert s.tail is prev and s.count == len(keys), (self.name, cols, sub)
+                assert keys, (self.name, cols, sub)
+                for key in keys:
+                    assert key in entries, (self.name, cols, key)
+                    assert project(key) == sub, (self.name, cols, key)
+                seen += len(keys)
+            assert seen == len(entries), (self.name, cols)
+            assert set(marks) <= set(slices), (self.name, cols)
+            if nodes is not None:
+                assert len(nodes) == len(entries), (self.name, cols)

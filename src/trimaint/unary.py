@@ -28,16 +28,6 @@ HEAVY2 = ("HH", "HL")
 LIGHT2 = ("LH", "LL")
 
 
-def bc_key(b, c):
-    """Composite bucket key for a (B,C) pair packed into one integer."""
-    assert 0 <= b < 1 << 32 and 0 <= c < 1 << 32
-    return (b << 32) | c
-
-
-def bc_unpack(key):
-    return key >> 32, key & 0xFFFFFFFF
-
-
 class UnaryEngine(EngineBase):
     query = "d1"
 
@@ -56,7 +46,7 @@ class UnaryEngine(EngineBase):
         self.rs_closed = Relation("closed1_rs", 1, (), m)
         self.st_agg = Relation("agg1_st", 2, (), m)
         self.st_closed = Relation("closed1_st", 1, (), m)
-        self.pair_tr = Relation("pair1_tr", 3, ((0, 2), (1,)), m)
+        self.pair_tr = Relation("pair1_tr", 3, ((0, 2), (1,)), m, linked=((0, 2),))
         self.hat_tr = Relation("hat1_tr", 2, (), m)
         self.root_tr = Relation("root1_tr", 2, (), m)
 
@@ -277,11 +267,11 @@ class UnaryEngine(EngineBase):
         out = []
         for (c, _, b), _v in self.pair_tr.slice_items((1,), a):
             if self.root_tr.lookup((b, c)):
-                out.append(bc_key(b, c))
+                out.append((b, c))
         return out
 
     def _open_bucket(self, key):
-        b, c = bc_unpack(key)
+        b, c = key
         return MappedSliceCollection(
             self.pair_tr, (0, 2), (c, b),
             lambda k: (k[1],),
@@ -289,7 +279,7 @@ class UnaryEngine(EngineBase):
         )
 
     def _bucket_size(self, key):
-        b, c = bc_unpack(key)
+        b, c = key
         return self.pair_tr.slice_count((0, 2), (c, b))
 
     def open_union(self):
@@ -301,7 +291,7 @@ class UnaryEngine(EngineBase):
                         self.rs_closed, self.st_closed)
         ]
         iters.append(HopUnionIterator(
-            [bc_key(b, c) for (b, c) in self.root_tr.entries],
+            list(self.root_tr.entries),
             self._open_bucket,
             self._bucket_size,
             self.candidate_buckets,

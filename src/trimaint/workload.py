@@ -29,9 +29,14 @@ class WorkloadSpec:
     mult_hi: int = 2
 
     def __post_init__(self):
-        assert self.domain >= 1
-        assert 0.0 <= self.delete_frac <= 1.0
-        assert 1 <= self.mult_lo <= self.mult_hi
+        if not self.domain >= 1:
+            raise ValueError(f"domain must be at least 1, got {self.domain}")
+        if not self.updates >= 0:
+            raise ValueError(f"updates must be nonnegative, got {self.updates}")
+        if not 0.0 <= self.delete_frac <= 1.0:
+            raise ValueError(f"delete fraction must be in [0, 1], got {self.delete_frac}")
+        if not 1 <= self.mult_lo <= self.mult_hi:
+            raise ValueError(f"need 1 <= mult_lo <= mult_hi, got {self.mult_lo}, {self.mult_hi}")
         parse_skew(self.skew)
 
 

@@ -196,3 +196,25 @@ def test_measure_delay_positive():
     assert measure_delay(eng) > 0
     eng0 = make_engine("d0", 0.5, rd={(1, 2): 1})
     assert measure_delay(eng0) >= 1
+
+
+REFUSED = {
+    "skew-name": ["run", "--skew", "bogus"],
+    "skew-exponent": ["run", "--skew", "zipf:0"],
+    "domain": ["run", "--domain", "0"],
+    "epsilon-high": ["run", "--epsilon", "1.5"],
+    "epsilon-nan": ["run", "--epsilon", "nan"],
+    "bench-epsilon": ["bench", "--epsilon", "0,x"],
+    "double-d2": ["verify", "--query", "d2", "--double-partition"],
+    "cadence": ["verify", "--verify-cadence", "-1"],
+    "database-below-zero": ["static", "{db}"],
+}
+
+
+@pytest.mark.parametrize("argv", list(REFUSED.values()), ids=list(REFUSED))
+def test_refused_input_exits_2_with_one_line(tmp_path, capsys, argv):
+    db = write(tmp_path, "db.txt", TRIANGLE + "- S 2 3 2\n")
+    assert main([db if a == "{db}" else a for a in argv]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert out.out == ""

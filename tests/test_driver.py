@@ -1,10 +1,17 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import trimaint
+from trimaint import store
 from trimaint.driver import Driver, make_engine
 from trimaint.oracle import oracle_triangle
 from trimaint.store import RejectedDelete
+from trimaint.workload import WorkloadSpec, stream
 
 GRID = [
     ("d0", False, 0.5),
@@ -238,3 +245,107 @@ def test_extreme_epsilon_never_minor_rebalances(eps):
         mirror_update(rels, rel, key, m)
     assert drv.minors == 0
     drv.check_invariants(deep=True)
+
+
+# Ops by phase of one stream: zipf growth with deletes, then every live
+# tuple deleted again, at eps 0.25 so that minors run too. "base" leaves
+# dict compaction out (store.COMPACT_FLOOR set past any size), so a change
+# to any other metered work shows there; "counts" add the compaction
+# ticks. The ops of a full enumeration at the stream's turning point, and
+# the majors and minors, ride along.
+OP_PINS = {
+    ("d0", False): dict(
+        base={"total": 36139, "apply": 29683, "major": 3906, "minor": 2550},
+        counts={"total": 36222, "apply": 29764, "major": 3906, "minor": 2552},
+        enum=1, majors=14, minors=18),
+    ("d0", True): dict(
+        base={"total": 74088, "apply": 62946, "major": 3734, "minor": 7408},
+        counts={"total": 74155, "apply": 62994, "major": 3734, "minor": 7427},
+        enum=1, majors=14, minors=31),
+    ("d1", False): dict(
+        base={"total": 51015, "apply": 42845, "major": 4310, "minor": 3860},
+        counts={"total": 51098, "apply": 42913, "major": 4310, "minor": 3875},
+        enum=399, majors=14, minors=27),
+    ("d2", False): dict(
+        base={"total": 55327, "apply": 45492, "major": 5385, "minor": 4450},
+        counts={"total": 55431, "apply": 45577, "major": 5385, "minor": 4469},
+        enum=1112, majors=14, minors=29),
+    ("d3", False): dict(
+        base={"total": 30690, "apply": 25848, "major": 2660, "minor": 2182},
+        counts={"total": 30831, "apply": 25985, "major": 2660, "minor": 2186},
+        enum=441, majors=14, minors=18),
+}
+
+
+def pinned_stream():
+    spec = WorkloadSpec(seed=7, domain=40, updates=1200, delete_frac=0.3, skew="zipf:1.2")
+    ups = list(stream(spec))
+    live = {}
+    for rel, key, m in ups:
+        live[rel, key] = live.get((rel, key), 0) + m
+        if not live[rel, key]:
+            del live[rel, key]
+    return ups, [(rel, key, -m) for (rel, key), m in live.items()]
+
+
+@pytest.mark.parametrize("compact", [False, True])
+@pytest.mark.parametrize("query,double", list(OP_PINS))
+def test_op_counts_pinned(query, double, compact, monkeypatch):
+    if not compact:
+        monkeypatch.setattr(store, "COMPACT_FLOOR", float("inf"))
+    pin = OP_PINS[(query, double)]
+    grow, shrink = pinned_stream()
+    drv = make_driver(query, 0.25, double=double)
+    for upd in grow:
+        drv.on_update(*upd)
+    before = drv.meter.total
+    drv.engine.query_result()
+    enum = drv.meter.total - before
+    for upd in shrink:
+        drv.on_update(*upd)
+    assert drv.meter.snapshot() == (pin["counts"] if compact else pin["base"])
+    assert (enum, drv.majors, drv.minors) == (pin["enum"], pin["majors"], pin["minors"])
+    assert drv.engine.db_size() == 0
+
+
+BOUNDARY_SCRIPT = """
+from trimaint.driver import Driver, make_engine
+from trimaint.oracle import oracle_triangle
+from trimaint.workload import WorkloadSpec, stream
+
+K = {"d0": 0, "d1": 1, "d2": 2, "d3": 3}
+spec = WorkloadSpec(seed=5, domain=8, updates=200, delete_frac=0.3)
+for query, double in (("d0", False), ("d0", True), ("d1", False), ("d2", False), ("d3", False)):
+    drv = Driver(make_engine(query, 0.5, double=double))
+    rels = {"R": {}, "S": {}, "T": {}}
+    for rel, key, m in stream(spec):
+        drv.on_update(rel, key, m)
+        d = rels[rel]
+        d[key] = d.get(key, 0) + m
+        if not d[key]:
+            del d[key]
+    state = (drv.meter.snapshot(), drv.updates)
+    for bad in (("R", (1, 2), 0), ("Q", (1, 2), 1), ("S", (1, 2, 3), 1)):
+        try:
+            drv.on_update(*bad)
+        except ValueError:
+            pass
+        else:
+            raise SystemExit(f"{query} accepted {bad}")
+    if (drv.meter.snapshot(), drv.updates) != state:
+        raise SystemExit(f"{query}: a refused update changed the state")
+    if drv.engine.query_result() != oracle_triangle(rels["R"], rels["S"], rels["T"], K[query]):
+        raise SystemExit(f"{query}: result differs from the oracle")
+    print("ok", query, double)
+"""
+
+
+def test_input_boundary_holds_under_optimize():
+    # asserts are compiled out under -O; the input checks of on_update must not be
+    src = Path(trimaint.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", BOUNDARY_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+    assert len(proc.stdout.splitlines()) == 5

@@ -143,7 +143,7 @@ def test_worked_example_emission_and_states():
 
 def test_hop_union_over_relation_slices():
     m = CostMeter()
-    v = Relation("V", 2, index_cols=((0,), (1,)), meter=m)
+    v = Relation("V", 2, index_cols=((0,), (1,)), meter=m, linked=((0,),))
     rows = {1: [5, 6], 2: [6, 7], 3: [7, 5]}
     for a, bs in rows.items():
         for b in bs:

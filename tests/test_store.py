@@ -95,7 +95,7 @@ def test_missing_index_raises():
 
 
 def test_slice_head_and_next_walk_the_list():
-    r = make_rel()
+    r = Relation("R", 2, index_cols=((0,), (1,)), linked=((0,),))
     r.apply_delta((1, 5), 1)
     r.apply_delta((1, 3), 1)
     r.apply_delta((2, 9), 1)
@@ -167,3 +167,128 @@ def test_index_consistency_under_random_deltas(ops):
         got = {t: m for t, m in r.slice_items((0,), a)}
         assert got == {t: m for t, m in shadow.items() if t[0] == a}
     r.check_consistency()
+
+
+def test_slice_head_on_hash_index_raises():
+    r = make_rel()
+    r.apply_delta((1, 2), 1)
+    with pytest.raises(MissingIndex):
+        r.slice_head((0,), 1)
+    with pytest.raises(MissingIndex):
+        r.slice_next((0,), (1, 2))
+
+
+def test_shrunk_slice_is_rebuilt_with_metered_ticks():
+    m = CostMeter()
+    r = Relation("R", 2, index_cols=((0,),), meter=m)
+    for a in (0, 1):
+        for b in range(64):
+            r.apply_delta((a, b), 1)
+    extra = {}
+    for b in range(63):
+        before = m.total
+        r.apply_delta((0, b), -1)
+        # one tick for the entry and one for the index, plus one per
+        # tuple moved when the slice drops below a quarter of its mark
+        extra[63 - b] = m.total - before - 2
+    assert {left: t for left, t in extra.items() if t} == {15: 15, 3: 3}
+    assert [k for k, _ in r.slice_items((0,), 0)] == [(0, 63)]
+    assert len(r) == 65  # the entries never fell below a quarter of 128
+    r.check_consistency()
+
+
+def test_shrunk_entries_are_rebuilt_with_metered_ticks():
+    m = CostMeter()
+    r = Relation("V", 1, meter=m)
+    for a in range(4096):
+        r.apply_delta((a,), 1)
+    extra, rebuilt = {}, []
+    for a in range(4095):
+        before, entries = m.total, r.entries
+        r.apply_delta((a,), -1)
+        extra[4095 - a] = m.total - before - 1
+        if r.entries is not entries:
+            rebuilt.append(len(r))
+    # marks 4096, 1023, 255, 63, 15; a mark of 3 is at the floor
+    assert {left: t for left, t in extra.items() if t} == {
+        1023: 1023, 255: 255, 63: 63, 15: 15, 3: 3}
+    assert rebuilt == [1023, 255, 63, 15, 3]
+    assert list(r.items()) == [((4095,), 1)]
+    r.check_consistency()
+
+
+def test_meter_phase_attribution():
+    m = CostMeter()
+    m.tick(2)
+    with m.phase("major"):
+        m.tick(3)
+        with m.phase("minor"):
+            m.tick(5)
+            assert m.snapshot() == {"total": 10, "apply": 2, "major": 3, "minor": 5}
+        m.tick(7)
+    m.tick(11)
+    assert m.snapshot() == {"total": 28, "apply": 13, "major": 10, "minor": 5}
+    r = Relation("R", 2, index_cols=((0,),), meter=m)
+    r.apply_delta((1, 2), 1)
+    with pytest.raises(RejectedDelete):
+        with m.phase("minor"):
+            m.tick(4)
+            r.apply_delta((1, 2), -5)
+    m.tick()
+    assert m.phases == {"apply": 16, "major": 10, "minor": 9}
+    assert m.total == 35
+    with pytest.raises(ValueError):
+        with m.phase("rebuild"):
+            pass
+
+
+# (a, b, m) deltas over a hash index on a and a linked index on b, then
+# picks of stored tuples to delete whole (every third pick overdeletes):
+# slices on a grow past the compaction floor and the drain shrinks them
+# below a quarter of their mark
+store_ops = st.lists(
+    st.tuples(st.integers(0, 1), st.integers(0, 24), st.sampled_from([1, 1, 1, 2, -1, -1, -3])),
+    min_size=30, max_size=150,
+)
+
+
+@settings(max_examples=100)
+@given(store_ops, st.lists(st.integers(0, 999), min_size=20, max_size=80))
+def test_hash_and_linked_indexes_agree_with_list_model(ops, picks):
+    r = Relation("R", 2, index_cols=((0,), (1,)), linked=((1,),))
+    model = []  # [key, mult] in insertion order
+
+    def step(key, m):
+        pos = next((i for i, (k, _) in enumerate(model) if k == key), None)
+        old = model[pos][1] if pos is not None else 0
+        if old + m < 0:
+            with pytest.raises(RejectedDelete):
+                r.apply_delta(key, m)
+        else:
+            assert r.apply_delta(key, m) == old + m
+            if pos is None:
+                model.append([key, m])
+            elif old + m == 0:
+                del model[pos]
+            else:
+                model[pos][1] = old + m
+        a, b = key
+        for col, v in ((0, a), (1, b)):
+            want = [(k, mult) for k, mult in model if k[col] == v]
+            assert list(r.slice_items((col,), v)) == want
+            assert r.slice_count((col,), v) == len(want)
+        walk, k = [], r.slice_head((1,), b)
+        while k is not None:
+            walk.append(k)
+            k = r.slice_next((1,), k)
+        assert walk == [k for k, _ in model if k[1] == b]
+        r.check_consistency()
+
+    for a, b, m in ops:
+        step((a, b), m)
+    for p in picks:
+        if not model:
+            break
+        key, mult = model[p % len(model)]
+        step(key, -mult - (p % 3 == 0))
+    assert list(r.items()) == [tuple(e) for e in model]
