@@ -1,23 +1,35 @@
-"""Shared engine plumbing: threshold, version counter, rebuild protocol."""
+"""Shared engine plumbing: threshold, version counter, rebuild protocol, audit."""
 
 from __future__ import annotations
 
+import copy
 from itertools import chain
 
 from trimaint.partition import Threshold
-from trimaint.store import CostMeter, RejectedDelete
+from trimaint.store import CostMeter, RejectedDelete, Relation
 from trimaint.iterators import StaleIterator
 
 
 class EngineBase:
     """Common state for the per-query maintenance engines.
 
-    Subclasses provide `_build_partitions(rel_items)`, `_recompute_views()`,
-    and `apply_update(rel, label, key, m)`. The driver owns threshold-base
-    management and rebalancing; engines only apply updates and rebuild.
+    Subclasses provide:
+
+      * `_build_partitions(rel_items)`: fresh strict partitions in `parts`;
+      * `_recompute_views()`: the init path, every view computed from the
+        current parts. It rebinds each view attribute to a new object and
+        mutates no part, so it can run on a shallow copy;
+      * `view_names`: the attributes that hold views (Relations, dicts of
+        Relations or of ints, or ints), all of which the init path sets;
+      * `apply_update(rel, label, key, m)`.
+
+    `fragments.FragmentEngine` provides all four from a fragment table.
+    The driver owns threshold-base management and rebalancing; engines
+    only apply updates and rebuild.
     """
 
     query = None
+    view_names = ()
 
     def __init__(self, epsilon, meter=None):
         self.epsilon = epsilon
@@ -53,8 +65,18 @@ class EngineBase:
     def rel_items(self):
         return {name: list(p.items()) for name, p in self.parts.items()}
 
-    def rel_dicts(self):
-        return {name: dict(p.items()) for name, p in self.parts.items()}
+    def verify_views(self):
+        """Raise AssertionError unless every view equals its recomputation.
+
+        The views are recomputed from the current parts through the init
+        path, on a shallow copy, so parts, views and version stay as they
+        are; the meter is charged for the recomputation.
+        """
+        fresh = copy.copy(self)
+        fresh._recompute_views()
+        for name in self.view_names:
+            if _contents(getattr(self, name)) != _contents(getattr(fresh, name)):
+                raise AssertionError(f"view {name} drifted")
 
     def guard(self):
         """Version check callable for enumeration iterators."""
@@ -99,10 +121,16 @@ class EngineBase:
 
     def merged_group(self, name, labels, suffix="all"):
         """Copy the named parts into one indexed relation (init-time joins)."""
-        from trimaint.store import Relation
-
         rel = Relation(f"{name}_{suffix}", 2, ((0,), (1,)), self.meter)
         for lab in labels:
             for key, m in self.parts[name].part(lab).items():
                 rel.apply_delta(key, m)
         return rel
+
+
+def _contents(view):
+    if isinstance(view, Relation):
+        return view.entries
+    if isinstance(view, dict):
+        return {k: _contents(v) for k, v in view.items()}
+    return view

@@ -269,22 +269,8 @@ def check_double(args):
         raise InputError("--double-partition applies to --query d0 only")
 
 
-def check_skew(text):
-    # parse_skew only asserts that a zipf exponent is positive
-    if text == "uniform":
-        return
-    if text.startswith("zipf:"):
-        try:
-            if float(text[len("zipf:"):]) > 0.0:
-                return
-        except ValueError:
-            pass
-    raise InputError(f"--skew must be uniform or zipf:S with S > 0, got {text!r}")
-
-
 def workload_spec(args, updates):
     """WorkloadSpec from the generator flags, refusing bad values."""
-    check_skew(args.skew)
     try:
         return WorkloadSpec(
             seed=args.seed,

@@ -162,33 +162,6 @@ class RangeCollection:
         return 0 <= i < self.n
 
 
-class SliceCollection:
-    """Hop-iterator collection over one slice of a Relation's linked index.
-
-    Elements are the full entry tuples of sigma_{cols=sub}K in insertion
-    order. The relation must stay unmodified while the collection is live.
-    """
-
-    def __init__(self, rel, cols, sub):
-        self._rel = rel
-        self._cols = cols
-        self._sub = sub
-
-    def __len__(self):
-        return self._rel.slice_count(self._cols, self._sub)
-
-    def first(self):
-        return self._rel.slice_head(self._cols, self._sub)
-
-    def successor(self, x):
-        return self._rel.slice_next(self._cols, x)
-
-    def contains(self, x):
-        from trimaint.store import subkey
-
-        return self._rel.lookup(x) != 0 and subkey(x, self._cols) == self._sub
-
-
 class MappedSliceCollection:
     """Linked-slice collection whose elements are a projection of the entry tuples.
 

@@ -52,6 +52,7 @@ class NullaryEngine(EngineBase):
     heavy_group = ("H",)
     light_group = ("L",)
     view_join = VIEW_JOIN_SINGLE
+    view_names = ("views", "count")
 
     def __init__(self, epsilon, meter=None):
         super().__init__(epsilon, meter)
@@ -79,7 +80,7 @@ class NullaryEngine(EngineBase):
                 self.parts[lname].part(llab),
                 self.parts[rname].part(rlab),
             )
-        merged = [self.merged(n) for n in ("R", "S", "T")]
+        merged = [self.merged_group(n, self.parts[n].labels) for n in ("R", "S", "T")]
         self.count = sum(prod for *_, prod in triangle_products(*merged))
 
     def query_result(self):
@@ -144,34 +145,6 @@ class NullaryEngine(EngineBase):
             v = self.views[OTHER_VIEW[rel]]
             for (w, _), mt in p2.part("H").slice_items((1,), u0):
                 v.apply_delta((w, u1), m * mt)
-
-    # -- auditing ---------------------------------------------------------
-
-    def merged(self, name):
-        rel = Relation(name + "_all", 2, BASE_IDX, self.meter)
-        for key, m in self.parts[name].items():
-            rel.apply_delta(key, m)
-        return rel
-
-    def expected_views(self):
-        out = {}
-        for v in VIEW_NAMES:
-            lname, rname = VIEW_RELS[v]
-            llab, rlab = self.view_join[v]
-            acc = {}
-            for (x, y), ml in self.parts[lname].part(llab).items():
-                for (_, z), mr in self.parts[rname].part(rlab).slice_items((0,), y):
-                    acc[(x, z)] = acc.get((x, z), 0) + ml * mr
-            out[v] = {k: mv for k, mv in acc.items() if mv != 0}
-        return out
-
-    def verify_views(self):
-        exp = self.expected_views()
-        for v in VIEW_NAMES:
-            got = dict(self.views[v].items())
-            assert got == exp[v], f"view {v} drifted"
-        merged = [self.merged(n) for n in ("R", "S", "T")]
-        assert self.count == sum(p for *_, p in triangle_products(*merged))
 
 
 class NullaryDoubleEngine(NullaryEngine):

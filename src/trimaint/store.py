@@ -134,13 +134,6 @@ class _KeyList:
         self.count -= 1
 
 
-def subkey(key, cols):
-    # Single-column projections use the bare value as the index key.
-    if len(cols) == 1:
-        return key[cols[0]]
-    return tuple(key[c] for c in cols)
-
-
 class Relation:
     """A finite map from tuples to nonzero signed integer multiplicities.
 
@@ -168,7 +161,7 @@ class Relation:
             for c in cols:
                 if not 0 <= c < arity:
                     raise ValueError(f"{name}: index column {c} outside arity {arity}")
-            # itemgetter projects like subkey, in one C-level call
+            # one C-level call projects a tuple onto the index columns
             by_cols[cols] = (itemgetter(*cols), {}, {}, {} if cols in linked else None)
         for cols in linked:
             if tuple(cols) not in by_cols:

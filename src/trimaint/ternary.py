@@ -12,129 +12,37 @@ so the walk never stalls.
 
 from __future__ import annotations
 
-from trimaint.base import EngineBase
-from trimaint.joins import triangle_products
-from trimaint.partition import strict_single
-from trimaint.store import Relation
+from trimaint.fragments import Direct, FragmentEngine, Tree
 
-BASE_IDX = ((0,), (1,))
-
-ROTATION = {"R": ("S", "T"), "S": ("T", "R"), "T": ("R", "S")}
-
-# tree "rs" pairs R-heavy with S-light, and so on around the cycle
-TREE_HEAVY = {"R": "rs", "S": "st", "T": "tr"}
-TREE_LIGHT = {"R": "tr", "S": "rs", "T": "st"}
-TREE_THIRD = {"R": "st", "S": "tr", "T": "rs"}
-THIRD_REL = {"rs": "T", "st": "R", "tr": "S"}
-
-# result-triple assembly from an update's key (u0, u1) and the bound value
-TRIPLE = {
-    "R": lambda u0, u1, w: (u0, u1, w),
-    "S": lambda u0, u1, w: (w, u0, u1),
-    "T": lambda u0, u1, w: (u1, w, u0),
-}
+TREES = ("rs", "st", "tr")
 
 
-def _root_key(tree, l0, w):
-    # root keys follow output order (a first where present), which flips
-    # the pair's first/last columns for the st and tr trees
-    return (l0, w) if tree == "rs" else (w, l0)
-
-
-class TernaryEngine(EngineBase):
+class TernaryEngine(FragmentEngine):
     query = "d3"
+    out = "abc"
+    direct = (
+        # view, R, S, T label groups, side walked on an R, S, T update
+        Direct("hhh", "H", "H", "H", "PPP"),
+        Direct("lll", "L", "L", "L", "NNN"),
+    )
+    trees = (
+        # left, left group, right group, pair, hat, root, root key
+        Tree("R", "H", "L", "pair_rs", "hat_rs", "root_rs", "ac"),
+        Tree("S", "H", "L", "pair_st", "hat_st", "root_st", "ab"),
+        Tree("T", "H", "L", "pair_tr", "hat_tr", "root_tr", "bc"),
+    )
 
-    def __init__(self, epsilon, meter=None):
-        super().__init__(epsilon, meter)
-        self._fresh_views()
-        self._build_partitions({"R": [], "S": [], "T": []})
+    @property
+    def pairs(self):
+        return {t: getattr(self, "pair_" + t) for t in TREES}
 
-    def _fresh_views(self):
-        m = self.meter
-        self.hhh = Relation("res_HHH", 3, (), m)
-        self.lll = Relation("res_LLL", 3, (), m)
-        self.pairs = {t: Relation("pair_" + t, 3, ((0, 2),), m) for t in ("rs", "st", "tr")}
-        self.hats = {t: Relation("hat_" + t, 2, (), m) for t in ("rs", "st", "tr")}
-        self.roots = {t: Relation("root_" + t, 2, (), m) for t in ("rs", "st", "tr")}
+    @property
+    def hats(self):
+        return {t: getattr(self, "hat_" + t) for t in TREES}
 
-    def _build_partitions(self, rel_items):
-        th = self.threshold.theta
-        self.parts = {
-            name: strict_single(rel_items[name], name, 2, BASE_IDX, self.meter, th)
-            for name in ("R", "S", "T")
-        }
-
-    def _recompute_views(self):
-        self._fresh_views()
-        ph = {n: self.parts[n].part("H") for n in ("R", "S", "T")}
-        pl = {n: self.parts[n].part("L") for n in ("R", "S", "T")}
-        for a, b, c, prod in triangle_products(ph["R"], ph["S"], ph["T"]):
-            self.hhh.apply_delta((a, b, c), prod)
-        for a, b, c, prod in triangle_products(pl["R"], pl["S"], pl["T"]):
-            self.lll.apply_delta((a, b, c), prod)
-        for tree, (lname, nname) in (("rs", ("R", "S")), ("st", ("S", "T")), ("tr", ("T", "R"))):
-            pair = self.pairs[tree]
-            hat = self.hats[tree]
-            for (l0, l1), ml in ph[lname].items():
-                for (_, w), mn in pl[nname].slice_items((0,), l1):
-                    pair.apply_delta((l0, l1, w), ml * mn)
-                    hat.apply_delta((l0, w), ml * mn)
-            third = self.parts[THIRD_REL[tree]]
-            root = self.roots[tree]
-            for (l0, w), v in hat.items():
-                tm = third.total((w, l0))
-                if tm:
-                    root.apply_delta(_root_key(tree, l0, w), v * tm)
-
-    # -- update processing ------------------------------------------------
-
-    def _cascade(self, tree, pk, d):
-        p0, p1, p2 = pk
-        self.pairs[tree].apply_delta(pk, d)
-        self.hats[tree].apply_delta((p0, p2), d)
-        tm = self.parts[THIRD_REL[tree]].total((p2, p0))
-        if tm:
-            self.roots[tree].apply_delta(_root_key(tree, p0, p2), d * tm)
-
-    def apply_update(self, rel, label, key, m):
-        assert m != 0
-        self.precheck_delete(rel, label, key, m)
-        u0, u1 = key
-        nxt = self.parts[ROTATION[rel][0]]
-        prv = self.parts[ROTATION[rel][1]]
-        meter = self.meter
-        triple = TRIPLE[rel]
-
-        if label == "H":
-            nh = nxt.part("H")
-            for (w, _), mp in prv.part("H").slice_items((1,), u0):
-                mn = nh.lookup((u1, w))
-                if mn:
-                    meter.tick()
-                    self.hhh.apply_delta(triple(u0, u1, w), m * mn * mp)
-            tree = TREE_HEAVY[rel]
-            for (_, w), mn in nxt.part("L").slice_items((0,), u1):
-                self._cascade(tree, (u0, u1, w), m * mn)
-        else:
-            pl = prv.part("L")
-            for (_, w), mn in nxt.part("L").slice_items((0,), u1):
-                mp = pl.lookup((w, u0))
-                if mp:
-                    meter.tick()
-                    self.lll.apply_delta(triple(u0, u1, w), m * mn * mp)
-            tree = TREE_LIGHT[rel]
-            for (w, _), mp in prv.part("H").slice_items((1,), u0):
-                self._cascade(tree, (w, u0, u1), mp * m)
-
-        # this relation closes exactly one tree; its root absorbs m times
-        # the aggregated pair weight, one lookup
-        t3 = TREE_THIRD[rel]
-        hv = self.hats[t3].lookup((u1, u0))
-        if hv:
-            self.roots[t3].apply_delta(_root_key(t3, u1, u0), m * hv)
-
-        self.parts[rel].part(label).apply_delta(key, m)
-        self.version += 1
+    @property
+    def roots(self):
+        return {t: getattr(self, "root_" + t) for t in TREES}
 
     # -- enumeration ------------------------------------------------------
 
@@ -148,93 +56,20 @@ class TernaryEngine(EngineBase):
 
     def _enumerate(self, check):
         meter = self.meter
-        for key, mult in self.hhh.items():
-            check()
-            yield key, mult
-        for key, mult in self.lll.items():
-            check()
-            yield key, mult
-        rh = self.parts["R"].part("H")
-        sl = self.parts["S"].part("L")
-        for (a, c), _ in self.roots["rs"].items():
-            tt = self.parts["T"].total((c, a))
-            for (_, b, _c2), _v in self.pairs["rs"].slice_items((0, 2), (a, c)):
+        for view in (self.hhh, self.lll):
+            for key, mult in view.items():
                 check()
-                meter.tick()
-                yield (a, b, c), rh.lookup((a, b)) * sl.lookup((b, c)) * tt
-        sh = self.parts["S"].part("H")
-        tl = self.parts["T"].part("L")
-        for (a, b), _ in self.roots["st"].items():
-            rt = self.parts["R"].total((a, b))
-            for (_, c, _a2), _v in self.pairs["st"].slice_items((0, 2), (b, a)):
-                check()
-                meter.tick()
-                yield (a, b, c), rt * sh.lookup((b, c)) * tl.lookup((c, a))
-        th = self.parts["T"].part("H")
-        rl = self.parts["R"].part("L")
-        for (b, c), _ in self.roots["tr"].items():
-            st = self.parts["S"].total((b, c))
-            for (_, a, _b2), _v in self.pairs["tr"].slice_items((0, 2), (c, b)):
-                check()
-                meter.tick()
-                yield (a, b, c), rl.lookup((a, b)) * st * th.lookup((c, a))
-
-    def query_result(self):
-        return {key: mult for key, mult in self.enumerate_result()}
-
-    # -- auditing ---------------------------------------------------------
-
-    def expected_state(self):
-        """Recompute every view from the parts; returns plain dicts."""
-        ph = {n: dict(self.parts[n].part("H").items()) for n in ("R", "S", "T")}
-        pl = {n: dict(self.parts[n].part("L").items()) for n in ("R", "S", "T")}
-
-        def tri(rd, sd, td):
-            out = {}
-            for (a, b), mr in rd.items():
-                for (b2, c), ms in sd.items():
-                    if b2 != b:
-                        continue
-                    mt = td.get((c, a), 0)
-                    if mt:
-                        out[(a, b, c)] = out.get((a, b, c), 0) + mr * ms * mt
-            return {k: v for k, v in out.items() if v != 0}
-
-        exp = {
-            "hhh": tri(ph["R"], ph["S"], ph["T"]),
-            "lll": tri(pl["R"], pl["S"], pl["T"]),
-        }
-        for tree, (lname, nname) in (("rs", ("R", "S")), ("st", ("S", "T")), ("tr", ("T", "R"))):
-            pair = {}
-            for (l0, l1), ml in ph[lname].items():
-                for (n0, w), mn in pl[nname].items():
-                    if n0 == l1:
-                        pair[(l0, l1, w)] = pair.get((l0, l1, w), 0) + ml * mn
-            hat = {}
-            for (l0, _l1, w), v in pair.items():
-                hat[(l0, w)] = hat.get((l0, w), 0) + v
-            hat = {k: v for k, v in hat.items() if v != 0}
-            tn = THIRD_REL[tree]
-            tot = {}
-            for k, v in ph[tn].items():
-                tot[k] = tot.get(k, 0) + v
-            for k, v in pl[tn].items():
-                tot[k] = tot.get(k, 0) + v
-            root = {}
-            for (l0, w), v in hat.items():
-                tm = tot.get((w, l0), 0)
-                if tm and v:
-                    root[_root_key(tree, l0, w)] = v * tm
-            exp["pair_" + tree] = {k: v for k, v in pair.items() if v != 0}
-            exp["hat_" + tree] = hat
-            exp["root_" + tree] = root
-        return exp
-
-    def verify_views(self):
-        exp = self.expected_state()
-        assert dict(self.hhh.items()) == exp["hhh"], "all-heavy fragment drifted"
-        assert dict(self.lll.items()) == exp["lll"], "all-light fragment drifted"
-        for tree in ("rs", "st", "tr"):
-            assert dict(self.pairs[tree].items()) == exp["pair_" + tree]
-            assert dict(self.hats[tree].items()) == exp["hat_" + tree]
-            assert dict(self.roots[tree].items()) == exp["root_" + tree]
+                yield key, mult
+        parts = self.parts
+        for t in self.trees:
+            left, right = parts[t.left].part("H"), parts[t.right].part("L")
+            third = parts[t.third]
+            pair, abc = getattr(self, t.pair), t.abc_of
+            for rk, _ in getattr(self, t.top).items():
+                x, z = t.hat_of(rk)
+                tm = third.total((z, x))
+                for pk, _v in pair.slice_items((0, 2), (x, z)):
+                    check()
+                    meter.total += 1
+                    y = pk[1]
+                    yield abc(pk), left.lookup((x, y)) * right.lookup((y, z)) * tm

@@ -41,13 +41,18 @@ class WorkloadSpec:
 
 
 def parse_skew(text):
+    """None for "uniform", the exponent S for "zipf:S"; ValueError unless S > 0."""
     if text == "uniform":
         return None
+    s = None
     if text.startswith("zipf:"):
-        s = float(text[len("zipf:"):])
-        assert s > 0.0
-        return s
-    raise ValueError(f"unknown skew {text!r}")
+        try:
+            s = float(text[len("zipf:"):])
+        except ValueError:
+            pass
+    if s is None or not s > 0.0:
+        raise ValueError(f"skew must be uniform or zipf:S with S > 0, got {text!r}")
+    return s
 
 
 def make_sampler(spec):

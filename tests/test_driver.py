@@ -267,12 +267,12 @@ OP_PINS = {
         counts={"total": 51098, "apply": 42913, "major": 4310, "minor": 3875},
         enum=399, majors=14, minors=27),
     ("d2", False): dict(
-        base={"total": 55327, "apply": 45492, "major": 5385, "minor": 4450},
-        counts={"total": 55431, "apply": 45577, "major": 5385, "minor": 4469},
+        base={"total": 55518, "apply": 45666, "major": 5385, "minor": 4467},
+        counts={"total": 55622, "apply": 45751, "major": 5385, "minor": 4486},
         enum=1112, majors=14, minors=29),
     ("d3", False): dict(
-        base={"total": 30690, "apply": 25848, "major": 2660, "minor": 2182},
-        counts={"total": 30831, "apply": 25985, "major": 2660, "minor": 2186},
+        base={"total": 31119, "apply": 26241, "major": 2660, "minor": 2218},
+        counts={"total": 31260, "apply": 26378, "major": 2660, "minor": 2222},
         enum=441, majors=14, minors=18),
 }
 
@@ -337,6 +337,12 @@ for query, double in (("d0", False), ("d0", True), ("d1", False), ("d2", False),
     if drv.engine.query_result() != oracle_triangle(rels["R"], rels["S"], rels["T"], K[query]):
         raise SystemExit(f"{query}: result differs from the oracle")
     print("ok", query, double)
+try:
+    WorkloadSpec(skew="zipf:nan")
+except ValueError:
+    pass
+else:
+    raise SystemExit("accepted zipf:nan")
 """
 
 

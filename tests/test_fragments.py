@@ -1,0 +1,135 @@
+"""Fragment tables and the view audit that reruns the init path."""
+
+from itertools import product
+
+import pytest
+
+from trimaint.binary import BinaryEngine
+from trimaint.driver import Driver, make_engine
+from trimaint.store import Relation
+from trimaint.ternary import TernaryEngine
+from trimaint.unary import UnaryEngine
+from trimaint.workload import WorkloadSpec, stream
+
+VARIANTS = [("d0", False), ("d0", True), ("d1", False), ("d2", False), ("d3", False)]
+TABLES = [UnaryEngine, BinaryEngine, TernaryEngine]
+
+
+@pytest.mark.parametrize("cls", TABLES)
+def test_fragments_cover_every_label_combination_once(cls):
+    from trimaint.fragments import group_labels
+
+    rows = [[group_labels(cls.labels[rel], row.groups[rel]) for rel in "RST"]
+            for row in cls.direct + cls.trees]
+    combos = list(product(*(cls.labels[rel] for rel in "RST")))
+    for combo in combos:
+        owners = [row for row in rows if all(lab in labs for lab, labs in zip(combo, row))]
+        assert len(owners) == 1, (combo, owners)
+    assert len(combos) == {1: 32, 2: 32, 3: 8}[len(cls.out)]
+
+
+def rich_driver(query, double=False, eps=0.5):
+    drv = Driver(make_engine(query, eps, double=double))
+    spec = WorkloadSpec(seed=11, domain=10, updates=500, delete_frac=0.2, skew="zipf:1.2")
+    for upd in stream(spec):
+        drv.on_update(*upd)
+    return drv
+
+
+def view_dicts(eng):
+    """Every dict of view entries the engine holds, by attribute name."""
+    out = []
+    for name, v in vars(eng).items():
+        if name == "parts":
+            continue
+        if isinstance(v, Relation):
+            out.append((name, v.entries))
+        elif isinstance(v, dict):
+            for k, x in v.items():
+                if isinstance(x, Relation):
+                    out.append((f"{name}[{k}]", x.entries))
+            if name.startswith("bsz_"):
+                out.append((name, v))
+    return out
+
+
+@pytest.mark.parametrize("query,double", VARIANTS)
+def test_audit_catches_one_corrupted_entry(query, double):
+    corrupted = set()
+    # theta is about 3.4 at eps 0.25 and 11 at eps 0.5: between them
+    # nearly every view holds entries
+    for eps in (0.25, 0.5):
+        eng = rich_driver(query, double, eps).engine
+        eng.verify_views()
+        for name, entries in view_dicts(eng):
+            if not entries:
+                continue
+            k = next(iter(entries))
+            entries[k] += 1
+            with pytest.raises(AssertionError):
+                eng.verify_views()
+            entries[k] -= 1
+            eng.verify_views()
+            corrupted.add(name)
+        if query == "d0":
+            eng.count += 1
+            with pytest.raises(AssertionError):
+                eng.verify_views()
+    assert len(corrupted) >= {"d0": 3, "d1": 10, "d2": 15, "d3": 11}[query], corrupted
+
+
+def skipping(monkeypatch, rel, label, i):
+    """Bind plans with step i of (rel, label) left out."""
+    from trimaint.fragments import FragmentEngine
+
+    bind = FragmentEngine._bind
+
+    def bind_without(self):
+        steps = bind(self)
+        plan = steps[rel][label]
+        steps[rel][label] = plan[:i] + plan[i + 1:]
+        return steps
+
+    monkeypatch.setattr(FragmentEngine, "_bind", bind_without)
+
+
+def hub_db(hubs):
+    """Hub values have degree 8 on both columns, the others degree 3; at
+    eps 0.25 theta is about 3.7, so every part label is held."""
+    return {(x, y): 1 for x in range(8) for y in (range(8) if x in hubs else {x, *hubs})}
+
+
+# 0 is a hub in every relation, 1, 2 and 3 in one each: some steps act only
+# where a value is heavy in one relation and light in the next
+HUB_DBS = [hub_db({0, 1}), hub_db({0, 2}), hub_db({0, 3})]
+
+
+@pytest.mark.parametrize("cls", TABLES)
+def test_audit_catches_every_skipped_step(cls, monkeypatch):
+    def fresh():
+        return cls.from_database(*HUB_DBS, 0.25)
+
+    eng = fresh()
+    for rel in "RST":
+        part = eng.parts[rel]
+        assert all(len(part.part(lab)) for lab in part.labels)
+        keys = {}
+        for key in product(range(8), repeat=2):
+            keys.setdefault(part.affected_label(key, 0.25), []).append(key)
+        for label, plan in eng._bind()[rel].items():
+            for i in range(len(plan)):
+                with monkeypatch.context() as mp:
+                    skipping(mp, rel, label, i)
+                    for key in keys[label]:
+                        e = fresh()
+                        e.apply_update(rel, label, key, 1)
+                        try:
+                            e.verify_views()
+                        except AssertionError:
+                            break
+                    else:
+                        pytest.fail(f"no {rel}^{label} insert shows step {i} skipped")
+                # the same update with every step passes the audit
+                e = fresh()
+                e.apply_update(rel, label, key, 1)
+                e.verify_views()

@@ -11,7 +11,6 @@ from trimaint.iterators import (
     ListCollection,
     SeqIterator,
     MappedSliceCollection,
-    SliceCollection,
     UnionIterator,
     union_next,
 )

@@ -44,8 +44,9 @@ def test_zipf_concentrates_low_values():
 def test_bad_skew_rejected():
     with pytest.raises(ValueError):
         WorkloadSpec(skew="pareto")
-    with pytest.raises(AssertionError):
-        WorkloadSpec(skew="zipf:0")
+    for bad in ("zipf:0", "zipf:-1", "zipf:nan"):
+        with pytest.raises(ValueError):
+            WorkloadSpec(skew=bad)
 
 
 def test_format_parse_roundtrip():
