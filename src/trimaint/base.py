@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import copy
-from itertools import chain
 
 from trimaint.partition import Threshold
 from trimaint.store import CostMeter, RejectedDelete, Relation
@@ -92,32 +91,6 @@ class EngineBase:
         """Raise RejectedDelete before any mutation if the part would go negative."""
         if m < 0 and self.parts[rel].part(label).lookup(key) + m < 0:
             raise RejectedDelete(f"{rel}^{label}{key} {m:+d}")
-
-    # -- label-group access: several parts treated as one relation --------
-
-    # Groups have one or two labels; each is read part by part, in label
-    # order, with no generator in between.
-
-    def _lookup_group(self, part, labels, key):
-        parts = part.parts
-        if len(labels) == 1:
-            return parts[labels[0]].lookup(key)
-        a, b = labels
-        return parts[a].lookup(key) + parts[b].lookup(key)
-
-    def _slice_group(self, part, labels, cols, sub):
-        parts = part.parts
-        if len(labels) == 1:
-            return parts[labels[0]].slice_items(cols, sub)
-        a, b = labels
-        return chain(parts[a].slice_items(cols, sub), parts[b].slice_items(cols, sub))
-
-    def _count_group(self, part, labels, cols, sub):
-        parts = part.parts
-        if len(labels) == 1:
-            return parts[labels[0]].slice_count(cols, sub)
-        a, b = labels
-        return parts[a].slice_count(cols, sub) + parts[b].slice_count(cols, sub)
 
     def merged_group(self, name, labels, suffix="all"):
         """Copy the named parts into one indexed relation (init-time joins)."""

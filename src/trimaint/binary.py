@@ -68,9 +68,6 @@ class BinaryEngine(FragmentEngine):
         Tree("R", "H", "LH", "pair_rs", "hat_rs", "closed_rs", "ac", "root_rs", "c"),
         Tree("T", "HL", "L", "pair_tr", "hat_tr", "closed_tr", "bc", "root_tr", "c"),
     )
-    # the init joins of h_ll and l_hh have always read copies of these
-    # parts; kept so that builds cost the same ops
-    copies = (("S", "LL"), ("T", "HH"))
 
     # -- enumeration ------------------------------------------------------
 
@@ -101,7 +98,7 @@ class BinaryEngine(FragmentEngine):
         keys = (tree.hat_of, projector("abc", tree.xyz), projector("abc", tree.key),
                 projector(tree.xyz, "ab"))
         return HopUnionIterator(
-            list(getattr(self, tree.root).entries),
+            getattr(self, tree.root).entries,
             lambda k: Bucket(closed, pair, k[0], keys),
             lambda k: bsz.get(k[0], 0),
             self._candidates(tree),

@@ -37,14 +37,13 @@ fills every tree bottom up; `EngineBase.verify_views` reruns it on a copy.
 
 from __future__ import annotations
 
-from itertools import chain
 from operator import itemgetter
 
 from trimaint.base import EngineBase
 from trimaint.iterators import EOF, KeyIterator, UnionIterator
 from trimaint.joins import triangle_products
 from trimaint.partition import DoublePartition, SinglePartition, strict_double, strict_single
-from trimaint.store import Relation
+from trimaint.store import Relation, walk_probe
 
 RELS = ("R", "S", "T")
 BASE_IDX = ((0,), (1,))
@@ -104,54 +103,25 @@ class Tree:
         self.root_pos = root and xz.index(root_key)  # root variable in the hat key
 
 
-def _walker(part, labels):
-    """slice_items over a label group, as one callable."""
-    if len(labels) == 1:
-        return part.part(labels[0]).slice_items
-    a, b = (part.part(lab) for lab in labels)
-    return lambda cols, sub: chain(a.slice_items(cols, sub), b.slice_items(cols, sub))
-
-
-def _looker(part, labels):
-    """Multiplicity in a label group, as one callable."""
-    if labels == part.labels:
-        return part.total
-    if len(labels) == 1:
-        return part.part(labels[0]).lookup
-    a, b = (part.part(lab) for lab in labels)
-    return lambda key: a.lookup(key) + b.lookup(key)
-
-
-def _walk_next(walk, look, view, key, meter):
+def _direct_step(kernel, next_side, view, key):
+    """Update step of a direct fragment: the kernel walks next(X)'s slice
+    at u1 and probes prev(X), or walks prev(X)'s at u0 and probes next(X)."""
     def step(u0, u1, m):
-        for (_, w), mn in walk((0,), u1):
-            mp = look((w, u0))
-            if mp:
-                meter.total += 1
-                view.apply_delta(key((u0, u1, w)), m * mn * mp)
+        for w, d in (kernel(u1, u0) if next_side else kernel(u0, u1)):
+            view.apply_delta(key((u0, u1, w)), m * d)
     return step
 
 
-def _walk_prev(walk, look, view, key, meter):
+def _from_left(kernel, cascade):
     def step(u0, u1, m):
-        for (w, _), mp in walk((1,), u0):
-            mn = look((u1, w))
-            if mn:
-                meter.total += 1
-                view.apply_delta(key((u0, u1, w)), m * mn * mp)
-    return step
-
-
-def _from_left(walk, cascade):
-    def step(u0, u1, m):
-        for (_, w), mr in walk((0,), u1):
+        for w, mr in kernel(u1):
             cascade(u0, u1, w, m * mr)
     return step
 
 
-def _from_right(walk, cascade):
+def _from_right(kernel, cascade):
     def step(u0, u1, m):
-        for (w, _), ml in walk((1,), u0):
+        for w, ml in kernel(u0):
             cascade(w, u0, u1, ml * m)
     return step
 
@@ -242,8 +212,6 @@ class FragmentEngine(EngineBase):
     out = ""
     direct = ()
     trees = ()
-    # (relation, label) of parts whose init joins read a merged copy
-    copies = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -332,7 +300,7 @@ class FragmentEngine(EngineBase):
 
         def join_input(group):
             rel, labels = group
-            if len(labels) == 1 and (rel, labels[0]) not in self.copies:
+            if len(labels) == 1:
                 return parts[rel].parts[labels[0]]
             if group not in merged:
                 merged[group] = self.merged_group(rel, labels)
@@ -372,18 +340,23 @@ class FragmentEngine(EngineBase):
     def _bind(self):
         """Bind the class's update plan to this build's parts and views."""
         parts, meter = self.parts, self.meter
+
+        def members(group):
+            rel, labels = group
+            return [parts[rel].parts[lab] for lab in labels]
+
         trees = {t: self._tree(t) for t in self.trees}
         steps = {rel: {lab: [] for lab in self.labels[rel]} for rel in RELS}
         for rel, labels, kind, row, walk, look, key in self._plan:
-            if walk is not None:
-                walk = _walker(parts[walk[0]], walk[1])
             if kind in ("N", "P"):
-                step = (_walk_next if kind == "N" else _walk_prev)(
-                    walk, _looker(parts[look[0]], look[1]), getattr(self, row.view), key, meter)
+                kernel = walk_probe(members(walk), 0 if kind == "N" else 1, members(look), meter)
+                step = _direct_step(kernel, kind == "N", getattr(self, row.view), key)
             elif kind == "close":
                 step = trees[row][1]
+            elif kind == "left":
+                step = _from_left(walk_probe(members(walk), 0, (), meter), trees[row][0])
             else:
-                step = (_from_left if kind == "left" else _from_right)(walk, trees[row][0])
+                step = _from_right(walk_probe(members(walk), 1, (), meter), trees[row][0])
             for lab in labels:
                 steps[rel][lab].append(step)
         self._steps = {rel: {lab: tuple(s) for lab, s in d.items()} for rel, d in steps.items()}
@@ -399,11 +372,12 @@ class FragmentEngine(EngineBase):
 
     def apply_update(self, rel, label, key, m):
         assert m != 0
-        self.precheck_delete(rel, label, key, m)
+        if m < 0:
+            self.precheck_delete(rel, label, key, m)
         u0, u1 = key
         for step in (self._steps or self._bind())[rel][label]:
             step(u0, u1, m)
-        self.parts[rel].part(label).apply_delta(key, m)
+        self.parts[rel].parts[label].apply_delta(key, m)
         self.version += 1
 
     # -- enumeration ------------------------------------------------------

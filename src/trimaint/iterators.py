@@ -246,7 +246,8 @@ class HopUnionIterator:
     """Distinct union over per-key buckets with exclusion of emitted elements.
 
     Buckets get dense integer ids in the order `bucket_keys` lists them
-    (engines pass the root view's key order); bucket hop iterators are
+    (engines pass the root view's entries, so its key order), charged one
+    tick per key before the first element; bucket hop iterators are
     created on first access, whether that access is iteration or exclusion.
     After emitting t from the current bucket, t is excluded from every
     other candidate bucket; a bucket whose remaining count hits zero that
@@ -262,6 +263,9 @@ class HopUnionIterator:
         self._guard = guard
         self._keys = list(bucket_keys)
         self.id_map = {k: i for i, k in enumerate(self._keys)}
+        if meter is not None:
+            # listing and numbering the bucket keys: one tick per key
+            meter.total += len(self._keys)
         self.i_buckets = HopIterator(RangeCollection(len(self._keys)), meter)
         self.bucket_iters = {}
         self._colls = {}

@@ -12,7 +12,7 @@ from __future__ import annotations
 from trimaint.base import EngineBase
 from trimaint.joins import triangle_products
 from trimaint.partition import strict_double, strict_single
-from trimaint.store import Relation
+from trimaint.store import Relation, slice_counter, walk_probe
 
 BASE_IDX = ((0,), (1,))
 
@@ -30,10 +30,6 @@ OWN_VIEW = {"R": "RS", "S": "ST", "T": "TR"}
 OTHER_VIEW = {"R": "TR", "S": "RS", "T": "ST"}
 
 VIEW_NAMES = ("RS", "ST", "TR")
-
-# (left part label, right part label) whose pairwise join defines each view
-VIEW_JOIN_SINGLE = {"RS": ("H", "L"), "ST": ("H", "L"), "TR": ("H", "L")}
-VIEW_JOIN_DOUBLE = {"RS": ("HL", "LH"), "ST": ("HL", "LH"), "TR": ("HL", "LH")}
 VIEW_RELS = {"RS": ("R", "S"), "ST": ("S", "T"), "TR": ("T", "R")}
 
 
@@ -51,7 +47,8 @@ class NullaryEngine(EngineBase):
     query = "d0"
     heavy_group = ("H",)
     light_group = ("L",)
-    view_join = VIEW_JOIN_SINGLE
+    # labels of the left and the right part whose join is each pair view
+    pair_labels = ("H", "L")
     view_names = ("views", "count")
 
     def __init__(self, epsilon, meter=None):
@@ -72,9 +69,9 @@ class NullaryEngine(EngineBase):
         self.views = {
             v: Relation("V_" + v, 2, (), self.meter) for v in VIEW_NAMES
         }
+        llab, rlab = self.pair_labels
         for v in VIEW_NAMES:
             lname, rname = VIEW_RELS[v]
-            llab, rlab = self.view_join[v]
             fill_pair_view(
                 self.views[v],
                 self.parts[lname].part(llab),
@@ -82,6 +79,7 @@ class NullaryEngine(EngineBase):
             )
         merged = [self.merged_group(n, self.parts[n].labels) for n in ("R", "S", "T")]
         self.count = sum(prod for *_, prod in triangle_products(*merged))
+        self._plan = None
 
     def query_result(self):
         self.meter.tick()
@@ -89,62 +87,77 @@ class NullaryEngine(EngineBase):
 
     # -- update processing ------------------------------------------------
 
+    def _bind(self):
+        """Bind each rotation's kernels to this build's parts and views.
+
+        Per updated relation: the kernels that walk partner2's column-1
+        slice at u0 and those that walk partner1's column-0 slice at u1,
+        summed whole; the two counters and kernels of the case that walks
+        whichever slice is shorter; the view of the O(1) case; and per
+        part label, the view it maintains with the kernel that walks its
+        partner.
+        """
+        meter = self.meter
+        own, other = self.pair_labels
+        self._plan = plan = {}
+        for rel, (n1, n2) in ROTATION.items():
+            p1, p2 = self.parts[n1].parts, self.parts[n2].parts
+            h1, l1 = [p1[lab] for lab in self.heavy_group], [p1[lab] for lab in self.light_group]
+            h2, l2 = [p2[lab] for lab in self.heavy_group], [p2[lab] for lab in self.light_group]
+            at_u0, at_u1 = self._problem_walks(p1, p2)
+            plan[rel] = (
+                # both partners heavy: partner2's heavy slice is short
+                (walk_probe(h2, 1, h1, meter), *at_u0),
+                # both light: partner1's light slice is short
+                (walk_probe(l1, 0, l2, meter), *at_u1),
+                # partner1 light, partner2 heavy
+                slice_counter(l1, 0, meter), slice_counter(h2, 1, meter),
+                walk_probe(l1, 0, h2, meter), walk_probe(h2, 1, l1, meter),
+                self.views[FAST_VIEW[rel]],
+                {own: (self.views[OWN_VIEW[rel]], walk_probe([p1[other]], 0, (), meter), True),
+                 other: (self.views[OTHER_VIEW[rel]], walk_probe([p2[own]], 1, (), meter), False)},
+            )
+        return plan
+
+    def _problem_walks(self, p1, p2):
+        """Kernels at u0 and at u1 of the (heavy, light) partner case
+        besides the lookup in its view; single partitioning needs none."""
+        return (), ()
+
     def apply_update(self, rel, label, key, m):
         assert m != 0
-        self.precheck_delete(rel, label, key, m)
+        if m < 0:
+            self.precheck_delete(rel, label, key, m)
         u0, u1 = key
-        p1 = self.parts[ROTATION[rel][0]]
-        p2 = self.parts[ROTATION[rel][1]]
-        meter = self.meter
-        hg, lg = self.heavy_group, self.light_group
+        at_u0, at_u1, count1, count2, lh1, lh2, fast, maintain = (self._plan or self._bind())[rel]
 
-        delta = 0
-        # both partners heavy: partner2's heavy slice is short
-        for (w, _), mt in self._slice_group(p2, hg, (1,), u0):
-            ms = self._lookup_group(p1, hg, (u1, w))
-            if ms:
-                meter.tick()
-                delta += ms * mt
-        # partner1 heavy, partner2 light
-        delta += self._problem_case(rel, p1, p2, u0, u1)
-        # partner1 light, partner2 heavy: iterate whichever side is shorter
-        if self._count_group(p1, lg, (0,), u1) <= self._count_group(p2, hg, (1,), u0):
-            for (_, w), ms in self._slice_group(p1, lg, (0,), u1):
-                mt = self._lookup_group(p2, hg, (w, u0))
-                if mt:
-                    meter.tick()
-                    delta += ms * mt
-        else:
-            for (w, _), mt in self._slice_group(p2, hg, (1,), u0):
-                ms = self._lookup_group(p1, lg, (u1, w))
-                if ms:
-                    meter.tick()
-                    delta += ms * mt
-        # both light: partner1's light slice is short
-        for (_, w), ms in self._slice_group(p1, lg, (0,), u1):
-            mt = self._lookup_group(p2, lg, (w, u0))
-            if mt:
-                meter.tick()
-                delta += ms * mt
-
+        # partner1 heavy, partner2 light: the materialized combination
+        delta = fast.lookup((u1, u0))
+        for walk in at_u0:
+            for _, d in walk(u0, u1):
+                delta += d
+        for walk in at_u1:
+            for _, d in walk(u1, u0):
+                delta += d
+        # partner1 light, partner2 heavy: walk whichever slice is shorter
+        for _, d in (lh1(u1, u0) if count1(u1) <= count2(u0) else lh2(u0, u1)):
+            delta += d
         self.count += m * delta
-        self._maintain_views(rel, label, u0, u1, m, p1, p2)
-        self.parts[rel].part(label).apply_delta(key, m)
+
+        # a tuple in the pair views' left part extends own-rotation pairs
+        # (u0, w) over partner1's slice; one in the right part extends
+        # (w, u1) over partner2's
+        todo = maintain.get(label)
+        if todo is not None:
+            view, walk, left = todo
+            if left:
+                for w, ms in walk(u1):
+                    view.apply_delta((u0, w), m * ms)
+            else:
+                for w, mt in walk(u0):
+                    view.apply_delta((w, u1), m * mt)
+        self.parts[rel].parts[label].apply_delta(key, m)
         self.version += 1
-
-    def _problem_case(self, rel, p1, p2, u0, u1):
-        # single partitioning: one view lookup covers (heavy, light)
-        return self.views[FAST_VIEW[rel]].lookup((u1, u0))
-
-    def _maintain_views(self, rel, label, u0, u1, m, p1, p2):
-        if label == "H":
-            v = self.views[OWN_VIEW[rel]]
-            for (_, w), ms in p1.part("L").slice_items((0,), u1):
-                v.apply_delta((u0, w), m * ms)
-        else:
-            v = self.views[OTHER_VIEW[rel]]
-            for (w, _), mt in p2.part("H").slice_items((1,), u0):
-                v.apply_delta((w, u1), m * mt)
 
 
 class NullaryDoubleEngine(NullaryEngine):
@@ -158,7 +171,7 @@ class NullaryDoubleEngine(NullaryEngine):
     query = "d0"
     heavy_group = ("HH", "HL")
     light_group = ("LH", "LL")
-    view_join = VIEW_JOIN_DOUBLE
+    pair_labels = ("HL", "LH")
 
     def _build_partitions(self, rel_items):
         th = self.threshold.theta
@@ -167,31 +180,9 @@ class NullaryDoubleEngine(NullaryEngine):
             for name in ("R", "S", "T")
         }
 
-    def _problem_case(self, rel, p1, p2, u0, u1):
+    def _problem_walks(self, p1, p2):
         meter = self.meter
-        delta = 0
-        # partner1 heavy on both columns: short in distinct summation values
-        for (_, w), ms in p1.part("HH").slice_items((0,), u1):
-            mt = self._lookup_group(p2, ("LH", "LL"), (w, u0))
-            if mt:
-                meter.tick()
-                delta += ms * mt
-        # partner2 light on both columns: short slice
-        for (w, _), mt in p2.part("LL").slice_items((1,), u0):
-            ms = p1.part("HL").lookup((u1, w))
-            if ms:
-                meter.tick()
-                delta += ms * mt
-        # the remaining combination is materialized
-        delta += self.views[FAST_VIEW[rel]].lookup((u1, u0))
-        return delta
-
-    def _maintain_views(self, rel, label, u0, u1, m, p1, p2):
-        if label == "HL":
-            v = self.views[OWN_VIEW[rel]]
-            for (_, w), ms in p1.part("LH").slice_items((0,), u1):
-                v.apply_delta((u0, w), m * ms)
-        elif label == "LH":
-            v = self.views[OTHER_VIEW[rel]]
-            for (w, _), mt in p2.part("HL").slice_items((1,), u0):
-                v.apply_delta((w, u1), m * mt)
+        # partner2 light on both columns: short slice; partner1 heavy on
+        # both columns: short in distinct summation values
+        return ((walk_probe([p2["LL"]], 1, [p1["HL"]], meter),),
+                (walk_probe([p1["HH"]], 0, [p2["LH"], p2["LL"]], meter),))

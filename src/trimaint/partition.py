@@ -39,7 +39,12 @@ class Threshold:
 
 
 class SinglePartition:
-    """Heavy/light split of a binary relation on one variable."""
+    """Heavy/light split of a binary relation on one variable.
+
+    Routing (`affected_label`, `violation`, `total`) reads the parts'
+    entries and their partition-column slices maps directly and charges
+    what the equivalent `lookup`, `slice_count` and `contains` calls would.
+    """
 
     kind = "single"
     labels = ("H", "L")
@@ -47,13 +52,17 @@ class SinglePartition:
     def __init__(self, name, arity, index_cols, meter, var=0):
         self.name = name
         self.var = var
+        self.meter = meter
         self.parts = {
             lab: Relation(f"{name}^{lab}", arity, index_cols, meter)
             for lab in self.labels
         }
         self._h = self.parts["H"]
         self._l = self.parts["L"]
-        self._cols = (var,)
+        # slices maps of the partition column: a value is a key of the map
+        # exactly while its slice is nonempty
+        self._hs = self._h.hash_slices((var,))
+        self._ls = self._l.hash_slices((var,))
 
     def part(self, lab):
         return self.parts[lab]
@@ -62,34 +71,34 @@ class SinglePartition:
         return len(self._h.entries) + len(self._l.entries)
 
     def total(self, key):
-        return self._h.lookup(key) + self._l.lookup(key)
+        self.meter.total += 2
+        return self._h.entries.get(key, 0) + self._l.entries.get(key, 0)
 
     def items(self):
         for p in self.parts.values():
             yield from p.items()
 
-    def degree(self, side, value):
-        assert side == "X"
-        cols = self._cols
-        return self._h.slice_count(cols, value) + self._l.slice_count(cols, value)
-
     def affected_label(self, key, epsilon):
         """Part an update with this tuple lands in (heavy wins ties)."""
         if epsilon == 0:
             return "H"
-        return "H" if self._h.contains(self._cols, key[self.var]) else "L"
+        self.meter.total += 1
+        return "H" if key[self.var] in self._hs else "L"
 
     def violation(self, side, value, theta):
         """Move direction needed to restore loose conditions, or None."""
         assert side == "X"
-        cols = self._cols
-        deg = self.degree(side, value)
-        if self._h.contains(cols, value):
+        h, l = self._hs.get(value), self._ls.get(value)
+        deg = (len(h) if h is not None else 0) + (len(l) if l is not None else 0)
+        # the degree, then membership in H and, if not there, in L
+        if h is not None:
+            self.meter.total += 3
             if 2 * deg < theta:
                 return "to_light"
-        elif self._l.contains(cols, value):
-            if 2 * deg >= 3 * theta:
-                return "to_heavy"
+            return None
+        self.meter.total += 4
+        if l is not None and 2 * deg >= 3 * theta:
+            return "to_heavy"
         return None
 
     def violations(self, theta):
@@ -112,7 +121,8 @@ class DoublePartition:
     """Four-way split of a binary relation on both variables.
 
     Part labels are two letters, X-class then Y-class. Loose conditions
-    are evaluated on the total degree across all parts.
+    are evaluated on the total degree across all parts. Routing reads the
+    parts directly, as SinglePartition's does.
     """
 
     kind = "double"
@@ -121,15 +131,18 @@ class DoublePartition:
     def __init__(self, name, arity, index_cols, meter, variables=(0, 1)):
         self.name = name
         self.vx, self.vy = variables
+        self.meter = meter
         self.parts = {
             lab: Relation(f"{name}^{lab}", arity, index_cols, meter)
             for lab in self.labels
         }
         hh, hl, lh, ll = self._all = tuple(self.parts.values())
-        # per side: (column, its two heavy parts, its two light parts)
+        # per side: slices maps of its column in its two heavy parts, then
+        # in its two light parts
         self._sides = {
-            "X": ((self.vx,), (hh, hl), (lh, ll)),
-            "Y": ((self.vy,), (hh, lh), (hl, ll)),
+            side: tuple(r.hash_slices((var,)) for r in rels)
+            for side, var, rels in (("X", self.vx, (hh, hl, lh, ll)),
+                                    ("Y", self.vy, (hh, lh, hl, ll)))
         }
 
     def part(self, lab):
@@ -141,7 +154,9 @@ class DoublePartition:
 
     def total(self, key):
         hh, hl, lh, ll = self._all
-        return hh.lookup(key) + hl.lookup(key) + lh.lookup(key) + ll.lookup(key)
+        self.meter.total += 4
+        return (hh.entries.get(key, 0) + hl.entries.get(key, 0)
+                + lh.entries.get(key, 0) + ll.entries.get(key, 0))
 
     def items(self):
         for p in self.parts.values():
@@ -154,33 +169,37 @@ class DoublePartition:
             return self.vx, ("HH", "HL"), ("LH", "LL")
         return self.vy, ("HH", "LH"), ("HL", "LL")
 
-    def degree(self, side, value):
-        cols = self._sides[side][0]
-        hh, hl, lh, ll = self._all
-        return (hh.slice_count(cols, value) + hl.slice_count(cols, value)
-                + lh.slice_count(cols, value) + ll.slice_count(cols, value))
-
     def side_class(self, side, value):
-        cols, (h1, h2), _ = self._sides[side]
-        return "H" if h1.contains(cols, value) or h2.contains(cols, value) else "L"
+        """Class of a value on one side, charged as one membership test per
+        heavy part tried."""
+        h1, h2 = self._sides[side][:2]
+        if value in h1:
+            self.meter.total += 1
+            return "H"
+        self.meter.total += 2
+        return "H" if value in h2 else "L"
 
     def affected_label(self, key, epsilon):
         if epsilon == 0:
             return "HH"
-        xc = self.side_class("X", key[self.vx])
-        yc = self.side_class("Y", key[self.vy])
-        return xc + yc
+        return self.side_class("X", key[self.vx]) + self.side_class("Y", key[self.vy])
 
     def violation(self, side, value, theta):
-        cols, (h1, h2), (l1, l2) = self._sides[side]
-        deg = self.degree(side, value)
-        if h1.contains(cols, value) or h2.contains(cols, value):
-            if 2 * deg < theta:
-                return "to_light"
-        elif l1.contains(cols, value) or l2.contains(cols, value):
-            if 2 * deg >= 3 * theta:
-                return "to_heavy"
-        return None
+        deg, first = 0, None
+        for i, slices in enumerate(self._sides[side]):
+            s = slices.get(value)
+            if s is not None:
+                deg += len(s)
+                if first is None:
+                    first = i
+        # the degree, then one membership test per part, heavy ones first,
+        # up to the first that holds the value
+        self.meter.total += 8 if first is None else 5 + first
+        if first is None:
+            return None
+        if first < 2:
+            return "to_light" if 2 * deg < theta else None
+        return "to_heavy" if 2 * deg >= 3 * theta else None
 
     def violations(self, theta):
         out = []

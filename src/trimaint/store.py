@@ -22,6 +22,15 @@ mark is its new length. Dicts whose mark is at most COMPACT_FLOOR are
 left alone: CPython sizes a dict from its live keys whenever it grows, so
 one that never held more than that many keys has a small constant number
 of slots to walk.
+
+The update path reads the parts through `walk_probe`, one kernel for the
+loops of the form "walk one partner's slice, probe the other partner at
+the rotated pair", and `slice_counter`. A kernel is bound once per build
+to the parts and to the `slices` map of their index, which lives as long
+as its Relation; compaction replaces `entries` and single slice dicts, so
+a kernel reads both afresh on every call. A kernel charges exactly what
+the equivalent `slice_items` and `lookup` calls would, in one add once its
+walk has run (see CostMeter for when that is allowed).
 """
 
 from __future__ import annotations
@@ -45,13 +54,20 @@ class CostMeter:
     """Counts elementary operations, bucketed by maintenance phase.
 
     One unit is charged per map operation, per index-list step, per
-    arithmetic combine, and per entry a dict rebuild moves. Wall-clock time is never part of the contract;
-    tests and the bench harness compare these counters instead.
+    arithmetic combine, and per entry a dict rebuild moves. Wall-clock time
+    is never part of the contract; tests and the bench harness compare
+    these counters instead.
 
     Charging is one add to `total` (hot paths add to it directly). Phase
     totals are settled at the `phase()` brackets: the ops since the last
     bracket edge belong to the phase that was current in between, which
     is "apply" outside any bracket.
+
+    A loop may charge its whole cost in one add (bulk charging) only if it
+    always runs to its end and nothing reads `total` while it runs: the
+    update-path kernels (`walk_probe`) do. Enumeration, hop iterators, walks
+    that can stop early and the init path charge item by item, so the
+    delay between two reads of `total` is what was metered in between.
     """
 
     __slots__ = ("total", "last_update", "_bucket", "_mark", "_settled")
@@ -294,6 +310,15 @@ class Relation:
             yield k, entries[k]
             node = node.nxt
 
+    def hash_slices(self, cols):
+        """The slices map of a hash index: projection key -> dict of its
+        tuples. The map lives as long as the Relation; the slice dicts in
+        it do not (compaction replaces them)."""
+        ix = self._by_cols.get(cols)
+        if ix is None or ix[3] is not None:
+            raise self._missing(cols, "hash index")
+        return ix[1]
+
     def _linked(self, cols):
         ix = self._by_cols.get(cols)
         if ix is None or ix[3] is None:
@@ -363,3 +388,96 @@ class Relation:
             assert set(marks) <= set(slices), (self.name, cols)
             if nodes is not None:
                 assert len(nodes) == len(entries), (self.name, cols)
+
+
+def walk_probe(walked, col, probed, meter):
+    """Bind the update path's walk-and-probe kernel, `kernel(sub, other)`.
+
+    The kernel walks the col = sub slices of the `walked` parts (one or
+    two binary Relations with a hash index on `(col,)`), part by part, each
+    in insertion order. A walked tuple binds w, its other column, and the
+    probe key is the rotated pair: (w, other) when walking column 0,
+    (other, w) when walking column 1. The kernel returns [(w, mw * mp)]
+    for every walked tuple whose multiplicity mp summed over the `probed`
+    parts (one, two or four) is nonzero; with nothing probed it returns
+    [(w, mw)] for every walked tuple.
+
+    It charges what the same walk through `slice_items` and `lookup`
+    costs, with one combine per nonzero probe: 1 + n per walked part with
+    n tuples under `sub`, one per probed part per tuple, and one per hit,
+    in one add once the walk has run.
+    """
+    if not 1 <= len(walked) <= 2 or len(probed) not in (0, 1, 2, 4):
+        raise ValueError(f"{len(walked)} walked and {len(probed)} probed parts")
+    if len(walked) == 2:
+        a, b = (walk_probe([rel], col, probed, meter) for rel in walked)
+        return lambda sub, other=None: a(sub, other) + b(sub, other)
+    (rel,) = walked
+    slices = rel.hash_slices((col,))
+    per, at, first = 1 + len(probed), 1 - col, col == 0
+
+    if not probed:
+        def kernel(sub, other=None):
+            s = slices.get(sub)
+            if s is None:
+                meter.total += 1
+                return []
+            meter.total += 1 + len(s)
+            entries = rel.entries
+            return [(k[at], entries[k]) for k in s]
+
+    elif len(probed) == 1:
+        # the common case (every d0 walk of a single partitioning, most
+        # direct-fragment walks), without the loop over probed parts
+        (probe,) = probed
+
+        def kernel(sub, other):
+            s = slices.get(sub)
+            if s is None:
+                meter.total += 1
+                return []
+            pe, entries, out = probe.entries, rel.entries, []
+            for k in s:
+                w = k[at]
+                mp = pe.get((w, other) if first else (other, w), 0)
+                if mp:
+                    out.append((w, entries[k] * mp))
+            meter.total += 1 + per * len(s) + len(out)
+            return out
+
+    else:
+        def kernel(sub, other):
+            s = slices.get(sub)
+            if s is None:
+                meter.total += 1
+                return []
+            pes, entries, out = [p.entries for p in probed], rel.entries, []
+            for k in s:
+                w = k[at]
+                key = (w, other) if first else (other, w)
+                mp = 0
+                for pe in pes:
+                    mp += pe.get(key, 0)
+                if mp:
+                    out.append((w, entries[k] * mp))
+            meter.total += 1 + per * len(s) + len(out)
+            return out
+
+    return kernel
+
+
+def slice_counter(rels, col, meter):
+    """Bind `count(sub)`: the tuples under col = sub summed over one or two
+    hash-indexed `rels`, charged one per part as `slice_count` is."""
+    if len(rels) == 2:
+        a, b = (slice_counter([rel], col, meter) for rel in rels)
+        return lambda sub: a(sub) + b(sub)
+    (rel,) = rels
+    slices = rel.hash_slices((col,))
+
+    def count(sub):
+        meter.total += 1
+        s = slices.get(sub)
+        return 0 if s is None else len(s)
+
+    return count

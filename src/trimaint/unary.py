@@ -56,7 +56,7 @@ class UnaryEngine(FragmentEngine):
 
     def _hop_union(self, tree, check):
         return HopUnionIterator(
-            list(self.root_tr.entries),
+            self.root_tr.entries,
             self._open_bucket,
             self._bucket_size,
             self.candidate_buckets,

@@ -263,13 +263,13 @@ OP_PINS = {
         counts={"total": 74155, "apply": 62994, "major": 3734, "minor": 7427},
         enum=1, majors=14, minors=31),
     ("d1", False): dict(
-        base={"total": 51015, "apply": 42845, "major": 4310, "minor": 3860},
-        counts={"total": 51098, "apply": 42913, "major": 4310, "minor": 3875},
-        enum=399, majors=14, minors=27),
+        base={"total": 51022, "apply": 42852, "major": 4310, "minor": 3860},
+        counts={"total": 51105, "apply": 42920, "major": 4310, "minor": 3875},
+        enum=406, majors=14, minors=27),
     ("d2", False): dict(
-        base={"total": 55518, "apply": 45666, "major": 5385, "minor": 4467},
-        counts={"total": 55622, "apply": 45751, "major": 5385, "minor": 4486},
-        enum=1112, majors=14, minors=29),
+        base={"total": 55289, "apply": 45673, "major": 5149, "minor": 4467},
+        counts={"total": 55393, "apply": 45758, "major": 5149, "minor": 4486},
+        enum=1119, majors=14, minors=29),
     ("d3", False): dict(
         base={"total": 31119, "apply": 26241, "major": 2660, "minor": 2218},
         counts={"total": 31260, "apply": 26378, "major": 2660, "minor": 2222},
