@@ -33,6 +33,13 @@ at u0; the slice binds w, and (u0, u1, w) is the triangle in X's rotation
 
 The init path joins every direct fragment with `triangle_products` and
 fills every tree bottom up; `EngineBase.verify_views` reruns it on a copy.
+
+Enumeration of an engine with fewer than three output variables is a
+union over the keyed result views (the direct ones and the pair-less
+tops) and one hop union per pair tree, whose buckets are keyed by the
+tree's root value, or by its top key for a tree without a root. A tuple's
+multiplicity is its value in every keyed result view plus, per pair tree,
+the pair slice at the tuple closed by the third relation's totals.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from __future__ import annotations
 from operator import itemgetter
 
 from trimaint.base import EngineBase
-from trimaint.iterators import EOF, KeyIterator, UnionIterator
+from trimaint.iterators import EOF, HopUnionIterator, KeyIterator, UnionIterator
 from trimaint.joins import triangle_products
 from trimaint.partition import DoublePartition, SinglePartition, strict_double, strict_single
 from trimaint.store import Relation, walk_probe
@@ -101,6 +108,8 @@ class Tree:
         self.hat_of = projector(key, xz) if len(key) == 2 else None
         self.root_of = root and projector(xz, root_key)
         self.root_pos = root and xz.index(root_key)  # root variable in the hat key
+        self.root_idx = root and (key.index(root_key),)  # the top's index on it
+        self.third_of = projector(xyz, xyz[2] + xyz[0])  # pair key -> (z, x)
 
 
 def _direct_step(kernel, next_side, view, key):
@@ -169,16 +178,20 @@ def _bucketed_tree(t, pair, hat, top, total, meter, root, bsz):
         hk = (x, z)
         ck = top_of(hk)
         cnt = pair.slice_count((0, 2), hk)
-        old = top.lookup(ck)
-        pair.apply_delta((x, y, z), d)
+        # the pair entry appeared iff its new value is d, vanished iff 0
+        pv = pair.apply_delta((x, y, z), d)
+        new = cnt + (pv == d) - (pv == 0)
         hat.apply_delta(hk, d)
         tm = total((z, x))
         if tm:
             meter.total += 1
-            top.apply_delta(ck, d * tm)
+            # a write returns the new value; the old is it less the delta
+            new_top = top.apply_delta(ck, d * tm)
+            old = new_top - d * tm
             root.apply_delta(root_of(hk), d * tm)
-        new = pair.slice_count((0, 2), hk)
-        grow(hk[root_pos], (new if top.lookup(ck) else 0) - (cnt if old else 0))
+        else:
+            old = new_top = top.lookup(ck)
+        grow(hk[root_pos], (new if new_top else 0) - (cnt if old else 0))
 
     def close(u0, u1, m):
         hk = (u1, u0)
@@ -187,26 +200,83 @@ def _bucketed_tree(t, pair, hat, top, total, meter, root, bsz):
             return
         ck = top_of(hk)
         cnt = pair.slice_count((0, 2), hk)
-        old = top.lookup(ck)
-        top.apply_delta(ck, m * v)
+        new = top.apply_delta(ck, m * v)
+        old = new - m * v
         root.apply_delta(root_of(hk), m * v)
-        grow(hk[root_pos], ((1 if top.lookup(ck) else 0) - (1 if old else 0)) * cnt)
+        grow(hk[root_pos], ((1 if new else 0) - (1 if old else 0)) * cnt)
 
     return cascade, close
+
+
+def _candidate_rule(walk, cols, bucket_of, bucket_lookup):
+    """Candidate rule of a pair tree: the bucket key of each pair entry at
+    the output tuple x whose root (top, for a rootless tree) is nonzero."""
+    def candidates(x):
+        out = []
+        for pk, _v in walk(cols, x[0] if len(x) == 1 else x):
+            k = bucket_of(pk)
+            if bucket_lookup(k):
+                out.append(k)
+        return out
+    return candidates
+
+
+class Bucket:
+    """Hop-iterator collection of one bucket of a pair tree: the output
+    tuples under one root value, or under one top entry for a tree without
+    a root.
+
+    Level 1 walks the top view's linked slice at the root value; a rootless
+    bucket is its one top entry, at no cost. Level 2 walks the pair view's
+    linked (0, 2) slice at each top entry's (x, z). An element followed by
+    the bucket key gives the pair and top keys.
+    """
+
+    __slots__ = ("_pair", "_top", "_key", "_idx", "_hat", "_pk", "_ck", "_elem")
+
+    def __init__(self, pair, top, key, idx, keys):
+        self._pair, self._top, self._key, self._idx = pair, top, key, idx
+        # top key -> (x, z), element + bucket key -> pair and top keys,
+        # pair key -> element
+        self._hat, self._pk, self._ck, self._elem = keys
+
+    def _head(self, ck):
+        if ck is None:
+            return None
+        return self._elem(self._pair.slice_head((0, 2), self._hat(ck)))
+
+    def first(self):
+        if self._idx is None:
+            return self._head(self._key)
+        return self._head(self._top.slice_head(self._idx, self._key[0]))
+
+    def successor(self, x):
+        full = x + self._key
+        nk = self._pair.slice_next((0, 2), self._pk(full))
+        if nk is not None:
+            return self._elem(nk)
+        if self._idx is None:
+            return None
+        return self._head(self._top.slice_next(self._idx, self._ck(full)))
+
+    def contains(self, x):
+        full = x + self._key
+        if self._idx is not None and not self._top.lookup(self._ck(full)):
+            return False
+        return self._pair.lookup(self._pk(full)) != 0
 
 
 class FragmentEngine(EngineBase):
     """An engine run from its fragment table (see the module docstring).
 
     Subclasses set `query`, `out` (the output variables in order) and
-    their `direct` and `trees` rows. Label sets, view specs, init joins and
-    the update plan are worked out once per class; the plan is bound to a
-    build's parts and views by the first update after the build.
-
-    Enumeration here is a union over the keyed result views plus one hop
-    union per pair tree, for which a subclass provides `_hop_union(tree,
-    check)` and `multiplicity(key)`; an engine that enumerates otherwise
-    (d3) overrides `enumerate_result`.
+    their `direct` and `trees` rows. Label sets, view specs, init joins,
+    the update plan and the enumeration's bucket layouts are worked out
+    once per class; the update plan, and multiplicity's reads and the
+    candidate rules, are bound to a build's parts and views on first use
+    after the build. An engine whose pair trees have no hop union (d3)
+    overrides `enumerate_result`; the union and `multiplicity` refuse to
+    run for it.
     """
 
     out = ""
@@ -227,17 +297,26 @@ class FragmentEngine(EngineBase):
 
         # (name, arity, index columns, linked columns) of every Relation view
         views = [(f.view, len(cls.out), (), ()) for f in cls.direct]
+        # pair trees enumerated by a hop union: (pair columns of the output
+        # variables, pair key -> bucket key, Bucket projections)
+        cls._hops = {}
         for t in cls.trees:
             if t.pair and len(cls.out) < 3:
-                # hop iterators step through a pair's (x, z) slices, and
-                # candidate buckets slice it on the output variables
-                views.append((t.pair, 3, ((0, 2), tuple(map(t.xyz.index, cls.out))), ((0, 2),)))
+                # buckets step through the pair's (x, z) slices, and the
+                # candidate rule slices it on the output variables
+                cols = tuple(map(t.xyz.index, cls.out))
+                bucket_vars = t.root_key or t.key
+                full = cls.out + bucket_vars
+                cls._hops[t] = (cols, projector(t.xyz, bucket_vars), (
+                    t.hat_of, projector(full, t.xyz), projector(full, t.key),
+                    projector(t.xyz, cls.out)))
+                views.append((t.pair, 3, ((0, 2), cols), ((0, 2),)))
             elif t.pair:
                 views.append((t.pair, 3, ((0, 2),), ()))
             views.append((t.hat, 2, (), ()))
             if t.root:
                 # a bucket steps through the top's slice at its root value
-                idx = ((t.key.index(t.root_key),),)
+                idx = (t.root_idx,)
                 views += [(t.top, len(t.key), idx, idx), (t.root, 1, (), ())]
             else:
                 views.append((t.top, len(t.key), (), ()))
@@ -290,7 +369,7 @@ class FragmentEngine(EngineBase):
             setattr(self, name, Relation(name, arity, idx, m, linked))
         for name in self._bsz:
             setattr(self, name, {})
-        self._steps = None
+        self._steps = self._enum = None
 
     # -- init path --------------------------------------------------------
 
@@ -382,12 +461,69 @@ class FragmentEngine(EngineBase):
 
     # -- enumeration ------------------------------------------------------
 
+    def candidate_buckets(self, t, x):
+        """Keys of the buckets of pair tree t that may hold the output tuple x."""
+        return (self._enum or self._bind_enumeration())[2][t](x)
+
+    def _hop_union(self, t, rule, check):
+        pair, top = getattr(self, t.pair), getattr(self, t.top)
+        idx, keys = t.root_idx, self._hops[t][2]
+        if t.root:
+            bsz = getattr(self, t.bsz)
+
+            def size(k):
+                return bsz.get(k[0], 0)
+        else:
+            hat_of = t.hat_of
+
+            def size(k):
+                return pair.slice_count((0, 2), hat_of(k))
+
+        return HopUnionIterator(
+            getattr(self, t.root or t.top).entries,
+            lambda k: Bucket(pair, top, k, idx, keys),
+            size, rule, self.meter, check)
+
     def open_union(self):
         """Union of the keyed result views and one hop union per pair tree."""
+        rules = (self._enum or self._bind_enumeration())[2]
         check = self.guard()
         iters = [KeyIterator(getattr(self, name), check) for name in self.results]
-        iters += [self._hop_union(t, check) for t in self.trees if t.pair]
+        iters += [self._hop_union(t, rule, check) for t, rule in rules.items()]
         return UnionIterator(iters, self.meter, check)
+
+    def _bind_enumeration(self):
+        """Bind multiplicity's reads and each pair tree's candidate rule to
+        this build's views."""
+        if any(t.pair and t not in self._hops for t in self.trees):
+            # the union would miss that tree's fragment
+            raise NotImplementedError(f"{self.query} enumerates its pair trees itself")
+        walks, rules = [], {}
+        for t, (cols, bucket_of, _) in self._hops.items():
+            pair, buckets = getattr(self, t.pair), getattr(self, t.root or t.top)
+            walks.append((pair.slice_items, cols, self.parts[t.third].total, t.third_of))
+            rules[t] = _candidate_rule(pair.slice_items, cols, bucket_of, buckets.lookup)
+        self._enum = (tuple(getattr(self, name).lookup for name in self.results),
+                      tuple(walks), rules)
+        return self._enum
+
+    def multiplicity(self, x):
+        """Multiplicity of the output tuple x: its value in every keyed
+        result view, plus per pair tree each pair entry at x times the
+        third relation's total at the entry's (z, x)."""
+        lookups, walks, _ = self._enum or self._bind_enumeration()
+        v = 0
+        for lookup in lookups:
+            v += lookup(x)
+        # a one-column index is keyed by the bare value, not a 1-tuple
+        meter, sub = self.meter, x[0] if len(x) == 1 else x
+        for walk, cols, total, third_of in walks:
+            for pk, pv in walk(cols, sub):
+                tm = total(third_of(pk))
+                if tm:
+                    meter.total += 1
+                    v += pv * tm
+        return v
 
     def enumerate_result(self):
         """Iterator of (key, multiplicity), each result key exactly once."""

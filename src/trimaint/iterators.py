@@ -162,36 +162,6 @@ class RangeCollection:
         return 0 <= i < self.n
 
 
-class MappedSliceCollection:
-    """Linked-slice collection whose elements are a projection of the entry tuples.
-
-    `to_element` maps a stored tuple to the exposed element; `to_key` maps
-    an element back to the full tuple (well-defined because the slice key
-    pins the other positions).
-    """
-
-    def __init__(self, rel, cols, sub, to_element, to_key):
-        self._rel = rel
-        self._cols = cols
-        self._sub = sub
-        self._to_element = to_element
-        self._to_key = to_key
-
-    def __len__(self):
-        return self._rel.slice_count(self._cols, self._sub)
-
-    def first(self):
-        k = self._rel.slice_head(self._cols, self._sub)
-        return self._to_element(k) if k is not None else None
-
-    def successor(self, x):
-        k = self._rel.slice_next(self._cols, self._to_key(x))
-        return self._to_element(k) if k is not None else None
-
-    def contains(self, x):
-        return self._rel.lookup(self._to_key(x)) != 0
-
-
 class HopIterator:
     """Iterator over a collection supporting exclusion of arbitrary elements.
 

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from trimaint.fragments import Direct, FragmentEngine, Tree
 
-TREES = ("rs", "st", "tr")
-
 
 class TernaryEngine(FragmentEngine):
     query = "d3"
@@ -26,23 +24,11 @@ class TernaryEngine(FragmentEngine):
         Direct("lll", "L", "L", "L", "NNN"),
     )
     trees = (
-        # left, left group, right group, pair, hat, root, root key
+        # left, left group, right group, pair, hat, top, top key
         Tree("R", "H", "L", "pair_rs", "hat_rs", "root_rs", "ac"),
         Tree("S", "H", "L", "pair_st", "hat_st", "root_st", "ab"),
         Tree("T", "H", "L", "pair_tr", "hat_tr", "root_tr", "bc"),
     )
-
-    @property
-    def pairs(self):
-        return {t: getattr(self, "pair_" + t) for t in TREES}
-
-    @property
-    def hats(self):
-        return {t: getattr(self, "hat_" + t) for t in TREES}
-
-    @property
-    def roots(self):
-        return {t: getattr(self, "root_" + t) for t in TREES}
 
     # -- enumeration ------------------------------------------------------
 
@@ -60,16 +46,14 @@ class TernaryEngine(FragmentEngine):
             for key, mult in view.items():
                 check()
                 yield key, mult
-        parts = self.parts
         for t in self.trees:
-            left, right = parts[t.left].part("H"), parts[t.right].part("L")
-            third = parts[t.third]
+            third = self.parts[t.third]
             pair, abc = getattr(self, t.pair), t.abc_of
             for rk, _ in getattr(self, t.top).items():
                 x, z = t.hat_of(rk)
                 tm = third.total((z, x))
-                for pk, _v in pair.slice_items((0, 2), (x, z)):
+                # a pair entry holds left(x, y) * right(y, z)
+                for pk, pv in pair.slice_items((0, 2), (x, z)):
                     check()
                     meter.total += 1
-                    y = pk[1]
-                    yield abc(pk), left.lookup((x, y)) * right.lookup((y, z)) * tm
+                    yield abc(pk), pv * tm

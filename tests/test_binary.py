@@ -95,9 +95,10 @@ def test_hub_state_lives_in_rs_tree():
 
 def test_candidate_buckets():
     eng, _, _, _ = hub_state()
-    assert eng.candidate_buckets_rs((1, 2)) == [(9,)]
-    assert eng.candidate_buckets_rs((5, 5)) == []
-    assert eng.candidate_buckets_tr((1, 2)) == []
+    rs, tr = eng.trees[1], eng.trees[2]
+    assert eng.candidate_buckets(rs, (1, 2)) == [(9,)]
+    assert eng.candidate_buckets(rs, (5, 5)) == []
+    assert eng.candidate_buckets(tr, (1, 2)) == []
 
 
 def skewed_db(rng, n):

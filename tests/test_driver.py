@@ -267,13 +267,13 @@ OP_PINS = {
         counts={"total": 51105, "apply": 42920, "major": 4310, "minor": 3875},
         enum=406, majors=14, minors=27),
     ("d2", False): dict(
-        base={"total": 55289, "apply": 45673, "major": 5149, "minor": 4467},
-        counts={"total": 55393, "apply": 45758, "major": 5149, "minor": 4486},
-        enum=1119, majors=14, minors=29),
+        base={"total": 53908, "apply": 44445, "major": 5149, "minor": 4314},
+        counts={"total": 54012, "apply": 44530, "major": 5149, "minor": 4333},
+        enum=1077, majors=14, minors=29),
     ("d3", False): dict(
-        base={"total": 31119, "apply": 26241, "major": 2660, "minor": 2218},
-        counts={"total": 31260, "apply": 26378, "major": 2660, "minor": 2222},
-        enum=441, majors=14, minors=18),
+        base={"total": 30985, "apply": 26107, "major": 2660, "minor": 2218},
+        counts={"total": 31126, "apply": 26244, "major": 2660, "minor": 2222},
+        enum=307, majors=14, minors=18),
 }
 
 

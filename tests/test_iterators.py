@@ -10,7 +10,6 @@ from trimaint.iterators import (
     HopUnionIterator,
     ListCollection,
     SeqIterator,
-    MappedSliceCollection,
     UnionIterator,
     union_next,
 )
@@ -140,6 +139,24 @@ def test_worked_example_emission_and_states():
     assert a3.visits == 0
 
 
+class LinkedSlice:
+    """Hop-iterator collection over the B-values of V's linked slice at A = a."""
+
+    def __init__(self, rel, a):
+        self._rel, self._a = rel, a
+
+    def first(self):
+        k = self._rel.slice_head((0,), self._a)
+        return k[1] if k is not None else None
+
+    def successor(self, b):
+        k = self._rel.slice_next((0,), (self._a, b))
+        return k[1] if k is not None else None
+
+    def contains(self, b):
+        return self._rel.lookup((self._a, b)) != 0
+
+
 def test_hop_union_over_relation_slices():
     m = CostMeter()
     v = Relation("V", 2, index_cols=((0,), (1,)), meter=m, linked=((0,),))
@@ -151,14 +168,9 @@ def test_hop_union_over_relation_slices():
     def candidates(b):
         return [a for a, bs in rows.items() if b in bs]
 
-    def open_bucket(a):
-        return MappedSliceCollection(
-            v, (0,), a, lambda k: k[1], lambda b, a=a: (a, b)
-        )
-
     it = HopUnionIterator(
         [1, 2, 3],
-        open_bucket,
+        lambda a: LinkedSlice(v, a),
         lambda a: v.slice_count((0,), a),
         candidates,
         meter=m,

@@ -27,8 +27,8 @@ def collect(eng):
 def test_empty_init():
     eng = TernaryEngine.from_database({}, {}, {}, 0.5)
     assert len(eng.hhh) == 0 and len(eng.lll) == 0
-    assert all(len(v) == 0 for v in eng.pairs.values())
-    assert all(len(v) == 0 for v in eng.roots.values())
+    assert all(len(getattr(eng, t.pair)) == 0 for t in eng.trees)
+    assert all(len(getattr(eng, t.top)) == 0 for t in eng.trees)
     assert collect(eng) == {}
 
 
@@ -36,7 +36,7 @@ def test_one_light_triangle_lands_in_lll():
     eng = TernaryEngine.from_database({(1, 2): 1}, {(2, 3): 1}, {(3, 1): 1}, 0.5)
     assert dict(eng.lll.items()) == {(1, 2, 3): 1}
     assert len(eng.hhh) == 0
-    assert all(len(v) == 0 for v in eng.roots.values())
+    assert all(len(getattr(eng, t.top)) == 0 for t in eng.trees)
     assert collect(eng) == {(1, 2, 3): 1}
 
 
@@ -73,6 +73,15 @@ def test_update_invalidates_open_enumeration():
     apply(eng, "R", (4, 4), 1)
     with pytest.raises(StaleIterator):
         next(it)
+
+
+def test_union_and_multiplicity_are_refused():
+    # neither would see the view-tree fragments, which d3 enumerates itself
+    eng = TernaryEngine.from_database({(1, 2): 1}, {(2, 3): 1}, {(3, 1): 1}, 0.0)
+    with pytest.raises(NotImplementedError):
+        eng.open_union()
+    with pytest.raises(NotImplementedError):
+        eng.multiplicity((1, 2, 3))
 
 
 def dense_db(n):

@@ -111,8 +111,9 @@ def test_hub_state_lives_in_hop_fragment():
 
 def test_candidate_buckets():
     eng, _, _, _ = hub_state()
-    assert eng.candidate_buckets((1,)) == [(7, 9)]
-    assert eng.candidate_buckets((42,)) == []
+    tree = eng.trees[2]
+    assert eng.candidate_buckets(tree, (1,)) == [(7, 9)]
+    assert eng.candidate_buckets(tree, (42,)) == []
 
 
 def skewed_db(rng, n):
