@@ -19,10 +19,11 @@ class EngineBase:
         current parts. It rebinds each view attribute to a new object and
         mutates no part, so it can run on a shallow copy;
       * `view_names`: the attributes that hold views (Relations, dicts of
-        Relations or of ints, or ints), all of which the init path sets;
+        ints, or ints), all of which the init path sets;
       * `apply_update(rel, label, key, m)`.
 
-    `fragments.FragmentEngine` provides all four from a fragment table.
+    `fragments.FragmentEngine` provides all four from a fragment table,
+    and every query variant (d0 single and double, d1, d2, d3) is one.
     The driver owns threshold-base management and rebalancing; engines
     only apply updates and rebuild.
     """
@@ -92,18 +93,6 @@ class EngineBase:
         if m < 0 and self.parts[rel].part(label).lookup(key) + m < 0:
             raise RejectedDelete(f"{rel}^{label}{key} {m:+d}")
 
-    def merged_group(self, name, labels, suffix="all"):
-        """Copy the named parts into one indexed relation (init-time joins)."""
-        rel = Relation(f"{name}_{suffix}", 2, ((0,), (1,)), self.meter)
-        for lab in labels:
-            for key, m in self.parts[name].part(lab).items():
-                rel.apply_delta(key, m)
-        return rel
-
 
 def _contents(view):
-    if isinstance(view, Relation):
-        return view.entries
-    if isinstance(view, dict):
-        return {k: _contents(v) for k, v in view.items()}
-    return view
+    return view.entries if isinstance(view, Relation) else view

@@ -15,10 +15,10 @@ how they split a pair's total.
 
 from __future__ import annotations
 
-from trimaint.fragments import Direct, FragmentEngine, Tree
+from trimaint.fragments import Direct, KeyedEngine, Tree
 
 
-class BinaryEngine(FragmentEngine):
+class BinaryEngine(KeyedEngine):
     query = "d2"
     out = "ab"
     direct = (

@@ -34,12 +34,20 @@ at u0; the slice binds w, and (u0, u1, w) is the triangle in X's rotation
 The init path joins every direct fragment with `triangle_products` and
 fills every tree bottom up; `EngineBase.verify_views` reruns it on a copy.
 
-Enumeration of an engine with fewer than three output variables is a
-union over the keyed result views (the direct ones and the pair-less
-tops) and one hop union per pair tree, whose buckets are keyed by the
-tree's root value, or by its top key for a tree without a root. A tuple's
-multiplicity is its value in every keyed result view plus, per pair tree,
-the pair slice at the tuple closed by the third relation's totals.
+A table with no output variables (`out = ""`, d0's count) has a scalar
+output: every direct fragment and every tree top (its trees have no pair
+view) adds into one integer, `count`. Each direct or tree step walks its
+slice once and adds the probed sum, a tree step also writing every walked
+tuple into the hat; a close step looks the hat up. Writes to `count` are
+O(1) bookkeeping and are not metered.
+
+Enumeration (`KeyedEngine`) of an engine with one or two output
+variables is a union over the keyed result views (the direct ones and
+the pair-less tops) and one hop union per pair tree, whose buckets are
+keyed by the tree's root value, or by its top key for a tree without a
+root. A tuple's multiplicity is its value in every keyed result view
+plus, per pair tree, the pair slice at the tuple closed by the third
+relation's totals.
 """
 
 from __future__ import annotations
@@ -50,7 +58,7 @@ from trimaint.base import EngineBase
 from trimaint.iterators import EOF, HopUnionIterator, KeyIterator, UnionIterator
 from trimaint.joins import triangle_products
 from trimaint.partition import DoublePartition, SinglePartition, strict_double, strict_single
-from trimaint.store import Relation, walk_probe
+from trimaint.store import Relation, walk_probe, walk_sum
 
 RELS = ("R", "S", "T")
 BASE_IDX = ((0,), (1,))
@@ -62,7 +70,10 @@ VARS = {"R": "abc", "S": "bca", "T": "cab"}
 
 
 def projector(src, dst):
-    """Getter from a tuple over the variables `src` to the tuple over `dst`."""
+    """Getter from a tuple over the variables `src` to the tuple over `dst`,
+    or None when `dst` is empty (a scalar output)."""
+    if not dst:
+        return None
     pos = [src.index(v) for v in dst]
     if len(pos) == 1:
         return itemgetter(slice(pos[0], pos[0] + 1))
@@ -118,6 +129,24 @@ def _direct_step(kernel, next_side, view, key):
     def step(u0, u1, m):
         for w, d in (kernel(u1, u0) if next_side else kernel(u0, u1)):
             view.apply_delta(key((u0, u1, w)), m * d)
+    return step
+
+
+def _sum_step(eng, kernel, next_side):
+    """`_direct_step` into a scalar output: the hits summed, written once."""
+    def step(u0, u1, m):
+        hits = kernel(u1, u0) if next_side else kernel(u0, u1)
+        eng.count += m * sum([d for _, d in hits])
+    return step
+
+
+def _scalar_tree_step(eng, kernel, next_side, hat):
+    """Left (next_side) or right step of a scalar tree, from one `walk_sum`."""
+    def step(u0, u1, m):
+        walked, s = kernel(u1, u0) if next_side else kernel(u0, u1)
+        for hk, d in walked:
+            hat.apply_delta(hk, m * d)
+        eng.count += m * s
     return step
 
 
@@ -269,14 +298,12 @@ class Bucket:
 class FragmentEngine(EngineBase):
     """An engine run from its fragment table (see the module docstring).
 
-    Subclasses set `query`, `out` (the output variables in order) and
-    their `direct` and `trees` rows. Label sets, view specs, init joins,
-    the update plan and the enumeration's bucket layouts are worked out
-    once per class; the update plan, and multiplicity's reads and the
-    candidate rules, are bound to a build's parts and views on first use
-    after the build. An engine whose pair trees have no hop union (d3)
-    overrides `enumerate_result`; the union and `multiplicity` refuse to
-    run for it.
+    Subclasses set `query`, `out` (the output variables in order, empty
+    for a count) and their `direct` and `trees` rows. Label sets, view
+    specs, init joins, the update plan and the enumeration's bucket
+    layouts are worked out once per class; the update plan is bound to a
+    build's parts and views on first update after the build. A keyed
+    output is read through `KeyedEngine`; a scalar one is `count`.
     """
 
     out = ""
@@ -296,7 +323,7 @@ class FragmentEngine(EngineBase):
             return rel, group_labels(cls.labels[rel], g)
 
         # (name, arity, index columns, linked columns) of every Relation view
-        views = [(f.view, len(cls.out), (), ()) for f in cls.direct]
+        views = [(f.view, len(cls.out), (), ()) for f in cls.direct if cls.out]
         # pair trees enumerated by a hop union: (pair columns of the output
         # variables, pair key -> bucket key, Bucket projections)
         cls._hops = {}
@@ -318,19 +345,19 @@ class FragmentEngine(EngineBase):
                 # a bucket steps through the top's slice at its root value
                 idx = (t.root_idx,)
                 views += [(t.top, len(t.key), idx, idx), (t.root, 1, (), ())]
-            else:
+            elif cls.out:
                 views.append((t.top, len(t.key), (), ()))
         cls._views = tuple(views)
         cls._bsz = tuple(t.bsz for t in cls.trees if t.root)
-        cls.view_names = tuple(v[0] for v in views) + cls._bsz
+        cls.view_names = tuple(v[0] for v in views) + cls._bsz + ("count",) * (not cls.out)
         # views enumerated by key: the direct ones and the pair-less tops
         cls.results = tuple(f.view for f in cls.direct) + tuple(
-            t.top for t in cls.trees if t.pair is None)
+            t.top for t in cls.trees if t.pair is None) if cls.out else ()
 
         # init joins: (view, R, S and T groups), a group being (relation,
         # labels); tree fills: (tree, left group, right group); update
         # steps: (relation, labels it runs for, kind, row, walked group,
-        # looked-up group, result key from (u0, u1, w))
+        # looked-up group or a tree's third, result key from (u0, u1, w))
         cls._out_of_abc = projector("abc", cls.out)
         cls._joins = tuple((f.view, [group(rel, f.groups[rel]) for rel in RELS])
                            for f in cls.direct)
@@ -344,10 +371,11 @@ class FragmentEngine(EngineBase):
                              projector(VARS[rel], cls.out)))
         for t in cls.trees:
             left, right = group(t.left, t.groups[t.left]), group(t.right, t.groups[t.right])
+            third = group(t.third, "*")
             fills.append((t, left, right))
-            plan += [(*left, "left", t, right, None, None),
-                     (*right, "right", t, left, None, None),
-                     (*group(t.third, "*"), "close", t, None, None, None)]
+            plan += [(*left, "left", t, right, third, None),
+                     (*right, "right", t, left, third, None),
+                     (*third, "close", t, None, None, None)]
         cls._fills, cls._plan = tuple(fills), tuple(plan)
 
     def __init__(self, epsilon, meter=None):
@@ -369,6 +397,8 @@ class FragmentEngine(EngineBase):
             setattr(self, name, Relation(name, arity, idx, m, linked))
         for name in self._bsz:
             setattr(self, name, {})
+        if not self.out:
+            self.count = 0
         self._steps = self._enum = None
 
     # -- init path --------------------------------------------------------
@@ -382,17 +412,24 @@ class FragmentEngine(EngineBase):
             if len(labels) == 1:
                 return parts[rel].parts[labels[0]]
             if group not in merged:
-                merged[group] = self.merged_group(rel, labels)
+                merged[group] = into = Relation(f"{rel}_all", 2, BASE_IDX, self.meter)
+                for lab in labels:
+                    for k, m in parts[rel].parts[lab].items():
+                        into.apply_delta(k, m)
             return merged[group]
 
         key = self._out_of_abc
         for name, groups in self._joins:
+            products = triangle_products(*map(join_input, groups))
+            if key is None:
+                self.count += sum(prod for *_, prod in products)
+                continue
             view = getattr(self, name)
-            for a, b, c, prod in triangle_products(*map(join_input, groups)):
+            for a, b, c, prod in products:
                 view.apply_delta(key((a, b, c)), prod)
         for t, left, right in self._fills:
             pair = getattr(self, t.pair) if t.pair else None
-            hat, top = getattr(self, t.hat), getattr(self, t.top)
+            hat, top = getattr(self, t.hat), getattr(self, t.top) if self.out else None
             root = getattr(self, t.root) if t.root else None
             right = join_input(right)
             for (x, y), ml in join_input(left).items():
@@ -403,7 +440,9 @@ class FragmentEngine(EngineBase):
             third = parts[t.third]
             for (x, z), v in hat.items():
                 tm = third.total((z, x))
-                if tm:
+                if tm and top is None:
+                    self.count += v * tm
+                elif tm:
                     top.apply_delta(t.top_of((x, z)), v * tm)
                     if root is not None:
                         root.apply_delta(t.root_of((x, z)), v * tm)
@@ -427,11 +466,15 @@ class FragmentEngine(EngineBase):
         trees = {t: self._tree(t) for t in self.trees}
         steps = {rel: {lab: [] for lab in self.labels[rel]} for rel in RELS}
         for rel, labels, kind, row, walk, look, key in self._plan:
-            if kind in ("N", "P"):
-                kernel = walk_probe(members(walk), 0 if kind == "N" else 1, members(look), meter)
-                step = _direct_step(kernel, kind == "N", getattr(self, row.view), key)
-            elif kind == "close":
+            if kind == "close":
                 step = trees[row][1]
+            elif kind in ("N", "P"):
+                kernel = walk_probe(members(walk), 0 if kind == "N" else 1, members(look), meter)
+                step = (_sum_step(self, kernel, kind == "N") if not self.out else
+                        _direct_step(kernel, kind == "N", getattr(self, row.view), key))
+            elif not self.out:
+                kernel = walk_sum(members(walk), 0 if kind == "left" else 1, members(look), meter)
+                step = _scalar_tree_step(self, kernel, kind == "left", getattr(self, row.hat))
             elif kind == "left":
                 step = _from_left(walk_probe(members(walk), 0, (), meter), trees[row][0])
             else:
@@ -442,6 +485,12 @@ class FragmentEngine(EngineBase):
         return self._steps
 
     def _tree(self, t):
+        if not self.out:
+            hat = getattr(self, t.hat)
+
+            def close(u0, u1, m):  # a scalar tree's close: the hat looked up once
+                self.count += m * hat.lookup((u1, u0))
+            return None, close
         pair, hat, top = (getattr(self, n) if n else None for n in (t.pair, t.hat, t.top))
         total = self.parts[t.third].total
         if t.root:
@@ -459,7 +508,11 @@ class FragmentEngine(EngineBase):
         self.parts[rel].parts[label].apply_delta(key, m)
         self.version += 1
 
-    # -- enumeration ------------------------------------------------------
+
+class KeyedEngine(FragmentEngine):
+    """A fragment engine with output variables, read by enumeration; its
+    reads bind on first use after a build. d3, whose pair trees have no
+    hop union, overrides `enumerate_result`."""
 
     def candidate_buckets(self, t, x):
         """Keys of the buckets of pair tree t that may hold the output tuple x."""

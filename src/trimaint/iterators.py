@@ -222,6 +222,9 @@ class HopUnionIterator:
     After emitting t from the current bucket, t is excluded from every
     other candidate bucket; a bucket whose remaining count hits zero that
     way is excluded from the bucket-level hop iterator and never iterated.
+
+    Every bucket must be non-empty (`bucket_size(k) > 0`): the delay bound
+    of a few ticks per candidate bucket rests on it.
     """
 
     def __init__(self, bucket_keys, open_bucket, bucket_size, candidate_keys,

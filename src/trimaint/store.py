@@ -25,12 +25,13 @@ of slots to walk.
 
 The update path reads the parts through `walk_probe`, one kernel for the
 loops of the form "walk one partner's slice, probe the other partner at
-the rotated pair", and `slice_counter`. A kernel is bound once per build
-to the parts and to the `slices` map of their index, which lives as long
-as its Relation; compaction replaces `entries` and single slice dicts, so
-a kernel reads both afresh on every call. A kernel charges exactly what
-the equivalent `slice_items` and `lookup` calls would, in one add once its
-walk has run (see CostMeter for when that is allowed).
+the rotated pair", and `walk_sum`, which also keeps the misses. A kernel
+is bound once per build to the parts and to the `slices` map of their
+index, which lives as long as its Relation; compaction replaces `entries`
+and single slice dicts, so a kernel reads both afresh on every call. A
+kernel charges exactly what the equivalent `slice_items` and `lookup`
+calls would, in one add once its walk has run (see CostMeter for when
+that is allowed).
 """
 
 from __future__ import annotations
@@ -427,8 +428,8 @@ def walk_probe(walked, col, probed, meter):
             return [(k[at], entries[k]) for k in s]
 
     elif len(probed) == 1:
-        # the common case (every d0 walk of a single partitioning, most
-        # direct-fragment walks), without the loop over probed parts
+        # the common case (most direct-fragment walks), without the loop
+        # over probed parts
         (probe,) = probed
 
         def kernel(sub, other):
@@ -466,18 +467,39 @@ def walk_probe(walked, col, probed, meter):
     return kernel
 
 
-def slice_counter(rels, col, meter):
-    """Bind `count(sub)`: the tuples under col = sub summed over one or two
-    hash-indexed `rels`, charged one per part as `slice_count` is."""
-    if len(rels) == 2:
-        a, b = (slice_counter([rel], col, meter) for rel in rels)
-        return lambda sub: a(sub) + b(sub)
-    (rel,) = rels
-    slices = rel.hash_slices((col,))
+def walk_sum(walked, col, probed, meter):
+    """Bind `kernel(sub, other)`, the walk of `walk_probe` that keeps its
+    misses: it returns [(key, mw)] for every walked tuple, key being the
+    tuple with `other` in place of `sub`, and the sum of mw * mp, mp summed
+    over the two or four `probed` parts at the rotated pair. It charges what
+    `walk_probe`'s kernel over the same parts does."""
+    slices = [(rel, rel.hash_slices((col,))) for rel in walked]
+    per, first = 1 + len(probed), col == 0
 
-    def count(sub):
-        meter.total += 1
-        s = slices.get(sub)
-        return 0 if s is None else len(s)
+    def kernel(sub, other):
+        ga, gb, *more = [p.entries.get for p in probed]
+        out, total, ops = [], 0, 0
+        for rel, by_sub in slices:
+            s, entries = by_sub.get(sub, ()), rel.entries
+            ops += 1 + per * len(s)
+            for k in s:
+                mw = entries[k]
+                if first:
+                    w = k[1]
+                    key = (w, other)
+                    out.append(((other, w), mw))
+                else:
+                    w = k[0]
+                    key = (other, w)
+                    out.append(((w, other), mw))
+                mp = ga(key, 0) + gb(key, 0)
+                if more:
+                    for g in more:
+                        mp += g(key, 0)
+                if mp:
+                    total += mw * mp
+                    ops += 1
+        meter.total += ops
+        return out, total
 
-    return count
+    return kernel

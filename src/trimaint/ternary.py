@@ -12,10 +12,10 @@ so the walk never stalls.
 
 from __future__ import annotations
 
-from trimaint.fragments import Direct, FragmentEngine, Tree
+from trimaint.fragments import Direct, KeyedEngine, Tree
 
 
-class TernaryEngine(FragmentEngine):
+class TernaryEngine(KeyedEngine):
     query = "d3"
     out = "abc"
     direct = (

@@ -12,10 +12,10 @@ output.
 
 from __future__ import annotations
 
-from trimaint.fragments import Direct, FragmentEngine, Tree
+from trimaint.fragments import Direct, KeyedEngine, Tree
 
 
-class UnaryEngine(FragmentEngine):
+class UnaryEngine(KeyedEngine):
     query = "d1"
     out = "a"
     direct = (

@@ -169,6 +169,8 @@ def parse_matrix(lines):
         rows.append(_bit_row(lineno, line, n))
         if len(rows) == n:
             return rows
+    if n is None:
+        raise ParseError(0, "missing the size line n before the matrix rows")
     raise ParseError(0, f"expected {n} matrix rows, got {len(rows)}")
 
 

@@ -208,13 +208,15 @@ REFUSED = {
     "double-d2": ["verify", "--query", "d2", "--double-partition"],
     "cadence": ["verify", "--verify-cadence", "-1"],
     "database-below-zero": ["static", "{db}"],
+    "matrix-empty": ["oumv", "{empty}", "{empty}"],
 }
 
 
 @pytest.mark.parametrize("argv", list(REFUSED.values()), ids=list(REFUSED))
 def test_refused_input_exits_2_with_one_line(tmp_path, capsys, argv):
-    db = write(tmp_path, "db.txt", TRIANGLE + "- S 2 3 2\n")
-    assert main([db if a == "{db}" else a for a in argv]) == 2
+    files = {"{db}": write(tmp_path, "db.txt", TRIANGLE + "- S 2 3 2\n"),
+             "{empty}": write(tmp_path, "empty.txt", "")}
+    assert main([files.get(a, a) for a in argv]) == 2
     out = capsys.readouterr()
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
     assert out.out == ""

@@ -6,13 +6,17 @@ import pytest
 
 from trimaint.binary import BinaryEngine
 from trimaint.driver import Driver, make_engine
+from trimaint.nullary import NullaryDoubleEngine, NullaryEngine
 from trimaint.store import Relation
 from trimaint.ternary import TernaryEngine
 from trimaint.unary import UnaryEngine
 from trimaint.workload import WorkloadSpec, stream
 
 VARIANTS = [("d0", False), ("d0", True), ("d1", False), ("d2", False), ("d3", False)]
-TABLES = [UnaryEngine, BinaryEngine, TernaryEngine]
+# each table with the number of label combinations its fragments cover
+COMBOS = {NullaryEngine: 8, NullaryDoubleEngine: 64, UnaryEngine: 32, BinaryEngine: 32,
+          TernaryEngine: 8}
+TABLES = list(COMBOS)
 
 
 @pytest.mark.parametrize("cls", TABLES)
@@ -25,7 +29,7 @@ def test_fragments_cover_every_label_combination_once(cls):
     for combo in combos:
         owners = [row for row in rows if all(lab in labs for lab, labs in zip(combo, row))]
         assert len(owners) == 1, (combo, owners)
-    assert len(combos) == {1: 32, 2: 32, 3: 8}[len(cls.out)]
+    assert len(combos) == COMBOS[cls]
 
 
 def rich_driver(query, double=False, eps=0.5):

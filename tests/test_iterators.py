@@ -227,7 +227,9 @@ def test_hop_exclusion_soundness(seq, data):
 
 
 @settings(max_examples=100)
-@given(st.lists(unique_lists, min_size=1, max_size=6))
+# buckets are never empty, as HopUnionIterator requires of its callers
+@given(st.lists(st.lists(st.integers(0, 15), unique=True, min_size=1, max_size=16),
+                min_size=1, max_size=6))
 def test_hop_union_delay_bounded_by_candidates(sets):
     colls = {i: s for i, s in enumerate(sets)}
 

@@ -1,5 +1,5 @@
 """The update path's bulk-metered reads against the method-based reads they
-replace: `walk_probe` and `slice_counter` against `slice_items` + `lookup`
+replace: `walk_probe` and `walk_sum` against `slice_items` + `lookup`
 loops, and partition routing against definitions through `slice_count`,
 `contains` and `lookup`. Results and metered ops must both agree."""
 
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from trimaint.driver import Driver, make_engine
 from trimaint.oracle import RefMaintainer
 from trimaint.partition import strict_double, strict_single
-from trimaint.store import CostMeter, Relation, slice_counter, walk_probe
+from trimaint.store import CostMeter, Relation, walk_probe, walk_sum
 
 IDX = ((0,), (1,))
 
@@ -36,8 +36,21 @@ def ref_walk_probe(walked, col, probed, sub, other, meter):
     return out
 
 
-def ref_count(walked, col, sub):
-    return sum(r.slice_count((col,), sub) for r in walked)
+def ref_walk_sum(walked, col, probed, sub, other, meter):
+    """The loop `walk_sum` replaces: every walked tuple with `other` in
+    place of `sub`, and the sum of the hits."""
+    out, total = [], 0
+    for rel in walked:
+        for k, mw in rel.slice_items((col,), sub):
+            w = k[1 - col]
+            out.append(((other, w) if col == 0 else (w, other), mw))
+            mp = 0
+            for p in probed:
+                mp += p.lookup((w, other) if col == 0 else (other, w))
+            if mp:
+                meter.tick()
+                total += mw * mp
+    return out, total
 
 
 def metered(meter, f, *args):
@@ -46,12 +59,14 @@ def metered(meter, f, *args):
     return res, meter.total - t0
 
 
-def check_kernel(rels, meter, kernel, count, walked, col, probed, subs):
+def check_kernel(rels, meter, kernel, summed, walked, col, probed, subs):
     for sub in subs:
         for other in subs:
             got = metered(meter, kernel, sub, other)
             assert got == metered(meter, ref_walk_probe, walked, col, probed, sub, other, meter)
-        assert metered(meter, count, sub) == metered(meter, ref_count, walked, col, sub)
+            if summed is not None:
+                got = metered(meter, summed, sub, other)
+                assert got == metered(meter, ref_walk_sum, walked, col, probed, sub, other, meter)
 
 
 # a slice grows past COMPACT_FLOOR under sub 0 and then mostly drains, so
@@ -66,7 +81,8 @@ def test_kernel_matches_slice_and_lookup_loop(nwalk, nprobe, col, ops, seed, kee
     rels = [Relation(f"P{i}", 2, IDX, meter) for i in range(6)]
     walked, probed = rels[:nwalk], rels[2:2 + nprobe]
     kernel = walk_probe(walked, col, probed, meter)
-    count = slice_counter(walked, col, meter)
+    # walk_sum probes a whole partition: two or four parts
+    summed = walk_sum(walked, col, probed, meter) if nprobe >= 2 else None
     subs = range(3)
 
     def put(i, key, m):
@@ -81,7 +97,7 @@ def test_kernel_matches_slice_and_lookup_loop(nwalk, nprobe, col, ops, seed, kee
         put(i, (sub, w) if col == 0 else (w, sub), m)
         put(i, (w, sub) if col == 0 else (sub, w), m)
     before = [r.entries for r in rels]
-    check_kernel(rels, meter, kernel, count, walked, col, probed, subs)
+    check_kernel(rels, meter, kernel, summed, walked, col, probed, subs)
 
     # keeping at most a fifth of a dict's entries takes it below a quarter
     # of its high-water mark, so every entries dict is rebuilt
@@ -93,10 +109,10 @@ def test_kernel_matches_slice_and_lookup_loop(nwalk, nprobe, col, ops, seed, kee
             if i not in kept:
                 r.apply_delta(key, -m)
     assert all(r.entries is not b for r, b in zip(rels, before)), "entries were not rebuilt"
-    check_kernel(rels, meter, kernel, count, walked, col, probed, subs)
+    check_kernel(rels, meter, kernel, summed, walked, col, probed, subs)
     for i, sub, w, m in ops[:20]:
         put(i, (sub, w) if col == 0 else (w, sub), m)
-    check_kernel(rels, meter, kernel, count, walked, col, probed, subs)
+    check_kernel(rels, meter, kernel, summed, walked, col, probed, subs)
     for r in rels:
         r.check_consistency()
 

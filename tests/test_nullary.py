@@ -21,7 +21,7 @@ def test_empty_init(cls):
     eng = cls.from_database({}, {}, {}, 0.5)
     assert eng.threshold.N == 1
     assert eng.count == 0
-    assert all(len(v) == 0 for v in eng.views.values())
+    assert all(len(getattr(eng, t.hat)) == 0 for t in eng.trees)
     assert eng.db_size() == 0
 
 
