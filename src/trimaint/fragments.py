@@ -15,21 +15,24 @@ sliced on its first column at u1, and prev(X) sliced on its second column
 at u0; the slice binds w, and (u0, u1, w) is the triangle in X's rotation
 (VARS gives its variables).
 
-  * `Direct(view, R, S, T, sides)` is a materialized result keyed by the
-    engine's output variables. `sides` has one letter per updated
-    relation: "N" walks next(X)'s slice and looks prev(X) up, "P" walks
-    prev(X)'s slice and looks next(X) up. The letter names the slice the
-    partition bounds (by theta for a light value, by N/theta for the heavy
-    values), so it carries the update-time bound.
-  * `Tree(left, lgroup, rgroup, ...)` is a view tree. The left relation X
-    joins the right one next(X) on y into a pair view keyed (x, y, z),
-    kept only where enumeration walks it; y is summed away into a hat view
-    keyed (x, z); the third relation prev(X), all parts, closes the cycle
-    at (z, x) into a top view keyed by x and/or z in output order. A left
-    update walks the right group's slice, a right update the left group's,
-    and a third update looks the hat up once. A tree with a root as well
-    has buckets: its top is walked per root value and `bsz_<tree>` holds
-    each root value's bucket size.
+  * `Direct(R, S, T, sides)` is a fragment written into the engine's
+    result view `res`, keyed by the output variables. `sides` has one
+    letter per updated relation: "N" walks next(X)'s slice and looks
+    prev(X) up, "P" walks prev(X)'s slice and looks next(X) up. The
+    letter names the slice the partition bounds (by theta for a light
+    value, by N/theta for the heavy values), so it carries the
+    update-time bound.
+  * `Tree(left, lgroup, rgroup, hat, key, ...)` is a view tree. The left
+    relation X joins the right one next(X) on y into a pair view keyed
+    (x, y, z), kept only where enumeration walks it; y is summed away into
+    a hat view keyed (x, z); the third relation prev(X), all parts, closes
+    the cycle at (z, x) into a top view keyed by `key`, x and/or z in
+    output order. A tree without a pair view writes its top into the
+    result, so its key is the output variables. A left update walks the
+    right group's slice, a right update the left group's, and a third
+    update looks the hat up once. A tree with a root as well has buckets:
+    its top is walked per root value and `bsz_<tree>` holds each root
+    value's bucket size.
 
 The init path joins every direct fragment with `triangle_products` and
 fills every tree bottom up; `EngineBase.verify_views` reruns it on a copy.
@@ -41,13 +44,20 @@ slice once and adds the probed sum, a tree step also writing every walked
 tuple into the hat; a close step looks the hat up. Writes to `count` are
 O(1) bookkeeping and are not metered.
 
-Enumeration (`KeyedEngine`) of an engine with one or two output
-variables is a union over the keyed result views (the direct ones and
-the pair-less tops) and one hop union per pair tree, whose buckets are
-keyed by the tree's root value, or by its top key for a tree without a
-root. A tuple's multiplicity is its value in every keyed result view
-plus, per pair tree, the pair slice at the tuple closed by the third
-relation's totals.
+Every fragment value is a product of nonnegative multiplicities, so the
+sum `res` holds for a tuple is nonzero exactly when one of the fragments
+written into it is: keeping them apart would buy nothing at read time.
+Enumeration (`KeyedEngine`) of an engine with one
+or two output variables is a union of `res`'s keys and one hop union per
+pair tree, whose buckets are keyed by the tree's root value, or by its
+top key for a tree without a root. A tuple's multiplicity is its value in
+`res` plus, per pair tree, the pair slice at the tuple closed by the
+third relation's totals. Each pair tree's candidate rule keeps the slice
+entries it walked for the last tuple it saw; a repeated call at that
+tuple, and `multiplicity`, reuse them while the engine version stands.
+An emitted tuple's slice is then walked once per pair tree, unless the
+tree's rule moved on after probing it: in d2 a later hop union can emit
+a tuple that the first one probed and then stepped past.
 """
 
 from __future__ import annotations
@@ -89,27 +99,29 @@ def group_labels(labels, group):
 
 
 class Direct:
-    """Materialized fragment: view name, R/S/T groups, side walked per update."""
+    """Materialized fragment: R/S/T groups, side walked per update."""
 
-    def __init__(self, view, r, s, t, sides):
-        self.view = view
+    def __init__(self, r, s, t, sides):
         self.groups = dict(zip(RELS, (r, s, t)))
         self.sides = dict(zip(RELS, sides))
 
 
 class Tree:
-    """View tree row: left relation and group, right group, and view names.
+    """View tree row: left relation and group, right group, hat view name
+    and the top's variables `key`.
 
-    `key` gives the top view's variables; a bucketed tree also names its
-    root and the root's variable.
+    A pair tree also names its pair and top views, and a bucketed one its
+    root and the root's variable. A tree without a pair view writes its
+    top into the result: `res`, or `count` for a scalar output.
     """
 
-    def __init__(self, left, lgroup, rgroup, pair, hat, top, key, root=None, root_key=None):
+    def __init__(self, left, lgroup, rgroup, hat, key, pair=None, top=None, root=None,
+                 root_key=None):
         self.left = left
         self.right, self.third = ROTATION[left]
         self.groups = {left: lgroup, self.right: rgroup, self.third: "*"}
         self.name = (left + self.right).lower()
-        self.pair, self.hat, self.top, self.key = pair, hat, top, key
+        self.pair, self.hat, self.top, self.key = pair, hat, top or "res", key
         self.root, self.root_key = root, root_key
         self.bsz = root and "bsz_" + self.name
         self.xyz = xyz = VARS[left]
@@ -237,17 +249,29 @@ def _bucketed_tree(t, pair, hat, top, total, meter, root, bsz):
     return cascade, close
 
 
-def _candidate_rule(walk, cols, bucket_of, bucket_lookup):
-    """Candidate rule of a pair tree: the bucket key of each pair entry at
-    the output tuple x whose root (top, for a rootless tree) is nonzero."""
+def _candidate_rule(eng, walk, cols, bucket_of, bucket_lookup):
+    """(candidates, kept) of a pair tree. `candidates(x)` gives the bucket
+    key of each pair entry at the output tuple x whose root (top, for a
+    rootless tree) is nonzero.
+
+    `kept` holds the last walk: x, the engine version it ran at, the
+    (pair key, value) entries and the bucket keys. A call at the same x
+    and version returns the kept keys without walking again.
+    """
+    kept = [None, None, (), ()]
+
     def candidates(x):
+        if kept[1] == eng.version and kept[0] == x:
+            return kept[3]
+        entries = list(walk(cols, x[0] if len(x) == 1 else x))
         out = []
-        for pk, _v in walk(cols, x[0] if len(x) == 1 else x):
+        for pk, _v in entries:
             k = bucket_of(pk)
             if bucket_lookup(k):
                 out.append(k)
+        kept[:] = x, eng.version, entries, out
         return out
-    return candidates
+    return candidates, kept
 
 
 class Bucket:
@@ -323,7 +347,7 @@ class FragmentEngine(EngineBase):
             return rel, group_labels(cls.labels[rel], g)
 
         # (name, arity, index columns, linked columns) of every Relation view
-        views = [(f.view, len(cls.out), (), ()) for f in cls.direct if cls.out]
+        views = [("res", len(cls.out), (), ())] if cls.out else []
         # pair trees enumerated by a hop union: (pair columns of the output
         # variables, pair key -> bucket key, Bucket projections)
         cls._hops = {}
@@ -345,22 +369,18 @@ class FragmentEngine(EngineBase):
                 # a bucket steps through the top's slice at its root value
                 idx = (t.root_idx,)
                 views += [(t.top, len(t.key), idx, idx), (t.root, 1, (), ())]
-            elif cls.out:
+            elif t.pair:
                 views.append((t.top, len(t.key), (), ()))
         cls._views = tuple(views)
         cls._bsz = tuple(t.bsz for t in cls.trees if t.root)
         cls.view_names = tuple(v[0] for v in views) + cls._bsz + ("count",) * (not cls.out)
-        # views enumerated by key: the direct ones and the pair-less tops
-        cls.results = tuple(f.view for f in cls.direct) + tuple(
-            t.top for t in cls.trees if t.pair is None) if cls.out else ()
 
-        # init joins: (view, R, S and T groups), a group being (relation,
+        # init joins: the R, S and T groups, a group being (relation,
         # labels); tree fills: (tree, left group, right group); update
         # steps: (relation, labels it runs for, kind, row, walked group,
         # looked-up group or a tree's third, result key from (u0, u1, w))
         cls._out_of_abc = projector("abc", cls.out)
-        cls._joins = tuple((f.view, [group(rel, f.groups[rel]) for rel in RELS])
-                           for f in cls.direct)
+        cls._joins = tuple([group(rel, f.groups[rel]) for rel in RELS] for f in cls.direct)
         fills, plan = [], []
         for f in cls.direct:
             for rel in RELS:
@@ -419,14 +439,14 @@ class FragmentEngine(EngineBase):
             return merged[group]
 
         key = self._out_of_abc
-        for name, groups in self._joins:
+        for groups in self._joins:
             products = triangle_products(*map(join_input, groups))
             if key is None:
                 self.count += sum(prod for *_, prod in products)
                 continue
-            view = getattr(self, name)
+            res = self.res
             for a, b, c, prod in products:
-                view.apply_delta(key((a, b, c)), prod)
+                res.apply_delta(key((a, b, c)), prod)
         for t, left, right in self._fills:
             pair = getattr(self, t.pair) if t.pair else None
             hat, top = getattr(self, t.hat), getattr(self, t.top) if self.out else None
@@ -471,7 +491,7 @@ class FragmentEngine(EngineBase):
             elif kind in ("N", "P"):
                 kernel = walk_probe(members(walk), 0 if kind == "N" else 1, members(look), meter)
                 step = (_sum_step(self, kernel, kind == "N") if not self.out else
-                        _direct_step(kernel, kind == "N", getattr(self, row.view), key))
+                        _direct_step(kernel, kind == "N", self.res, key))
             elif not self.out:
                 kernel = walk_sum(members(walk), 0 if kind == "left" else 1, members(look), meter)
                 step = _scalar_tree_step(self, kernel, kind == "left", getattr(self, row.hat))
@@ -516,7 +536,7 @@ class KeyedEngine(FragmentEngine):
 
     def candidate_buckets(self, t, x):
         """Keys of the buckets of pair tree t that may hold the output tuple x."""
-        return (self._enum or self._bind_enumeration())[2][t](x)
+        return (self._enum or self._bind_enumeration())[0][t](x)
 
     def _hop_union(self, t, rule, check):
         pair, top = getattr(self, t.pair), getattr(self, t.top)
@@ -538,40 +558,40 @@ class KeyedEngine(FragmentEngine):
             size, rule, self.meter, check)
 
     def open_union(self):
-        """Union of the keyed result views and one hop union per pair tree."""
-        rules = (self._enum or self._bind_enumeration())[2]
+        """Union of `res`'s keys and one hop union per pair tree."""
+        rules = (self._enum or self._bind_enumeration())[0]
         check = self.guard()
-        iters = [KeyIterator(getattr(self, name), check) for name in self.results]
+        iters = [KeyIterator(self.res, check)]
         iters += [self._hop_union(t, rule, check) for t, rule in rules.items()]
         return UnionIterator(iters, self.meter, check)
 
     def _bind_enumeration(self):
-        """Bind multiplicity's reads and each pair tree's candidate rule to
-        this build's views."""
+        """Bind each pair tree's candidate rule, and multiplicity's walk of
+        its pair slices, to this build's views."""
         if any(t.pair and t not in self._hops for t in self.trees):
             # the union would miss that tree's fragment
             raise NotImplementedError(f"{self.query} enumerates its pair trees itself")
-        walks, rules = [], {}
+        rules, walks = {}, []
         for t, (cols, bucket_of, _) in self._hops.items():
             pair, buckets = getattr(self, t.pair), getattr(self, t.root or t.top)
-            walks.append((pair.slice_items, cols, self.parts[t.third].total, t.third_of))
-            rules[t] = _candidate_rule(pair.slice_items, cols, bucket_of, buckets.lookup)
-        self._enum = (tuple(getattr(self, name).lookup for name in self.results),
-                      tuple(walks), rules)
+            rules[t], kept = _candidate_rule(self, pair.slice_items, cols, bucket_of,
+                                             buckets.lookup)
+            walks.append((pair.slice_items, cols, self.parts[t.third].total, t.third_of, kept))
+        self._enum = (rules, tuple(walks))
         return self._enum
 
     def multiplicity(self, x):
-        """Multiplicity of the output tuple x: its value in every keyed
-        result view, plus per pair tree each pair entry at x times the
-        third relation's total at the entry's (z, x)."""
-        lookups, walks, _ = self._enum or self._bind_enumeration()
-        v = 0
-        for lookup in lookups:
-            v += lookup(x)
+        """Multiplicity of the output tuple x: its value in `res`, plus per
+        pair tree each pair entry at x times the third relation's total at
+        the entry's (z, x). A pair slice the tree's candidate rule walked
+        at x, at this version, is read from the rule, not walked again."""
+        walks = (self._enum or self._bind_enumeration())[1]
+        v = self.res.lookup(x)
         # a one-column index is keyed by the bare value, not a 1-tuple
-        meter, sub = self.meter, x[0] if len(x) == 1 else x
-        for walk, cols, total, third_of in walks:
-            for pk, pv in walk(cols, sub):
+        meter, version, sub = self.meter, self.version, x[0] if len(x) == 1 else x
+        for walk, cols, total, third_of, kept in walks:
+            entries = kept[2] if kept[1] == version and kept[0] == x else walk(cols, sub)
+            for pk, pv in entries:
                 tm = total(third_of(pk))
                 if tm:
                     meter.total += 1

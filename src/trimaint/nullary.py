@@ -19,15 +19,15 @@ class NullaryEngine(FragmentEngine):
 
     query = "d0"
     direct = (
-        # view, R, S, T label groups, side walked on an R, S, T update
-        Direct("hhh", "H", "H", "H", "PPP"),
-        Direct("lll", "L", "L", "L", "NNN"),
+        # R, S, T label groups, side walked on an R, S, T update
+        Direct("H", "H", "H", "PPP"),
+        Direct("L", "L", "L", "NNN"),
     )
     trees = (
-        # left, left group, right group, pair, hat, top, top key
-        Tree("R", "H", "L", None, "hat_rs", "count", ""),
-        Tree("S", "H", "L", None, "hat_st", "count", ""),
-        Tree("T", "H", "L", None, "hat_tr", "count", ""),
+        # left, left group, right group, hat, top key
+        Tree("R", "H", "L", "hat_rs", ""),
+        Tree("S", "H", "L", "hat_st", ""),
+        Tree("T", "H", "L", "hat_tr", ""),
     )
 
     def query_result(self):
@@ -39,11 +39,11 @@ class NullaryDoubleEngine(NullaryEngine):
     """Count maintenance with R, S, T double-partitioned on both columns."""
 
     direct = (
-        Direct("hhh", "H*", "H*", "H*", "PPP"),
-        Direct("lll", "L*", "L*", "L*", "NNN"),
+        Direct("H*", "H*", "H*", "PPP"),
+        Direct("L*", "L*", "L*", "NNN"),
     )
     trees = (
-        Tree("R", "H*", "L*", None, "hat_rs", "count", ""),
-        Tree("S", "H*", "L*", None, "hat_st", "count", ""),
-        Tree("T", "H*", "L*", None, "hat_tr", "count", ""),
+        Tree("R", "H*", "L*", "hat_rs", ""),
+        Tree("S", "H*", "L*", "hat_st", ""),
+        Tree("T", "H*", "L*", "hat_tr", ""),
     )

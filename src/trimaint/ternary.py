@@ -1,13 +1,13 @@
 """Full triangle materialization with constant-delay enumeration.
 
 The result splits into five disjoint fragments by the heavy/light labels
-of the three participating tuples: all-heavy and all-light are stored as
-result relations, the three mixed patterns live in view trees. Each tree
-joins a heavy part with the light part of the next relation (pair view,
-arity 3), aggregates away the middle variable (hat view), then closes the
-cycle with the third relation's total multiplicity (root view). Roots
-drive enumeration: every root entry has at least one matching pair tuple,
-so the walk never stalls.
+of the three participating tuples: all-heavy and all-light are stored in
+one result relation, `res`, the three mixed patterns live in view trees.
+Each tree joins a heavy part with the light part of the next relation
+(pair view, arity 3), aggregates away the middle variable (hat view),
+then closes the cycle with the third relation's total multiplicity (root
+view). Roots drive enumeration: every root entry has at least one
+matching pair tuple, so the walk never stalls.
 """
 
 from __future__ import annotations
@@ -19,15 +19,15 @@ class TernaryEngine(KeyedEngine):
     query = "d3"
     out = "abc"
     direct = (
-        # view, R, S, T label groups, side walked on an R, S, T update
-        Direct("hhh", "H", "H", "H", "PPP"),
-        Direct("lll", "L", "L", "L", "NNN"),
+        # R, S, T label groups, side walked on an R, S, T update
+        Direct("H", "H", "H", "PPP"),
+        Direct("L", "L", "L", "NNN"),
     )
     trees = (
-        # left, left group, right group, pair, hat, top, top key
-        Tree("R", "H", "L", "pair_rs", "hat_rs", "root_rs", "ac"),
-        Tree("S", "H", "L", "pair_st", "hat_st", "root_st", "ab"),
-        Tree("T", "H", "L", "pair_tr", "hat_tr", "root_tr", "bc"),
+        # left, left group, right group, hat, top key, pair, top
+        Tree("R", "H", "L", "hat_rs", "ac", "pair_rs", "root_rs"),
+        Tree("S", "H", "L", "hat_st", "ab", "pair_st", "root_st"),
+        Tree("T", "H", "L", "hat_tr", "bc", "pair_tr", "root_tr"),
     )
 
     # -- enumeration ------------------------------------------------------
@@ -42,10 +42,9 @@ class TernaryEngine(KeyedEngine):
 
     def _enumerate(self, check):
         meter = self.meter
-        for view in (self.hhh, self.lll):
-            for key, mult in view.items():
-                check()
-                yield key, mult
+        for key, mult in self.res.items():
+            check()
+            yield key, mult
         for t in self.trees:
             third = self.parts[t.third]
             pair, abc = getattr(self, t.pair), t.abc_of

@@ -1,4 +1,4 @@
-"""Shared builders for enumeration tests."""
+"""Shared builders for enumeration and engine tests."""
 
 from trimaint.iterators import HopUnionIterator, ListCollection
 
@@ -28,3 +28,13 @@ def build_worked_hop_example(meter=None):
         lambda t: WORKED_CANDIDATES[t],
         meter=meter,
     )
+
+
+# the one triangle (a, b, c) = (1, 2, 3)
+TRIANGLE = (("R", (1, 2)), ("S", (2, 3)), ("T", (3, 1)))
+
+
+def part_labels(eng, triangle=TRIANGLE):
+    """Labels of the parts holding each tuple of the triangle, by relation."""
+    return {rel: [lab for lab, part in eng.parts[rel].parts.items() if key in part.entries]
+            for rel, key in triangle}

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from conftest import TRIANGLE, part_labels
 from hypothesis import given, settings, strategies as st
 
 from trimaint.binary import BinaryEngine
@@ -41,9 +42,11 @@ def test_empty_init():
 
 def test_fresh_triangle_all_light():
     eng = BinaryEngine.from_database({}, {}, {}, 1.0)
-    for rel, key in (("R", (1, 2)), ("S", (2, 3)), ("T", (3, 1))):
+    for rel, key in TRIANGLE:
         apply(eng, rel, key, 1)
-    assert dict(eng.lll.items()) == {(1, 2): 1}
+    # the all-light fragment: every tuple in an L part, the pair in res
+    assert part_labels(eng) == {"R": ["L"], "S": ["LL"], "T": ["LL"]}
+    assert dict(eng.res.items()) == {(1, 2): 1}
     assert collect(eng) == {(1, 2): 1}
     eng.verify_views()
 
@@ -84,9 +87,8 @@ def test_update_invalidates_open_enumeration():
 
 def test_hub_state_lives_in_rs_tree():
     eng, rd, sd, td = hub_state()
-    assert len(eng.hhh) == 0 and len(eng.lll) == 0
-    assert len(eng.h_ll) == 0 and len(eng.l_hh) == 0
-    assert len(eng.st_closed) == 0
+    # no direct fragment and no pair-less top holds a pair
+    assert len(eng.res) == 0
     assert dict(eng.root_rs.items()) == {(9,): 6}
     assert eng.bsz_rs == {9: 6}
     assert collect(eng) == oracle_triangle(rd, sd, td, 2)

@@ -9,9 +9,10 @@ import pytest
 import trimaint
 from trimaint import store
 from trimaint.driver import Driver, make_engine
+from trimaint.fragments import projector
 from trimaint.iterators import HopUnionIterator
-from trimaint.oracle import oracle_triangle
-from trimaint.store import RejectedDelete
+from trimaint.oracle import RefMaintainer, oracle_triangle
+from trimaint.store import Relation, RejectedDelete
 from trimaint.workload import WorkloadSpec, stream
 
 GRID = [
@@ -264,13 +265,13 @@ OP_PINS = {
         counts={"total": 54554, "apply": 46279, "major": 4097, "minor": 4178},
         enum=1, majors=14, minors=31),
     ("d1", False): dict(
-        base={"total": 51022, "apply": 42852, "major": 4310, "minor": 3860},
-        counts={"total": 51105, "apply": 42920, "major": 4310, "minor": 3875},
-        enum=406, majors=14, minors=27),
+        base={"total": 50823, "apply": 42653, "major": 4310, "minor": 3860},
+        counts={"total": 50907, "apply": 42722, "major": 4310, "minor": 3875},
+        enum=207, majors=14, minors=27),
     ("d2", False): dict(
-        base={"total": 53908, "apply": 44445, "major": 5149, "minor": 4314},
-        counts={"total": 54012, "apply": 44530, "major": 5149, "minor": 4333},
-        enum=1077, majors=14, minors=29),
+        base={"total": 53449, "apply": 43986, "major": 5149, "minor": 4314},
+        counts={"total": 53551, "apply": 44069, "major": 5149, "minor": 4333},
+        enum=618, majors=14, minors=29),
     ("d3", False): dict(
         base={"total": 30985, "apply": 26107, "major": 2660, "minor": 2218},
         counts={"total": 31126, "apply": 26244, "major": 2660, "minor": 2222},
@@ -328,6 +329,70 @@ def test_hop_union_buckets_are_never_empty(query):
                 assert h._bucket_size(k) > 0, (i, k)
                 checked += 1
     assert checked
+
+
+def grown_with_reference(query):
+    """Driver and reference after the growth half of the pinned stream."""
+    grow, _ = pinned_stream()
+    drv, ref = make_driver(query, 0.25), RefMaintainer(int(query[1]))
+    for upd in grow:
+        drv.on_update(*upd)
+        ref.apply(*upd)
+    return drv, ref
+
+
+@pytest.mark.parametrize("query", ["d1", "d2"])
+@pytest.mark.parametrize("walk", ["enumerate", "candidates"])
+def test_kept_walk_never_goes_stale(query, walk):
+    # enumeration and candidate_buckets keep the pair slice they walked
+    # at x; an update that moves x's multiplicity must not be read from it
+    drv, ref = grown_with_reference(query)
+    eng = drv.engine
+    # a pair entry whose triangle closes, so one more copy of its left
+    # tuple adds to the multiplicity of its output tuple x
+    t, pk = next((t, pk) for t in eng.trees if t.pair
+                 for pk in getattr(eng, t.pair).entries
+                 if ref.rels[t.third].get((pk[2], pk[0])))
+    x = projector(t.xyz, eng.out)(pk)
+    if walk == "enumerate":
+        for y, _ in eng.enumerate_result():
+            if y == x:
+                break
+    else:
+        assert eng.candidate_buckets(t, x)
+    before = ref.result()[x]
+    drv.on_update(t.left, pk[:2], 1)
+    ref.apply(t.left, pk[:2], 1)
+    assert ref.result()[x] > before
+    assert eng.multiplicity(x) == ref.result()[x]
+    assert eng.query_result() == ref.result()
+
+
+@pytest.mark.parametrize("query", ["d1", "d2"])
+def test_one_pair_slice_walk_per_emitted_tuple(query, monkeypatch):
+    # a pair tree's slice at an emitted tuple is walked by the candidate
+    # rule and reused by a repeated probe and by multiplicity (d2 can walk
+    # it twice where the rule stepped past it, which this stream never does)
+    walks = []
+    slice_items = Relation.slice_items
+
+    def counted(self, cols, sub):
+        walks.append((self.name, sub))
+        return slice_items(self, cols, sub)
+
+    monkeypatch.setattr(Relation, "slice_items", counted)
+    drv, ref = grown_with_reference(query)
+    eng = drv.engine
+    pairs = {t.pair for t in eng.trees if t.pair}
+    walks.clear()
+    at_emitted = 0
+    for x, _ in eng.enumerate_result():
+        sub = x[0] if len(x) == 1 else x
+        here = [name for name, s in walks if name in pairs and s == sub]
+        assert all(here.count(name) <= 1 for name in pairs), (x, here)
+        at_emitted += len(here)
+        walks.clear()
+    assert at_emitted >= len(ref.result())
 
 
 BOUNDARY_SCRIPT = """

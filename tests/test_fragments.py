@@ -57,6 +57,10 @@ def view_dicts(eng):
     return out
 
 
+# views the corruption loop cannot reach, per query
+UNREACHED = {"d0": 1, "d1": 0, "d2": 0, "d3": 0}
+
+
 @pytest.mark.parametrize("query,double", VARIANTS)
 def test_audit_catches_one_corrupted_entry(query, double):
     corrupted = set()
@@ -79,7 +83,9 @@ def test_audit_catches_one_corrupted_entry(query, double):
             eng.count += 1
             with pytest.raises(AssertionError):
                 eng.verify_views()
-    assert len(corrupted) >= {"d0": 3, "d1": 10, "d2": 15, "d3": 11}[query], corrupted
+    # d0's count is an integer, corrupted on its own above; every other view
+    # of every variant holds entries at one of the two epsilons
+    assert len(corrupted) >= len(eng.view_names) - UNREACHED[query], corrupted
 
 
 def skipping(monkeypatch, rel, label, i):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from conftest import TRIANGLE, part_labels
 from hypothesis import given, settings, strategies as st
 
 from trimaint.iterators import StaleIterator
@@ -26,7 +27,7 @@ def collect(eng):
 
 def test_empty_init():
     eng = TernaryEngine.from_database({}, {}, {}, 0.5)
-    assert len(eng.hhh) == 0 and len(eng.lll) == 0
+    assert len(eng.res) == 0
     assert all(len(getattr(eng, t.pair)) == 0 for t in eng.trees)
     assert all(len(getattr(eng, t.top)) == 0 for t in eng.trees)
     assert collect(eng) == {}
@@ -34,8 +35,9 @@ def test_empty_init():
 
 def test_one_light_triangle_lands_in_lll():
     eng = TernaryEngine.from_database({(1, 2): 1}, {(2, 3): 1}, {(3, 1): 1}, 0.5)
-    assert dict(eng.lll.items()) == {(1, 2, 3): 1}
-    assert len(eng.hhh) == 0
+    # the all-light fragment: every tuple in an L part, the triple in res
+    assert part_labels(eng) == {"R": ["L"], "S": ["L"], "T": ["L"]}
+    assert dict(eng.res.items()) == {(1, 2, 3): 1}
     assert all(len(getattr(eng, t.top)) == 0 for t in eng.trees)
     assert collect(eng) == {(1, 2, 3): 1}
 
@@ -46,17 +48,20 @@ def test_multiplicity_product_enumerated():
 
 
 def test_fresh_triangle_fragment_by_epsilon():
+    # a direct fragment either way: all light or all heavy, and no tree top
     light = TernaryEngine.from_database({}, {}, {}, 1.0)
-    for rel, key in (("R", (1, 2)), ("S", (2, 3)), ("T", (3, 1))):
+    for rel, key in TRIANGLE:
         apply(light, rel, key, 1)
-    assert dict(light.lll.items()) == {(1, 2, 3): 1}
-    assert len(light.hhh) == 0
+    assert part_labels(light) == {"R": ["L"], "S": ["L"], "T": ["L"]}
+    assert dict(light.res.items()) == {(1, 2, 3): 1}
+    assert all(len(getattr(light, t.top)) == 0 for t in light.trees)
 
     heavy = TernaryEngine.from_database({}, {}, {}, 0.0)
-    for rel, key in (("R", (1, 2)), ("S", (2, 3)), ("T", (3, 1))):
+    for rel, key in TRIANGLE:
         apply(heavy, rel, key, 1)
-    assert dict(heavy.hhh.items()) == {(1, 2, 3): 1}
-    assert len(heavy.lll) == 0
+    assert part_labels(heavy) == {"R": ["H"], "S": ["H"], "T": ["H"]}
+    assert dict(heavy.res.items()) == {(1, 2, 3): 1}
+    assert all(len(getattr(heavy, t.top)) == 0 for t in heavy.trees)
 
 
 def test_overdelete_rejected_before_mutation():

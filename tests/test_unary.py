@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from conftest import TRIANGLE, part_labels
 from hypothesis import given, settings, strategies as st
 
 from trimaint.iterators import StaleIterator
@@ -59,9 +60,11 @@ def test_empty_init():
 
 def test_fresh_triangle_all_light():
     eng = UnaryEngine.from_database({}, {}, {}, 1.0)
-    for rel, key in (("R", (1, 2)), ("S", (2, 3)), ("T", (3, 1))):
+    for rel, key in TRIANGLE:
         apply(eng, rel, key, 1)
-    assert dict(eng.lll.items()) == {(1,): 1}
+    # the all-light fragment: every tuple in an L part, the value in res
+    assert part_labels(eng) == {"R": ["LL"], "S": ["L"], "T": ["LL"]}
+    assert dict(eng.res.items()) == {(1,): 1}
     assert collect(eng) == {(1,): 1}
     eng.verify_views()
 
@@ -101,9 +104,8 @@ def test_update_invalidates_open_enumeration():
 
 def test_hub_state_lives_in_hop_fragment():
     eng, rd, sd, td = hub_state()
-    for frag in (eng.hhh, eng.lll, eng.ll_h, eng.lh_hh,
-                 eng.rs_closed, eng.st_closed):
-        assert len(frag) == 0
+    # no direct fragment and no pair-less top holds a value
+    assert len(eng.res) == 0
     assert dict(eng.root_tr.items()) == {(7, 9): 6}
     assert collect(eng) == oracle_triangle(rd, sd, td, 1)
     eng.verify_views()
