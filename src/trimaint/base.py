@@ -1,11 +1,11 @@
-"""Shared engine plumbing: threshold, version counter, rebuild protocol, audit."""
+"""Shared engine plumbing: threshold, version counter, kept |D|, rebuild protocol, audit."""
 
 from __future__ import annotations
 
 import copy
 
 from trimaint.partition import Threshold
-from trimaint.store import CostMeter, RejectedDelete, Relation
+from trimaint.store import CostMeter, Relation
 from trimaint.iterators import StaleIterator
 
 
@@ -20,12 +20,15 @@ class EngineBase:
         mutates no part, so it can run on a shallow copy;
       * `view_names`: the attributes that hold views (Relations, dicts of
         ints, or ints), all of which the init path sets;
-      * `apply_update(rel, label, key, m)`.
+      * `apply_update(rel, label, key, m)`, which must also keep `size`,
+        the number of distinct tuples in the parts (|D|): one more when
+        the key appears in its part, one fewer when it vanishes.
 
-    `fragments.FragmentEngine` provides all four from a fragment table,
-    and every query variant (d0 single and double, d1, d2, d3) is one.
-    The driver owns threshold-base management and rebalancing; engines
-    only apply updates and rebuild.
+    `rebuild` sets `size` from the fresh parts, and `db_size()` returns
+    it, so the driver reads |D| without recounting. `fragments.FragmentEngine`
+    provides all four from a fragment table, and every query variant (d0
+    single and double, d1, d2, d3) is one. The driver owns threshold-base
+    management and rebalancing; engines only apply updates and rebuild.
     """
 
     query = None
@@ -37,6 +40,7 @@ class EngineBase:
         self.threshold = Threshold(1, epsilon)
         self.version = 0
         self.parts = {}
+        self.size = 0
 
     @classmethod
     def from_database(cls, rd, sd, td, epsilon, meter=None):
@@ -55,12 +59,12 @@ class EngineBase:
         """Strictly repartition from scratch and recompute every view."""
         self.threshold.rebase(N)
         self._build_partitions(rel_items)
+        self.size = sum(p.size() for p in self.parts.values())
         self._recompute_views()
         self.version += 1
 
     def db_size(self):
-        parts = self.parts
-        return parts["R"].size() + parts["S"].size() + parts["T"].size()
+        return self.size
 
     def rel_items(self):
         return {name: list(p.items()) for name, p in self.parts.items()}
@@ -87,11 +91,6 @@ class EngineBase:
                 raise StaleIterator(f"state advanced past version {v}")
 
         return check
-
-    def precheck_delete(self, rel, label, key, m):
-        """Raise RejectedDelete before any mutation if the part would go negative."""
-        if m < 0 and self.parts[rel].part(label).lookup(key) + m < 0:
-            raise RejectedDelete(f"{rel}^{label}{key} {m:+d}")
 
 
 def _contents(view):

@@ -6,6 +6,12 @@ floor(N/4) <= |D| < N by doubling or halving N with a full rebuild,
 or restores the loose degree conditions by moving one value's tuples
 between parts. Rebalancing cost lands in the meter's major and minor
 phases so the amortized bounds can be checked from the outside.
+
+The per-update path does only what the update needs: |D| is the
+engine's `size`, an integer its `apply_update` keeps, and the loose
+conditions are checked once, on the updated values, by the partition's
+`minor_moves` with the label the update was routed to; the minor's
+bookkeeping runs only when a move is due.
 """
 
 from trimaint.binary import BinaryEngine
@@ -53,32 +59,39 @@ class Driver:
         """Apply one update, then rebalance if any invariant broke.
 
         Raises ValueError for an unknown relation, a key that is not a
-        pair or a zero multiplicity, and RejectedDelete if the delete
-        would overshoot; in every case before touching anything, so the
-        state is unchanged. Returns this update's ops by phase; the ops
-        outside a rebalance land in the meter's current phase, which is
-        apply unless the caller opened another.
+        tuple of two hashable values or a zero multiplicity, and
+        RejectedDelete if the delete would overshoot; in every case before
+        touching anything, so the state is unchanged. Returns this
+        update's ops by phase; the ops outside a rebalance land in the
+        meter's current phase, which is apply unless the caller opened
+        another.
         """
         eng = self.engine
         part = eng.parts.get(rel)
         if part is None:
             raise ValueError(f"unknown relation {rel!r}")
-        if len(key) != 2:
-            raise ValueError(f"{rel}{key}: a key has two values")
+        if not isinstance(key, tuple) or len(key) != 2:
+            raise ValueError(f"{rel}{key!r}: a key is a tuple of two values")
+        try:
+            hash(key)
+        except TypeError:
+            raise ValueError(f"{rel}{key!r}: a key's values must be hashable") from None
         if m == 0:
             raise ValueError(f"{rel}{key}: zero multiplicity")
         meter = eng.meter
         t0 = meter.total
-        eng.apply_update(rel, part.affected_label(key, eng.epsilon), key, m)
-        size = eng.db_size()
-        n = eng.threshold.N
+        label = part.affected_label(key, eng.epsilon)
+        eng.apply_update(rel, label, key, m)
+        size, n = eng.size, eng.threshold.N
         major = minor = 0
         if size == n:
             major = self._major(2 * n)
         elif size < n // 4:
             major = self._major(max(n // 2 - 1, 1))
         else:
-            minor = self._minor(rel, key)
+            moves = part.minor_moves(key, label, eng.threshold.theta)
+            if moves is not None:
+                minor = self._minor(rel, moves)
         self.updates += 1
         total = meter.total - t0
         self.last_costs = {"total": total, "apply": total - major - minor,
@@ -98,31 +111,10 @@ class Driver:
         self._notify("major:after")
         return ops
 
-    def _minor(self, rel, key):
+    def _minor(self, rel, moves):
         """Move the values whose loose condition broke; returns the ops of
-        the moves (the checks before them are not part of the minor)."""
+        the moves (the check that found them is not part of the minor)."""
         eng = self.engine
-        part = eng.parts[rel]
-        theta = eng.threshold.theta
-        moves = []
-        if part.kind == "single":
-            x = key[part.var]
-            d = part.violation("X", x, theta)
-            if d is not None:
-                moves.append(("X", x, d))
-        else:
-            dx = part.violation("X", key[part.vx], theta)
-            dy = part.violation("Y", key[part.vy], theta)
-            if dx is not None:
-                moves.append(("X", key[part.vx], dx))
-            if dy is not None:
-                moves.append(("Y", key[part.vy], dy))
-            if dx is not None and dy is not None:
-                # One update shifts each side's degree by one tuple, so
-                # both sides can only break toward the same class.
-                assert dx == dy
-        if not moves:
-            return 0
         self._notify("minor:before")
         self.minors += 1
         t0 = eng.meter.total
@@ -171,6 +163,8 @@ class Driver:
         eng = self.engine
         n = eng.threshold.N
         size = eng.db_size()
+        recount = sum(p.size() for p in eng.parts.values())
+        assert size == recount, f"kept size {size} drifted from the parts' {recount}"
         assert n >= 1
         assert n // 4 <= size < n, f"size invariant broken: {size} vs N={n}"
         theta = eng.threshold.theta

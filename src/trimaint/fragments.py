@@ -68,7 +68,7 @@ from trimaint.base import EngineBase
 from trimaint.iterators import EOF, HopUnionIterator, KeyIterator, UnionIterator
 from trimaint.joins import triangle_products
 from trimaint.partition import DoublePartition, SinglePartition, strict_double, strict_single
-from trimaint.store import Relation, walk_probe, walk_sum
+from trimaint.store import RejectedDelete, Relation, walk_probe, walk_sum
 
 RELS = ("R", "S", "T")
 BASE_IDX = ((0,), (1,))
@@ -484,7 +484,7 @@ class FragmentEngine(EngineBase):
             return [parts[rel].parts[lab] for lab in labels]
 
         trees = {t: self._tree(t) for t in self.trees}
-        steps = {rel: {lab: [] for lab in self.labels[rel]} for rel in RELS}
+        steps = {(rel, lab): [] for rel in RELS for lab in self.labels[rel]}
         for rel, labels, kind, row, walk, look, key in self._plan:
             if kind == "close":
                 step = trees[row][1]
@@ -500,8 +500,10 @@ class FragmentEngine(EngineBase):
             else:
                 step = _from_right(walk_probe(members(walk), 1, (), meter), trees[row][0])
             for lab in labels:
-                steps[rel][lab].append(step)
-        self._steps = {rel: {lab: tuple(s) for lab, s in d.items()} for rel, d in steps.items()}
+                steps[rel, lab].append(step)
+        # (rel, label) -> (the part the update writes, its steps)
+        self._steps = {(rel, lab): (parts[rel].parts[lab], tuple(s))
+                       for (rel, lab), s in steps.items()}
         return self._steps
 
     def _tree(self, t):
@@ -520,12 +522,21 @@ class FragmentEngine(EngineBase):
 
     def apply_update(self, rel, label, key, m):
         assert m != 0
+        part, steps = (self._steps or self._bind())[rel, label]
         if m < 0:
-            self.precheck_delete(rel, label, key, m)
+            # the overdelete check, charged as one lookup, before any write
+            self.meter.total += 1
+            if part.entries.get(key, 0) + m < 0:
+                raise RejectedDelete(f"{rel}^{label}{key} {m:+d}")
         u0, u1 = key
-        for step in (self._steps or self._bind())[rel][label]:
+        for step in steps:
             step(u0, u1, m)
-        self.parts[rel].parts[label].apply_delta(key, m)
+        # the key appeared iff its new value is m, vanished iff 0
+        v = part.apply_delta(key, m)
+        if v == m:
+            self.size += 1
+        elif not v:
+            self.size -= 1
         self.version += 1
 
 

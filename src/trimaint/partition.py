@@ -41,8 +41,8 @@ class Threshold:
 class SinglePartition:
     """Heavy/light split of a binary relation on one variable.
 
-    Routing (`affected_label`, `violation`, `total`) reads the parts'
-    entries and their partition-column slices maps directly and charges
+    Routing (`affected_label`, `minor_moves`, `violation`, `total`) reads
+    the parts' entries and their partition-column slices maps directly and charges
     what the equivalent `lookup`, `slice_count` and `contains` calls would.
     """
 
@@ -85,8 +85,41 @@ class SinglePartition:
         self.meter.total += 1
         return "H" if key[self.var] in self._hs else "L"
 
+    def minor_moves(self, key, label, theta):
+        """Moves the loose conditions need after an update of `key` routed
+        to `label`: a tuple of (side, value, direction), or None.
+
+        The label gives the value's class, which the update did not change
+        (a value's tuples all sit in the parts of its class); charged as
+        the degree, then membership in H and, if not there, in L.
+        """
+        x = key[self.var]
+        if label == "H":
+            s = self._hs.get(x)
+            if s is not None:
+                self.meter.total += 3
+                return (("X", x, "to_light"),) if 2 * len(s) < theta else None
+            # the update deleted x's last tuple
+            self.meter.total += 4
+            return None
+        self.meter.total += 4
+        s = self._ls.get(x)
+        if s is not None and 2 * len(s) >= 3 * theta:
+            return (("X", x, "to_heavy"),)
+        return None
+
     def violation(self, side, value, theta):
-        """Move direction needed to restore loose conditions, or None."""
+        """Move direction needed to restore loose conditions, or None.
+
+        The audit's check (`violations`): it reads both parts, so it holds
+        even where a value sits on both sides of the split, and charges
+        what `minor_moves` does where it does not. `check_disjoint` runs
+        after `violations` in `Driver.check_invariants` and catches such a
+        value too, but `violation` is also called on its own (the routing
+        tests feed it split values, and the benchmark's tracer times it by
+        name), so it cannot take the value's class from one part the way
+        `minor_moves` takes it from the routed label.
+        """
         assert side == "X"
         h, l = self._hs.get(value), self._ls.get(value)
         deg = (len(h) if h is not None else 0) + (len(l) if l is not None else 0)
@@ -184,7 +217,39 @@ class DoublePartition:
             return "HH"
         return self.side_class("X", key[self.vx]) + self.side_class("Y", key[self.vy])
 
+    def minor_moves(self, key, label, theta):
+        """Moves the loose conditions need after an update of `key` routed
+        to `label`, as SinglePartition's, checked on both sides."""
+        x, y = key[self.vx], key[self.vy]
+        dx = self._side_move("X", x, label[0], theta)
+        dy = self._side_move("Y", y, label[1], theta)
+        if dx is None and dy is None:
+            return None
+        if dx is not None and dy is not None:
+            # One update shifts each side's degree by one tuple, so both
+            # sides can only break toward the same class.
+            assert dx == dy
+        return tuple((side, v, d) for side, v, d in (("X", x, dx), ("Y", y, dy))
+                     if d is not None)
+
+    def _side_move(self, side, value, cls, theta):
+        """Move direction for a value of class `cls` on one side, or None."""
+        slices = self._sides[side]
+        i = 0 if cls == "H" else 2
+        a, b = slices[i].get(value), slices[i + 1].get(value)
+        # the degree, then one membership test per part, heavy ones first,
+        # up to the first that holds the value
+        if a is None and b is None:
+            self.meter.total += 8
+            return None
+        self.meter.total += 5 + i + (a is None)
+        deg = (0 if a is None else len(a)) + (0 if b is None else len(b))
+        if i == 0:
+            return "to_light" if 2 * deg < theta else None
+        return "to_heavy" if 2 * deg >= 3 * theta else None
+
     def violation(self, side, value, theta):
+        """The audit's check, as SinglePartition's, on one side."""
         deg, first = 0, None
         for i, slices in enumerate(self._sides[side]):
             s = slices.get(value)

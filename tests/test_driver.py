@@ -151,6 +151,13 @@ def test_double_partition_y_side_promotion():
     drv.check_invariants(deep=True)
 
 
+def test_check_invariants_catches_drifted_size():
+    drv = sixteen_state()
+    drv.engine.size += 1
+    with pytest.raises(AssertionError, match="drifted"):
+        drv.check_invariants()
+
+
 def test_move_tuples_two_applies_per_tuple():
     drv = sixteen_state()
     for b in range(3):

@@ -96,8 +96,8 @@ def skipping(monkeypatch, rel, label, i):
 
     def bind_without(self):
         steps = bind(self)
-        plan = steps[rel][label]
-        steps[rel][label] = plan[:i] + plan[i + 1:]
+        part, plan = steps[rel, label]
+        steps[rel, label] = part, plan[:i] + plan[i + 1:]
         return steps
 
     monkeypatch.setattr(FragmentEngine, "_bind", bind_without)
@@ -126,7 +126,9 @@ def test_audit_catches_every_skipped_step(cls, monkeypatch):
         keys = {}
         for key in product(range(8), repeat=2):
             keys.setdefault(part.affected_label(key, 0.25), []).append(key)
-        for label, plan in eng._bind()[rel].items():
+        plans = eng._bind()
+        for label in part.labels:
+            _, plan = plans[rel, label]
             for i in range(len(plan)):
                 with monkeypatch.context() as mp:
                     skipping(mp, rel, label, i)

@@ -231,6 +231,38 @@ def test_routing_matches_method_based_reads(items, theta, stray, double):
                     assert got == metered(meter, ref_single_violation, p, v, th)
 
 
+# deltas routed as the driver routes them keep each value on one side of
+# every split; there an update's minor check must give the moves the
+# audit's violation gives for the updated values, with the same ticks
+@settings(max_examples=80, deadline=None)
+@given(items=ITEMS, theta=st.sampled_from([1.5, 2.0, 3.0, 5.0]),
+       deltas=st.lists(st.tuples(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                                 st.sampled_from([1, 2, -1])), max_size=15),
+       double=st.booleans(), eps=st.sampled_from([0, 0.5]))
+def test_minor_moves_match_violation(items, theta, deltas, double, eps):
+    meter = CostMeter()
+    build = strict_double if double else strict_single
+    # at epsilon 0 theta is 1 and every value is heavy
+    p = build(dict(items).items(), "X", 2, IDX, meter, theta if eps else 1.0)
+    sides = (("X", p.vx), ("Y", p.vy)) if double else (("X", p.var),)
+    for key, m in deltas:
+        label = p.affected_label(key, eps)
+        if p.parts[label].entries.get(key, 0) + m < 0:
+            continue
+        p.parts[label].apply_delta(key, m)
+        for th in (theta, 2 * theta, 0.5):
+            got, ticks = metered(meter, p.minor_moves, key, label, th)
+            want, want_ticks = [], 0
+            for side, var in sides:
+                d, t = metered(meter, p.violation, side, key[var], th)
+                want_ticks += t
+                if d is not None:
+                    want.append((side, key[var], d))
+            assert (got or ()) == tuple(want) and ticks == want_ticks
+            assert got is None or got
+    p.check_disjoint()
+
+
 # -- compaction under bound kernels ---------------------------------------
 
 VARIANTS = [("d0", False), ("d0", True), ("d1", False), ("d2", False), ("d3", False)]

@@ -7,12 +7,14 @@ leave the state as it was, and every run ends with the deep invariant
 check.
 """
 
+import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from trimaint.driver import Driver, make_engine
 from trimaint.oracle import RefMaintainer
 from trimaint.store import Relation, RejectedDelete
+from trimaint.workload import WorkloadSpec, stream
 
 VARIANTS = [("d0", False), ("d0", True), ("d1", False), ("d2", False), ("d3", False)]
 K = {"d0": 0, "d1": 1, "d2": 2, "d3": 3}
@@ -34,7 +36,8 @@ def state(drv):
     parts = {(rel, lab): dict(p.part(lab).entries) for rel, p in eng.parts.items()
              for lab in p.labels}
     views = {name: dump(getattr(eng, name)) for name in eng.view_names}
-    return parts, views, eng.version, eng.threshold.N, drv.updates, drv.majors, drv.minors
+    return (parts, views, eng.version, eng.threshold.N, eng.db_size(), drv.updates,
+            drv.majors, drv.minors)
 
 
 class DriverMachine(RuleBasedStateMachine):
@@ -109,3 +112,26 @@ class DriverMachine(RuleBasedStateMachine):
 
 DriverMachine.TestCase.settings = settings(max_examples=100, stateful_step_count=30, deadline=None)
 TestDriverMachine = DriverMachine.TestCase
+
+
+# none is a tuple of two hashable values; unrefused, a list key such as
+# S[1, 2] got through the delta steps' view writes and failed only at the
+# part write
+BAD_KEYS = [[1, 2], ([1], 2), (1, [2]), ({1: 2}, 3), [1, 2, 3], (1, 2, 3), (1,), 7, None]
+
+
+@pytest.mark.parametrize("query,double", VARIANTS)
+def test_bad_key_refused_before_any_write(query, double):
+    drv = Driver(make_engine(query, 0.5, double=double))
+    for upd in stream(WorkloadSpec(seed=3, domain=4, updates=120, delete_frac=0.2)):
+        drv.on_update(*upd)
+    before, ops = state(drv), drv.meter.snapshot()
+    for rel in "RST":
+        for key in BAD_KEYS:
+            for m in (1, -1):
+                with pytest.raises(ValueError) as err:
+                    drv.on_update(rel, key, m)
+                assert "\n" not in str(err.value)
+                assert state(drv) == before, (rel, key, m)
+    assert drv.meter.snapshot() == ops
+    drv.check_invariants(deep=True)
