@@ -5,7 +5,7 @@ from __future__ import annotations
 import copy
 
 from trimaint.partition import Threshold
-from trimaint.store import CostMeter, Relation
+from trimaint.store import CostMeter, Relation, entry_list
 from trimaint.iterators import StaleIterator
 
 
@@ -44,15 +44,21 @@ class EngineBase:
 
     @classmethod
     def from_database(cls, rd, sd, td, epsilon, meter=None):
-        """Build a state for an existing database: N = 2|D|+1, strict parts."""
+        """Build a state for an existing database: N = 2|D|+1, strict parts.
+
+        rd, sd and td are dicts from key to multiplicity. Raises ValueError,
+        before anything is built, unless every key is a tuple of two values
+        and every multiplicity a positive int. This is how an engine is
+        made: the constructor alone builds no parts and no views.
+        """
+        dbs = {"R": rd, "S": sd, "T": td}
+        for rel, d in dbs.items():
+            reason = _refused(rel, d)
+            if reason is not None:
+                raise ValueError(reason)
         eng = cls(epsilon, meter)
-        items = {
-            "R": list(rd.items()),
-            "S": list(sd.items()),
-            "T": list(td.items()),
-        }
-        n = sum(len(v) for v in items.values())
-        eng.rebuild(items, 2 * n + 1)
+        eng.rebuild({rel: list(d.items()) for rel, d in dbs.items()},
+                    2 * (len(rd) + len(sd) + len(td)) + 1)
         return eng
 
     def rebuild(self, rel_items, N):
@@ -67,7 +73,9 @@ class EngineBase:
         return self.size
 
     def rel_items(self):
-        return {name: list(p.items()) for name, p in self.parts.items()}
+        """Every part's (key, m) pairs by relation, each partition's parts
+        in label order."""
+        return {name: entry_list(p.parts.values(), self.meter) for name, p in self.parts.items()}
 
     def verify_views(self):
         """Raise AssertionError unless every view equals its recomputation.
@@ -91,6 +99,24 @@ class EngineBase:
                 raise StaleIterator(f"state advanced past version {v}")
 
         return check
+
+
+def _refused(rel, d):
+    """Why the database part `d` of relation `rel` is refused, in one line,
+    or None. A dict's keys are hashable already; the checks run at C speed
+    over the whole part first and look for the culprit only if one fails."""
+    if not d:
+        return None
+    if not (set(map(type, d)) <= {tuple} and set(map(len, d)) <= {2}):
+        for key in d:
+            if not (isinstance(key, tuple) and len(key) == 2):
+                return f"{rel}{key!r}: a key is a tuple of two values"
+    ms = d.values()
+    if not (set(map(type, ms)) <= {int} and min(ms, default=1) > 0):
+        for key, m in d.items():
+            if not (isinstance(m, int) and m > 0):
+                return f"{rel}{key}: multiplicity {m!r} is not a positive integer"
+    return None
 
 
 def _contents(view):

@@ -216,7 +216,7 @@ def static_ternary(rd, sd, td, pre_classified=False):
             for key, m in d.items():
                 drv.on_update(rel, key, m)
         return drv
-    eng = TernaryEngine.from_database({}, {}, {}, 0.5)
+    eng = TernaryEngine(0.5)
     size = len(rd) + len(sd) + len(td)
     eng.rebuild({"R": [], "S": [], "T": []}, 2 * size + 1)
     theta = eng.threshold.theta

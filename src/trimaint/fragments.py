@@ -36,6 +36,11 @@ at u0; the slice binds w, and (u0, u1, w) is the triangle in X's rotation
 
 The init path joins every direct fragment with `triangle_products` and
 fills every tree bottom up; `EngineBase.verify_views` reruns it on a copy.
+It collects what each view receives and fills the view with one
+`Relation.load`, `res` last, from the direct joins and the pair-less
+tops; a group of several parts is joined through one merged copy. Its
+charges are those of the same reads and writes made one by one, added
+in bulk, so a build's ops do not depend on how it is carried out.
 
 A table with no output variables (`out = ""`, d0's count) has a scalar
 output: every direct fragment and every tree top (its trees have no pair
@@ -68,7 +73,7 @@ from trimaint.base import EngineBase
 from trimaint.iterators import EOF, HopUnionIterator, KeyIterator, UnionIterator
 from trimaint.joins import triangle_products
 from trimaint.partition import DoublePartition, SinglePartition, strict_double, strict_single
-from trimaint.store import RejectedDelete, Relation, walk_probe, walk_sum
+from trimaint.store import RejectedDelete, Relation, entry_list, walk_probe, walk_sum
 
 RELS = ("R", "S", "T")
 BASE_IDX = ((0,), (1,))
@@ -398,11 +403,6 @@ class FragmentEngine(EngineBase):
                      (*third, "close", t, None, None, None)]
         cls._fills, cls._plan = tuple(fills), tuple(plan)
 
-    def __init__(self, epsilon, meter=None):
-        super().__init__(epsilon, meter)
-        self._fresh_views()
-        self._build_partitions({"R": [], "S": [], "T": []})
-
     def _build_partitions(self, rel_items):
         th = self.threshold.theta
         self.parts = {
@@ -425,53 +425,86 @@ class FragmentEngine(EngineBase):
 
     def _recompute_views(self):
         self._fresh_views()
-        parts, merged = self.parts, {}
+        parts, meter, merged = self.parts, self.meter, {}
 
         def join_input(group):
             rel, labels = group
             if len(labels) == 1:
                 return parts[rel].parts[labels[0]]
             if group not in merged:
-                merged[group] = into = Relation(f"{rel}_all", 2, BASE_IDX, self.meter)
-                for lab in labels:
-                    for k, m in parts[rel].parts[lab].items():
-                        into.apply_delta(k, m)
+                merged[group] = into = Relation(f"{rel}_all", 2, BASE_IDX, meter)
+                into.load(entry_list([parts[rel].parts[lab] for lab in labels], meter))
             return merged[group]
 
         key = self._out_of_abc
+        res = []  # what the direct joins and the pair-less tops write into res
         for groups in self._joins:
             products = triangle_products(*map(join_input, groups))
             if key is None:
                 self.count += sum(prod for *_, prod in products)
-                continue
-            res = self.res
-            for a, b, c, prod in products:
-                res.apply_delta(key((a, b, c)), prod)
+            else:
+                res += [(key((a, b, c)), prod) for a, b, c, prod in products]
         for t, left, right in self._fills:
-            pair = getattr(self, t.pair) if t.pair else None
-            hat, top = getattr(self, t.hat), getattr(self, t.top) if self.out else None
-            root = getattr(self, t.root) if t.root else None
-            right = join_input(right)
-            for (x, y), ml in join_input(left).items():
-                for (_, z), mr in right.slice_items((0,), y):
-                    if pair is not None:
-                        pair.apply_delta((x, y, z), ml * mr)
-                    hat.apply_delta((x, z), ml * mr)
-            third = parts[t.third]
-            for (x, z), v in hat.items():
-                tm = third.total((z, x))
-                if tm and top is None:
-                    self.count += v * tm
-                elif tm:
-                    top.apply_delta(t.top_of((x, z)), v * tm)
-                    if root is not None:
-                        root.apply_delta(t.root_of((x, z)), v * tm)
-            if root is not None:
+            closed = self._fill(t, join_input(left), join_input(right))
+            if not self.out:
+                self.count += sum(v for _, v in closed)
+                continue
+            top_of = t.top_of
+            if t.top == "res":
+                res += [(top_of(hk), v) for hk, v in closed]
+                continue
+            top = getattr(self, t.top)
+            top.load([(top_of(hk), v) for hk, v in closed])
+            if t.root:
+                root_of, pos, pair = t.root_of, t.root_pos, getattr(self, t.pair)
+                getattr(self, t.root).load([(root_of(hk), v) for hk, v in closed])
+                # the top's entries, read one tick each, are the closed (x, z)
+                meter.total += len(closed)
                 bsz = getattr(self, t.bsz)
-                for ck, _ in top.items():
-                    hk = t.hat_of(ck)
-                    c = hk[t.root_pos]
+                for hk, _ in closed:
+                    c = hk[pos]
                     bsz[c] = bsz.get(c, 0) + pair.slice_count((0, 2), hk)
+        if key is not None:
+            self.res.load(res)
+
+    def _fill(self, t, left, right):
+        """Load tree t's pair and hat views from its left and right inputs;
+        return [((x, z), hat value * the third relation's total at (z, x))]
+        over the hat's entries in order, where that total is nonzero.
+
+        Charged as the reads through `items`, `slice_items` and `total`
+        would be, one add per loop.
+        """
+        if not left.entries:
+            # nothing to fill or charge; returning now keeps an empty build cheap
+            return []
+        pair = getattr(self, t.pair) if t.pair else None
+        hat, meter = getattr(self, t.hat), self.meter
+        by_y, re = right.hash_slices((0,)), right.entries
+        pairs, hats, walked = [], [], 0
+        for (x, y), ml in left.entries.items():
+            s = by_y.get(y, ())
+            walked += len(s)
+            for yz in s:
+                d, z = ml * re[yz], yz[1]
+                hats.append(((x, z), d))
+                if pair is not None:
+                    pairs.append(((x, y, z), d))
+        meter.total += 2 * len(left.entries) + walked
+        if pair is not None:
+            pair.load(pairs)
+        hat.load(hats)
+        ga, gb, *more = [p.entries.get for p in self.parts[t.third].parts.values()]
+        meter.total += (3 + len(more)) * len(hat.entries)
+        closed = []
+        for (x, z), v in hat.entries.items():
+            zx = z, x
+            tm = ga(zx, 0) + gb(zx, 0)
+            for g in more:
+                tm += g(zx, 0)
+            if tm:
+                closed.append(((x, z), v * tm))
+        return closed
 
     # -- update processing ------------------------------------------------
 

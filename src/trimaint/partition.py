@@ -177,6 +177,8 @@ class DoublePartition:
             for side, var, rels in (("X", self.vx, (hh, hl, lh, ll)),
                                     ("Y", self.vy, (hh, lh, hl, ll)))
         }
+        # the first two of each: where routing looks a value's class up
+        self._heavy = self._sides["X"][:2] + self._sides["Y"][:2]
 
     def part(self, lab):
         return self.parts[lab]
@@ -202,20 +204,17 @@ class DoublePartition:
             return self.vx, ("HH", "HL"), ("LH", "LL")
         return self.vy, ("HH", "LH"), ("HL", "LL")
 
-    def side_class(self, side, value):
-        """Class of a value on one side, charged as one membership test per
-        heavy part tried."""
-        h1, h2 = self._sides[side][:2]
-        if value in h1:
-            self.meter.total += 1
-            return "H"
-        self.meter.total += 2
-        return "H" if value in h2 else "L"
-
     def affected_label(self, key, epsilon):
+        """Part an update with this tuple lands in: per side, H if a heavy
+        part holds the value. Charged as one membership test per heavy
+        part tried, the HH part first."""
         if epsilon == 0:
             return "HH"
-        return self.side_class("X", key[self.vx]) + self.side_class("Y", key[self.vy])
+        x, y = key[self.vx], key[self.vy]
+        xa, xb, ya, yb = self._heavy
+        hx, hy = x in xa, y in ya
+        self.meter.total += 4 - hx - hy
+        return _LABELS[hx or x in xb][hy or y in yb]
 
     def minor_moves(self, key, label, theta):
         """Moves the loose conditions need after an update of `key` routed
@@ -292,6 +291,10 @@ class DoublePartition:
             assert not (hv & lv), f"{self.name}/{side}: shared values {hv & lv}"
 
 
+# a double partition's part label by (X-side heavy, Y-side heavy)
+_LABELS = (("LL", "LH"), ("HL", "HH"))
+
+
 def move_target(label, side, direction):
     """Label a tuple moves to when `side` flips class in `direction`."""
     new = "H" if direction == "to_heavy" else "L"
@@ -303,30 +306,35 @@ def move_target(label, side, direction):
 
 
 def strict_single(items, name, arity, index_cols, meter, theta, var=0):
-    """Build a SinglePartition placing each value by its strict degree."""
+    """Build a SinglePartition placing each value by its strict degree;
+    each part is loaded in one pass, in the order of `items`."""
     buf = list(items)
-    deg = Counter()
-    for key, _ in buf:
-        deg[key[var]] += 1
     p = SinglePartition(name, arity, index_cols, meter, var=var)
-    for key, m in buf:
-        lab = "H" if deg[key[var]] >= theta else "L"
-        p.parts[lab].apply_delta(key, m)
+    if not buf:  # empty parts; skipping the degree count keeps an empty build cheap
+        return p
+    deg = Counter(key[var] for key, _ in buf)
+    heavy = {v for v, d in deg.items() if d >= theta}
+    p._h.load([kv for kv in buf if kv[0][var] in heavy])
+    p._l.load([kv for kv in buf if kv[0][var] not in heavy])
     return p
 
 
 def strict_double(items, name, arity, index_cols, meter, theta, variables=(0, 1)):
-    """Build a DoublePartition from the strict partitions on both variables."""
+    """Build a DoublePartition from the strict partitions on both variables,
+    each part loaded in one pass, in the order of `items`."""
     buf = list(items)
-    vx, vy = variables
-    degx = Counter()
-    degy = Counter()
-    for key, _ in buf:
-        degx[key[vx]] += 1
-        degy[key[vy]] += 1
     p = DoublePartition(name, arity, index_cols, meter, variables=variables)
-    for key, m in buf:
-        xc = "H" if degx[key[vx]] >= theta else "L"
-        yc = "H" if degy[key[vy]] >= theta else "L"
-        p.parts[xc + yc].apply_delta(key, m)
+    if not buf:  # empty parts; skipping the degree count keeps an empty build cheap
+        return p
+    vx, vy = variables
+    degx = Counter(key[vx] for key, _ in buf)
+    degy = Counter(key[vy] for key, _ in buf)
+    hx = {v for v, d in degx.items() if d >= theta}
+    hy = {v for v, d in degy.items() if d >= theta}
+    groups = {lab: [] for lab in DoublePartition.labels}
+    for kv in buf:
+        key = kv[0]
+        groups[_LABELS[key[vx] in hx][key[vy] in hy]].append(kv)
+    for lab, group in groups.items():
+        p.parts[lab].load(group)
     return p

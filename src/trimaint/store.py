@@ -32,15 +32,23 @@ and single slice dicts, so a kernel reads both afresh on every call. A
 kernel charges exactly what the equivalent `slice_items` and `lookup`
 calls would, in one add once its walk has run (see CostMeter for when
 that is allowed).
+
+The init path (a build, and every major) fills each fresh part and view
+with `load`: one pass per index over the new entries, in the order and
+at the charge of one `apply_delta` per item, the charge in one add.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from contextlib import contextmanager
+from itertools import chain
 from operator import itemgetter
 
 # high-water mark at or below which a dict is never rebuilt (see above)
 COMPACT_FLOOR = 8
+
+_mult = itemgetter(1)
 
 
 class RejectedDelete(Exception):
@@ -66,8 +74,10 @@ class CostMeter:
 
     A loop may charge its whole cost in one add (bulk charging) only if it
     always runs to its end and nothing reads `total` while it runs: the
-    update-path kernels (`walk_probe`) do. Enumeration, hop iterators, walks
-    that can stop early and the init path charge item by item, so the
+    update-path kernels (`walk_probe`) do, and so does the init path, since
+    a build or a rebuild always runs to its end (`Relation.load`,
+    `joins.triangle_products` and the tree fills). Enumeration, hop
+    iterators and walks that can stop early charge item by item, so the
     delay between two reads of `total` is what was metered in between.
     """
 
@@ -265,6 +275,53 @@ class Relation:
             self._hwm = n
         return 0
 
+    def load(self, items):
+        """Fill this empty relation from (key, m) pairs, every m > 0.
+
+        The result, and the meter's charge, are those of one `apply_delta`
+        per pair in order: a key that repeats adds up, each pair costs one
+        tick and each distinct key one more per index, charged in one add.
+        Each index is filled in one pass over the new entries. Raises
+        ValueError, before any mutation, if the relation holds a tuple or
+        some m is not positive.
+        """
+        if self.entries:
+            raise ValueError(f"{self.name}: load needs an empty relation")
+        items = items if isinstance(items, list) else list(items)
+        if not items:
+            return
+        if min(map(_mult, items)) <= 0:
+            raise ValueError(f"{self.name}: load needs positive multiplicities")
+        entries = dict(items)
+        if len(entries) < len(items):
+            # a key repeats: its multiplicities add up
+            entries = {}
+            get = entries.get
+            for key, m in items:
+                entries[key] = get(key, 0) + m
+        self.entries = entries
+        n = len(entries)
+        if n > self._hwm:
+            self._hwm = n
+        for project, slices, marks, nodes in self._indexes:
+            if nodes is not None:
+                for key in entries:
+                    sub = project(key)
+                    s = slices.get(sub)
+                    if s is None:
+                        s = slices[sub] = _KeyList()
+                    node = nodes[key] = _Node(key)
+                    s.append(node)
+                continue
+            groups = defaultdict(dict)
+            for key in entries:
+                groups[project(key)][key] = None
+            slices.update(groups)
+            for sub, s in groups.items():
+                if len(s) > COMPACT_FLOOR:
+                    marks[sub] = len(s)
+        self.meter.total += len(items) + n * len(self._indexes)
+
     def _missing(self, cols, kind="index"):
         return MissingIndex(f"{self.name}: no {kind} on columns {cols}")
 
@@ -389,6 +446,15 @@ class Relation:
             assert set(marks) <= set(slices), (self.name, cols)
             if nodes is not None:
                 assert len(nodes) == len(entries), (self.name, cols)
+
+
+def entry_list(rels, meter):
+    """The (key, m) pairs of the Relations `rels`, one after another, each
+    in insertion order, as a list; charged one tick per pair, as `items`
+    charges, in one add."""
+    kvs = list(chain.from_iterable(r.entries.items() for r in rels))
+    meter.total += len(kvs)
+    return kvs
 
 
 def walk_probe(walked, col, probed, meter):

@@ -38,3 +38,25 @@ def part_labels(eng, triangle=TRIANGLE):
     """Labels of the parts holding each tuple of the triangle, by relation."""
     return {rel: [lab for lab, part in eng.parts[rel].parts.items() if key in part.entries]
             for rel, key in triangle}
+
+
+def relation_layout(r):
+    """Everything the insertion order of a Relation shows: its entries,
+    high-water mark, and per index each slice's members in order (a linked
+    slice walked from its head, with its tail and count), the marks and
+    the order of the linked nodes."""
+    out = [list(r.entries.items()), r._hwm]
+    for _, slices, marks, nodes in r._indexes:
+        if nodes is None:
+            out.append([(sub, list(s)) for sub, s in slices.items()])
+        else:
+            walks = []
+            for sub, s in slices.items():
+                keys, node = [], s.head
+                while node is not None:
+                    keys.append(node.key)
+                    node = node.nxt
+                walks.append((sub, keys, s.tail.key, s.count))
+            out += [walks, list(nodes)]
+        out.append(dict(marks))
+    return out

@@ -146,7 +146,7 @@ def test_double_partition_y_side_promotion():
     for b in range(6):
         drv.on_update("S", (80 + b, 9), 1)
     assert drv.minors == 1
-    assert part.side_class("Y", 9) == "H"
+    assert part.affected_label((0, 9), 0.5)[1] == "H"
     assert part.part("LH").slice_count((1,), 9) == 6
     drv.check_invariants(deep=True)
 
@@ -408,8 +408,9 @@ from trimaint.oracle import oracle_triangle
 from trimaint.workload import WorkloadSpec, stream
 
 K = {"d0": 0, "d1": 1, "d2": 2, "d3": 3}
+VARIANTS = (("d0", False), ("d0", True), ("d1", False), ("d2", False), ("d3", False))
 spec = WorkloadSpec(seed=5, domain=8, updates=200, delete_frac=0.3)
-for query, double in (("d0", False), ("d0", True), ("d1", False), ("d2", False), ("d3", False)):
+for query, double in VARIANTS:
     drv = Driver(make_engine(query, 0.5, double=double))
     rels = {"R": {}, "S": {}, "T": {}}
     for rel, key, m in stream(spec):
@@ -431,6 +432,16 @@ for query, double in (("d0", False), ("d0", True), ("d1", False), ("d2", False),
     if drv.engine.query_result() != oracle_triangle(rels["R"], rels["S"], rels["T"], K[query]):
         raise SystemExit(f"{query}: result differs from the oracle")
     print("ok", query, double)
+for bad in ({(1, 2): 0}, {(1, 2): -1}, {(1, 2): 1.5}, {(1, 2, 3): 1}, {(1,): 1}, {7: 1}):
+    for query, double in VARIANTS:
+        try:
+            # a well-formed R, then a malformed T
+            make_engine(query, 0.5, double=double, rd={(0, 1): 1}, td=bad)
+        except ValueError as e:
+            if len(str(e).splitlines()) != 1:
+                raise SystemExit(f"{query}: {bad} refused with {e!r}")
+        else:
+            raise SystemExit(f"{query} built from {bad}")
 try:
     WorkloadSpec(skew="zipf:nan")
 except ValueError:
@@ -441,7 +452,8 @@ else:
 
 
 def test_input_boundary_holds_under_optimize():
-    # asserts are compiled out under -O; the input checks of on_update must not be
+    # asserts are compiled out under -O; the input checks of on_update and
+    # of a database given to make_engine must not be
     src = Path(trimaint.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(src), os.environ.get("PYTHONPATH")) if p))

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from conftest import relation_layout
 from trimaint.binary import BinaryEngine
 from trimaint.driver import Driver, make_engine
 from trimaint.nullary import NullaryDoubleEngine, NullaryEngine
@@ -145,3 +146,41 @@ def test_audit_catches_every_skipped_step(cls, monkeypatch):
                 e = fresh()
                 e.apply_update(rel, label, key, 1)
                 e.verify_views()
+
+
+def built_state(eng):
+    """The layout of every part and view, and the meter's snapshot."""
+    out = {f"{rel}^{lab}": relation_layout(r)
+           for rel, p in eng.parts.items() for lab, r in p.parts.items()}
+    for name in eng.view_names:
+        v = getattr(eng, name)
+        out[name] = (relation_layout(v) if isinstance(v, Relation)
+                     else list(v.items()) if isinstance(v, dict) else v)
+    return out, eng.meter.snapshot()
+
+
+@pytest.mark.parametrize("query,double", VARIANTS)
+def test_init_path_loads_as_per_item_writes(query, double, monkeypatch):
+    # a grown database with heavy and light values in every relation
+    grown = rich_driver(query, double, 0.25).engine.rel_items()
+    db = {rel: dict(kvs) for rel, kvs in grown.items()}
+
+    def build_and_major():
+        eng = make_engine(query, 0.25, double=double, rd=db["R"], sd=db["S"], td=db["T"])
+        # every part and every view relation is loaded with entries
+        rels = [r for p in eng.parts.values() for r in p.parts.values()]
+        rels += [v for v in map(eng.__getattribute__, eng.view_names) if isinstance(v, Relation)]
+        assert all(len(r) for r in rels)
+        built = built_state(eng)
+        Driver(eng)._major(eng.threshold.N)
+        return built, built_state(eng)
+
+    got = build_and_major()
+
+    def per_item(self, items):
+        for key, m in items:
+            self.apply_delta(key, m)
+
+    monkeypatch.setattr(Relation, "load", per_item)
+    want = build_and_major()
+    assert got == want

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import relation_layout
+from trimaint import store
 from trimaint.store import CostMeter, MissingIndex, RejectedDelete, Relation
 
 
@@ -292,3 +294,65 @@ def test_hash_and_linked_indexes_agree_with_list_model(ops, picks):
         key, mult = model[p % len(model)]
         step(key, -mult - (p % 3 == 0))
     assert list(r.items()) == [tuple(e) for e in model]
+
+
+# (key, m) pairs with repeated keys; a few values on column 0 gather more
+# tuples than the compaction floor
+load_items = st.lists(
+    st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 40)), st.integers(1, 3)),
+    max_size=120,
+)
+
+
+@pytest.mark.parametrize("floor", [store.COMPACT_FLOOR, float("inf")])
+@pytest.mark.parametrize("linked", [(), ((1,),), ((0,), (1,))])
+@settings(max_examples=60)
+@given(items=load_items)
+def test_load_matches_per_item_apply_delta(floor, linked, items):
+    saved = store.COMPACT_FLOOR
+    store.COMPACT_FLOOR = floor
+    try:
+        loaded = Relation("R", 2, ((0,), (1,)), CostMeter(), linked)
+        loaded.load(items)
+        applied = Relation("R", 2, ((0,), (1,)), CostMeter(), linked)
+        for key, m in items:
+            applied.apply_delta(key, m)
+        assert relation_layout(loaded) == relation_layout(applied)
+        assert loaded.meter.total == applied.meter.total
+        loaded.check_consistency()
+    finally:
+        store.COMPACT_FLOOR = saved
+
+
+def test_load_into_a_drained_relation_keeps_its_mark():
+    r = make_rel()
+    for b in range(5):
+        r.apply_delta((1, b), 1)
+    for b in range(5):
+        r.apply_delta((1, b), -1)
+    r.load([((2, 3), 1)])
+    assert r._hwm == 5
+    r.check_consistency()
+
+
+@pytest.mark.parametrize("items", [
+    [((1, 2), 1), ((1, 3), 0)],
+    [((1, 2), 2), ((1, 2), -1)],
+    [((1, 2), -1)],
+])
+def test_load_refuses_a_nonpositive_multiplicity_untouched(items):
+    r = Relation("R", 2, ((0,), (1,)), linked=((1,),))
+    with pytest.raises(ValueError):
+        r.load(items)
+    assert r.meter.total == 0
+    assert relation_layout(r) == relation_layout(Relation("R", 2, ((0,), (1,)), linked=((1,),)))
+
+
+def test_load_refuses_a_nonempty_relation_untouched():
+    r = make_rel()
+    r.apply_delta((1, 2), 1)
+    before, ops = relation_layout(r), r.meter.total
+    with pytest.raises(ValueError):
+        r.load([((3, 4), 1)])
+    assert relation_layout(r) == before
+    assert r.meter.total == ops
