@@ -17,6 +17,7 @@ bookkeeping runs only when a move is due.
 from trimaint.binary import BinaryEngine
 from trimaint.nullary import NullaryDoubleEngine, NullaryEngine
 from trimaint.partition import move_target
+from trimaint.store import Relation
 from trimaint.ternary import TernaryEngine
 from trimaint.unary import UnaryEngine
 
@@ -157,8 +158,9 @@ class Driver:
         """Assert the size invariant and clean loose conditions.
 
         With deep=True also recompute every view and check the index
-        structures; the meter keeps ticking during these reads, so cost
-        measuring runs should not interleave with this.
+        structures of every part and view Relation; the meter keeps
+        ticking during these reads, so cost measuring runs should not
+        interleave with this.
         """
         eng = self.engine
         n = eng.threshold.N
@@ -178,4 +180,8 @@ class Driver:
                 if deep:
                     r.check_consistency()
         if deep:
+            for name in eng.view_names:
+                view = getattr(eng, name)
+                if isinstance(view, Relation):
+                    view.check_consistency()
             eng.verify_views()

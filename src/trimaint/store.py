@@ -4,31 +4,42 @@
 declared projection is an index from projection key to the slice of
 tuples under it, of one of two kinds:
 
-  * hash (the default): the slice is an insertion-ordered dict of its
-    tuples, so add, remove and count are one dict operation each and a
+  * hash (the default): the slice is a list of its tuples while it
+    holds at most COMPACT_FLOOR of them and a dict above that, both in
+    insertion order, so add, remove and count take constant time and a
     slice walk runs in insertion order;
   * linked (listed in `linked=`): the slice is an insertion-ordered
     doubly-linked list with a node per tuple, which also answers
     `slice_head` and `slice_next` in O(1). Hop iterators need that
     successor step; nothing else does, so only their indexes pay for it.
 
+Most slices are tiny, and on CPython 3.11 a list of one to COMPACT_FLOOR
+tuples takes 64 to 120 bytes where a dict of them takes 224 or 352. A
+list slice is scanned to remove a tuple, which is at most COMPACT_FLOOR
+steps. The write that takes a list
+past the floor replaces it with a dict of the same tuples in the same
+order; that promotion is unmetered constant work, like a dict resize,
+since the list holds COMPACT_FLOOR + 1 tuples.
+
 CPython dicts keep the slots of deleted keys until they next grow, and
 iterating walks those slots too: a dict that shrank from a million keys
 to one still takes milliseconds to yield its first key, delay the meter
 cannot see. So every dict that is iterated and can shrink (`entries` and
-each hash slice) is rebuilt once its length falls below a quarter of its
+each dict slice) is rebuilt once its length falls below a quarter of its
 high-water mark, charged one tick per entry moved; the rebuilt dict's
-mark is its new length. Dicts whose mark is at most COMPACT_FLOOR are
-left alone: CPython sizes a dict from its live keys whenever it grows, so
-one that never held more than that many keys has a small constant number
-of slots to walk.
+mark is its new length, and a rebuilt slice of at most COMPACT_FLOOR
+tuples becomes a list again. `entries` is left alone while its mark is
+at most COMPACT_FLOOR: CPython sizes a dict from its live keys whenever
+it grows, so one that never held more than that many keys has a small
+constant number of slots to walk.
 
 The update path reads the parts through `walk_probe`, one kernel for the
 loops of the form "walk one partner's slice, probe the other partner at
 the rotated pair", and `walk_sum`, which also keeps the misses. A kernel
 is bound once per build to the parts and to the `slices` map of their
-index, which lives as long as its Relation; compaction replaces `entries`
-and single slice dicts, so a kernel reads both afresh on every call. A
+index, which lives as long as its Relation; promotion and compaction
+replace single slices, and compaction replaces `entries`, so a kernel
+reads both afresh on every call. A
 kernel charges exactly what the equivalent `slice_items` and `lookup`
 calls would, in one add once its walk has run (see CostMeter for when
 that is allowed).
@@ -45,7 +56,8 @@ from contextlib import contextmanager
 from itertools import chain
 from operator import itemgetter
 
-# high-water mark at or below which a dict is never rebuilt (see above)
+# most tuples a list slice holds, and the high-water mark at or below
+# which a dict is never rebuilt (see above)
 COMPACT_FLOOR = 8
 
 _mult = itemgetter(1)
@@ -169,8 +181,9 @@ class Relation:
     those also listed in `linked` are linked indexes (see the module
     docstring). Each index is a tuple (projector, slices, marks, nodes):
     slices maps projection key to slice, marks holds the high-water mark
-    of each hash slice above COMPACT_FLOOR, and nodes maps each stored
-    tuple to its list node for a linked index and is None for a hash one.
+    of each dict slice (a hash slice has a mark exactly when it is a dict,
+    and a list slice none), and nodes maps each stored tuple to its list
+    node for a linked index and is None for a hash one.
     """
 
     __slots__ = ("name", "arity", "meter", "index_cols", "entries", "_hwm",
@@ -237,12 +250,18 @@ class Relation:
                     node = nodes[key] = _Node(key)
                     s.append(node)
                 elif s is None:
-                    slices[sub] = {key: None}
+                    slices[sub] = [key]
+                elif s.__class__ is list:
+                    s.append(key)
+                    if len(s) > COMPACT_FLOOR:
+                        # promotion: unmetered, like a dict resize, since
+                        # the list holds COMPACT_FLOOR + 1 tuples
+                        slices[sub] = dict.fromkeys(s)
+                        marks[sub] = len(s)
                 else:
                     s[key] = None
-                    n = len(s)
-                    if n > COMPACT_FLOOR and n > marks.get(sub, 0):
-                        marks[sub] = n
+                    if len(s) > marks[sub]:
+                        marks[sub] = len(s)
             return new
         del entries[key]
         for project, slices, marks, nodes in indexes:
@@ -253,21 +272,24 @@ class Relation:
                 if not s.count:
                     del slices[sub]
                 continue
+            if s.__class__ is list:
+                # at most COMPACT_FLOOR tuples to scan
+                s.remove(key)
+                if not s:
+                    del slices[sub]
+                continue
             del s[key]
             n = len(s)
             if not n:
-                del slices[sub]
-                if marks:
-                    marks.pop(sub, None)
-            elif marks:
-                mark = marks.get(sub)
-                if mark is not None and 4 * n < mark:
+                del slices[sub], marks[sub]
+            elif 4 * n < marks[sub]:
+                meter.total += n
+                if n > COMPACT_FLOOR:
                     slices[sub] = dict(s)
-                    meter.total += n
-                    if n > COMPACT_FLOOR:
-                        marks[sub] = n
-                    else:
-                        del marks[sub]
+                    marks[sub] = n
+                else:
+                    slices[sub] = list(s)
+                    del marks[sub]
         n = len(entries)
         if 4 * n < self._hwm and self._hwm > COMPACT_FLOOR:
             self.entries = dict(entries)
@@ -313,13 +335,14 @@ class Relation:
                     node = nodes[key] = _Node(key)
                     s.append(node)
                 continue
-            groups = defaultdict(dict)
+            groups = defaultdict(list)
             for key in entries:
-                groups[project(key)][key] = None
-            slices.update(groups)
+                groups[project(key)].append(key)
             for sub, s in groups.items():
                 if len(s) > COMPACT_FLOOR:
+                    groups[sub] = dict.fromkeys(s)
                     marks[sub] = len(s)
+            slices.update(groups)
         self.meter.total += len(items) + n * len(self._indexes)
 
     def _missing(self, cols, kind="index"):
@@ -369,9 +392,10 @@ class Relation:
             node = node.nxt
 
     def hash_slices(self, cols):
-        """The slices map of a hash index: projection key -> dict of its
-        tuples. The map lives as long as the Relation; the slice dicts in
-        it do not (compaction replaces them)."""
+        """The slices map of a hash index: projection key -> list or dict
+        of its tuples, both iterated in insertion order. The map lives as
+        long as the Relation; the slices in it do not (promotion and
+        compaction replace them)."""
         ix = self._by_cols.get(cols)
         if ix is None or ix[3] is not None:
             raise self._missing(cols, "hash index")
@@ -427,8 +451,14 @@ class Relation:
                 if nodes is None:
                     keys = list(s)
                     mark = marks.get(sub)
-                    if mark is not None:
-                        assert mark > COMPACT_FLOOR and 4 * len(s) >= mark, (self.name, cols, sub)
+                    if s.__class__ is list:
+                        # a list, unlike a dict, would keep a repeated key
+                        assert mark is None and len(s) <= COMPACT_FLOOR, (self.name, cols, sub)
+                        assert len(set(s)) == len(s), (self.name, cols, sub)
+                    else:
+                        assert s.__class__ is dict and mark is not None, (self.name, cols, sub)
+                        assert mark > COMPACT_FLOOR and mark >= len(s), (self.name, cols, sub)
+                        assert 4 * len(s) >= mark, (self.name, cols, sub)
                 else:
                     keys, node, prev = [], s.head, None
                     while node is not None:

@@ -42,13 +42,14 @@ def part_labels(eng, triangle=TRIANGLE):
 
 def relation_layout(r):
     """Everything the insertion order of a Relation shows: its entries,
-    high-water mark, and per index each slice's members in order (a linked
-    slice walked from its head, with its tail and count), the marks and
-    the order of the linked nodes."""
+    high-water mark, and per index each slice's members in order (a hash
+    slice with its container kind, list or dict; a linked slice walked
+    from its head, with its tail and count), the marks and the order of
+    the linked nodes."""
     out = [list(r.entries.items()), r._hwm]
     for _, slices, marks, nodes in r._indexes:
         if nodes is None:
-            out.append([(sub, list(s)) for sub, s in slices.items()])
+            out.append([(sub, type(s), list(s)) for sub, s in slices.items()])
         else:
             walks = []
             for sub, s in slices.items():

@@ -317,6 +317,22 @@ def test_op_counts_pinned(query, double, compact, monkeypatch):
     assert drv.engine.db_size() == 0
 
 
+def test_deep_audit_checks_view_indexes():
+    grow, _ = pinned_stream()
+    drv = make_driver("d2", 0.25)
+    for upd in grow[:400]:
+        drv.on_update(*upd)
+    drv.check_invariants(deep=True)
+    # a key repeated in a list slice of a pair view's hash index: the
+    # view's entries, and so its recomputation, stay the same
+    (_, slices, _, _), = [ix for ix in drv.engine.pair_rs._indexes if ix[3] is None]
+    s = next(s for s in slices.values() if type(s) is list)
+    s.append(s[0])
+    drv.check_invariants()
+    with pytest.raises(AssertionError):
+        drv.check_invariants(deep=True)
+
+
 @pytest.mark.parametrize("query", ["d1", "d2"])
 def test_hop_union_buckets_are_never_empty(query):
     # HopUnionIterator requires a nonzero size for every bucket key; the

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from conftest import relation_layout
+from trimaint import store
 from trimaint.binary import BinaryEngine
 from trimaint.driver import Driver, make_engine
 from trimaint.nullary import NullaryDoubleEngine, NullaryEngine
@@ -164,6 +165,10 @@ def test_init_path_loads_as_per_item_writes(query, double, monkeypatch):
     # a grown database with heavy and light values in every relation
     grown = rich_driver(query, double, 0.25).engine.rel_items()
     db = {rel: dict(kvs) for rel, kvs in grown.items()}
+    # and a hub on each relation's first column with more tuples than the
+    # compaction floor, so that some slices are dicts
+    for d in db.values():
+        d.update({(0, 100 + i): 1 for i in range(store.COMPACT_FLOOR + 4)})
 
     def build_and_major():
         eng = make_engine(query, 0.25, double=double, rd=db["R"], sd=db["S"], td=db["T"])
@@ -171,6 +176,10 @@ def test_init_path_loads_as_per_item_writes(query, double, monkeypatch):
         rels = [r for p in eng.parts.values() for r in p.parts.values()]
         rels += [v for v in map(eng.__getattribute__, eng.view_names) if isinstance(v, Relation)]
         assert all(len(r) for r in rels)
+        # hash slices of both kinds: lists up to COMPACT_FLOOR, dicts above
+        kinds = {type(s) for r in rels for _, slices, _, nodes in r._indexes
+                 if nodes is None for s in slices.values()}
+        assert kinds == {list, dict}
         built = built_state(eng)
         Driver(eng)._major(eng.threshold.N)
         return built, built_state(eng)

@@ -70,7 +70,9 @@ def check_kernel(rels, meter, kernel, summed, walked, col, probed, subs):
 
 
 # a slice grows past COMPACT_FLOOR under sub 0 and then mostly drains, so
-# slice dicts and entries dicts are rebuilt after the kernel was bound
+# slices are promoted from lists to dicts, compacted and demoted to lists
+# again, and entries dicts rebuilt, all after the kernel was bound: a
+# kernel must read the new slice object on every call
 @settings(max_examples=60, deadline=None)
 @given(nwalk=st.integers(1, 2), nprobe=st.sampled_from([0, 1, 2, 4]), col=st.sampled_from([0, 1]),
        ops=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 2), st.integers(0, 40),

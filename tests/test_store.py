@@ -199,6 +199,64 @@ def test_shrunk_slice_is_rebuilt_with_metered_ticks():
     r.check_consistency()
 
 
+def test_slice_is_a_list_up_to_the_floor_and_a_marked_dict_above():
+    # one hash slice through its life, checked after every write against
+    # a list model and against the ticks the dict-only store charged (two
+    # per write, plus one per tuple moved when compaction fires): a list
+    # while it grows to the floor, a dict with a mark from floor + 1, a
+    # dict rebuilt by compaction while that leaves it above the floor, a
+    # list again once compaction leaves it at or below, gone when empty
+    floor = store.COMPACT_FLOOR
+    assert floor == 8  # the compaction sizes below follow from it
+    m = CostMeter()
+    r = Relation("R", 2, index_cols=((0,),), meter=m)
+    # a second slice keeps the entries dict from being compacted
+    for b in range(48):
+        r.apply_delta((0, b), 1)
+    slices, marks = r._by_cols[(0,)][1:3]
+    model, log = [], []
+
+    def write(key, mult):
+        before = m.total
+        r.apply_delta(key, mult)
+        if mult > 0:
+            model.append(key)
+        else:
+            model.remove(key)
+        s = slices.get(1)
+        kind = None if s is None else type(s)
+        log.append((len(model), kind, marks.get(1), m.total - before - 2))
+        assert [k for k, _ in r.slice_items((0,), 1)] == model
+        r.check_consistency()
+
+    for b in range(48):
+        write((1, b), 1)
+    assert log == [(n, list, None, 0) for n in range(1, floor + 1)] + [
+        (n, dict, n, 0) for n in range(floor + 1, 49)]
+    log.clear()
+    # drain from the middle: compaction at 11 (44 < 48) keeps a dict,
+    # at 2 (8 < 11) makes a list
+    while len(model) > 1:
+        write(model[len(model) // 2], -1)
+    assert log == [(n, dict, 48, 0) for n in range(47, 11, -1)] + [
+        (11, dict, 11, 11)] + [(n, dict, 11, 0) for n in range(10, 2, -1)] + [
+        (2, list, None, 2), (1, list, None, 0)]
+    log.clear()
+    for b in range(100, 100 + floor - 1):
+        write((1, b), 1)
+    write(model[0], -1)
+    write((1, 200), 1)
+    write((1, 201), 1)
+    assert log == [(n, list, None, 0) for n in range(2, floor + 1)] + [
+        (floor - 1, list, None, 0), (floor, list, None, 0), (floor + 1, dict, floor + 1, 0)]
+    log.clear()
+    while model:
+        write(model[-1], -1)
+    assert log == [(n, dict, floor + 1, 0) for n in range(floor, 2, -1)] + [
+        (2, list, None, 2), (1, list, None, 0), (0, None, None, 0)]
+    assert 1 not in slices and 1 not in marks
+
+
 def test_shrunk_entries_are_rebuilt_with_metered_ticks():
     m = CostMeter()
     r = Relation("V", 1, meter=m)
