@@ -11,7 +11,7 @@ import csv
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from trimaint.driver import Driver, make_engine
 from trimaint.oracle import DimensionMismatch, RefMaintainer
@@ -152,15 +152,7 @@ def bench_sweep(query, epsilons, sizes, base_spec, double=False):
     rows = []
     for eps in epsilons:
         for n in sizes:
-            spec = WorkloadSpec(
-                seed=base_spec.seed,
-                domain=base_spec.domain,
-                updates=n,
-                delete_frac=base_spec.delete_frac,
-                skew=base_spec.skew,
-                mult_lo=base_spec.mult_lo,
-                mult_hi=base_spec.mult_hi,
-            )
+            spec = replace(base_spec, updates=n)
             t0 = time.monotonic()
             drv, rejected, max_update = run_stream(query, eps, stream(spec), double)
             delay = measure_delay(drv.engine)

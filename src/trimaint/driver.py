@@ -16,8 +16,7 @@ bookkeeping runs only when a move is due.
 
 from trimaint.binary import BinaryEngine
 from trimaint.nullary import NullaryDoubleEngine, NullaryEngine
-from trimaint.partition import move_target
-from trimaint.store import Relation
+from trimaint.store import Relation, audit
 from trimaint.ternary import TernaryEngine
 from trimaint.unary import UnaryEngine
 
@@ -46,7 +45,6 @@ class Driver:
         self.updates = 0
         self.majors = 0
         self.minors = 0
-        self.last_costs = {}
 
     @property
     def meter(self):
@@ -95,10 +93,7 @@ class Driver:
                 minor = self._minor(rel, moves)
         self.updates += 1
         total = meter.total - t0
-        self.last_costs = {"total": total, "apply": total - major - minor,
-                           "major": major, "minor": minor}
-        meter.last_update = total
-        return self.last_costs
+        return {"total": total, "apply": total - major - minor, "major": major, "minor": minor}
 
     def _major(self, new_n):
         """Rebuild at threshold base new_n; returns the ops it took."""
@@ -116,25 +111,17 @@ class Driver:
         """Move the values whose loose condition broke; returns the ops of
         the moves (the check that found them is not part of the minor)."""
         eng = self.engine
+        part = eng.parts[rel]
         self._notify("minor:before")
         self.minors += 1
         t0 = eng.meter.total
         with eng.meter.phase("minor"):
             for side, value, direction in moves:
-                self._move_value(rel, side, value, direction)
+                for src, dst in part.moves(side, direction):
+                    self.move_tuples(rel, side, value, src, dst)
         ops = eng.meter.total - t0
         self._notify("minor:after")
         return ops
-
-    def _move_value(self, rel, side, value, direction):
-        part = self.engine.parts[rel]
-        if part.kind == "single":
-            srcs = ("H",) if direction == "to_light" else ("L",)
-        else:
-            _, heavy_labs, light_labs = part._side(side)
-            srcs = heavy_labs if direction == "to_light" else light_labs
-        for src in srcs:
-            self.move_tuples(rel, side, value, src, move_target(src, side, direction))
 
     def move_tuples(self, rel, side, value, src, dst):
         """Move every tuple with this value from part src to part dst.
@@ -144,18 +131,15 @@ class Driver:
         """
         eng = self.engine
         part = eng.parts[rel]
-        if part.kind == "single":
-            var = part.var
-        else:
-            var = part.vx if side == "X" else part.vy
-        moved = list(part.part(src).slice_items((var,), value))
+        moved = list(part.part(src).slice_items((part.column(side),), value))
         for key, m in moved:
             eng.apply_update(rel, dst, key, m)
             eng.apply_update(rel, src, key, -m)
         return len(moved)
 
     def check_invariants(self, deep=False):
-        """Assert the size invariant and clean loose conditions.
+        """Raise AssertionError unless the size invariant and the loose
+        conditions hold.
 
         With deep=True also recompute every view and check the index
         structures of every part and view Relation; the meter keeps
@@ -166,17 +150,15 @@ class Driver:
         n = eng.threshold.N
         size = eng.db_size()
         recount = sum(p.size() for p in eng.parts.values())
-        assert size == recount, f"kept size {size} drifted from the parts' {recount}"
-        assert n >= 1
-        assert n // 4 <= size < n, f"size invariant broken: {size} vs N={n}"
+        audit(size == recount, f"kept size {size} drifted from the parts' {recount}")
+        audit(n // 4 <= size < n, f"size invariant broken: {size} vs N={n}")
         theta = eng.threshold.theta
         for part in eng.parts.values():
             bad = part.violations(theta)
-            assert not bad, f"{part.name}: loose conditions violated at {bad}"
+            audit(not bad, f"{part.name}: loose conditions violated at {bad}")
             part.check_disjoint()
-            for lab in part.labels:
-                r = part.part(lab)
-                assert all(m != 0 for m in r.entries.values()), r.name
+            for r in part.parts.values():
+                audit(all(m != 0 for m in r.entries.values()), r.name)
                 if deep:
                     r.check_consistency()
         if deep:

@@ -72,11 +72,11 @@ from operator import itemgetter
 from trimaint.base import EngineBase
 from trimaint.iterators import EOF, HopUnionIterator, KeyIterator, UnionIterator
 from trimaint.joins import triangle_products
-from trimaint.partition import DoublePartition, SinglePartition, strict_double, strict_single
+from trimaint.partition import (BASE_IDX, DoublePartition, SinglePartition, strict_double,
+                                strict_single)
 from trimaint.store import RejectedDelete, Relation, entry_list, walk_probe, walk_sum
 
 RELS = ("R", "S", "T")
-BASE_IDX = ((0,), (1,))
 # next and previous relation in the R->S->T cycle
 ROTATION = {"R": ("S", "T"), "S": ("T", "R"), "T": ("R", "S")}
 # the variables of (u0, u1, w) for an update to each relation, which are
@@ -407,7 +407,7 @@ class FragmentEngine(EngineBase):
         th = self.threshold.theta
         self.parts = {
             rel: (strict_double if len(self.labels[rel]) == 4 else strict_single)(
-                rel_items[rel], rel, 2, BASE_IDX, self.meter, th)
+                rel_items[rel], rel, self.meter, th)
             for rel in RELS
         }
 

@@ -1,9 +1,10 @@
 """Degree-based heavy/light partitioning with threshold theta = N**epsilon.
 
-A single partition splits a relation into heavy and light parts by the
-degree of the partition variable's value; a double partition intersects
-the strict partitions on two variables. Membership is always a function
-of the value, never of individual tuples.
+A relation is split into parts by the class, heavy or light, of the
+values of its partition sides: side X is column 0, and a double partition
+adds side Y, column 1. A part label holds one H/L letter per side, at
+the side's column. Membership is always a function of the values, never
+of individual tuples.
 
 Loose conditions (checked between driver steps):
   heavy value x:  deg(x) >= theta/2
@@ -16,7 +17,10 @@ from __future__ import annotations
 
 from collections import Counter
 
-from trimaint.store import Relation
+from trimaint.store import Relation, audit
+
+# the hash indexes of every part: one per column
+BASE_IDX = ((0,), (1,))
 
 
 class Threshold:
@@ -38,52 +42,136 @@ class Threshold:
         self.theta = float(N) ** self.epsilon
 
 
-class SinglePartition:
-    """Heavy/light split of a binary relation on one variable.
+class Partition:
+    """Heavy/light parts of a binary relation, one part per label.
 
-    Routing (`affected_label`, `minor_moves`, `violation`, `total`) reads
-    the parts' entries and their partition-column slices maps directly and charges
-    what the equivalent `lookup`, `slice_count` and `contains` calls would.
+    The base works out everything that follows from the label rule: per
+    side, its column and its parts, heavy ones first (kept on the class),
+    the parts' slices maps of the side's column, the moves that flip a
+    side's class, and the audit (`violation`, `violations`,
+    `check_disjoint`). The shapes, `SinglePartition` and
+    `DoublePartition`, write out the per-update kernels (`affected_label`,
+    `minor_moves`, `total`): they read the parts' entries and slices maps
+    directly and charge what the equivalent `lookup`, `slice_count` and
+    `contains` calls would.
     """
 
-    kind = "single"
-    labels = ("H", "L")
+    __slots__ = ("name", "meter", "parts")
+    labels = ()
 
-    def __init__(self, name, arity, index_cols, meter, var=0):
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # per side: (column, labels of its heavy parts, of its light parts)
+        cls._sides, cls._moves = {}, {}
+        for col, side in enumerate("XY"[:len(cls.labels[0])]):
+            heavy = tuple(lab for lab in cls.labels if lab[col] == "H")
+            light = tuple(lab for lab in cls.labels if lab[col] == "L")
+            cls._sides[side] = (col, heavy, light)
+            for direction, srcs, new in (("to_light", heavy, "L"), ("to_heavy", light, "H")):
+                cls._moves[side, direction] = tuple(
+                    (src, src[:col] + new + src[col + 1:]) for src in srcs)
+
+    def __init__(self, name, meter):
         self.name = name
-        self.var = var
         self.meter = meter
         self.parts = {
-            lab: Relation(f"{name}^{lab}", arity, index_cols, meter)
-            for lab in self.labels
+            lab: Relation(f"{name}^{lab}", 2, BASE_IDX, meter) for lab in self.labels
         }
-        self._h = self.parts["H"]
-        self._l = self.parts["L"]
-        # slices maps of the partition column: a value is a key of the map
-        # exactly while its slice is nonempty
-        self._hs = self._h.hash_slices((var,))
-        self._ls = self._l.hash_slices((var,))
 
     def part(self, lab):
         return self.parts[lab]
 
     def size(self):
-        return len(self._h.entries) + len(self._l.entries)
-
-    def total(self, key):
-        self.meter.total += 2
-        return self._h.entries.get(key, 0) + self._l.entries.get(key, 0)
+        return sum(len(p.entries) for p in self.parts.values())
 
     def items(self):
         for p in self.parts.values():
             yield from p.items()
+
+    def column(self, side):
+        """The column a side partitions on."""
+        return self._sides[side][0]
+
+    def _side_slices(self, side):
+        """Slices maps of the side's column in its parts, heavy parts first:
+        a value is a key of a map exactly while its slice is nonempty."""
+        col, heavy, light = self._sides[side]
+        return tuple(self.parts[lab].hash_slices((col,)) for lab in heavy + light)
+
+    def moves(self, side, direction):
+        """(source, destination) labels of the parts a value's tuples move
+        between when its class on `side` flips in `direction`."""
+        return self._moves[side, direction]
+
+    def violation(self, side, value, theta):
+        """Move direction needed to restore loose conditions, or None.
+
+        The audit's check (`violations`): it reads every part of the side,
+        so it holds even where a value sits on both sides of the split,
+        and charges what `minor_moves` does where it does not: the degree,
+        then one membership test per part, heavy ones first, up to the
+        first that holds the value.
+        """
+        slices = self._side_slices(side)
+        deg, first = 0, None
+        for i, sl in enumerate(slices):
+            s = sl.get(value)
+            if s is not None:
+                deg += len(s)
+                if first is None:
+                    first = i
+        n = len(slices)
+        self.meter.total += 2 * n if first is None else n + 1 + first
+        if first is None:
+            return None
+        if first < n // 2:
+            return "to_light" if 2 * deg < theta else None
+        return "to_heavy" if 2 * deg >= 3 * theta else None
+
+    def violations(self, theta):
+        """(side, value, direction) of every value that breaks its loose
+        condition, per side in the order its parts hold the values."""
+        out = []
+        for side, (col, heavy, light) in self._sides.items():
+            vals = dict.fromkeys(v for lab in heavy + light
+                                 for v in self.parts[lab].index_keys((col,)))
+            for v in vals:
+                d = self.violation(side, v, theta)
+                if d is not None:
+                    out.append((side, v, d))
+        return out
+
+    def check_disjoint(self):
+        """Raise AssertionError if a value sits in a heavy and a light part
+        of one side."""
+        for side, (col, heavy, light) in self._sides.items():
+            hv, lv = ({v for lab in labs for v in self.parts[lab].index_keys((col,))}
+                      for labs in (heavy, light))
+            shared = hv & lv
+            audit(not shared, f"{self.name}/{side}: shared values {shared}")
+
+
+class SinglePartition(Partition):
+    """Heavy/light split of a binary relation on side X."""
+
+    __slots__ = ("_h", "_l", "_hs", "_ls")
+    labels = ("H", "L")
+
+    def __init__(self, name, meter):
+        super().__init__(name, meter)
+        self._h, self._l = self.parts.values()
+        self._hs, self._ls = self._side_slices("X")
+
+    def total(self, key):
+        self.meter.total += 2
+        return self._h.entries.get(key, 0) + self._l.entries.get(key, 0)
 
     def affected_label(self, key, epsilon):
         """Part an update with this tuple lands in (heavy wins ties)."""
         if epsilon == 0:
             return "H"
         self.meter.total += 1
-        return "H" if key[self.var] in self._hs else "L"
+        return "H" if key[0] in self._hs else "L"
 
     def minor_moves(self, key, label, theta):
         """Moves the loose conditions need after an update of `key` routed
@@ -91,9 +179,9 @@ class SinglePartition:
 
         The label gives the value's class, which the update did not change
         (a value's tuples all sit in the parts of its class); charged as
-        the degree, then membership in H and, if not there, in L.
+        `violation` is.
         """
-        x = key[self.var]
+        x = key[0]
         if label == "H":
             s = self._hs.get(x)
             if s is not None:
@@ -108,84 +196,24 @@ class SinglePartition:
             return (("X", x, "to_heavy"),)
         return None
 
-    def violation(self, side, value, theta):
-        """Move direction needed to restore loose conditions, or None.
 
-        The audit's check (`violations`): it reads both parts, so it holds
-        even where a value sits on both sides of the split, and charges
-        what `minor_moves` does where it does not. `check_disjoint` runs
-        after `violations` in `Driver.check_invariants` and catches such a
-        value too, but `violation` is also called on its own (the routing
-        tests feed it split values, and the benchmark's tracer times it by
-        name), so it cannot take the value's class from one part the way
-        `minor_moves` takes it from the routed label.
-        """
-        assert side == "X"
-        h, l = self._hs.get(value), self._ls.get(value)
-        deg = (len(h) if h is not None else 0) + (len(l) if l is not None else 0)
-        # the degree, then membership in H and, if not there, in L
-        if h is not None:
-            self.meter.total += 3
-            if 2 * deg < theta:
-                return "to_light"
-            return None
-        self.meter.total += 4
-        if l is not None and 2 * deg >= 3 * theta:
-            return "to_heavy"
-        return None
+class DoublePartition(Partition):
+    """Four-way split of a binary relation on sides X and Y.
 
-    def violations(self, theta):
-        out = []
-        for lab in self.labels:
-            for x in list(self.parts[lab].index_keys((self.var,))):
-                d = self.violation("X", x, theta)
-                if d is not None:
-                    out.append(("X", x, d))
-        return out
-
-    def check_disjoint(self):
-        cols = (self.var,)
-        hv = set(self.parts["H"].index_keys(cols))
-        lv = set(self.parts["L"].index_keys(cols))
-        assert not (hv & lv), f"{self.name}: shared values {hv & lv}"
-
-
-class DoublePartition:
-    """Four-way split of a binary relation on both variables.
-
-    Part labels are two letters, X-class then Y-class. Loose conditions
-    are evaluated on the total degree across all parts. Routing reads the
-    parts directly, as SinglePartition's does.
+    Loose conditions are evaluated on a value's total degree across all
+    parts.
     """
 
-    kind = "double"
+    __slots__ = ("_all", "_slices", "_heavy")
     labels = ("HH", "HL", "LH", "LL")
 
-    def __init__(self, name, arity, index_cols, meter, variables=(0, 1)):
-        self.name = name
-        self.vx, self.vy = variables
-        self.meter = meter
-        self.parts = {
-            lab: Relation(f"{name}^{lab}", arity, index_cols, meter)
-            for lab in self.labels
-        }
-        hh, hl, lh, ll = self._all = tuple(self.parts.values())
-        # per side: slices maps of its column in its two heavy parts, then
-        # in its two light parts
-        self._sides = {
-            side: tuple(r.hash_slices((var,)) for r in rels)
-            for side, var, rels in (("X", self.vx, (hh, hl, lh, ll)),
-                                    ("Y", self.vy, (hh, lh, hl, ll)))
-        }
-        # the first two of each: where routing looks a value's class up
-        self._heavy = self._sides["X"][:2] + self._sides["Y"][:2]
-
-    def part(self, lab):
-        return self.parts[lab]
-
-    def size(self):
-        hh, hl, lh, ll = self._all
-        return len(hh.entries) + len(hl.entries) + len(lh.entries) + len(ll.entries)
+    def __init__(self, name, meter):
+        super().__init__(name, meter)
+        self._all = tuple(self.parts.values())
+        # by side column
+        self._slices = xs, ys = self._side_slices("X"), self._side_slices("Y")
+        # where routing looks a value's class up
+        self._heavy = xs[:2] + ys[:2]
 
     def total(self, key):
         hh, hl, lh, ll = self._all
@@ -193,24 +221,13 @@ class DoublePartition:
         return (hh.entries.get(key, 0) + hl.entries.get(key, 0)
                 + lh.entries.get(key, 0) + ll.entries.get(key, 0))
 
-    def items(self):
-        for p in self.parts.values():
-            yield from p.items()
-
-    def _side(self, side):
-        assert side in ("X", "Y")
-        if side == "X":
-            # Parts whose first letter is H hold the X-heavy values.
-            return self.vx, ("HH", "HL"), ("LH", "LL")
-        return self.vy, ("HH", "LH"), ("HL", "LL")
-
     def affected_label(self, key, epsilon):
         """Part an update with this tuple lands in: per side, H if a heavy
         part holds the value. Charged as one membership test per heavy
         part tried, the HH part first."""
         if epsilon == 0:
             return "HH"
-        x, y = key[self.vx], key[self.vy]
+        x, y = key
         xa, xb, ya, yb = self._heavy
         hx, hy = x in xa, y in ya
         self.meter.total += 4 - hx - hy
@@ -219,9 +236,9 @@ class DoublePartition:
     def minor_moves(self, key, label, theta):
         """Moves the loose conditions need after an update of `key` routed
         to `label`, as SinglePartition's, checked on both sides."""
-        x, y = key[self.vx], key[self.vy]
-        dx = self._side_move("X", x, label[0], theta)
-        dy = self._side_move("Y", y, label[1], theta)
+        x, y = key
+        dx = self._side_move(0, x, label[0], theta)
+        dy = self._side_move(1, y, label[1], theta)
         if dx is None and dy is None:
             return None
         if dx is not None and dy is not None:
@@ -231,9 +248,10 @@ class DoublePartition:
         return tuple((side, v, d) for side, v, d in (("X", x, dx), ("Y", y, dy))
                      if d is not None)
 
-    def _side_move(self, side, value, cls, theta):
-        """Move direction for a value of class `cls` on one side, or None."""
-        slices = self._sides[side]
+    def _side_move(self, col, value, cls, theta):
+        """Move direction for a value of class `cls` on the side of column
+        `col`, or None."""
+        slices = self._slices[col]
         i = 0 if cls == "H" else 2
         a, b = slices[i].get(value), slices[i + 1].get(value)
         # the degree, then one membership test per part, heavy ones first,
@@ -247,94 +265,39 @@ class DoublePartition:
             return "to_light" if 2 * deg < theta else None
         return "to_heavy" if 2 * deg >= 3 * theta else None
 
-    def violation(self, side, value, theta):
-        """The audit's check, as SinglePartition's, on one side."""
-        deg, first = 0, None
-        for i, slices in enumerate(self._sides[side]):
-            s = slices.get(value)
-            if s is not None:
-                deg += len(s)
-                if first is None:
-                    first = i
-        # the degree, then one membership test per part, heavy ones first,
-        # up to the first that holds the value
-        self.meter.total += 8 if first is None else 5 + first
-        if first is None:
-            return None
-        if first < 2:
-            return "to_light" if 2 * deg < theta else None
-        return "to_heavy" if 2 * deg >= 3 * theta else None
-
-    def violations(self, theta):
-        out = []
-        for side in ("X", "Y"):
-            var, heavy_labs, light_labs = self._side(side)
-            for labs in (heavy_labs, light_labs):
-                vals = set()
-                for lab in labs:
-                    vals.update(self.parts[lab].index_keys((var,)))
-                for v in sorted(vals):
-                    d = self.violation(side, v, theta)
-                    if d is not None:
-                        out.append((side, v, d))
-        return out
-
-    def check_disjoint(self):
-        for side in ("X", "Y"):
-            var, heavy_labs, light_labs = self._side(side)
-            hv = set()
-            for lab in heavy_labs:
-                hv.update(self.parts[lab].index_keys((var,)))
-            lv = set()
-            for lab in light_labs:
-                lv.update(self.parts[lab].index_keys((var,)))
-            assert not (hv & lv), f"{self.name}/{side}: shared values {hv & lv}"
-
 
 # a double partition's part label by (X-side heavy, Y-side heavy)
 _LABELS = (("LL", "LH"), ("HL", "HH"))
 
 
-def move_target(label, side, direction):
-    """Label a tuple moves to when `side` flips class in `direction`."""
-    new = "H" if direction == "to_heavy" else "L"
-    if len(label) == 1:
-        return new
-    if side == "X":
-        return new + label[1]
-    return label[0] + new
+def _heavy_values(buf, col, theta):
+    deg = Counter(key[col] for key, _ in buf)
+    return {v for v, d in deg.items() if d >= theta}
 
 
-def strict_single(items, name, arity, index_cols, meter, theta, var=0):
+def strict_single(items, name, meter, theta):
     """Build a SinglePartition placing each value by its strict degree;
     each part is loaded in one pass, in the order of `items`."""
     buf = list(items)
-    p = SinglePartition(name, arity, index_cols, meter, var=var)
-    if not buf:  # empty parts; skipping the degree count keeps an empty build cheap
-        return p
-    deg = Counter(key[var] for key, _ in buf)
-    heavy = {v for v, d in deg.items() if d >= theta}
-    p._h.load([kv for kv in buf if kv[0][var] in heavy])
-    p._l.load([kv for kv in buf if kv[0][var] not in heavy])
+    p = SinglePartition(name, meter)
+    if buf:  # an empty build skips the degree count
+        heavy = _heavy_values(buf, 0, theta)
+        p._h.load([kv for kv in buf if kv[0][0] in heavy])
+        p._l.load([kv for kv in buf if kv[0][0] not in heavy])
     return p
 
 
-def strict_double(items, name, arity, index_cols, meter, theta, variables=(0, 1)):
-    """Build a DoublePartition from the strict partitions on both variables,
+def strict_double(items, name, meter, theta):
+    """Build a DoublePartition from the strict partitions on both sides,
     each part loaded in one pass, in the order of `items`."""
     buf = list(items)
-    p = DoublePartition(name, arity, index_cols, meter, variables=variables)
-    if not buf:  # empty parts; skipping the degree count keeps an empty build cheap
-        return p
-    vx, vy = variables
-    degx = Counter(key[vx] for key, _ in buf)
-    degy = Counter(key[vy] for key, _ in buf)
-    hx = {v for v, d in degx.items() if d >= theta}
-    hy = {v for v, d in degy.items() if d >= theta}
-    groups = {lab: [] for lab in DoublePartition.labels}
-    for kv in buf:
-        key = kv[0]
-        groups[_LABELS[key[vx] in hx][key[vy] in hy]].append(kv)
-    for lab, group in groups.items():
-        p.parts[lab].load(group)
+    p = DoublePartition(name, meter)
+    if buf:  # an empty build skips the degree count
+        hx, hy = _heavy_values(buf, 0, theta), _heavy_values(buf, 1, theta)
+        groups = {lab: [] for lab in p.labels}
+        for kv in buf:
+            x, y = kv[0]
+            groups[_LABELS[x in hx][y in hy]].append(kv)
+        for lab, group in groups.items():
+            p.parts[lab].load(group)
     return p

@@ -93,11 +93,10 @@ class CostMeter:
     delay between two reads of `total` is what was metered in between.
     """
 
-    __slots__ = ("total", "last_update", "_bucket", "_mark", "_settled")
+    __slots__ = ("total", "_bucket", "_mark", "_settled")
 
     def __init__(self):
         self.total = 0
-        self.last_update = 0
         self._bucket = "apply"
         self._mark = 0
         self._settled = {"apply": 0, "major": 0, "minor": 0}
@@ -442,9 +441,9 @@ class Relation:
         """Exhaustive index audit for tests; O(|K| * #indexes)."""
         entries = self.entries
         for key, mult in entries.items():
-            assert mult != 0, key
-            assert len(key) == self.arity, key
-        assert not (4 * len(entries) < self._hwm and self._hwm > COMPACT_FLOOR), self.name
+            audit(mult != 0, key)
+            audit(len(key) == self.arity, key)
+        audit(not (4 * len(entries) < self._hwm and self._hwm > COMPACT_FLOOR), self.name)
         for cols, (project, slices, marks, nodes) in self._by_cols.items():
             seen = 0
             for sub, s in slices.items():
@@ -453,29 +452,36 @@ class Relation:
                     mark = marks.get(sub)
                     if s.__class__ is list:
                         # a list, unlike a dict, would keep a repeated key
-                        assert mark is None and len(s) <= COMPACT_FLOOR, (self.name, cols, sub)
-                        assert len(set(s)) == len(s), (self.name, cols, sub)
+                        audit(mark is None and len(s) <= COMPACT_FLOOR, (self.name, cols, sub))
+                        audit(len(set(s)) == len(s), (self.name, cols, sub))
                     else:
-                        assert s.__class__ is dict and mark is not None, (self.name, cols, sub)
-                        assert mark > COMPACT_FLOOR and mark >= len(s), (self.name, cols, sub)
-                        assert 4 * len(s) >= mark, (self.name, cols, sub)
+                        audit(s.__class__ is dict and mark is not None, (self.name, cols, sub))
+                        audit(mark > COMPACT_FLOOR and mark >= len(s), (self.name, cols, sub))
+                        audit(4 * len(s) >= mark, (self.name, cols, sub))
                 else:
                     keys, node, prev = [], s.head, None
                     while node is not None:
-                        assert node.prev is prev
-                        assert nodes[node.key] is node
+                        audit(node.prev is prev, self.name)
+                        audit(nodes[node.key] is node, self.name)
                         keys.append(node.key)
                         prev, node = node, node.nxt
-                    assert s.tail is prev and s.count == len(keys), (self.name, cols, sub)
-                assert keys, (self.name, cols, sub)
+                    audit(s.tail is prev and s.count == len(keys), (self.name, cols, sub))
+                audit(keys, (self.name, cols, sub))
                 for key in keys:
-                    assert key in entries, (self.name, cols, key)
-                    assert project(key) == sub, (self.name, cols, key)
+                    audit(key in entries, (self.name, cols, key))
+                    audit(project(key) == sub, (self.name, cols, key))
                 seen += len(keys)
-            assert seen == len(entries), (self.name, cols)
-            assert set(marks) <= set(slices), (self.name, cols)
+            audit(seen == len(entries), (self.name, cols))
+            audit(set(marks) <= set(slices), (self.name, cols))
             if nodes is not None:
-                assert len(nodes) == len(entries), (self.name, cols)
+                audit(len(nodes) == len(entries), (self.name, cols))
+
+
+def audit(ok, what):
+    """Raise AssertionError(what) unless `ok`: an audit's check, which
+    `python -O` does not strip as it strips `assert`."""
+    if not ok:
+        raise AssertionError(what)
 
 
 def entry_list(rels, meter):

@@ -467,13 +467,72 @@ else:
 """
 
 
-def test_input_boundary_holds_under_optimize():
-    # asserts are compiled out under -O; the input checks of on_update and
-    # of a database given to make_engine must not be
+def run_optimized(script):
+    """Run `script` under `python -O`, with this checkout's trimaint."""
     src = Path(trimaint.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-O", "-c", BOUNDARY_SCRIPT], env=env,
+    return subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)
+
+
+def test_input_boundary_holds_under_optimize():
+    # asserts are compiled out under -O; the input checks of on_update and
+    # of a database given to make_engine must not be
+    proc = run_optimized(BOUNDARY_SCRIPT)
     assert proc.returncode == 0, proc.stderr + proc.stdout
     assert len(proc.stdout.splitlines()) == 5
+
+
+AUDIT_SCRIPT = """
+from trimaint.driver import Driver, make_engine
+from trimaint.workload import WorkloadSpec, stream
+
+if __debug__:
+    raise SystemExit("asserts are not compiled out")
+
+
+def raises(audit):
+    try:
+        audit()
+    except AssertionError:
+        return True
+    return False
+
+
+drv = Driver(make_engine("d2", 0.25))
+for upd in stream(WorkloadSpec(seed=7, domain=40, updates=400, skew="zipf:1.2")):
+    drv.on_update(*upd)
+eng = drv.engine
+drv.check_invariants(deep=True)
+eng.size += 1
+if not raises(drv.check_invariants):
+    raise SystemExit("a drifted size passed the audit")
+eng.size -= 1
+# a key repeated in a list slice of a pair view's hash index
+(_, slices, _, _), = [ix for ix in eng.pair_rs._indexes if ix[3] is None]
+s = next(s for s in slices.values() if type(s) is list)
+s.append(s[0])
+if not raises(lambda: drv.check_invariants(deep=True)):
+    raise SystemExit("a repeated key passed the deep audit")
+s.pop()
+# a value on both sides of a split
+R = eng.parts["R"]
+(x, _), _ = next(iter(R.part("L").items()))
+R.part("H").apply_delta((x, -1), 1)
+if not raises(R.check_disjoint):
+    raise SystemExit("a split value passed check_disjoint")
+"""
+
+
+def test_audits_hold_under_optimize():
+    proc = run_optimized(AUDIT_SCRIPT)
+    assert proc.returncode == 0, proc.stderr + proc.stdout
+
+
+def test_audit_takes_values_of_mixed_types():
+    # on_update takes any hashable values; the audit must not order them
+    drv = make_driver("d2", 0.5)
+    drv.on_update("S", (1, 2), 1)
+    drv.on_update("S", ("a", 3), 1)
+    drv.check_invariants(deep=True)

@@ -135,18 +135,19 @@ def test_kernel_refuses_what_it_cannot_walk():
 
 
 def ref_single_degree(p, value):
-    cols = (p.var,)
+    cols = (p.column("X"),)
     return p.parts["H"].slice_count(cols, value) + p.parts["L"].slice_count(cols, value)
 
 
 def ref_single_affected(p, key, epsilon):
     if epsilon == 0:
         return "H"
-    return "H" if p.parts["H"].contains((p.var,), key[p.var]) else "L"
+    col = p.column("X")
+    return "H" if p.parts["H"].contains((col,), key[col]) else "L"
 
 
 def ref_single_violation(p, value, theta):
-    cols = (p.var,)
+    cols = (p.column("X"),)
     deg = ref_single_degree(p, value)
     if p.parts["H"].contains(cols, value):
         if 2 * deg < theta:
@@ -166,10 +167,10 @@ def ref_size(p):
 
 
 def double_sides(p, side):
-    P = p.parts
+    P, cols = p.parts, (p.column(side),)
     if side == "X":
-        return (p.vx,), (P["HH"], P["HL"]), (P["LH"], P["LL"])
-    return (p.vy,), (P["HH"], P["LH"]), (P["HL"], P["LL"])
+        return cols, (P["HH"], P["HL"]), (P["LH"], P["LL"])
+    return cols, (P["HH"], P["LH"]), (P["HL"], P["LL"])
 
 
 def ref_double_degree(p, side, value):
@@ -185,7 +186,8 @@ def ref_side_class(p, side, value):
 def ref_double_affected(p, key, epsilon):
     if epsilon == 0:
         return "HH"
-    return ref_side_class(p, "X", key[p.vx]) + ref_side_class(p, "Y", key[p.vy])
+    return (ref_side_class(p, "X", key[p.column("X")])
+            + ref_side_class(p, "Y", key[p.column("Y")]))
 
 
 def ref_double_violation(p, side, value, theta):
@@ -214,7 +216,7 @@ ITEMS = st.lists(st.tuples(st.tuples(st.integers(0, 6), st.integers(0, 6)), st.i
 def test_routing_matches_method_based_reads(items, theta, stray, double):
     meter = CostMeter()
     build = strict_double if double else strict_single
-    p = build(dict(items).items(), "X", 2, IDX, meter, theta)
+    p = build(dict(items).items(), "X", meter, theta)
     for i, key in stray:
         p.parts[p.labels[i % len(p.labels)]].apply_delta(key, 1)
     assert p.size() == ref_size(p)
@@ -245,8 +247,8 @@ def test_minor_moves_match_violation(items, theta, deltas, double, eps):
     meter = CostMeter()
     build = strict_double if double else strict_single
     # at epsilon 0 theta is 1 and every value is heavy
-    p = build(dict(items).items(), "X", 2, IDX, meter, theta if eps else 1.0)
-    sides = (("X", p.vx), ("Y", p.vy)) if double else (("X", p.var),)
+    p = build(dict(items).items(), "X", meter, theta if eps else 1.0)
+    sides = [(side, p.column(side)) for side in ("XY" if double else "X")]
     for key, m in deltas:
         label = p.affected_label(key, eps)
         if p.parts[label].entries.get(key, 0) + m < 0:

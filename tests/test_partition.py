@@ -7,22 +7,19 @@ from trimaint.partition import (
     DoublePartition,
     SinglePartition,
     Threshold,
-    move_target,
     strict_double,
     strict_single,
 )
 from trimaint.store import CostMeter
 
-IDX = ((0,), (1,))
-
 
 def build_single(tuples, theta, mults=None):
     items = [(t, (mults or {}).get(t, 1)) for t in tuples]
-    return strict_single(items, "K", 2, IDX, CostMeter(), theta)
+    return strict_single(items, "K", CostMeter(), theta)
 
 
 def build_double(tuples, theta):
-    return strict_double([(t, 1) for t in tuples], "K", 2, IDX, CostMeter(), theta)
+    return strict_double([(t, 1) for t in tuples], "K", CostMeter(), theta)
 
 
 def test_threshold_values():
@@ -65,7 +62,7 @@ def test_strict_double_examples():
 
 
 def test_light_value_over_threshold_reported():
-    p = SinglePartition("K", 2, IDX, CostMeter())
+    p = SinglePartition("K", CostMeter())
     for b in range(6):
         p.parts["L"].apply_delta((7, b), 1)
     assert p.violations(theta=4.0) == [("X", 7, "to_heavy")]
@@ -73,7 +70,7 @@ def test_light_value_over_threshold_reported():
 
 
 def test_heavy_value_degree_boundary():
-    p = SinglePartition("K", 2, IDX, CostMeter())
+    p = SinglePartition("K", CostMeter())
     p.parts["H"].apply_delta((7, 0), 1)
     p.parts["H"].apply_delta((7, 1), 1)
     # degree 2 at theta=4 sits exactly on the loose bound: no violation
@@ -90,14 +87,14 @@ def test_fresh_strict_partition_has_no_violations():
 
 
 def test_double_violations_use_total_degree():
-    p = DoublePartition("K", 2, IDX, CostMeter())
+    p = DoublePartition("K", CostMeter())
     # X-value 5 split across HH and HL: total degree 6 is fine at theta=4,
     # and neither part alone dips it under theta/2.
     for b, lab in [(1, "HH"), (2, "HH"), (3, "HH"), (4, "HL"), (5, "HL"), (6, "HL")]:
         p.parts[lab].apply_delta((5, b), 1)
     assert all(v[1] != 5 or v[0] != "X" for v in p.violations(4.0))
     # Y-value 9 light with total degree 6 across HL and LL must promote.
-    q = DoublePartition("K", 2, IDX, CostMeter())
+    q = DoublePartition("K", CostMeter())
     for a in range(6):
         q.parts["LL" if a % 2 else "HL"].apply_delta((a, 9), 1)
     assert ("Y", 9, "to_heavy") not in q.violations(5.0)
@@ -120,12 +117,19 @@ def test_affected_label_double():
     assert p.affected_label((9, 7), 0.0) == "HH"
 
 
-def test_move_target():
-    assert move_target("H", "X", "to_light") == "L"
-    assert move_target("L", "X", "to_heavy") == "H"
-    assert move_target("HL", "X", "to_light") == "LL"
-    assert move_target("LH", "Y", "to_light") == "LL"
-    assert move_target("LL", "Y", "to_heavy") == "LH"
+def test_moves():
+    p = SinglePartition("K", CostMeter())
+    assert p.moves("X", "to_light") == (("H", "L"),)
+    assert p.moves("X", "to_heavy") == (("L", "H"),)
+    assert p.column("X") == 0
+    q = DoublePartition("K", CostMeter())
+    # a side's parts, heavy ones first, each to the part that differs
+    # from it only in that side's letter
+    assert q.moves("X", "to_light") == (("HH", "LH"), ("HL", "LL"))
+    assert q.moves("X", "to_heavy") == (("LH", "HH"), ("LL", "HL"))
+    assert q.moves("Y", "to_light") == (("HH", "HL"), ("LH", "LL"))
+    assert q.moves("Y", "to_heavy") == (("HL", "HH"), ("LL", "LH"))
+    assert (q.column("X"), q.column("Y")) == (0, 1)
 
 
 rel_items = st.dictionaries(
@@ -138,7 +142,7 @@ rel_items = st.dictionaries(
 @settings(max_examples=120)
 @given(rel_items, st.floats(1.0, 6.0))
 def test_strict_single_reconstructs_and_is_loose(items, theta):
-    p = strict_single(items.items(), "K", 2, IDX, CostMeter(), theta)
+    p = strict_single(items.items(), "K", CostMeter(), theta)
     merged = Counter()
     for t, m in p.items():
         merged[t] += m
@@ -150,7 +154,7 @@ def test_strict_single_reconstructs_and_is_loose(items, theta):
 @settings(max_examples=120)
 @given(rel_items, st.floats(1.0, 6.0))
 def test_strict_double_reconstructs_and_is_loose(items, theta):
-    p = strict_double(items.items(), "K", 2, IDX, CostMeter(), theta)
+    p = strict_double(items.items(), "K", CostMeter(), theta)
     merged = Counter()
     for t, m in p.items():
         merged[t] += m
