@@ -10,11 +10,11 @@ import argparse
 import csv
 import sys
 import time
-from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from trimaint.driver import Driver, make_engine
 from trimaint.oracle import DimensionMismatch, RefMaintainer
+from trimaint.partition import _heavy_values
 from trimaint.store import RejectedDelete
 from trimaint.ternary import TernaryEngine
 from trimaint.workload import (
@@ -33,22 +33,6 @@ class InputError(Exception):
     """A flag value or file content the command line refuses (exit 2)."""
 
 
-CSV_HEADER = (
-    "query",
-    "epsilon",
-    "db_size",
-    "updates",
-    "rejected",
-    "total",
-    "apply",
-    "major",
-    "minor",
-    "max_update",
-    "max_delay",
-    "wall_s",
-)
-
-
 @dataclass
 class MetricsRow:
     query: str
@@ -64,14 +48,14 @@ class MetricsRow:
     max_delay: int
     wall_s: float
 
-    def __post_init__(self):
-        assert self.apply + self.major + self.minor == self.total
-
     def row(self):
         out = [getattr(self, name) for name in CSV_HEADER[:-1]]
         out[1] = f"{self.epsilon:g}"
         out.append(f"{self.wall_s:.3f}")
         return out
+
+
+CSV_HEADER = tuple(f.name for f in fields(MetricsRow))
 
 
 def run_stream(query, epsilon, updates, double=False):
@@ -212,15 +196,11 @@ def static_ternary(rd, sd, td, pre_classified=False):
     size = len(rd) + len(sd) + len(td)
     eng.rebuild({"R": [], "S": [], "T": []}, 2 * size + 1)
     theta = eng.threshold.theta
-    drv = Driver(eng)
     for rel, d in (("R", rd), ("S", sd), ("T", td)):
-        deg = Counter(key[0] for key in d)
+        heavy = _heavy_values(d.items(), 0, theta)
         for key, m in d.items():
-            lab = "H" if deg[key[0]] >= theta else "L"
-            eng.apply_update(rel, lab, key, m)
-    assert eng.meter.phases["major"] == 0
-    assert eng.meter.phases["minor"] == 0
-    return drv
+            eng.apply_update(rel, "H" if key[0] in heavy else "L", key, m)
+    return Driver(eng)
 
 
 # -- command plumbing -----------------------------------------------------

@@ -4,8 +4,9 @@ Wraps one query engine. Each call to on_update applies a single-tuple
 change through the engine, then restores the size invariant
 floor(N/4) <= |D| < N by doubling or halving N with a full rebuild,
 or restores the loose degree conditions by moving one value's tuples
-between parts. Rebalancing cost lands in the meter's major and minor
-phases so the amortized bounds can be checked from the outside.
+between parts. The driver adds each rebalance's ops to the meter's
+major and minor counters, so the amortized bounds can be checked from
+the outside.
 
 The per-update path does only what the update needs: |D| is the
 engine's `size`, an integer its `apply_update` keeps, and the loose
@@ -58,12 +59,10 @@ class Driver:
         """Apply one update, then rebalance if any invariant broke.
 
         Raises ValueError for an unknown relation, a key that is not a
-        tuple of two hashable values or a zero multiplicity, and
-        RejectedDelete if the delete would overshoot; in every case before
-        touching anything, so the state is unchanged. Returns this
-        update's ops by phase; the ops outside a rebalance land in the
-        meter's current phase, which is apply unless the caller opened
-        another.
+        tuple of two hashable values or a multiplicity that is not a
+        nonzero int, and RejectedDelete if the delete would overshoot; in
+        every case before touching anything, so the state is unchanged.
+        Returns this update's ops by phase.
         """
         eng = self.engine
         part = eng.parts.get(rel)
@@ -75,6 +74,8 @@ class Driver:
             hash(key)
         except TypeError:
             raise ValueError(f"{rel}{key!r}: a key's values must be hashable") from None
+        if not isinstance(m, int):
+            raise ValueError(f"{rel}{key}: multiplicity {m!r} is not an integer")
         if m == 0:
             raise ValueError(f"{rel}{key}: zero multiplicity")
         meter = eng.meter
@@ -97,29 +98,28 @@ class Driver:
 
     def _major(self, new_n):
         """Rebuild at threshold base new_n; returns the ops it took."""
-        eng = self.engine
+        eng, meter = self.engine, self.engine.meter
         self._notify("major:before")
         self.majors += 1
-        t0 = eng.meter.total
-        with eng.meter.phase("major"):
-            eng.rebuild(eng.rel_items(), new_n)
-        ops = eng.meter.total - t0
+        t0 = meter.total
+        eng.rebuild(eng.rel_items(), new_n)
+        ops = meter.total - t0
+        meter.major += ops
         self._notify("major:after")
         return ops
 
     def _minor(self, rel, moves):
         """Move the values whose loose condition broke; returns the ops of
         the moves (the check that found them is not part of the minor)."""
-        eng = self.engine
-        part = eng.parts[rel]
+        meter, part = self.engine.meter, self.engine.parts[rel]
         self._notify("minor:before")
         self.minors += 1
-        t0 = eng.meter.total
-        with eng.meter.phase("minor"):
-            for side, value, direction in moves:
-                for src, dst in part.moves(side, direction):
-                    self.move_tuples(rel, side, value, src, dst)
-        ops = eng.meter.total - t0
+        t0 = meter.total
+        for side, value, direction in moves:
+            for src, dst in part.moves(side, direction):
+                self.move_tuples(rel, side, value, src, dst)
+        ops = meter.total - t0
+        meter.minor += ops
         self._notify("minor:after")
         return ops
 

@@ -35,7 +35,7 @@ at u0; the slice binds w, and (u0, u1, w) is the triangle in X's rotation
     value's bucket size.
 
 The init path joins every direct fragment with `triangle_products` and
-fills every tree bottom up; `EngineBase.verify_views` reruns it on a copy.
+fills every tree bottom up; `verify_views` reruns it on a copy.
 It collects what each view receives and fills the view with one
 `Relation.load`, `res` last, from the direct joins and the pair-less
 tops; a group of several parts is joined through one merged copy. Its
@@ -67,14 +67,14 @@ a tuple that the first one probed and then stepped past.
 
 from __future__ import annotations
 
+import copy
 from operator import itemgetter
 
-from trimaint.base import EngineBase
-from trimaint.iterators import EOF, HopUnionIterator, KeyIterator, UnionIterator
+from trimaint.iterators import EOF, HopUnionIterator, KeyIterator, StaleIterator, UnionIterator
 from trimaint.joins import triangle_products
-from trimaint.partition import (BASE_IDX, DoublePartition, SinglePartition, strict_double,
-                                strict_single)
-from trimaint.store import RejectedDelete, Relation, entry_list, walk_probe, walk_sum
+from trimaint.partition import (BASE_IDX, DoublePartition, SinglePartition, Threshold,
+                                strict_double, strict_single)
+from trimaint.store import CostMeter, RejectedDelete, Relation, entry_list, walk_probe, walk_sum
 
 RELS = ("R", "S", "T")
 # next and previous relation in the R->S->T cycle
@@ -324,7 +324,7 @@ class Bucket:
         return self._pair.lookup(self._pk(full)) != 0
 
 
-class FragmentEngine(EngineBase):
+class FragmentEngine:
     """An engine run from its fragment table (see the module docstring).
 
     Subclasses set `query`, `out` (the output variables in order, empty
@@ -333,11 +333,26 @@ class FragmentEngine(EngineBase):
     layouts are worked out once per class; the update plan is bound to a
     build's parts and views on first update after the build. A keyed
     output is read through `KeyedEngine`; a scalar one is `count`.
+
+    An engine holds its threshold, a version that every update and
+    rebuild advances, and |D| as `size`: `rebuild` sets it from the fresh
+    parts and `apply_update` moves it as keys appear and vanish, so the
+    driver reads |D| without recounting. The driver owns threshold-base
+    management and rebalancing; engines only apply updates and rebuild.
     """
 
+    query = None
     out = ""
     direct = ()
     trees = ()
+
+    def __init__(self, epsilon, meter=None):
+        self.epsilon = epsilon
+        self.meter = meter if meter is not None else CostMeter()
+        self.threshold = Threshold(1, epsilon)
+        self.version = 0
+        self.parts = {}
+        self.size = 0
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -402,6 +417,64 @@ class FragmentEngine(EngineBase):
                      (*right, "right", t, left, third, None),
                      (*third, "close", t, None, None, None)]
         cls._fills, cls._plan = tuple(fills), tuple(plan)
+
+    @classmethod
+    def from_database(cls, rd, sd, td, epsilon, meter=None):
+        """Build a state for an existing database: N = 2|D|+1, strict parts.
+
+        rd, sd and td are dicts from key to multiplicity. Raises ValueError,
+        before anything is built, unless every key is a tuple of two values
+        and every multiplicity a positive int. This is how an engine is
+        made: the constructor alone builds no parts and no views.
+        """
+        dbs = {"R": rd, "S": sd, "T": td}
+        for rel, d in dbs.items():
+            reason = _refused(rel, d)
+            if reason is not None:
+                raise ValueError(reason)
+        eng = cls(epsilon, meter)
+        eng.rebuild({rel: list(d.items()) for rel, d in dbs.items()},
+                    2 * (len(rd) + len(sd) + len(td)) + 1)
+        return eng
+
+    def rebuild(self, rel_items, N):
+        """Strictly repartition from scratch and recompute every view."""
+        self.threshold.rebase(N)
+        self._build_partitions(rel_items)
+        self.size = sum(p.size() for p in self.parts.values())
+        self._recompute_views()
+        self.version += 1
+
+    def db_size(self):
+        return self.size
+
+    def rel_items(self):
+        """Every part's (key, m) pairs by relation, each partition's parts
+        in label order."""
+        return {name: entry_list(p.parts.values(), self.meter) for name, p in self.parts.items()}
+
+    def verify_views(self):
+        """Raise AssertionError unless every view equals its recomputation.
+
+        The views are recomputed from the current parts through the init
+        path, on a shallow copy, so parts, views and version stay as they
+        are; the meter is charged for the recomputation.
+        """
+        fresh = copy.copy(self)
+        fresh._recompute_views()
+        for name in self.view_names:
+            if _contents(getattr(self, name)) != _contents(getattr(fresh, name)):
+                raise AssertionError(f"view {name} drifted")
+
+    def guard(self):
+        """Version check callable for enumeration iterators."""
+        v = self.version
+
+        def check():
+            if self.version != v:
+                raise StaleIterator(f"state advanced past version {v}")
+
+        return check
 
     def _build_partitions(self, rel_items):
         th = self.threshold.theta
@@ -657,3 +730,25 @@ class KeyedEngine(FragmentEngine):
 
     def query_result(self):
         return dict(self.enumerate_result())
+
+
+def _refused(rel, d):
+    """Why the database part `d` of relation `rel` is refused, in one line,
+    or None. A dict's keys are hashable already; the checks run at C speed
+    over the whole part first and look for the culprit only if one fails."""
+    if not d:
+        return None
+    if not (set(map(type, d)) <= {tuple} and set(map(len, d)) <= {2}):
+        for key in d:
+            if not (isinstance(key, tuple) and len(key) == 2):
+                return f"{rel}{key!r}: a key is a tuple of two values"
+    ms = d.values()
+    if not (set(map(type, ms)) <= {int} and min(ms, default=1) > 0):
+        for key, m in d.items():
+            if not (isinstance(m, int) and m > 0):
+                return f"{rel}{key}: multiplicity {m!r} is not a positive integer"
+    return None
+
+
+def _contents(view):
+    return view.entries if isinstance(view, Relation) else view

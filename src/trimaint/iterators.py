@@ -58,20 +58,18 @@ class SeqIterator:
 class KeyIterator:
     """Set iterator over the keys of a Relation, in insertion order."""
 
-    def __init__(self, rel, guard=None):
+    def __init__(self, rel, guard):
         self._rel = rel
         self._it = iter(rel.entries)
         self._guard = guard
 
     def next(self):
-        if self._guard is not None:
-            self._guard()
-        self._rel.meter.tick()
+        self._guard()
+        self._rel.meter.total += 1
         return next(self._it, EOF)
 
     def contains(self, t):
-        if self._guard is not None:
-            self._guard()
+        self._guard()
         return self._rel.lookup(t) != 0
 
 
@@ -104,16 +102,14 @@ def _union_next(iters, n):
 class UnionIterator:
     """Stateful wrapper around union_next over a fixed iterator list."""
 
-    def __init__(self, iterators, meter=None, guard=None):
+    def __init__(self, iterators, meter, guard):
         self._iters = list(iterators)
         self._meter = meter
         self._guard = guard
 
     def next(self):
-        if self._guard is not None:
-            self._guard()
-        if self._meter is not None:
-            self._meter.tick()
+        self._guard()
+        self._meter.total += 1
         return _union_next(self._iters, len(self._iters))
 
     def contains(self, t):
@@ -142,26 +138,6 @@ class ListCollection:
         return x in self._pos
 
 
-class RangeCollection:
-    """Hop-iterator collection over the integers 0..n-1."""
-
-    def __init__(self, n):
-        self.n = n
-
-    def __len__(self):
-        return self.n
-
-    def first(self):
-        return 0 if self.n > 0 else None
-
-    def successor(self, i):
-        j = i + 1
-        return j if j < self.n else None
-
-    def contains(self, i):
-        return 0 <= i < self.n
-
-
 class HopIterator:
     """Iterator over a collection supporting exclusion of arbitrary elements.
 
@@ -171,7 +147,7 @@ class HopIterator:
     consulted: lookups happen only at live elements and run starts.
     """
 
-    def __init__(self, coll, meter=None):
+    def __init__(self, coll, meter):
         self.coll = coll
         self.curr = BOF
         self.skip_to = {}
@@ -185,8 +161,7 @@ class HopIterator:
 
     def next(self):
         self.visits += 1
-        if self._meter is not None:
-            self._meter.tick()
+        self._meter.total += 1
         if self.curr is EOF:
             return EOF
         if self.curr is BOF:
@@ -199,8 +174,7 @@ class HopIterator:
 
     def exclude(self, x):
         """Prevent x from ever being reported. Returns True if state changed."""
-        if self._meter is not None:
-            self._meter.tick()
+        self._meter.total += 1
         if x in self.excluded or not self.coll.contains(x):
             return False
         succ = self.coll.successor(x)
@@ -215,82 +189,76 @@ class HopIterator:
 class HopUnionIterator:
     """Distinct union over per-key buckets with exclusion of emitted elements.
 
-    Buckets get dense integer ids in the order `bucket_keys` lists them
-    (engines pass the root view's entries, so its key order), charged one
-    tick per key before the first element; bucket hop iterators are
-    created on first access, whether that access is iteration or exclusion.
-    After emitting t from the current bucket, t is excluded from every
-    other candidate bucket; a bucket whose remaining count hits zero that
-    way is excluded from the bucket-level hop iterator and never iterated.
+    A bucket-level hop iterator walks the buckets in the order
+    `bucket_keys` lists them (engines pass the root view's entries, so its
+    key order); listing them costs one tick per key before the first
+    element. Bucket hop iterators are created on first access, whether
+    that access is iteration or exclusion. After emitting t from the
+    current bucket, t is excluded from every other candidate bucket; a
+    bucket whose remaining count hits zero that way is excluded from the
+    bucket-level hop iterator and never iterated.
 
     Every bucket must be non-empty (`bucket_size(k) > 0`): the delay bound
     of a few ticks per candidate bucket rests on it.
     """
 
-    def __init__(self, bucket_keys, open_bucket, bucket_size, candidate_keys,
-                 meter=None, guard=None):
+    def __init__(self, bucket_keys, open_bucket, bucket_size, candidate_keys, meter, guard):
         self._open_bucket = open_bucket
         self._bucket_size = bucket_size
         self._candidates = candidate_keys
         self._meter = meter
         self._guard = guard
-        self._keys = list(bucket_keys)
-        self.id_map = {k: i for i, k in enumerate(self._keys)}
-        if meter is not None:
-            # listing and numbering the bucket keys: one tick per key
-            meter.total += len(self._keys)
-        self.i_buckets = HopIterator(RangeCollection(len(self._keys)), meter)
+        self.buckets = ListCollection(bucket_keys)
+        # listing the bucket keys: one tick per key
+        meter.total += len(self.buckets)
+        self.i_buckets = HopIterator(self.buckets, meter)
         self.bucket_iters = {}
         self._colls = {}
         self._remaining = {}
         self._cur = None
 
-    def _coll(self, i):
-        c = self._colls.get(i)
+    def _coll(self, k):
+        c = self._colls.get(k)
         if c is None:
-            c = self._colls[i] = self._open_bucket(self._keys[i])
+            c = self._colls[k] = self._open_bucket(k)
         return c
 
-    def _ensure(self, i):
-        it = self.bucket_iters.get(i)
+    def _ensure(self, k):
+        it = self.bucket_iters.get(k)
         if it is None:
-            it = self.bucket_iters[i] = HopIterator(self._coll(i), self._meter)
-            self._remaining[i] = self._bucket_size(self._keys[i])
+            it = self.bucket_iters[k] = HopIterator(self._coll(k), self._meter)
+            self._remaining[k] = self._bucket_size(k)
         return it
 
     def next(self):
-        if self._guard is not None:
-            self._guard()
-        if self._meter is not None:
-            self._meter.tick()
+        self._guard()
+        self._meter.total += 1
         while True:
             if self._cur is None:
-                i = self.i_buckets.next()
-                if i is EOF:
+                k = self.i_buckets.next()
+                if k is EOF:
                     return EOF
-                self._cur = i
-            it = self._ensure(self._cur)
-            t = it.next()
+                self._cur = k
+            cur = self._cur
+            t = self._ensure(cur).next()
             if t is EOF:
                 self._cur = None
                 continue
-            cur = self._cur
             self._remaining[cur] -= 1
+            buckets = self.buckets
             for k in self._candidates(t):
-                j = self.id_map.get(k)
-                if j is None or j == cur:
+                if k == cur or not buckets.contains(k):
                     continue
-                if self._ensure(j).exclude(t):
-                    self._remaining[j] -= 1
-                    if self._remaining[j] == 0:
-                        self.i_buckets.exclude(j)
+                if self._ensure(k).exclude(t):
+                    self._remaining[k] -= 1
+                    if self._remaining[k] == 0:
+                        self.i_buckets.exclude(k)
             return t
 
     def contains(self, t):
-        if self._guard is not None:
-            self._guard()
+        self._guard()
+        buckets = self.buckets
         for k in self._candidates(t):
-            j = self.id_map.get(k)
-            if j is not None and self._coll(j).contains(t):
+            if buckets.contains(k) and self._coll(k).contains(t):
                 return True
         return False

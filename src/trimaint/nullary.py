@@ -31,7 +31,7 @@ class NullaryEngine(FragmentEngine):
     )
 
     def query_result(self):
-        self.meter.tick()
+        self.meter.total += 1
         return self.count
 
 

@@ -52,7 +52,6 @@ at the charge of one `apply_delta` per item, the charge in one add.
 from __future__ import annotations
 
 from collections import defaultdict
-from contextlib import contextmanager
 from itertools import chain
 from operator import itemgetter
 
@@ -72,17 +71,17 @@ class MissingIndex(Exception):
 
 
 class CostMeter:
-    """Counts elementary operations, bucketed by maintenance phase.
+    """Counts elementary operations: `total`, and the part of it that
+    major and minor rebalancing took.
 
     One unit is charged per map operation, per index-list step, per
     arithmetic combine, and per entry a dict rebuild moves. Wall-clock time
     is never part of the contract; tests and the bench harness compare
     these counters instead.
 
-    Charging is one add to `total` (hot paths add to it directly). Phase
-    totals are settled at the `phase()` brackets: the ops since the last
-    bracket edge belong to the phase that was current in between, which
-    is "apply" outside any bracket.
+    Charging is one add to `total`. The driver adds each major's and each
+    minor's ops to `major` and `minor`; everything else is apply, which
+    `phases` derives as what is left of the total.
 
     A loop may charge its whole cost in one add (bulk charging) only if it
     always runs to its end and nothing reads `total` while it runs: the
@@ -93,40 +92,18 @@ class CostMeter:
     delay between two reads of `total` is what was metered in between.
     """
 
-    __slots__ = ("total", "_bucket", "_mark", "_settled")
+    __slots__ = ("total", "major", "minor")
 
     def __init__(self):
         self.total = 0
-        self._bucket = "apply"
-        self._mark = 0
-        self._settled = {"apply": 0, "major": 0, "minor": 0}
-
-    def tick(self, n=1):
-        self.total += n
-
-    def _enter(self, name):
-        prev = self._bucket
-        self._settled[prev] += self.total - self._mark
-        self._mark = self.total
-        self._bucket = name
-        return prev
-
-    @contextmanager
-    def phase(self, name):
-        if name not in self._settled:
-            raise ValueError(f"unknown phase {name!r}")
-        prev = self._enter(name)
-        try:
-            yield
-        finally:
-            self._enter(prev)
+        self.major = 0
+        self.minor = 0
 
     @property
     def phases(self):
         """Ops per phase so far, as a fresh dict."""
-        out = dict(self._settled)
-        out[self._bucket] += self.total - self._mark
-        return out
+        return {"apply": self.total - self.major - self.minor,
+                "major": self.major, "minor": self.minor}
 
     def snapshot(self):
         return {"total": self.total, **self.phases}
@@ -188,10 +165,10 @@ class Relation:
     __slots__ = ("name", "arity", "meter", "index_cols", "entries", "_hwm",
                  "_by_cols", "_indexes")
 
-    def __init__(self, name, arity, index_cols=(), meter=None, linked=()):
+    def __init__(self, name, arity, index_cols, meter, linked=()):
         self.name = name
         self.arity = arity
-        self.meter = meter if meter is not None else CostMeter()
+        self.meter = meter
         self.index_cols = index_cols = tuple(map(tuple, index_cols))
         self.entries = {}
         self._hwm = 0

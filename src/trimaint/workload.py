@@ -69,22 +69,69 @@ def make_sampler(spec):
     return lambda rng: bisect.bisect_left(cum, rng.random() * total)
 
 
+class _LiveKeys:
+    """One relation's live keys in insertion order, the i-th found in
+    O(log n): every insert of an absent key takes the next slot, and a
+    Fenwick tree over the slots counts the live ones."""
+
+    def __init__(self):
+        self.keys = []  # slot - 1 -> key
+        self.tree = [0]  # 1-based; tree[i] counts the live slots in (i - lowbit(i), i]
+        self.slot = {}  # live key -> slot
+
+    def _prefix(self, i):
+        tree, s = self.tree, 0
+        while i:
+            s += tree[i]
+            i &= i - 1
+        return s
+
+    def add(self, key):
+        self.keys.append(key)
+        n = len(self.keys)
+        self.tree.append(self._prefix(n - 1) - self._prefix(n - (n & -n)) + 1)
+        self.slot[key] = n
+
+    def remove(self, key):
+        i, tree = self.slot.pop(key), self.tree
+        while i < len(tree):
+            tree[i] -= 1
+            i += i & -i
+
+    def kth(self, k):
+        """The live key of rank k, counting from 0."""
+        tree, pos, step = self.tree, 0, 1 << (len(self.tree) - 1).bit_length()
+        while step:
+            nxt = pos + step
+            if nxt < len(tree) and tree[nxt] <= k:
+                pos, k = nxt, k - tree[nxt]
+            step >>= 1
+        return self.keys[pos]
+
+
 def stream(spec):
     """Yield (rel, key, m) updates; deletes never overshoot.
 
     The control rng picks relations and delete targets; each relation
     draws its key values from its own seeded rng so adding a relation
-    to the mix never shifts another relation's values.
+    to the mix never shifts another relation's values. A delete picks
+    uniformly among the live (rel, key) pairs, listed R's keys first,
+    then S's, then T's, each in insertion order.
     """
     ctl = random.Random(f"{spec.seed}:ctl")
     val = {rel: random.Random(f"{spec.seed}:{rel}") for rel in RELS}
     sample = make_sampler(spec)
     live = {rel: {} for rel in RELS}
+    order = {rel: _LiveKeys() for rel in RELS}
     size = 0
     for _ in range(spec.updates):
         if size and ctl.random() < spec.delete_frac:
-            pairs = [(rel, key) for rel in RELS for key in live[rel]]
-            rel, key = pairs[ctl.randrange(len(pairs))]
+            i = ctl.randrange(size)
+            for rel in RELS:
+                if i < len(live[rel]):
+                    break
+                i -= len(live[rel])
+            key = order[rel].kth(i)
             m = -ctl.randint(1, live[rel][key])
         else:
             rel = RELS[ctl.randrange(3)]
@@ -95,9 +142,11 @@ def stream(spec):
         new = d.get(key, 0) + m
         if new == 0:
             del d[key]
+            order[rel].remove(key)
             size -= 1
         elif key not in d:
             d[key] = new
+            order[rel].add(key)
             size += 1
         else:
             d[key] = new

@@ -1,6 +1,7 @@
 """Shared builders for enumeration and engine tests."""
 
 from trimaint.iterators import HopUnionIterator, ListCollection
+from trimaint.store import CostMeter
 
 # Per-bucket iteration orders and candidate-bucket map for the four-bucket
 # union example used in both the unit suite and the acceptance suite.
@@ -20,13 +21,18 @@ WORKED_CANDIDATES = {
 }
 
 
-def build_worked_hop_example(meter=None):
+def no_guard():
+    """A version guard that never refuses: the iterator tests have no engine."""
+
+
+def build_worked_hop_example():
     return HopUnionIterator(
         ["a1", "a2", "a3", "a4"],
         lambda k: ListCollection(WORKED_ORDERS[k]),
         lambda k: len(WORKED_ORDERS[k]),
         lambda t: WORKED_CANDIDATES[t],
-        meter=meter,
+        CostMeter(),
+        no_guard,
     )
 
 

@@ -10,11 +10,12 @@ module's runtime and keeps stream lengths moderate on purpose.
 import random
 from math import isqrt
 
-from conftest import build_worked_hop_example
+from conftest import build_worked_hop_example, no_guard
 from trimaint.cli import measure_delay, run_stream, solve_oumv, static_ternary
 from trimaint.driver import Driver, make_engine
 from trimaint.iterators import EOF, HopUnionIterator, ListCollection, SeqIterator, union_next
 from trimaint.oracle import RefMaintainer, oracle_oumv, oracle_triangle
+from trimaint.store import CostMeter
 from trimaint.workload import WorkloadSpec, make_sampler, stream
 
 VARIANTS = [
@@ -257,6 +258,8 @@ def test_union_primitives_random_families():
             lambda k: ListCollection(orders[k]),
             lambda k: len(orders[k]),
             lambda t: members[t],
+            CostMeter(),
+            no_guard,
         )
         got = drain(it.next)
         want = set(members)
@@ -266,5 +269,5 @@ def test_union_primitives_random_families():
 def test_worked_hop_example_skips_exhausted_bucket():
     it = build_worked_hop_example()
     assert drain(it.next) == [1, 2, 3, 4, 5, 6]
-    third = it.bucket_iters[it.id_map["a3"]]
+    third = it.bucket_iters["a3"]
     assert third.visits == 0

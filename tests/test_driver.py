@@ -317,6 +317,30 @@ def test_op_counts_pinned(query, double, compact, monkeypatch):
     assert drv.engine.db_size() == 0
 
 
+@pytest.mark.parametrize("query,double", list(OP_PINS))
+def test_meter_ledger_matches_the_returned_costs(query, double):
+    # the driver alone adds to major and minor, each rebalance's ops once;
+    # apply is what is left of the total
+    grow, shrink = pinned_stream()
+    drv = make_driver(query, 0.25, double=double)
+    build = drv.meter.snapshot()
+    assert build["major"] == build["minor"] == 0
+    summed = dict.fromkeys(("total", "apply", "major", "minor"), 0)
+    for upd in grow + shrink:
+        costs = drv.on_update(*upd)
+        assert costs["apply"] == costs["total"] - costs["major"] - costs["minor"]
+        for k, v in costs.items():
+            summed[k] += v
+    m = drv.meter
+    assert (m.major, m.minor) == (summed["major"], summed["minor"])
+    assert m.major > 0 and m.minor > 0
+    assert m.total - build["total"] == summed["total"]
+    snap = m.snapshot()
+    assert snap == {"total": m.total, "apply": m.total - m.major - m.minor,
+                    "major": m.major, "minor": m.minor}
+    assert snap["apply"] - build["apply"] == summed["apply"]
+
+
 def test_deep_audit_checks_view_indexes():
     grow, _ = pinned_stream()
     drv = make_driver("d2", 0.25)
@@ -348,7 +372,7 @@ def test_hop_union_buckets_are_never_empty(query):
                 if isinstance(it, HopUnionIterator)]
         assert hops
         for h in hops:
-            for k in h._keys:
+            for k in h.buckets._seq:
                 assert h._bucket_size(k) > 0, (i, k)
                 checked += 1
     assert checked

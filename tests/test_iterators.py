@@ -3,7 +3,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_worked_hop_example
+from conftest import build_worked_hop_example, no_guard
 from trimaint.iterators import (
     EOF,
     HopIterator,
@@ -50,7 +50,7 @@ def test_union_no_iterators():
 
 
 def test_hop_exclude_skips_over_excluded_run():
-    it = HopIterator(ListCollection(["b4", "b1", "b5"]))
+    it = HopIterator(ListCollection(["b4", "b1", "b5"]), CostMeter())
     assert it.next() == "b4"
     it.exclude("b1")
     assert it.next() == "b5"
@@ -58,14 +58,14 @@ def test_hop_exclude_skips_over_excluded_run():
 
 
 def test_hop_exclude_absent_value_is_noop():
-    it = HopIterator(ListCollection(["b4", "b1", "b5"]))
+    it = HopIterator(ListCollection(["b4", "b1", "b5"]), CostMeter())
     assert not it.exclude("zz")
     assert it.skip_to == {} and it.skipped_from == {} and it.excluded == set()
     assert drain(it.next) == ["b4", "b1", "b5"]
 
 
 def test_hop_exclude_adjacent_merges_to_single_hop():
-    it = HopIterator(ListCollection(["b4", "b1", "b5"]))
+    it = HopIterator(ListCollection(["b4", "b1", "b5"]), CostMeter())
     it.exclude("b1")
     it.exclude("b5")
     assert it.skip_to == {"b1": EOF}
@@ -73,21 +73,21 @@ def test_hop_exclude_adjacent_merges_to_single_hop():
 
 
 def test_hop_exclude_head_run():
-    it = HopIterator(ListCollection([1, 2, 3, 4]))
+    it = HopIterator(ListCollection([1, 2, 3, 4]), CostMeter())
     it.exclude(1)
     it.exclude(2)
     assert drain(it.next) == [3, 4]
 
 
 def test_hop_exclude_everything():
-    it = HopIterator(ListCollection([1, 2]))
+    it = HopIterator(ListCollection([1, 2]), CostMeter())
     it.exclude(2)
     it.exclude(1)
     assert drain(it.next) == []
 
 
 def test_hop_exclude_current_element_is_safe():
-    it = HopIterator(ListCollection([1, 2, 3]))
+    it = HopIterator(ListCollection([1, 2, 3]), CostMeter())
     assert it.next() == 1
     it.exclude(1)
     assert drain(it.next) == [2, 3]
@@ -95,7 +95,8 @@ def test_hop_exclude_current_element_is_safe():
 
 def test_hop_union_single_bucket_passthrough():
     it = HopUnionIterator(
-        ["k"], lambda k: ListCollection([3, 1, 2]), lambda k: 3, lambda t: ("k",)
+        ["k"], lambda k: ListCollection([3, 1, 2]), lambda k: 3, lambda t: ("k",),
+        CostMeter(), no_guard,
     )
     assert drain(it.next) == [3, 1, 2]
 
@@ -107,6 +108,8 @@ def test_hop_union_disjoint_buckets():
         lambda k: ListCollection(colls[k]),
         lambda k: len(colls[k]),
         lambda t: ("x", "y"),
+        CostMeter(),
+        no_guard,
     )
     assert drain(it.next) == [1, 2]
 
@@ -116,15 +119,15 @@ def test_worked_example_emission_and_states():
     got = [it.next() for _ in range(3)]
     assert got == [1, 2, 3]
 
-    a2 = it.bucket_iters[it.id_map["a2"]]
-    a3 = it.bucket_iters[it.id_map["a3"]]
+    a2 = it.bucket_iters["a2"]
+    a3 = it.bucket_iters["a3"]
     assert a2.skip_to == {1: 5}
     assert a2.skipped_from == {5: 1}
     assert a3.skip_to == {2: 5, 3: EOF}
     assert a3.skipped_from == {5: 2, EOF: 3}
 
     assert it.next() == 4
-    a4 = it.bucket_iters[it.id_map["a4"]]
+    a4 = it.bucket_iters["a4"]
     assert a4.skip_to == {4: EOF}
 
     assert it.next() == 5
@@ -132,7 +135,7 @@ def test_worked_example_emission_and_states():
     # and the emptied bucket is skipped at the bucket level.
     assert a3.skip_to[2] is EOF
     assert a3.skipped_from[EOF] == 2
-    assert it.i_buckets.skip_to == {it.id_map["a3"]: it.id_map["a4"]}
+    assert it.i_buckets.skip_to == {"a3": "a4"}
 
     assert it.next() == 6
     assert it.next() is EOF
@@ -173,11 +176,12 @@ def test_hop_union_over_relation_slices():
         lambda a: LinkedSlice(v, a),
         lambda a: v.slice_count((0,), a),
         candidates,
-        meter=m,
+        m,
+        no_guard,
     )
     # Elements are the distinct B-values reachable from each A-keyed slice.
     assert drain(it.next) == [5, 6, 7]
-    assert it.bucket_iters[it.id_map[3]].visits == 0
+    assert it.bucket_iters[3].visits == 0
 
 
 unique_lists = st.lists(st.integers(0, 15), unique=True, max_size=16)
@@ -208,6 +212,8 @@ def test_hop_union_emits_distinct_union(sets, rng):
         lambda i: ListCollection(colls[i]),
         lambda i: len(colls[i]),
         candidates,
+        CostMeter(),
+        no_guard,
     )
     got = drain(it.next)
     assert len(got) == len(set(got))
@@ -218,7 +224,7 @@ def test_hop_union_emits_distinct_union(sets, rng):
 @given(unique_lists, st.data())
 def test_hop_exclusion_soundness(seq, data):
     excluded = set(data.draw(st.lists(st.sampled_from(seq), unique=True))) if seq else set()
-    it = HopIterator(ListCollection(seq))
+    it = HopIterator(ListCollection(seq), CostMeter())
     order = list(excluded)
     random.Random(0).shuffle(order)
     for x in order:
@@ -242,7 +248,8 @@ def test_hop_union_delay_bounded_by_candidates(sets):
         lambda i: ListCollection(colls[i]),
         lambda i: len(colls[i]),
         candidates,
-        meter=m,
+        m,
+        no_guard,
     )
     while True:
         before = m.total

@@ -31,7 +31,7 @@ def ref_walk_probe(walked, col, probed, sub, other, meter):
             for p in probed:
                 mp += p.lookup(key)
             if mp:
-                meter.tick()
+                meter.total += 1
                 out.append((w, mw * mp))
     return out
 
@@ -48,7 +48,7 @@ def ref_walk_sum(walked, col, probed, sub, other, meter):
             for p in probed:
                 mp += p.lookup((w, other) if col == 0 else (other, w))
             if mp:
-                meter.tick()
+                meter.total += 1
                 total += mw * mp
     return out, total
 

@@ -8,7 +8,7 @@ from trimaint.store import CostMeter, MissingIndex, RejectedDelete, Relation
 
 
 def make_rel():
-    return Relation("R", 2, index_cols=((0,), (1,)))
+    return Relation("R", 2, ((0,), (1,)), CostMeter())
 
 
 def test_insert_into_empty():
@@ -88,7 +88,7 @@ def test_contains_mirrors_slice_count():
 
 
 def test_missing_index_raises():
-    r = Relation("V", 2, index_cols=((0,),))
+    r = Relation("V", 2, ((0,),), CostMeter())
     r.apply_delta((1, 2), 1)
     with pytest.raises(MissingIndex):
         r.slice_count((1,), 2)
@@ -97,7 +97,7 @@ def test_missing_index_raises():
 
 
 def test_slice_head_and_next_walk_the_list():
-    r = Relation("R", 2, index_cols=((0,), (1,)), linked=((0,),))
+    r = Relation("R", 2, ((0,), (1,)), CostMeter(), linked=((0,),))
     r.apply_delta((1, 5), 1)
     r.apply_delta((1, 3), 1)
     r.apply_delta((2, 9), 1)
@@ -118,27 +118,12 @@ def test_index_keys():
 
 
 def test_multi_column_index_uses_tuple_keys():
-    v = Relation("V", 3, index_cols=((0, 2), (1,)))
+    v = Relation("V", 3, ((0, 2), (1,)), CostMeter())
     v.apply_delta((1, 2, 3), 1)
     v.apply_delta((1, 5, 3), 2)
     assert v.slice_count((0, 2), (1, 3)) == 2
     assert {t for t, _ in v.slice_items((0, 2), (1, 3))} == {(1, 2, 3), (1, 5, 3)}
     assert v.slice_count((1,), 5) == 1
-
-
-def test_meter_ticks_and_phases():
-    m = CostMeter()
-    r = Relation("R", 2, index_cols=((0,),), meter=m)
-    r.apply_delta((1, 2), 1)
-    base = m.total
-    assert base > 0
-    assert m.phases["apply"] == base
-    with m.phase("major"):
-        r.lookup((1, 2))
-    assert m.phases["major"] > 0
-    assert m.total > base
-    snap = m.snapshot()
-    assert snap["total"] == m.total
 
 
 deltas = st.lists(
@@ -259,7 +244,7 @@ def test_slice_is_a_list_up_to_the_floor_and_a_marked_dict_above():
 
 def test_shrunk_entries_are_rebuilt_with_metered_ticks():
     m = CostMeter()
-    r = Relation("V", 1, meter=m)
+    r = Relation("V", 1, (), m)
     for a in range(4096):
         r.apply_delta((a,), 1)
     extra, rebuilt = {}, []
@@ -277,31 +262,6 @@ def test_shrunk_entries_are_rebuilt_with_metered_ticks():
     r.check_consistency()
 
 
-def test_meter_phase_attribution():
-    m = CostMeter()
-    m.tick(2)
-    with m.phase("major"):
-        m.tick(3)
-        with m.phase("minor"):
-            m.tick(5)
-            assert m.snapshot() == {"total": 10, "apply": 2, "major": 3, "minor": 5}
-        m.tick(7)
-    m.tick(11)
-    assert m.snapshot() == {"total": 28, "apply": 13, "major": 10, "minor": 5}
-    r = Relation("R", 2, index_cols=((0,),), meter=m)
-    r.apply_delta((1, 2), 1)
-    with pytest.raises(RejectedDelete):
-        with m.phase("minor"):
-            m.tick(4)
-            r.apply_delta((1, 2), -5)
-    m.tick()
-    assert m.phases == {"apply": 16, "major": 10, "minor": 9}
-    assert m.total == 35
-    with pytest.raises(ValueError):
-        with m.phase("rebuild"):
-            pass
-
-
 # (a, b, m) deltas over a hash index on a and a linked index on b, then
 # picks of stored tuples to delete whole (every third pick overdeletes):
 # slices on a grow past the compaction floor and the drain shrinks them
@@ -315,7 +275,7 @@ store_ops = st.lists(
 @settings(max_examples=100)
 @given(store_ops, st.lists(st.integers(0, 999), min_size=20, max_size=80))
 def test_hash_and_linked_indexes_agree_with_list_model(ops, picks):
-    r = Relation("R", 2, index_cols=((0,), (1,)), linked=((1,),))
+    r = Relation("R", 2, ((0,), (1,)), CostMeter(), linked=((1,),))
     model = []  # [key, mult] in insertion order
 
     def step(key, m):
@@ -399,11 +359,14 @@ def test_load_into_a_drained_relation_keeps_its_mark():
     [((1, 2), -1)],
 ])
 def test_load_refuses_a_nonpositive_multiplicity_untouched(items):
-    r = Relation("R", 2, ((0,), (1,)), linked=((1,),))
+    def fresh():
+        return Relation("R", 2, ((0,), (1,)), CostMeter(), linked=((1,),))
+
+    r = fresh()
     with pytest.raises(ValueError):
         r.load(items)
     assert r.meter.total == 0
-    assert relation_layout(r) == relation_layout(Relation("R", 2, ((0,), (1,)), linked=((1,),)))
+    assert relation_layout(r) == relation_layout(fresh())
 
 
 def test_load_refuses_a_nonempty_relation_untouched():

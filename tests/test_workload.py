@@ -1,9 +1,13 @@
+import random
+
 import pytest
 
 from trimaint.workload import (
+    RELS,
     ParseError,
     WorkloadSpec,
     format_update,
+    make_sampler,
     parse_matrix,
     parse_stream,
     parse_vectors,
@@ -30,6 +34,49 @@ def test_stream_deletes_never_overshoot():
         else:
             live[rel][key] = new
     assert deletes > 100
+
+
+def list_stream(spec):
+    """The generator as first written: each delete lists every live
+    (rel, key) pair, R's first, each relation's in insertion order, and
+    draws one by index, so a stream of n updates takes O(n^2)."""
+    ctl = random.Random(f"{spec.seed}:ctl")
+    val = {rel: random.Random(f"{spec.seed}:{rel}") for rel in RELS}
+    sample = make_sampler(spec)
+    live = {rel: {} for rel in RELS}
+    size = 0
+    for _ in range(spec.updates):
+        if size and ctl.random() < spec.delete_frac:
+            pairs = [(rel, key) for rel in RELS for key in live[rel]]
+            rel, key = pairs[ctl.randrange(len(pairs))]
+            m = -ctl.randint(1, live[rel][key])
+        else:
+            rel = RELS[ctl.randrange(3)]
+            rng = val[rel]
+            key = (sample(rng), sample(rng))
+            m = ctl.randint(spec.mult_lo, spec.mult_hi)
+        d = live[rel]
+        new = d.get(key, 0) + m
+        if new == 0:
+            del d[key]
+            size -= 1
+        elif key not in d:
+            d[key] = new
+            size += 1
+        else:
+            d[key] = new
+        yield rel, key, m
+
+
+@pytest.mark.parametrize("skew,domain", [("uniform", 6), ("uniform", 300), ("zipf:1.2", 40)])
+@pytest.mark.parametrize("delete_frac", [0.0, 0.3, 1.0])
+def test_stream_matches_the_list_building_generator(skew, domain, delete_frac):
+    # small domains re-insert deleted keys, which then take a new place in
+    # their relation's insertion order
+    for seed in range(3):
+        spec = WorkloadSpec(seed=seed, domain=domain, updates=2000, delete_frac=delete_frac,
+                            skew=skew, mult_hi=3)
+        assert list(stream(spec)) == list(list_stream(spec))
 
 
 def test_zipf_concentrates_low_values():
