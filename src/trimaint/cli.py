@@ -192,9 +192,9 @@ def static_ternary(rd, sd, td, pre_classified=False):
             for key, m in d.items():
                 drv.on_update(rel, key, m)
         return drv
-    eng = TernaryEngine(0.5)
-    size = len(rd) + len(sd) + len(td)
-    eng.rebuild({"R": [], "S": [], "T": []}, 2 * size + 1)
+    eng = TernaryEngine.from_database({}, {}, {}, 0.5)
+    # nothing is built yet, so rebasing theta moves no value
+    eng.threshold.rebase(2 * (len(rd) + len(sd) + len(td)) + 1)
     theta = eng.threshold.theta
     for rel, d in (("R", rd), ("S", sd), ("T", td)):
         heavy = _heavy_values(d.items(), 0, theta)

@@ -2,11 +2,15 @@
 
 Wraps one query engine. Each call to on_update applies a single-tuple
 change through the engine, then restores the size invariant
-floor(N/4) <= |D| < N by doubling or halving N with a full rebuild,
-or restores the loose degree conditions by moving one value's tuples
-between parts. The driver adds each rebalance's ops to the meter's
-major and minor counters, so the amortized bounds can be checked from
-the outside.
+floor(N/4) <= |D| < N by doubling or halving N (a major), or restores
+the loose degree conditions by moving one value's tuples between parts
+(a minor). A major repartitions strictly at the new N, but by
+difference: every view is a function of the parts alone and theta
+enters only the partition, so it rebases theta and moves just the
+values whose strict class changed, falling back to a full rebuild when
+those moves would cost more than one. The driver adds each rebalance's
+ops to the meter's major and minor counters, so the amortized bounds
+can be checked from the outside.
 
 The per-update path does only what the update needs: |D| is the
 engine's `size`, an integer its `apply_update` keeps, and the loose
@@ -97,12 +101,30 @@ class Driver:
         return {"total": total, "apply": total - major - minor, "major": major, "minor": minor}
 
     def _major(self, new_n):
-        """Rebuild at threshold base new_n; returns the ops it took."""
+        """Strictly repartition at threshold base new_n; returns the ops it
+        took.
+
+        Rebases theta, scans every partition for the values whose strict
+        class changed (`strict_flips`) and moves their tuples, leaving
+        exactly the parts a strict rebuild gives, in the same part and
+        view objects. If moving the k tuples, at N^max(eps, 1-eps) per
+        tuple, would cost more than the rebuild's N^(3/2) bound, it
+        rebuilds instead, so a major never costs asymptotically more than
+        a rebuild.
+        """
         eng, meter = self.engine, self.engine.meter
         self._notify("major:before")
         self.majors += 1
         t0 = meter.total
-        eng.rebuild(eng.rel_items(), new_n)
+        eng.threshold.rebase(new_n)
+        theta, eps = eng.threshold.theta, eng.epsilon
+        flips = {rel: part.strict_flips(theta) for rel, part in eng.parts.items()}
+        k = sum(moved for _, moved in flips.values())
+        if k * new_n ** max(eps, 1 - eps) > new_n ** 1.5:
+            eng.rebuild(eng.rel_items(), new_n)
+        else:
+            for rel, (moves, _) in flips.items():
+                self._move_values(rel, moves)
         ops = meter.total - t0
         meter.major += ops
         self._notify("major:after")
@@ -111,17 +133,22 @@ class Driver:
     def _minor(self, rel, moves):
         """Move the values whose loose condition broke; returns the ops of
         the moves (the check that found them is not part of the minor)."""
-        meter, part = self.engine.meter, self.engine.parts[rel]
+        meter = self.engine.meter
         self._notify("minor:before")
         self.minors += 1
         t0 = meter.total
-        for side, value, direction in moves:
-            for src, dst in part.moves(side, direction):
-                self.move_tuples(rel, side, value, src, dst)
+        self._move_values(rel, moves)
         ops = meter.total - t0
         meter.minor += ops
         self._notify("minor:after")
         return ops
+
+    def _move_values(self, rel, moves):
+        """Flip each (side, value, direction) of `moves` to its new class."""
+        part = self.engine.parts[rel]
+        for side, value, direction in moves:
+            for src, dst in part.moves(side, direction):
+                self.move_tuples(rel, side, value, src, dst)
 
     def move_tuples(self, rel, side, value, src, dst):
         """Move every tuple with this value from part src to part dst.

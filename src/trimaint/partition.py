@@ -48,12 +48,12 @@ class Partition:
     The base works out everything that follows from the label rule: per
     side, its column and its parts, heavy ones first (kept on the class),
     the parts' slices maps of the side's column, the moves that flip a
-    side's class, and the audit (`violation`, `violations`,
-    `check_disjoint`). The shapes, `SinglePartition` and
-    `DoublePartition`, write out the per-update kernels (`affected_label`,
-    `minor_moves`, `total`): they read the parts' entries and slices maps
-    directly and charge what the equivalent `lookup`, `slice_count` and
-    `contains` calls would.
+    side's class, the audit (`violation`, `violations`,
+    `check_disjoint`) and a major's scan (`strict_flips`). The shapes,
+    `SinglePartition` and `DoublePartition`, write out the per-update
+    kernels (`affected_label`, `minor_moves`, `total`): they read the
+    parts' entries and slices maps directly and charge what the
+    equivalent `lookup`, `slice_count` and `contains` calls would.
     """
 
     __slots__ = ("name", "meter", "parts")
@@ -140,6 +140,32 @@ class Partition:
                 if d is not None:
                     out.append((side, v, d))
         return out
+
+    def strict_flips(self, theta):
+        """Values whose strict class at theta (heavy iff degree >= theta)
+        differs from the class of the parts that hold them.
+
+        The strict twin of `violations`. Returns (flips, k): flips are
+        (side, value, direction) triples, as `minor_moves` gives them, per
+        side, the heavy class first, in the order its parts hold the
+        values; k is the sum of their degrees, the tuple moves they need.
+        Charged one tick per value of each class.
+        """
+        flips, k, values = [], 0, 0
+        for side, (col, heavy, light) in self._sides.items():
+            for labs, is_heavy, direction in ((heavy, True, "to_light"),
+                                              (light, False, "to_heavy")):
+                deg = {}
+                for lab in labs:
+                    for v, s in self.parts[lab].hash_slices((col,)).items():
+                        deg[v] = deg.get(v, 0) + len(s)
+                values += len(deg)
+                for v, d in deg.items():
+                    if (d >= theta) != is_heavy:
+                        flips.append((side, v, direction))
+                        k += d
+        self.meter.total += values
+        return flips, k
 
     def check_disjoint(self):
         """Raise AssertionError if a value sits in a heavy and a light part

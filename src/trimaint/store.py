@@ -44,9 +44,10 @@ kernel charges exactly what the equivalent `slice_items` and `lookup`
 calls would, in one add once its walk has run (see CostMeter for when
 that is allowed).
 
-The init path (a build, and every major) fills each fresh part and view
-with `load`: one pass per index over the new entries, in the order and
-at the charge of one `apply_delta` per item, the charge in one add.
+The init path (a build, and a major that falls back to a rebuild) fills
+each fresh part and view with `load`: one pass per index over the new
+entries, in the order and at the charge of one `apply_delta` per item,
+the charge in one add.
 """
 
 from __future__ import annotations

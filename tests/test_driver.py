@@ -9,10 +9,11 @@ import pytest
 import trimaint
 from trimaint import store
 from trimaint.driver import Driver, make_engine
-from trimaint.fragments import projector
+from trimaint.fragments import FragmentEngine, projector
 from trimaint.iterators import HopUnionIterator
 from trimaint.oracle import RefMaintainer, oracle_triangle
-from trimaint.store import Relation, RejectedDelete
+from trimaint.partition import strict_double, strict_single
+from trimaint.store import CostMeter, Relation, RejectedDelete
 from trimaint.workload import WorkloadSpec, stream
 
 GRID = [
@@ -264,24 +265,24 @@ def test_extreme_epsilon_never_minor_rebalances(eps):
 # the majors and minors, ride along.
 OP_PINS = {
     ("d0", False): dict(
-        base={"total": 27438, "apply": 23073, "major": 2495, "minor": 1870},
-        counts={"total": 27521, "apply": 23154, "major": 2495, "minor": 1872},
+        base={"total": 26177, "apply": 23073, "major": 1234, "minor": 1870},
+        counts={"total": 26293, "apply": 23174, "major": 1247, "minor": 1872},
         enum=1, majors=14, minors=18),
     ("d0", True): dict(
-        base={"total": 54472, "apply": 46218, "major": 4097, "minor": 4157},
-        counts={"total": 54554, "apply": 46279, "major": 4097, "minor": 4178},
+        base={"total": 53831, "apply": 46218, "major": 3456, "minor": 4157},
+        counts={"total": 53941, "apply": 46298, "major": 3465, "minor": 4178},
         enum=1, majors=14, minors=31),
     ("d1", False): dict(
-        base={"total": 50823, "apply": 42653, "major": 4310, "minor": 3860},
-        counts={"total": 50907, "apply": 42722, "major": 4310, "minor": 3875},
+        base={"total": 49510, "apply": 42653, "major": 2997, "minor": 3860},
+        counts={"total": 49624, "apply": 42752, "major": 2997, "minor": 3875},
         enum=207, majors=14, minors=27),
     ("d2", False): dict(
-        base={"total": 53449, "apply": 43986, "major": 5149, "minor": 4314},
-        counts={"total": 53551, "apply": 44069, "major": 5149, "minor": 4333},
+        base={"total": 51083, "apply": 43986, "major": 2783, "minor": 4314},
+        counts={"total": 51213, "apply": 44088, "major": 2792, "minor": 4333},
         enum=618, majors=14, minors=29),
     ("d3", False): dict(
-        base={"total": 30985, "apply": 26107, "major": 2660, "minor": 2218},
-        counts={"total": 31126, "apply": 26244, "major": 2660, "minor": 2222},
+        base={"total": 29687, "apply": 26107, "major": 1362, "minor": 2218},
+        counts={"total": 29866, "apply": 26264, "major": 1380, "minor": 2222},
         enum=307, majors=14, minors=18),
 }
 
@@ -316,6 +317,132 @@ def test_op_counts_pinned(query, double, compact, monkeypatch):
     assert (enum, drv.majors, drv.minors) == (pin["enum"], pin["majors"], pin["minors"])
     assert drv.engine.db_size() == 0
 
+
+
+def ladder_stream():
+    """Stars of degrees 3 to 96 on R's first column, then S and T tuples
+    closing triangles through them and random fill up to 1100 distinct
+    tuples; then every insert undone, the stars last. As N doubles and
+    halves, theta passes the stars' degrees at every epsilon strictly
+    between 0 and 1, so majors move tuples."""
+    stars = [(5000 + i, d) for i, d in enumerate((3, 6, 12, 24, 48, 96))]
+    ins = [("R", (s, j)) for s, d in stars for j in range(d)]
+    ins += [("S", (j, c)) for j in range(96) for c in range(2)]
+    ins += [("T", (c, s)) for c in range(2) for s, _ in stars]
+    rng, seen = random.Random(5), set(ins)
+    while len(ins) < 1100:
+        t = (rng.choice("RST"), (rng.randrange(64), rng.randrange(64)))
+        if t not in seen:
+            seen.add(t)
+            ins.append(t)
+    return [(rel, key, 1) for rel, key in ins] + [(rel, key, -1) for rel, key in reversed(ins)]
+
+
+STREAMS = {"pinned": lambda: sum(pinned_stream(), []), "ladder": ladder_stream}
+
+
+def parts_as_dicts(part):
+    return {lab: dict(r.entries) for lab, r in part.parts.items()}
+
+
+@pytest.mark.parametrize("name", list(STREAMS))
+@pytest.mark.parametrize("eps", [0.0, 0.25, 0.5, 0.75, 1.0])
+@pytest.mark.parametrize("query,double", list(OP_PINS))
+def test_major_by_difference_equals_a_strict_rebuild(query, double, eps, name):
+    # after every major: each part holds what a strict build of the
+    # database at the new theta puts there, the deep audit holds, the
+    # result is the reference's, and the major ran no minor
+    drv = make_driver(query, eps, double=double)
+    eng, ref = drv.engine, RefMaintainer(int(query[1]))
+    minors, moved, in_major = [], [0], [False]
+    move_tuples = drv.move_tuples
+
+    def counted(*args):
+        n = move_tuples(*args)
+        if in_major[0]:
+            moved[0] += n
+        return n
+
+    drv.move_tuples = counted
+
+    def check(event, d):
+        in_major[0] = event == "major:before"
+        if event == "major:before":
+            minors.append(d.minors)
+        if event != "major:after":
+            return
+        theta = eng.threshold.theta
+        for rel, items in eng.rel_items().items():
+            build = strict_double if len(eng.labels[rel]) == 4 else strict_single
+            want = build(items, rel, CostMeter(), theta)
+            assert parts_as_dicts(eng.parts[rel]) == parts_as_dicts(want), (rel, eng.threshold.N)
+        d.check_invariants(deep=True)
+        assert eng.query_result() == ref.result()
+        assert d.minors == minors[-1]
+
+    drv.observers.append(check)
+    for upd in STREAMS[name]():
+        ref.apply(*upd)
+        drv.on_update(*upd)
+    assert len(minors) == drv.majors > 0
+    # at eps 0 every value is heavy, at eps 1 every value light, at every N
+    if eps in (0.0, 1.0):
+        assert moved[0] == 0
+    elif name == "ladder":
+        assert moved[0] > 0
+
+
+def fallback_stream():
+    """32 values of R's first column grow to degree 6, heavy by then, and
+    are cut back to degree 4 while N is 256 (theta 4 at eps 0.25), which
+    keeps them heavy; triangle-closing S and T tuples fill the database to
+    256, so the doubling to N = 512 (theta 4.76) flips every one to light:
+    k = 128 tuples to move, past the fallback bound 512^(1.5-0.75) = 107.6.
+    Then the T tuples go again."""
+    hubs = range(1000, 1032)
+    ups = [("R", (h, j), 1) for h in hubs for j in range(6)]
+    ups += [("R", (h, j), -1) for h in hubs for j in (4, 5)]
+    ups += [("S", (j, 100 + c), 1) for c in range(16) for j in range(4)]
+    closing = [("T", (100 + c, h), 1) for c in range(16) for h in hubs[:4]]
+    return ups + closing + [(rel, key, -m) for rel, key, m in closing]
+
+
+# the fallback stream's ops at eps 0.25: of all its majors, and of the
+# ninth, which scans and then rebuilds
+FALLBACK_PINS = {
+    ("d0", False): dict(major=2438, rebuild=2276, majors=9, minors=33),
+    ("d0", True): dict(major=3722, rebuild=3356, majors=9, minors=45),
+    ("d1", False): dict(major=4204, rebuild=3868, majors=9, minors=45),
+    ("d2", False): dict(major=4042, rebuild=3848, majors=9, minors=41),
+    ("d3", False): dict(major=2966, rebuild=2804, majors=9, minors=33),
+}
+
+
+@pytest.mark.parametrize("query,double", list(FALLBACK_PINS))
+def test_a_major_moving_too_much_rebuilds(query, double, monkeypatch):
+    drv = make_driver(query, 0.25, double=double)
+    ref = RefMaintainer(int(query[1]))
+    rebuilds = []
+    rebuild = FragmentEngine.rebuild
+
+    def counted(self, rel_items, n):
+        rebuilds.append((drv.majors, n))
+        return rebuild(self, rel_items, n)
+
+    monkeypatch.setattr(FragmentEngine, "rebuild", counted)
+    rebuilt = None
+    for upd in fallback_stream():
+        ref.apply(*upd)
+        costs = drv.on_update(*upd)
+        if rebuilds and rebuilt is None:
+            rebuilt = costs["major"]
+            assert drv.engine.query_result() == ref.result()
+    assert rebuilds == [(9, 512)]
+    assert drv.engine.query_result() == ref.result()
+    drv.check_invariants(deep=True)
+    pin = FALLBACK_PINS[(query, double)]
+    assert (drv.meter.major, rebuilt, drv.majors, drv.minors) == (
+        pin["major"], pin["rebuild"], pin["majors"], pin["minors"])
 
 @pytest.mark.parametrize("query,double", list(OP_PINS))
 def test_meter_ledger_matches_the_returned_costs(query, double):

@@ -170,7 +170,7 @@ def test_init_path_loads_as_per_item_writes(query, double, monkeypatch):
     for d in db.values():
         d.update({(0, 100 + i): 1 for i in range(store.COMPACT_FLOOR + 4)})
 
-    def build_and_major():
+    def build_and_rebuild():
         eng = make_engine(query, 0.25, double=double, rd=db["R"], sd=db["S"], td=db["T"])
         # every part and every view relation is loaded with entries
         rels = [r for p in eng.parts.values() for r in p.parts.values()]
@@ -181,15 +181,15 @@ def test_init_path_loads_as_per_item_writes(query, double, monkeypatch):
                  if nodes is None for s in slices.values()}
         assert kinds == {list, dict}
         built = built_state(eng)
-        Driver(eng)._major(eng.threshold.N)
+        eng.rebuild(eng.rel_items(), eng.threshold.N)
         return built, built_state(eng)
 
-    got = build_and_major()
+    got = build_and_rebuild()
 
     def per_item(self, items):
         for key, m in items:
             self.apply_delta(key, m)
 
     monkeypatch.setattr(Relation, "load", per_item)
-    want = build_and_major()
+    want = build_and_rebuild()
     assert got == want

@@ -5,10 +5,12 @@ loose bounds between majors, so minors run; the growth passes every
 doubling major, the deletes every halving one (the empty state needs
 N < 4) and the dict compaction of the shrinking parts and views. After
 every major the kept |D| must match the parts and sit inside the size
-invariant; at the end every part and view is empty.
+invariant, and every value must sit in its strict class at the new
+theta; at the end every part and view is empty.
 """
 
 import random
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -34,6 +36,18 @@ def distinct_tuples():
     return tuple(out.items())
 
 
+def misplaced(part, theta):
+    """Values of any side whose degree disagrees with their parts' class:
+    a heavy one below theta or a light one at or above it."""
+    out = []
+    for col in range(len(part.labels[0])):
+        for cls in "HL":
+            deg = Counter(key[col] for lab in part.labels if lab[col] == cls
+                          for key in part.part(lab).entries)
+            out += [(col, v, d) for v, d in deg.items() if (d >= theta) != (cls == "H")]
+    return out
+
+
 def empty(view):
     if isinstance(view, Relation):
         return not view.entries
@@ -51,6 +65,10 @@ def test_grow_to_2_14_then_delete_everything(query, double, eps):
         n, size = eng.threshold.N, eng.db_size()
         assert n // 4 <= size < n, (size, n)
         assert size == sum(p.size() for p in eng.parts.values())
+        theta = eng.threshold.theta
+        for part in eng.parts.values():
+            bad = misplaced(part, theta)
+            assert not bad, (part.name, n, bad[:5])
 
     drv.observers.append(after_major)
     items = list(distinct_tuples())
