@@ -21,7 +21,9 @@ at u0; the slice binds w, and (u0, u1, w) is the triangle in X's rotation
     prev(X) up, "P" walks prev(X)'s slice and looks next(X) up. The
     letter names the slice the partition bounds (by theta for a light
     value, by N/theta for the heavy values), so it carries the
-    update-time bound.
+    update-time bound. The step's kernel may walk the other side instead
+    when that side's slices are shorter (see `store.walk_probe`), which
+    never costs more, so the letter's bound still holds.
   * `Tree(left, lgroup, rgroup, hat, key, ...)` is a view tree. The left
     relation X joins the right one next(X) on y into a pair view keyed
     (x, y, z), kept only where enumeration walks it; y is summed away into
@@ -72,8 +74,7 @@ from operator import itemgetter
 
 from trimaint.iterators import EOF, HopUnionIterator, KeyIterator, StaleIterator, UnionIterator
 from trimaint.joins import triangle_products
-from trimaint.partition import (BASE_IDX, DoublePartition, SinglePartition, Threshold,
-                                strict_double, strict_single)
+from trimaint.partition import BASE_IDX, DoublePartition, SinglePartition, Threshold
 from trimaint.store import CostMeter, RejectedDelete, Relation, entry_list, walk_probe, walk_sum
 
 RELS = ("R", "S", "T")
@@ -141,8 +142,9 @@ class Tree:
 
 
 def _direct_step(kernel, next_side, view, key):
-    """Update step of a direct fragment: the kernel walks next(X)'s slice
-    at u1 and probes prev(X), or walks prev(X)'s at u0 and probes next(X)."""
+    """Update step of a direct fragment: the kernel intersects next(X)'s
+    slice at u1 with prev(X)'s at u0, walking the side its letter names
+    unless the other is shorter."""
     def step(u0, u1, m):
         for w, d in (kernel(u1, u0) if next_side else kernel(u0, u1)):
             view.apply_delta(key((u0, u1, w)), m * d)
@@ -357,11 +359,14 @@ class FragmentEngine:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         rows = cls.direct + cls.trees
-        cls.labels = {
+        # each relation's partition shape: double when a row groups it by
+        # two letters
+        cls.shapes = {
             rel: (DoublePartition if any(len(row.groups[rel]) == 2 for row in rows)
-                  else SinglePartition).labels
+                  else SinglePartition)
             for rel in RELS
         }
+        cls.labels = {rel: shape.labels for rel, shape in cls.shapes.items()}
 
         def group(rel, g):
             return rel, group_labels(cls.labels[rel], g)
@@ -478,11 +483,8 @@ class FragmentEngine:
 
     def _build_partitions(self, rel_items):
         th = self.threshold.theta
-        self.parts = {
-            rel: (strict_double if len(self.labels[rel]) == 4 else strict_single)(
-                rel_items[rel], rel, self.meter, th)
-            for rel in RELS
-        }
+        self.parts = {rel: shape.strict_build(rel_items[rel], rel, self.meter, th)
+                      for rel, shape in self.shapes.items()}
 
     def _fresh_views(self):
         m = self.meter

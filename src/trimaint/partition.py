@@ -53,7 +53,8 @@ class Partition:
     `SinglePartition` and `DoublePartition`, write out the per-update
     kernels (`affected_label`, `minor_moves`, `total`): they read the
     parts' entries and slices maps directly and charge what the
-    equivalent `lookup`, `slice_count` and `contains` calls would.
+    equivalent `lookup`, `slice_count` and `contains` calls would. Each
+    shape's `strict_build(items, name, meter, theta)` builds it strictly.
     """
 
     __slots__ = ("name", "meter", "parts")
@@ -183,6 +184,12 @@ class SinglePartition(Partition):
     __slots__ = ("_h", "_l", "_hs", "_ls")
     labels = ("H", "L")
 
+    @staticmethod
+    def strict_build(items, name, meter, theta):
+        # looked up by name at each call, so a wrapper put over the module
+        # function (bench/tracer.py's) sees every build
+        return strict_single(items, name, meter, theta)
+
     def __init__(self, name, meter):
         super().__init__(name, meter)
         self._h, self._l = self.parts.values()
@@ -232,6 +239,12 @@ class DoublePartition(Partition):
 
     __slots__ = ("_all", "_slices", "_heavy")
     labels = ("HH", "HL", "LH", "LL")
+
+    @staticmethod
+    def strict_build(items, name, meter, theta):
+        # looked up by name at each call, so a wrapper put over the module
+        # function (bench/tracer.py's) sees every build
+        return strict_double(items, name, meter, theta)
 
     def __init__(self, name, meter):
         super().__init__(name, meter)

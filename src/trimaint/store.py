@@ -36,13 +36,16 @@ constant number of slots to walk.
 The update path reads the parts through `walk_probe`, one kernel for the
 loops of the form "walk one partner's slice, probe the other partner at
 the rotated pair", and `walk_sum`, which also keeps the misses. A kernel
-is bound once per build to the parts and to the `slices` map of their
-index, which lives as long as its Relation; promotion and compaction
+is bound once per build to the parts and to the `slices` maps of their
+indexes, which live as long as their Relation; promotion and compaction
 replace single slices, and compaction replaces `entries`, so a kernel
-reads both afresh on every call. A
-kernel charges exactly what the equivalent `slice_items` and `lookup`
-calls would, in one add once its walk has run (see CostMeter for when
-that is allowed).
+reads both afresh on every call. A probing `walk_probe` kernel first
+reads both partners' slice lengths, one tick each, and walks the shorter
+side (the intersection rule of worst-case optimal joins), charging the
+lengths, the chosen walk at one tick per tuple plus one per probe, and
+one per hit; the other kernels charge what the equivalent `slice_items`
+and `lookup` calls would. Each charges in one add once its walk has run
+(see CostMeter for when that is allowed).
 
 The init path (a build, and a major that falls back to a rebuild) fills
 each fresh part and view with `load`: one pass per index over the new
@@ -474,30 +477,43 @@ def entry_list(rels, meter):
 def walk_probe(walked, col, probed, meter):
     """Bind the update path's walk-and-probe kernel, `kernel(sub, other)`.
 
-    The kernel walks the col = sub slices of the `walked` parts (one or
-    two binary Relations with a hash index on `(col,)`), part by part, each
-    in insertion order. A walked tuple binds w, its other column, and the
+    The `walked` parts (one or two binary Relations) are sliced on column
+    `col` at `sub`; a walked tuple binds w, its other column, and the
     probe key is the rotated pair: (w, other) when walking column 0,
-    (other, w) when walking column 1. The kernel returns [(w, mw * mp)]
-    for every walked tuple whose multiplicity mp summed over the `probed`
-    parts (one, two or four) is nonzero; with nothing probed it returns
-    [(w, mw)] for every walked tuple.
+    (other, w) when walking column 1. The kernel returns (w, mw * mp) for
+    every w where both the walked multiplicity mw and the multiplicity mp
+    summed over the `probed` parts (one, two or four) are nonzero; with
+    nothing probed it returns (w, mw) for every walked tuple. Every part
+    needs a hash index on each column it is sliced on.
 
-    It charges what the same walk through `slice_items` and `lookup`
-    costs, with one combine per nonzero probe: 1 + n per walked part with
-    n tuples under `sub`, one per probed part per tuple, and one per hit,
-    in one add once the walk has run.
+    With nothing probed the kernel walks the walked parts' slices, part by
+    part, each in insertion order, and charges what `slice_items` would:
+    1 + n per walked part with n tuples under `sub`.
+
+    With parts probed it reads, one tick each, the length of each walked
+    part's slice at `sub` and of each probed part's slice at `other` on
+    column 1 - col: the probe keys that can hit are exactly the tuples of
+    those slices. If either side is empty it returns there. Otherwise it
+    walks the side that costs less, the intersection rule of worst-case
+    optimal joins: n_walked * (1 + #probed) against n_probed * (1 +
+    #walked), ties to the walked side. Walking the probed side binds
+    w = k[col] and probes the walked parts at (sub, w) or (w, sub); it
+    yields one hit per probed tuple, so where probed parts overlap (never
+    within a partition) a w can come out more than once. The charge is
+    #walked + #probed, plus the chosen walk, plus one per hit, in one add
+    once the walk has run. The walk never costs more than the walked
+    side's, so the bound a fragment's `sides` letter gives still holds.
     """
     if not 1 <= len(walked) <= 2 or len(probed) not in (0, 1, 2, 4):
         raise ValueError(f"{len(walked)} walked and {len(probed)} probed parts")
-    if len(walked) == 2:
-        a, b = (walk_probe([rel], col, probed, meter) for rel in walked)
-        return lambda sub, other=None: a(sub, other) + b(sub, other)
-    (rel,) = walked
-    slices = rel.hash_slices((col,))
-    per, at, first = 1 + len(probed), 1 - col, col == 0
-
     if not probed:
+        if len(walked) == 2:
+            a, b = (walk_probe([rel], col, probed, meter) for rel in walked)
+            return lambda sub, other=None: a(sub, other) + b(sub, other)
+        (rel,) = walked
+        slices = rel.hash_slices((col,))
+        at = 1 - col
+
         def kernel(sub, other=None):
             s = slices.get(sub)
             if s is None:
@@ -507,52 +523,105 @@ def walk_probe(walked, col, probed, meter):
             entries = rel.entries
             return [(k[at], entries[k]) for k in s]
 
-    elif len(probed) == 1:
-        # the common case (most direct-fragment walks), without the loop
-        # over probed parts
-        (probe,) = probed
+        return kernel
+    at, first = 1 - col, col == 0
+    slices = tuple(rel.hash_slices((col,)) for rel in walked)
+    others = tuple(rel.hash_slices((at,)) for rel in probed)
+
+    if len(walked) == len(probed) == 1:
+        # the common case (most direct-fragment steps), with both walks
+        # written out
+        (rel,), (probe,) = walked, probed
+        (by_sub,), (by_other,) = slices, others
 
         def kernel(sub, other):
-            s = slices.get(sub)
-            if s is None:
-                meter.total += 1
+            s, t = by_sub.get(sub), by_other.get(other)
+            if s is None or t is None:
+                meter.total += 2
                 return []
-            pe, entries, out = probe.entries, rel.entries, []
-            for k in s:
-                w = k[at]
-                mp = pe.get((w, other) if first else (other, w), 0)
-                if mp:
-                    out.append((w, entries[k] * mp))
-            meter.total += 1 + per * len(s) + len(out)
+            we, pe, out = rel.entries, probe.entries, []
+            if len(s) <= len(t):
+                for k in s:
+                    w = k[at]
+                    mp = pe.get((w, other) if first else (other, w), 0)
+                    if mp:
+                        out.append((w, we[k] * mp))
+                meter.total += 2 + 2 * len(s) + len(out)
+            else:
+                for k in t:
+                    w = k[col]
+                    mw = we.get((sub, w) if first else (w, sub), 0)
+                    if mw:
+                        out.append((w, mw * pe[k]))
+                meter.total += 2 + 2 * len(t) + len(out)
             return out
 
-    else:
-        def kernel(sub, other):
-            s = slices.get(sub)
+        return kernel
+
+    fixed, per_walked, per_probed = len(walked) + len(probed), 1 + len(probed), 1 + len(walked)
+    forward, flipped = _probe_walk(walked, col, probed), _probe_walk(probed, at, walked)
+
+    def kernel(sub, other):
+        nw = np = 0
+        for by_sub in slices:
+            s = by_sub.get(sub)
+            if s is not None:
+                nw += len(s)
+        if nw:
+            for by_other in others:
+                s = by_other.get(other)
+                if s is not None:
+                    np += len(s)
+        if not np:
+            meter.total += fixed
+            return []
+        if nw * per_walked <= np * per_probed:
+            out = forward(sub, other)
+            meter.total += fixed + nw * per_walked + len(out)
+        else:
+            out = flipped(other, sub)
+            meter.total += fixed + np * per_probed + len(out)
+        return out
+
+    return kernel
+
+
+def _probe_walk(walked, col, probed):
+    """`walk(sub, other)`: [(w, mw * mp)] over the `walked` parts' col = sub
+    slices, part by part, each in insertion order, mp summed over the
+    `probed` parts at the rotated pair; unmetered."""
+    at, first = 1 - col, col == 0
+    sides = tuple((rel, rel.hash_slices((col,))) for rel in walked)
+
+    def walk(sub, other):
+        out = []
+        for rel, by_sub in sides:
+            s = by_sub.get(sub)
             if s is None:
-                meter.total += 1
-                return []
-            pes, entries, out = [p.entries for p in probed], rel.entries, []
+                continue
+            entries = rel.entries
             for k in s:
                 w = k[at]
                 key = (w, other) if first else (other, w)
                 mp = 0
-                for pe in pes:
-                    mp += pe.get(key, 0)
+                for p in probed:
+                    mp += p.entries.get(key, 0)
                 if mp:
                     out.append((w, entries[k] * mp))
-            meter.total += 1 + per * len(s) + len(out)
-            return out
+        return out
 
-    return kernel
+    return walk
 
 
 def walk_sum(walked, col, probed, meter):
     """Bind `kernel(sub, other)`, the walk of `walk_probe` that keeps its
     misses: it returns [(key, mw)] for every walked tuple, key being the
     tuple with `other` in place of `sub`, and the sum of mw * mp, mp summed
-    over the two or four `probed` parts at the rotated pair. It charges what
-    `walk_probe`'s kernel over the same parts does."""
+    over the two or four `probed` parts at the rotated pair. It walks every
+    walked tuple, whatever the probed side holds, and charges what the same
+    walk through `slice_items` and `lookup` costs, with one combine per
+    nonzero probe: 1 + n per walked part with n tuples under `sub`, one per
+    probed part per tuple, and one per hit."""
     slices = [(rel, rel.hash_slices((col,))) for rel in walked]
     per, first = 1 + len(probed), col == 0
 

@@ -11,7 +11,8 @@ from trimaint.workload import WorkloadSpec, stream
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
-# spans each query variant must reach; the double-partitioned d0 engine is
+# spans each query variant must reach, besides a store write and a strict
+# partition build; the double-partitioned d0 engine is
 # patched through the single one it subclasses. Enumeration inherited from
 # the keyed fragment engine is patched on the engine class, so each emitted
 # tuple's multiplicity must still pass through it.
@@ -47,5 +48,5 @@ def test_tracer_spans_reach_the_engines(monkeypatch):
         tracer.uninstall()
     assert Relation.apply_delta is apply_delta
     for variant, spans in SPANS.items():
-        for name in ["store.apply_delta"] + spans:
+        for name in ["store.apply_delta", "partition.strict_build"] + spans:
             assert rows[variant].get(name, [0])[CALLS] > 0, (variant, name)

@@ -1,7 +1,9 @@
 """The update path's bulk-metered reads against the method-based reads they
 replace: `walk_probe` and `walk_sum` against `slice_items` + `lookup`
 loops, and partition routing against definitions through `slice_count`,
-`contains` and `lookup`. Results and metered ops must both agree."""
+`contains` and `lookup`. Results and metered ops must both agree. A
+probing `walk_probe` kernel walks the shorter side, so it is held to
+its own charge, and its hits are compared summed per w."""
 
 import random
 
@@ -17,22 +19,46 @@ from trimaint.store import CostMeter, Relation, walk_probe, walk_sum
 IDX = ((0,), (1,))
 
 
-def ref_walk_probe(walked, col, probed, sub, other, meter):
-    """The loop the kernel replaces, charging per item as it goes."""
+def ref_hits(walked, col, sub, probed, other):
+    """[(w, mw * mp)] for each tuple of the walked parts under sub on col
+    whose multiplicity mp summed over the probed parts at the rotated pair
+    is nonzero; read unmetered."""
     out = []
     for rel in walked:
-        for k, mw in rel.slice_items((col,), sub):
-            w = k[1 - col]
-            if not probed:
-                out.append((w, mw))
-                continue
-            key = (w, other) if col == 0 else (other, w)
-            mp = 0
-            for p in probed:
-                mp += p.lookup(key)
-            if mp:
-                meter.total += 1
-                out.append((w, mw * mp))
+        for k, mw in rel.entries.items():
+            if k[col] == sub:
+                w = k[1 - col]
+                mp = sum(p.entries.get((w, other) if col == 0 else (other, w), 0) for p in probed)
+                if mp:
+                    out.append((w, mw * mp))
+    return out
+
+
+def ref_walk_probe(walked, col, probed, sub, other, meter):
+    """With nothing probed, the loop the kernel replaces, charging per item
+    as it goes. With parts probed, the hits summed per w, and the charge of
+    the shorter walk: one tick per slice length read, then, if neither
+    side is empty, the cheaper side's walk (ties to the walked side) and
+    one per hit of that walk."""
+    if not probed:
+        return [(k[1 - col], mw) for rel in walked for k, mw in rel.slice_items((col,), sub)]
+    nw = sum(rel.slice_count((col,), sub) for rel in walked)
+    np = sum(p.slice_count((1 - col,), other) for p in probed)
+    if nw and np:
+        if nw * (1 + len(probed)) <= np * (1 + len(walked)):
+            meter.total += nw * (1 + len(probed)) + len(ref_hits(walked, col, sub, probed, other))
+        else:
+            meter.total += np * (1 + len(walked)) + len(ref_hits(probed, 1 - col, other,
+                                                                 walked, sub))
+    return summed(ref_hits(walked, col, sub, probed, other))
+
+
+def summed(hits):
+    """A kernel's hits summed per w: where parts overlap, which they never
+    do within a partition, the walk on the probed side groups them apart."""
+    out = {}
+    for w, d in hits:
+        out[w] = out.get(w, 0) + d
     return out
 
 
@@ -59,13 +85,16 @@ def metered(meter, f, *args):
     return res, meter.total - t0
 
 
-def check_kernel(rels, meter, kernel, summed, walked, col, probed, subs):
+def check_kernel(rels, meter, kernel, sum_kernel, walked, col, probed, subs):
     for sub in subs:
         for other in subs:
-            got = metered(meter, kernel, sub, other)
-            assert got == metered(meter, ref_walk_probe, walked, col, probed, sub, other, meter)
-            if summed is not None:
-                got = metered(meter, summed, sub, other)
+            got, ops = metered(meter, kernel, sub, other)
+            if probed:
+                got = summed(got)
+            assert (got, ops) == metered(meter, ref_walk_probe, walked, col, probed, sub, other,
+                                         meter)
+            if sum_kernel is not None:
+                got = metered(meter, sum_kernel, sub, other)
                 assert got == metered(meter, ref_walk_sum, walked, col, probed, sub, other, meter)
 
 
@@ -84,7 +113,7 @@ def test_kernel_matches_slice_and_lookup_loop(nwalk, nprobe, col, ops, seed, kee
     walked, probed = rels[:nwalk], rels[2:2 + nprobe]
     kernel = walk_probe(walked, col, probed, meter)
     # walk_sum probes a whole partition: two or four parts
-    summed = walk_sum(walked, col, probed, meter) if nprobe >= 2 else None
+    sum_kernel = walk_sum(walked, col, probed, meter) if nprobe >= 2 else None
     subs = range(3)
 
     def put(i, key, m):
@@ -99,7 +128,7 @@ def test_kernel_matches_slice_and_lookup_loop(nwalk, nprobe, col, ops, seed, kee
         put(i, (sub, w) if col == 0 else (w, sub), m)
         put(i, (w, sub) if col == 0 else (sub, w), m)
     before = [r.entries for r in rels]
-    check_kernel(rels, meter, kernel, summed, walked, col, probed, subs)
+    check_kernel(rels, meter, kernel, sum_kernel, walked, col, probed, subs)
 
     # keeping at most a fifth of a dict's entries takes it below a quarter
     # of its high-water mark, so every entries dict is rebuilt
@@ -111,12 +140,73 @@ def test_kernel_matches_slice_and_lookup_loop(nwalk, nprobe, col, ops, seed, kee
             if i not in kept:
                 r.apply_delta(key, -m)
     assert all(r.entries is not b for r, b in zip(rels, before)), "entries were not rebuilt"
-    check_kernel(rels, meter, kernel, summed, walked, col, probed, subs)
+    check_kernel(rels, meter, kernel, sum_kernel, walked, col, probed, subs)
     for i, sub, w, m in ops[:20]:
         put(i, (sub, w) if col == 0 else (w, sub), m)
-    check_kernel(rels, meter, kernel, summed, walked, col, probed, subs)
+    check_kernel(rels, meter, kernel, sum_kernel, walked, col, probed, subs)
     for r in rels:
         r.check_consistency()
+
+
+@pytest.mark.parametrize("nprobe", [1, 2, 4])
+@pytest.mark.parametrize("nwalk", [1, 2])
+@pytest.mark.parametrize("col", [0, 1])
+def test_kernel_walks_the_shorter_side(col, nwalk, nprobe):
+    # a hub of 20 tuples under sub 0 in the first walked part, a dict
+    # slice, and 3 more in the second; the probed side at other 0 holds
+    # one hit and one miss per probed part, and nothing at other 7
+    meter = CostMeter()
+    walked = [Relation(f"W{i}", 2, IDX, meter) for i in range(nwalk)]
+    probed = [Relation(f"P{i}", 2, IDX, meter) for i in range(nprobe)]
+
+    def put(rel, c, v, w):
+        # the tuple with v in column c and w in the other
+        rel.apply_delta((v, w) if c == 0 else (w, v), 1)
+
+    for w in range(20):
+        put(walked[0], col, 0, w)
+    for w in range(20, 20 + 3 * (nwalk - 1)):
+        put(walked[1], col, 0, w)
+    want = {}
+    for i, p in enumerate(probed):
+        put(p, 1 - col, 0, i)  # w = i: a hit in the hub
+        put(p, 1 - col, 0, 100 + i)  # no walked tuple binds 100 + i
+        want[i] = 1
+    if nwalk == 2:
+        put(probed[0], 1 - col, 0, 21)
+        want[21] = 1
+    assert walked[0].hash_slices((col,))[0].__class__ is dict
+    kernel = walk_probe(walked, col, probed, meter)
+    fixed = nwalk + nprobe
+    nw, np = 20 + 3 * (nwalk - 1), 2 * nprobe + (nwalk == 2)
+    # the probed side is the cheaper walk: one tick per slice length, its
+    # tuples at 1 + #walked each, one per hit
+    assert np * (1 + nwalk) < nw * (1 + nprobe)
+    got, ops = metered(meter, kernel, 0, 0)
+    assert summed(got) == want and len(got) == len(want)
+    assert ops == fixed + np * (1 + nwalk) + len(want)
+    assert (summed(got), ops) == metered(meter, ref_walk_probe, walked, col, probed, 0, 0, meter)
+    # an empty probed side: the lengths alone, whatever the hub holds
+    assert metered(meter, kernel, 0, 7) == ([], fixed)
+    # and an empty walked side
+    assert metered(meter, kernel, 5, 0) == ([], fixed)
+
+
+@pytest.mark.parametrize("nparts", [1, 2])
+@pytest.mark.parametrize("col", [0, 1])
+def test_kernel_ties_walk_the_walked_side(col, nparts):
+    # three tuples a side, in a different order on each: at equal cost the
+    # hits come out in the walked side's order
+    meter = CostMeter()
+    walked = [Relation(f"W{i}", 2, IDX, meter) for i in range(nparts)]
+    probed = [Relation(f"P{i}", 2, IDX, meter) for i in range(nparts)]
+    for i, w in enumerate((3, 1, 2)):
+        walked[i // 2 if nparts == 2 else 0].apply_delta((0, w) if col == 0 else (w, 0), 1)
+    for i, w in enumerate((2, 3, 1)):
+        probed[i // 2 if nparts == 2 else 0].apply_delta((w, 0) if col == 0 else (0, w), 1)
+    got, ops = metered(meter, walk_probe(walked, col, probed, meter), 0, 0)
+    assert got == [(3, 1), (1, 1), (2, 1)]
+    assert ops == 2 * nparts + 3 * (1 + nparts) + 3
 
 
 def test_kernel_refuses_what_it_cannot_walk():

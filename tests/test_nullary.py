@@ -141,3 +141,25 @@ def test_single_update_matches_oracle(rd, sd, td, double, eps, rel, key, m):
             db[rel][key] = cur + m
         assert eng.count == oracle_triangle(db["R"], db["S"], db["T"], 0)
     eng.verify_views()
+
+
+@pytest.mark.parametrize("cls", ENGINES)
+def test_all_heavy_step_skips_a_hub_when_its_probe_is_empty(cls):
+    # at eps 0.25, R's value 0 is heavy in R and T holds a hub of heavy
+    # C-values at A = 0, while S's value 50 is light: an R update (0, 50)
+    # finds S^H empty at 50 and must walk none of T^H's slice at 0
+    def update_ops(hub):
+        rd = {(0, 100 + j): 1 for j in range(8)}
+        sd = {(50, 0): 1}
+        td = {(c, a): 1 for c in range(hub) for a in [0] + [1000 + j for j in range(7)]}
+        eng = cls.from_database(rd, sd, td, 0.25)
+        heavy = [p for lab, p in eng.parts["T"].parts.items() if lab[0] == "H"]
+        assert sum(p.slice_count((1,), 0) for p in heavy) == hub
+        assert eng.parts["R"].affected_label((0, 50), eng.epsilon)[0] == "H"
+        assert eng.parts["S"].affected_label((50, 0), eng.epsilon)[0] == "L"
+        t0 = eng.meter.total
+        apply(eng, "R", (0, 50), 1)
+        assert eng.count == oracle_triangle({**rd, (0, 50): 1}, sd, td, 0)
+        return eng.meter.total - t0
+
+    assert update_ops(16) == update_ops(64)
