@@ -20,8 +20,8 @@ each structure's bytes are divided by the database's live tuples:
                 and multi-column projection keys), each counted once
 
 The values inside the tuples and the multiplicities are not counted, nor
-are the Relation objects themselves or the views that are not Relations
-(d2's dicts of bucket sizes). The figures depend on the seed and
+are the Relation objects themselves. Every view except d0's count is a
+Relation, so every view is measured. The figures depend on the seed and
 on the CPython version alone. `bench/workloads.py` is imported, nothing
 under bench/ is written, and the library is the one beside it in this
 checkout.

@@ -14,7 +14,6 @@ from dataclasses import dataclass, fields, replace
 
 from trimaint.driver import Driver, make_engine
 from trimaint.oracle import DimensionMismatch, RefMaintainer
-from trimaint.partition import _heavy_values
 from trimaint.store import RejectedDelete
 from trimaint.ternary import TernaryEngine
 from trimaint.workload import (
@@ -182,25 +181,17 @@ def static_ternary(rd, sd, td, pre_classified=False):
     """Compute the full ternary result by inserting into an empty state.
 
     Plain mode drives every insert through on_update at epsilon 1/2.
-    Pre-classified mode fixes N from the final size, places each tuple
-    straight into the part its final degree dictates, and therefore
-    never spends a rebalancing tick.
+    Pre-classified mode builds the state for the whole database at once
+    (`from_database`: N from the final size, each tuple in the part its
+    final degree dictates), and therefore never spends a rebalancing tick.
     """
-    if not pre_classified:
-        drv = Driver(make_engine("d3", 0.5))
-        for rel, d in (("R", rd), ("S", sd), ("T", td)):
-            for key, m in d.items():
-                drv.on_update(rel, key, m)
-        return drv
-    eng = TernaryEngine.from_database({}, {}, {}, 0.5)
-    # nothing is built yet, so rebasing theta moves no value
-    eng.threshold.rebase(2 * (len(rd) + len(sd) + len(td)) + 1)
-    theta = eng.threshold.theta
+    if pre_classified:
+        return Driver(TernaryEngine.from_database(rd, sd, td, 0.5))
+    drv = Driver(make_engine("d3", 0.5))
     for rel, d in (("R", rd), ("S", sd), ("T", td)):
-        heavy = _heavy_values(d.items(), 0, theta)
         for key, m in d.items():
-            eng.apply_update(rel, "H" if key[0] in heavy else "L", key, m)
-    return Driver(eng)
+            drv.on_update(rel, key, m)
+    return drv
 
 
 # -- command plumbing -----------------------------------------------------

@@ -33,8 +33,8 @@ at u0; the slice binds w, and (u0, u1, w) is the triangle in X's rotation
     result, so its key is the output variables. A left update walks the
     right group's slice, a right update the left group's, and a third
     update looks the hat up once. A tree with a root as well has buckets:
-    its top is walked per root value and `bsz_<tree>` holds each root
-    value's bucket size.
+    its top is walked per root value, and the root view sums the top per
+    root value, so its keys are the nonempty buckets.
 
 The init path joins every direct fragment with `triangle_products` and
 fills every tree bottom up; `verify_views` reruns it on a copy.
@@ -126,17 +126,14 @@ class Tree:
         self.left = left
         self.right, self.third = ROTATION[left]
         self.groups = {left: lgroup, self.right: rgroup, self.third: "*"}
-        self.name = (left + self.right).lower()
         self.pair, self.hat, self.top, self.key = pair, hat, top or "res", key
         self.root, self.root_key = root, root_key
-        self.bsz = root and "bsz_" + self.name
         self.xyz = xyz = VARS[left]
         xz = xyz[0] + xyz[2]
         self.abc_of = projector(xyz, "abc")  # pair key -> (a, b, c)
         self.top_of = projector(xz, key)  # hat key -> top key
         self.hat_of = projector(key, xz) if len(key) == 2 else None
         self.root_of = root and projector(xz, root_key)
-        self.root_pos = root and xz.index(root_key)  # root variable in the hat key
         self.root_idx = root and (key.index(root_key),)  # the top's index on it
         self.third_of = projector(xyz, xyz[2] + xyz[0])  # pair key -> (z, x)
 
@@ -183,75 +180,39 @@ def _from_right(kernel, cascade):
     return step
 
 
-def _plain_tree(t, pair, hat, top, total, meter):
-    """(cascade, close) for a tree without buckets."""
-    top_of = t.top_of
+def _tree_steps(eng, t):
+    """(cascade, close) of tree t. The cascade takes a left or right step's
+    (x, y, z) and delta through the pair, hat and top views, and the root
+    view of a bucketed tree; the close looks the hat up once. A scalar
+    tree's left and right steps are `_scalar_tree_step`s, so it has no
+    cascade and its close adds into `count`."""
+    hat = getattr(eng, t.hat)
+    if not eng.out:
+        def close(u0, u1, m):
+            eng.count += m * hat.lookup((u1, u0))
+        return None, close
+    pair, top, root = (getattr(eng, n) if n else None for n in (t.pair, t.top, t.root))
+    total, meter, top_of, root_of = eng.parts[t.third].total, eng.meter, t.top_of, t.root_of
 
     def cascade(x, y, z, d):
         if pair is not None:
             pair.apply_delta((x, y, z), d)
-        hat.apply_delta((x, z), d)
-        tm = total((z, x))
-        if tm:
-            meter.total += 1
-            top.apply_delta(top_of((x, z)), d * tm)
-
-    def close(u0, u1, m):
-        v = hat.lookup((u1, u0))
-        if v:
-            top.apply_delta(top_of((u1, u0)), m * v)
-
-    return cascade, close
-
-
-def _bucketed_tree(t, pair, hat, top, total, meter, root, bsz):
-    """(cascade, close) for a tree whose top is walked per root value.
-
-    A bucket holds the pair entries under the top entries of one root
-    value, so its size moves with the pair slice under a top entry and
-    with that entry appearing or vanishing.
-    """
-    top_of, root_of, root_pos = t.top_of, t.root_of, t.root_pos
-
-    def grow(c, delta):
-        if delta:
-            v = bsz.get(c, 0) + delta
-            assert v >= 0
-            if v:
-                bsz[c] = v
-            else:
-                bsz.pop(c, None)
-
-    def cascade(x, y, z, d):
-        hk = (x, z)
-        ck = top_of(hk)
-        cnt = pair.slice_count((0, 2), hk)
-        # the pair entry appeared iff its new value is d, vanished iff 0
-        pv = pair.apply_delta((x, y, z), d)
-        new = cnt + (pv == d) - (pv == 0)
+        hk = x, z
         hat.apply_delta(hk, d)
         tm = total((z, x))
         if tm:
             meter.total += 1
-            # a write returns the new value; the old is it less the delta
-            new_top = top.apply_delta(ck, d * tm)
-            old = new_top - d * tm
-            root.apply_delta(root_of(hk), d * tm)
-        else:
-            old = new_top = top.lookup(ck)
-        grow(hk[root_pos], (new if new_top else 0) - (cnt if old else 0))
+            top.apply_delta(top_of(hk), d * tm)
+            if root is not None:
+                root.apply_delta(root_of(hk), d * tm)
 
     def close(u0, u1, m):
-        hk = (u1, u0)
+        hk = u1, u0
         v = hat.lookup(hk)
-        if not v:
-            return
-        ck = top_of(hk)
-        cnt = pair.slice_count((0, 2), hk)
-        new = top.apply_delta(ck, m * v)
-        old = new - m * v
-        root.apply_delta(root_of(hk), m * v)
-        grow(hk[root_pos], ((1 if new else 0) - (1 if old else 0)) * cnt)
+        if v:
+            top.apply_delta(top_of(hk), m * v)
+            if root is not None:
+                root.apply_delta(root_of(hk), m * v)
 
     return cascade, close
 
@@ -397,8 +358,7 @@ class FragmentEngine:
             elif t.pair:
                 views.append((t.top, len(t.key), (), ()))
         cls._views = tuple(views)
-        cls._bsz = tuple(t.bsz for t in cls.trees if t.root)
-        cls.view_names = tuple(v[0] for v in views) + cls._bsz + ("count",) * (not cls.out)
+        cls.view_names = tuple(v[0] for v in views) + ("count",) * (not cls.out)
 
         # init joins: the R, S and T groups, a group being (relation,
         # labels); tree fills: (tree, left group, right group); update
@@ -490,8 +450,6 @@ class FragmentEngine:
         m = self.meter
         for name, arity, idx, linked in self._views:
             setattr(self, name, Relation(name, arity, idx, m, linked))
-        for name in self._bsz:
-            setattr(self, name, {})
         if not self.out:
             self.count = 0
         self._steps = self._enum = None
@@ -531,14 +489,7 @@ class FragmentEngine:
             top = getattr(self, t.top)
             top.load([(top_of(hk), v) for hk, v in closed])
             if t.root:
-                root_of, pos, pair = t.root_of, t.root_pos, getattr(self, t.pair)
-                getattr(self, t.root).load([(root_of(hk), v) for hk, v in closed])
-                # the top's entries, read one tick each, are the closed (x, z)
-                meter.total += len(closed)
-                bsz = getattr(self, t.bsz)
-                for hk, _ in closed:
-                    c = hk[pos]
-                    bsz[c] = bsz.get(c, 0) + pair.slice_count((0, 2), hk)
+                getattr(self, t.root).load([(t.root_of(hk), v) for hk, v in closed])
         if key is not None:
             self.res.load(res)
 
@@ -591,7 +542,7 @@ class FragmentEngine:
             rel, labels = group
             return [parts[rel].parts[lab] for lab in labels]
 
-        trees = {t: self._tree(t) for t in self.trees}
+        trees = {t: _tree_steps(self, t) for t in self.trees}
         steps = {(rel, lab): [] for rel in RELS for lab in self.labels[rel]}
         for rel, labels, kind, row, walk, look, key in self._plan:
             if kind == "close":
@@ -613,20 +564,6 @@ class FragmentEngine:
         self._steps = {(rel, lab): (parts[rel].parts[lab], tuple(s))
                        for (rel, lab), s in steps.items()}
         return self._steps
-
-    def _tree(self, t):
-        if not self.out:
-            hat = getattr(self, t.hat)
-
-            def close(u0, u1, m):  # a scalar tree's close: the hat looked up once
-                self.count += m * hat.lookup((u1, u0))
-            return None, close
-        pair, hat, top = (getattr(self, n) if n else None for n in (t.pair, t.hat, t.top))
-        total = self.parts[t.third].total
-        if t.root:
-            return _bucketed_tree(t, pair, hat, top, total, self.meter,
-                                  getattr(self, t.root), getattr(self, t.bsz))
-        return _plain_tree(t, pair, hat, top, total, self.meter)
 
     def apply_update(self, rel, label, key, m):
         assert m != 0
@@ -660,21 +597,10 @@ class KeyedEngine(FragmentEngine):
     def _hop_union(self, t, rule, check):
         pair, top = getattr(self, t.pair), getattr(self, t.top)
         idx, keys = t.root_idx, self._hops[t][2]
-        if t.root:
-            bsz = getattr(self, t.bsz)
-
-            def size(k):
-                return bsz.get(k[0], 0)
-        else:
-            hat_of = t.hat_of
-
-            def size(k):
-                return pair.slice_count((0, 2), hat_of(k))
-
         return HopUnionIterator(
             getattr(self, t.root or t.top).entries,
             lambda k: Bucket(pair, top, k, idx, keys),
-            size, rule, self.meter, check)
+            rule, self.meter, check)
 
     def open_union(self):
         """Union of `res`'s keys and one hop union per pair tree."""

@@ -6,9 +6,11 @@ Three layers, each with constant delay in its own terms:
     (an element found in a later set defers emission to that set's cursor);
   * HopIterator: iteration with an exclusion set, using mutually inverse
     skipTo/skippedFrom pointer maps so runs of excluded elements are
-    jumped in one hop;
+    jumped in one hop; the run that reaches EOF from the first element
+    says every element is excluded;
   * HopUnionIterator: a union of per-key buckets where emitting an element
-    excludes it from every candidate bucket that may still hold it.
+    excludes it from every candidate bucket that may still hold it, and a
+    bucket left with every element excluded is dropped unvisited.
 
 Collections backing hop iterators expose first() -> element or None,
 successor(x) -> element or None, and contains(x) -> bool.
@@ -145,6 +147,9 @@ class HopIterator:
     live element (or EOF) after it; skippedFrom is its inverse for the
     reachable entries. Stale pointers left behind by run merges are never
     consulted: lookups happen only at live elements and run starts.
+
+    The collection's first element is read at most once: by the first
+    `next()`, or by `exhausted()` once an excluded run reaches EOF.
     """
 
     def __init__(self, coll, meter):
@@ -153,19 +158,23 @@ class HopIterator:
         self.skip_to = {}
         self.skipped_from = {}
         self.excluded = set()
-        self.visits = 0
+        self._first = BOF  # BOF until read
         self._meter = meter
 
     def _hop(self, x):
         return self.skip_to.get(x, x)
 
+    def _head(self):
+        if self._first is BOF:
+            self._first = self.coll.first()
+        return self._first
+
     def next(self):
-        self.visits += 1
         self._meter.total += 1
         if self.curr is EOF:
             return EOF
         if self.curr is BOF:
-            raw = self.coll.first()
+            raw = self._head()
         else:
             raw = self.coll.successor(self.curr)
         raw = EOF if raw is None else raw
@@ -185,6 +194,12 @@ class HopIterator:
         self.excluded.add(x)
         return True
 
+    def exhausted(self):
+        """True when every element is excluded: the excluded run that
+        reaches EOF starts at the first element."""
+        frm = self.skipped_from.get(EOF)
+        return frm is not None and frm == self._head()
+
 
 class HopUnionIterator:
     """Distinct union over per-key buckets with exclusion of emitted elements.
@@ -195,16 +210,17 @@ class HopUnionIterator:
     element. Bucket hop iterators are created on first access, whether
     that access is iteration or exclusion. After emitting t from the
     current bucket, t is excluded from every other candidate bucket; a
-    bucket whose remaining count hits zero that way is excluded from the
-    bucket-level hop iterator and never iterated.
+    bucket left with every element excluded that way is excluded from the
+    bucket-level hop iterator and never iterated. Only a bucket not yet
+    started loses elements this way: an element that an earlier bucket
+    also held was emitted there already.
 
-    Every bucket must be non-empty (`bucket_size(k) > 0`): the delay bound
-    of a few ticks per candidate bucket rests on it.
+    Every bucket must be non-empty: the delay bound of a few ticks per
+    candidate bucket rests on it.
     """
 
-    def __init__(self, bucket_keys, open_bucket, bucket_size, candidate_keys, meter, guard):
+    def __init__(self, bucket_keys, open_bucket, candidate_keys, meter, guard):
         self._open_bucket = open_bucket
-        self._bucket_size = bucket_size
         self._candidates = candidate_keys
         self._meter = meter
         self._guard = guard
@@ -214,7 +230,6 @@ class HopUnionIterator:
         self.i_buckets = HopIterator(self.buckets, meter)
         self.bucket_iters = {}
         self._colls = {}
-        self._remaining = {}
         self._cur = None
 
     def _coll(self, k):
@@ -227,7 +242,6 @@ class HopUnionIterator:
         it = self.bucket_iters.get(k)
         if it is None:
             it = self.bucket_iters[k] = HopIterator(self._coll(k), self._meter)
-            self._remaining[k] = self._bucket_size(k)
         return it
 
     def next(self):
@@ -244,15 +258,13 @@ class HopUnionIterator:
             if t is EOF:
                 self._cur = None
                 continue
-            self._remaining[cur] -= 1
             buckets = self.buckets
             for k in self._candidates(t):
                 if k == cur or not buckets.contains(k):
                     continue
-                if self._ensure(k).exclude(t):
-                    self._remaining[k] -= 1
-                    if self._remaining[k] == 0:
-                        self.i_buckets.exclude(k)
+                it = self._ensure(k)
+                if it.exclude(t) and it.exhausted():
+                    self.i_buckets.exclude(k)
             return t
 
     def contains(self, t):

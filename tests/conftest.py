@@ -29,7 +29,6 @@ def build_worked_hop_example():
     return HopUnionIterator(
         ["a1", "a2", "a3", "a4"],
         lambda k: ListCollection(WORKED_ORDERS[k]),
-        lambda k: len(WORKED_ORDERS[k]),
         lambda t: WORKED_CANDIDATES[t],
         CostMeter(),
         no_guard,

@@ -13,7 +13,7 @@ from math import isqrt
 from conftest import build_worked_hop_example, no_guard
 from trimaint.cli import measure_delay, run_stream, solve_oumv, static_ternary
 from trimaint.driver import Driver, make_engine
-from trimaint.iterators import EOF, HopUnionIterator, ListCollection, SeqIterator, union_next
+from trimaint.iterators import BOF, EOF, HopUnionIterator, ListCollection, SeqIterator, union_next
 from trimaint.oracle import RefMaintainer, oracle_oumv, oracle_triangle
 from trimaint.store import CostMeter
 from trimaint.workload import WorkloadSpec, make_sampler, stream
@@ -256,7 +256,6 @@ def test_union_primitives_random_families():
         it = HopUnionIterator(
             sorted(orders),
             lambda k: ListCollection(orders[k]),
-            lambda k: len(orders[k]),
             lambda t: members[t],
             CostMeter(),
             no_guard,
@@ -270,4 +269,4 @@ def test_worked_hop_example_skips_exhausted_bucket():
     it = build_worked_hop_example()
     assert drain(it.next) == [1, 2, 3, 4, 5, 6]
     third = it.bucket_iters["a3"]
-    assert third.visits == 0
+    assert third.curr is BOF

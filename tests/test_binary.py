@@ -5,6 +5,7 @@ from conftest import TRIANGLE, part_labels
 from hypothesis import given, settings, strategies as st
 
 from trimaint.binary import BinaryEngine
+from trimaint.fragments import Bucket
 from trimaint.iterators import StaleIterator
 from trimaint.oracle import oracle_triangle
 from trimaint.store import RejectedDelete
@@ -90,7 +91,14 @@ def test_hub_state_lives_in_rs_tree():
     # no direct fragment and no pair-less top holds a pair
     assert len(eng.res) == 0
     assert dict(eng.root_rs.items()) == {(9,): 6}
-    assert eng.bsz_rs == {9: 6}
+    # root 9's bucket holds the six pairs (1, b)
+    rs = eng.trees[1]
+    bucket = Bucket(eng.pair_rs, eng.closed_rs, (9,), rs.root_idx, eng._hops[rs][2])
+    walked, x = [], bucket.first()
+    while x is not None:
+        walked.append(x)
+        x = bucket.successor(x)
+    assert len(walked) == 6
     assert collect(eng) == oracle_triangle(rd, sd, td, 2)
     eng.verify_views()
 

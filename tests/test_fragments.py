@@ -54,8 +54,6 @@ def view_dicts(eng):
             for k, x in v.items():
                 if isinstance(x, Relation):
                     out.append((f"{name}[{k}]", x.entries))
-            if name.startswith("bsz_"):
-                out.append((name, v))
     return out
 
 

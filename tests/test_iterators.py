@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import build_worked_hop_example, no_guard
 from trimaint.iterators import (
+    BOF,
     EOF,
     HopIterator,
     HopUnionIterator,
@@ -95,7 +96,7 @@ def test_hop_exclude_current_element_is_safe():
 
 def test_hop_union_single_bucket_passthrough():
     it = HopUnionIterator(
-        ["k"], lambda k: ListCollection([3, 1, 2]), lambda k: 3, lambda t: ("k",),
+        ["k"], lambda k: ListCollection([3, 1, 2]), lambda t: ("k",),
         CostMeter(), no_guard,
     )
     assert drain(it.next) == [3, 1, 2]
@@ -106,7 +107,6 @@ def test_hop_union_disjoint_buckets():
     it = HopUnionIterator(
         ["x", "y"],
         lambda k: ListCollection(colls[k]),
-        lambda k: len(colls[k]),
         lambda t: ("x", "y"),
         CostMeter(),
         no_guard,
@@ -139,7 +139,7 @@ def test_worked_example_emission_and_states():
 
     assert it.next() == 6
     assert it.next() is EOF
-    assert a3.visits == 0
+    assert a3.curr is BOF
 
 
 class LinkedSlice:
@@ -174,14 +174,13 @@ def test_hop_union_over_relation_slices():
     it = HopUnionIterator(
         [1, 2, 3],
         lambda a: LinkedSlice(v, a),
-        lambda a: v.slice_count((0,), a),
         candidates,
         m,
         no_guard,
     )
     # Elements are the distinct B-values reachable from each A-keyed slice.
     assert drain(it.next) == [5, 6, 7]
-    assert it.bucket_iters[3].visits == 0
+    assert it.bucket_iters[3].curr is BOF
 
 
 unique_lists = st.lists(st.integers(0, 15), unique=True, max_size=16)
@@ -210,7 +209,6 @@ def test_hop_union_emits_distinct_union(sets, rng):
     it = HopUnionIterator(
         list(colls),
         lambda i: ListCollection(colls[i]),
-        lambda i: len(colls[i]),
         candidates,
         CostMeter(),
         no_guard,
@@ -232,6 +230,18 @@ def test_hop_exclusion_soundness(seq, data):
     assert drain(it.next) == [x for x in seq if x not in excluded]
 
 
+@settings(max_examples=300)
+@given(st.lists(st.integers(0, 15), unique=True, min_size=1, max_size=16), st.data())
+def test_hop_exhausted_exactly_when_every_element_is_excluded(seq, data):
+    order = data.draw(st.permutations(seq))
+    it = HopIterator(ListCollection(seq), CostMeter())
+    assert not it.exhausted()
+    for i, x in enumerate(order):
+        it.exclude(x)
+        assert it.exhausted() == (i == len(order) - 1), order[:i + 1]
+    assert drain(it.next) == []
+
+
 @settings(max_examples=100)
 # buckets are never empty, as HopUnionIterator requires of its callers
 @given(st.lists(st.lists(st.integers(0, 15), unique=True, min_size=1, max_size=16),
@@ -246,7 +256,6 @@ def test_hop_union_delay_bounded_by_candidates(sets):
     it = HopUnionIterator(
         list(colls),
         lambda i: ListCollection(colls[i]),
-        lambda i: len(colls[i]),
         candidates,
         m,
         no_guard,
