@@ -110,11 +110,13 @@ def verify_stream(query, epsilon, updates, double=False, cadence=0):
 
     cadence 0 means automatic: every update while the database holds at
     most 200 tuples, every 50th update beyond that. Returns (ok, index
-    of first detected divergence or None, driver).
+    of first detected divergence or None, driver). The index is that of
+    the update in `updates`; a divergence the end-of-stream check finds is
+    reported at the last applied update.
     """
     drv = Driver(make_engine(query, epsilon, double=double))
     ref = RefMaintainer(K_OF[query])
-    applied = 0
+    applied = last = 0
     for i, (rel, key, m) in enumerate(updates):
         try:
             drv.on_update(rel, key, m)
@@ -122,11 +124,12 @@ def verify_stream(query, epsilon, updates, double=False, cadence=0):
             continue
         ref.apply(rel, key, m)
         applied += 1
+        last = i
         step = cadence if cadence else (1 if ref.db_size() <= 200 else 50)
         if applied % step == 0 and drv.engine.query_result() != ref.result():
             return False, i, drv
     if drv.engine.query_result() != ref.result():
-        return False, max(applied - 1, 0), drv
+        return False, last, drv
     return True, None, drv
 
 

@@ -31,10 +31,12 @@ at u0; the slice binds w, and (u0, u1, w) is the triangle in X's rotation
     the cycle at (z, x) into a top view keyed by `key`, x and/or z in
     output order. A tree without a pair view writes its top into the
     result, so its key is the output variables. A left update walks the
-    right group's slice, a right update the left group's, and a third
-    update looks the hat up once. A tree with a root as well has buckets:
-    its top is walked per root value, and the root view sums the top per
-    root value, so its keys are the nonempty buckets.
+    right group's slice, a right update the left group's, both through
+    one kernel (`store.walk_close`) that returns each walked tuple with
+    the third relation's total at its (z, x); a third update looks the
+    hat up once. A tree with a root as well has buckets: its top is
+    walked per root value, and the root view sums the top per root value,
+    so its keys are the nonempty buckets.
 
 The init path joins every direct fragment with `triangle_products` and
 fills every tree bottom up; `verify_views` reruns it on a copy.
@@ -46,9 +48,10 @@ in bulk, so a build's ops do not depend on how it is carried out.
 
 A table with no output variables (`out = ""`, d0's count) has a scalar
 output: every direct fragment and every tree top (its trees have no pair
-view) adds into one integer, `count`. Each direct or tree step walks its
-slice once and adds the probed sum, a tree step also writing every walked
-tuple into the hat; a close step looks the hat up. Writes to `count` are
+view) adds into one integer, `count`. A direct step adds the sum of its
+kernel's hits; a tree step writes every walked tuple into the hat, as a
+keyed tree does, and adds the walked deltas closed by the third
+relation's totals; a close step looks the hat up. Writes to `count` are
 O(1) bookkeeping and are not metered.
 
 Every fragment value is a product of nonnegative multiplicities, so the
@@ -75,7 +78,7 @@ from operator import itemgetter
 from trimaint.iterators import EOF, HopUnionIterator, KeyIterator, StaleIterator, UnionIterator
 from trimaint.joins import triangle_products
 from trimaint.partition import BASE_IDX, DoublePartition, SinglePartition, Threshold
-from trimaint.store import CostMeter, RejectedDelete, Relation, entry_list, walk_probe, walk_sum
+from trimaint.store import CostMeter, RejectedDelete, Relation, entry_list, walk_close, walk_probe
 
 RELS = ("R", "S", "T")
 # next and previous relation in the R->S->T cycle
@@ -156,55 +159,47 @@ def _sum_step(eng, kernel, next_side):
     return step
 
 
-def _scalar_tree_step(eng, kernel, next_side, hat):
-    """Left (next_side) or right step of a scalar tree, from one `walk_sum`."""
+def _tree_step(eng, t, kernel, left):
+    """Left (walking the right group's slice at u1) or right step of tree
+    t. Each walked tuple's delta goes into the pair and hat views and,
+    where the third relation's total tm closes it, times tm into the top
+    view and the root view of a bucketed tree. A scalar tree writes the
+    hat and adds the closed deltas into `count`."""
+    hat = getattr(eng, t.hat)
+    if not eng.out:
+        def step(u0, u1, m):
+            s = 0
+            for hk, mw, tm in (kernel(u1, u0) if left else kernel(u0, u1)):
+                hat.apply_delta(hk, m * mw)
+                s += mw * tm
+            eng.count += m * s
+        return step
+    pair, top, root = (getattr(eng, n) if n else None for n in (t.pair, t.top, t.root))
+    top_of, root_of = t.top_of, t.root_of
+
     def step(u0, u1, m):
-        walked, s = kernel(u1, u0) if next_side else kernel(u0, u1)
-        for hk, d in walked:
-            hat.apply_delta(hk, m * d)
-        eng.count += m * s
+        for hk, mw, tm in (kernel(u1, u0) if left else kernel(u0, u1)):
+            d = m * mw
+            if pair is not None:
+                # y, the walked slice's value, sits between x and z
+                pair.apply_delta((hk[0], u1 if left else u0, hk[1]), d)
+            hat.apply_delta(hk, d)
+            if tm:
+                top.apply_delta(top_of(hk), d * tm)
+                if root is not None:
+                    root.apply_delta(root_of(hk), d * tm)
     return step
 
 
-def _from_left(kernel, cascade):
-    def step(u0, u1, m):
-        for w, mr in kernel(u1):
-            cascade(u0, u1, w, m * mr)
-    return step
-
-
-def _from_right(kernel, cascade):
-    def step(u0, u1, m):
-        for w, ml in kernel(u0):
-            cascade(w, u0, u1, ml * m)
-    return step
-
-
-def _tree_steps(eng, t):
-    """(cascade, close) of tree t. The cascade takes a left or right step's
-    (x, y, z) and delta through the pair, hat and top views, and the root
-    view of a bucketed tree; the close looks the hat up once. A scalar
-    tree's left and right steps are `_scalar_tree_step`s, so it has no
-    cascade and its close adds into `count`."""
+def _close_step(eng, t):
+    """Third-relation step of tree t: it looks the hat up once."""
     hat = getattr(eng, t.hat)
     if not eng.out:
         def close(u0, u1, m):
             eng.count += m * hat.lookup((u1, u0))
-        return None, close
-    pair, top, root = (getattr(eng, n) if n else None for n in (t.pair, t.top, t.root))
-    total, meter, top_of, root_of = eng.parts[t.third].total, eng.meter, t.top_of, t.root_of
-
-    def cascade(x, y, z, d):
-        if pair is not None:
-            pair.apply_delta((x, y, z), d)
-        hk = x, z
-        hat.apply_delta(hk, d)
-        tm = total((z, x))
-        if tm:
-            meter.total += 1
-            top.apply_delta(top_of(hk), d * tm)
-            if root is not None:
-                root.apply_delta(root_of(hk), d * tm)
+        return close
+    top, root = (getattr(eng, n) if n else None for n in (t.top, t.root))
+    top_of, root_of = t.top_of, t.root_of
 
     def close(u0, u1, m):
         hk = u1, u0
@@ -214,7 +209,7 @@ def _tree_steps(eng, t):
             if root is not None:
                 root.apply_delta(root_of(hk), m * v)
 
-    return cascade, close
+    return close
 
 
 def _candidate_rule(eng, walk, cols, bucket_of, bucket_lookup):
@@ -542,22 +537,17 @@ class FragmentEngine:
             rel, labels = group
             return [parts[rel].parts[lab] for lab in labels]
 
-        trees = {t: _tree_steps(self, t) for t in self.trees}
         steps = {(rel, lab): [] for rel in RELS for lab in self.labels[rel]}
         for rel, labels, kind, row, walk, look, key in self._plan:
             if kind == "close":
-                step = trees[row][1]
+                step = _close_step(self, row)
             elif kind in ("N", "P"):
                 kernel = walk_probe(members(walk), 0 if kind == "N" else 1, members(look), meter)
                 step = (_sum_step(self, kernel, kind == "N") if not self.out else
                         _direct_step(kernel, kind == "N", self.res, key))
-            elif not self.out:
-                kernel = walk_sum(members(walk), 0 if kind == "left" else 1, members(look), meter)
-                step = _scalar_tree_step(self, kernel, kind == "left", getattr(self, row.hat))
-            elif kind == "left":
-                step = _from_left(walk_probe(members(walk), 0, (), meter), trees[row][0])
             else:
-                step = _from_right(walk_probe(members(walk), 1, (), meter), trees[row][0])
+                kernel = walk_close(members(walk), 0 if kind == "left" else 1, members(look), meter)
+                step = _tree_step(self, row, kernel, kind == "left")
             for lab in labels:
                 steps[rel, lab].append(step)
         # (rel, label) -> (the part the update writes, its steps)

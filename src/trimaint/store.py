@@ -33,19 +33,20 @@ at most COMPACT_FLOOR: CPython sizes a dict from its live keys whenever
 it grows, so one that never held more than that many keys has a small
 constant number of slots to walk.
 
-The update path reads the parts through `walk_probe`, one kernel for the
-loops of the form "walk one partner's slice, probe the other partner at
-the rotated pair", and `walk_sum`, which also keeps the misses. A kernel
-is bound once per build to the parts and to the `slices` maps of their
-indexes, which live as long as their Relation; promotion and compaction
-replace single slices, and compaction replaces `entries`, so a kernel
-reads both afresh on every call. A probing `walk_probe` kernel first
-reads both partners' slice lengths, one tick each, and walks the shorter
-side (the intersection rule of worst-case optimal joins), charging the
-lengths, the chosen walk at one tick per tuple plus one per probe, and
-one per hit; the other kernels charge what the equivalent `slice_items`
-and `lookup` calls would. Each charges in one add once its walk has run
-(see CostMeter for when that is allowed).
+The update path reads the parts through two kernels: `walk_probe`, for a
+direct fragment's "walk one partner's slice, probe the other partner at
+the rotated pair", and `walk_close`, for a view tree's "walk the
+partner's slice, keep every walked tuple and close it with the third
+relation's total". A kernel is bound once per build to the parts and to
+the `slices` maps of their indexes, which live as long as their Relation;
+promotion and compaction replace single slices, and compaction replaces
+`entries`, so a kernel reads both afresh on every call. `walk_probe`
+first reads both partners' slice lengths, one tick each, and walks the
+shorter side (the intersection rule of worst-case optimal joins),
+charging the lengths, the chosen walk at one tick per tuple plus one per
+probe, and one per hit; `walk_close` charges what the equivalent
+`slice_items` and `lookup` calls would. Each charges in one add once its
+walk has run (see CostMeter for when that is allowed).
 
 The init path (a build, and a major that falls back to a rebuild) fills
 each fresh part and view with `load`: one pass per index over the new
@@ -89,11 +90,12 @@ class CostMeter:
 
     A loop may charge its whole cost in one add (bulk charging) only if it
     always runs to its end and nothing reads `total` while it runs: the
-    update-path kernels (`walk_probe`) do, and so does the init path, since
-    a build or a rebuild always runs to its end (`Relation.load`,
-    `joins.triangle_products` and the tree fills). Enumeration, hop
-    iterators and walks that can stop early charge item by item, so the
-    delay between two reads of `total` is what was metered in between.
+    update-path kernels (`walk_probe`, `walk_close`) do, and so does the
+    init path, since a build or a rebuild always runs to its end
+    (`Relation.load`, `joins.triangle_products` and the tree fills).
+    Enumeration, hop iterators and walks that can stop early charge item
+    by item, so the delay between two reads of `total` is what was metered
+    in between.
     """
 
     __slots__ = ("total", "major", "minor")
@@ -475,55 +477,32 @@ def entry_list(rels, meter):
 
 
 def walk_probe(walked, col, probed, meter):
-    """Bind the update path's walk-and-probe kernel, `kernel(sub, other)`.
+    """Bind a direct fragment's walk-and-probe kernel, `kernel(sub, other)`.
 
     The `walked` parts (one or two binary Relations) are sliced on column
     `col` at `sub`; a walked tuple binds w, its other column, and the
     probe key is the rotated pair: (w, other) when walking column 0,
     (other, w) when walking column 1. The kernel returns (w, mw * mp) for
     every w where both the walked multiplicity mw and the multiplicity mp
-    summed over the `probed` parts (one, two or four) are nonzero; with
-    nothing probed it returns (w, mw) for every walked tuple. Every part
-    needs a hash index on each column it is sliced on.
+    summed over the `probed` parts (one, two or four) are nonzero. Every
+    part needs a hash index on each column it is sliced on.
 
-    With nothing probed the kernel walks the walked parts' slices, part by
-    part, each in insertion order, and charges what `slice_items` would:
-    1 + n per walked part with n tuples under `sub`.
-
-    With parts probed it reads, one tick each, the length of each walked
-    part's slice at `sub` and of each probed part's slice at `other` on
-    column 1 - col: the probe keys that can hit are exactly the tuples of
-    those slices. If either side is empty it returns there. Otherwise it
-    walks the side that costs less, the intersection rule of worst-case
-    optimal joins: n_walked * (1 + #probed) against n_probed * (1 +
-    #walked), ties to the walked side. Walking the probed side binds
-    w = k[col] and probes the walked parts at (sub, w) or (w, sub); it
-    yields one hit per probed tuple, so where probed parts overlap (never
-    within a partition) a w can come out more than once. The charge is
-    #walked + #probed, plus the chosen walk, plus one per hit, in one add
-    once the walk has run. The walk never costs more than the walked
-    side's, so the bound a fragment's `sides` letter gives still holds.
+    It reads, one tick each, the length of each walked part's slice at
+    `sub` and of each probed part's slice at `other` on column 1 - col:
+    the probe keys that can hit are exactly the tuples of those slices. If
+    either side is empty it returns there. Otherwise it walks the side
+    that costs less, the intersection rule of worst-case optimal joins:
+    n_walked * (1 + #probed) against n_probed * (1 + #walked), ties to the
+    walked side. Walking the probed side binds w = k[col] and probes the
+    walked parts at (sub, w) or (w, sub); it yields one hit per probed
+    tuple, so where probed parts overlap (never within a partition) a w can
+    come out more than once. The charge is #walked + #probed, plus the
+    chosen walk, plus one per hit, in one add once the walk has run. The
+    walk never costs more than the walked side's, so the bound a
+    fragment's `sides` letter gives still holds.
     """
-    if not 1 <= len(walked) <= 2 or len(probed) not in (0, 1, 2, 4):
+    if not 1 <= len(walked) <= 2 or len(probed) not in (1, 2, 4):
         raise ValueError(f"{len(walked)} walked and {len(probed)} probed parts")
-    if not probed:
-        if len(walked) == 2:
-            a, b = (walk_probe([rel], col, probed, meter) for rel in walked)
-            return lambda sub, other=None: a(sub, other) + b(sub, other)
-        (rel,) = walked
-        slices = rel.hash_slices((col,))
-        at = 1 - col
-
-        def kernel(sub, other=None):
-            s = slices.get(sub)
-            if s is None:
-                meter.total += 1
-                return []
-            meter.total += 1 + len(s)
-            entries = rel.entries
-            return [(k[at], entries[k]) for k in s]
-
-        return kernel
     at, first = 1 - col, col == 0
     slices = tuple(rel.hash_slices((col,)) for rel in walked)
     others = tuple(rel.hash_slices((at,)) for rel in probed)
@@ -613,42 +592,58 @@ def _probe_walk(walked, col, probed):
     return walk
 
 
-def walk_sum(walked, col, probed, meter):
-    """Bind `kernel(sub, other)`, the walk of `walk_probe` that keeps its
-    misses: it returns [(key, mw)] for every walked tuple, key being the
-    tuple with `other` in place of `sub`, and the sum of mw * mp, mp summed
-    over the two or four `probed` parts at the rotated pair. It walks every
-    walked tuple, whatever the probed side holds, and charges what the same
-    walk through `slice_items` and `lookup` costs, with one combine per
-    nonzero probe: 1 + n per walked part with n tuples under `sub`, one per
-    probed part per tuple, and one per hit."""
-    slices = [(rel, rel.hash_slices((col,))) for rel in walked]
-    per, first = 1 + len(probed), col == 0
+def walk_close(walked, col, third, meter):
+    """Bind a view tree's left or right step kernel, `kernel(sub, other)`.
+
+    The `walked` parts (one or two binary Relations) are sliced on column
+    `col` at `sub`, part by part, each in insertion order. The kernel
+    returns (hat_key, mw, tm) for every walked tuple, in a list, or an
+    empty tuple when it walks none: hat_key is the tuple with `other` in
+    place of `sub`, mw its multiplicity, and tm the third relation's total
+    at the rotated pair, (w, other) when walking column 0 and (other, w)
+    when walking column 1, summed over the `third` parts (two or four: a
+    whole partition), 0 on a miss. It charges what the same walk through
+    `slice_items` and `lookup` costs, with one combine per nonzero tm:
+    1 + (1 + #third) * n per walked part with n tuples under `sub`, plus
+    one per nonzero tm, in one add.
+    """
+    if not 1 <= len(walked) <= 2 or len(third) not in (2, 4):
+        raise ValueError(f"{len(walked)} walked and {len(third)} third parts")
+    # a slices map lives as long as its Relation, so its getter is bound
+    # here; compaction replaces `entries`, so the third parts' are read per
+    # call, and only once a slice is nonempty, as most are empty
+    sides = [(rel, rel.hash_slices((col,)).get) for rel in walked]
+    nsides, per, first = len(sides), 1 + len(third), col == 0
+    t0, t1, *rest = third
+    t2, t3 = rest or (None, None)
 
     def kernel(sub, other):
-        ga, gb, *more = [p.entries.get for p in probed]
-        out, total, ops = [], 0, 0
-        for rel, by_sub in slices:
-            s, entries = by_sub.get(sub, ()), rel.entries
-            ops += 1 + per * len(s)
+        out, ops = (), nsides
+        for rel, get in sides:
+            s = get(sub)
+            if s is None:
+                continue
+            if not out:
+                out = []
+                e0, e1 = t0.entries, t1.entries
+                if rest:
+                    e2, e3 = t2.entries, t3.entries
+            entries = rel.entries
+            ops += per * len(s)
             for k in s:
-                mw = entries[k]
                 if first:
                     w = k[1]
-                    key = (w, other)
-                    out.append(((other, w), mw))
+                    key, hk = (w, other), (other, w)
                 else:
                     w = k[0]
-                    key = (other, w)
-                    out.append(((w, other), mw))
-                mp = ga(key, 0) + gb(key, 0)
-                if more:
-                    for g in more:
-                        mp += g(key, 0)
-                if mp:
-                    total += mw * mp
+                    key, hk = (other, w), (w, other)
+                tm = e0.get(key, 0) + e1.get(key, 0)
+                if rest:
+                    tm += e2.get(key, 0) + e3.get(key, 0)
+                if tm:
                     ops += 1
+                out.append((hk, entries[k], tm))
         meter.total += ops
-        return out, total
+        return out
 
     return kernel

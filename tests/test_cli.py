@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from trimaint import cli
 from trimaint.cli import (
     main,
     measure_delay,
@@ -10,7 +11,7 @@ from trimaint.cli import (
     static_ternary,
     verify_stream,
 )
-from trimaint.oracle import oracle_oumv, oracle_triangle
+from trimaint.oracle import RefMaintainer, oracle_oumv, oracle_triangle
 from trimaint.workload import WorkloadSpec, format_update, stream
 
 TRIANGLE = "+ R 1 2\n+ S 2 3\n+ T 3 1\n"
@@ -187,6 +188,25 @@ def test_verify_stream_reports_divergence_shape():
     ok, bad, drv = verify_stream("d1", 0.5, stream(spec))
     assert ok and bad is None
     drv.check_invariants(deep=True)
+
+
+class _SeesS(RefMaintainer):
+    """A reference that disagrees with the engine once it holds an S tuple."""
+
+    def result(self):
+        out = super().result()
+        return {**out, ("bogus",): 1} if self.rels["S"] else out
+
+
+@pytest.mark.parametrize("cadence", [0, 10])
+def test_verify_stream_reports_stream_index(monkeypatch, cadence):
+    # the leading delete is rejected, so the S insert, stream index 2, is
+    # the second applied update; cadence 10 finds the divergence only in
+    # the end-of-stream check, cadence 0 after every update
+    monkeypatch.setattr(cli, "RefMaintainer", _SeesS)
+    updates = [("R", (5, 5), -1), ("R", (1, 2), 1), ("S", (2, 3), 1)]
+    ok, bad, _ = verify_stream("d1", 0.5, updates, cadence=cadence)
+    assert not ok and bad == 2
 
 
 def test_measure_delay_positive():

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trimaint.driver import Driver, make_engine
 from trimaint.nullary import NullaryDoubleEngine, NullaryEngine
 from trimaint.oracle import oracle_triangle
 from trimaint.store import RejectedDelete
@@ -163,3 +164,24 @@ def test_all_heavy_step_skips_a_hub_when_its_probe_is_empty(cls):
         return eng.meter.total - t0
 
     assert update_ops(16) == update_ops(64)
+
+
+def test_star_hub_cost_is_capped_at_half_epsilon():
+    # a star R(0, i), S(i, 0) grown in bands: at epsilon 0.5 the hub value
+    # goes heavy, so toggling the closing edge T(0, 0) costs what toggling
+    # an unconnected T tuple costs, at every band (at epsilon 1 the excess
+    # doubles with the spokes; see test_star_per_update_cost_doubles)
+    drv = Driver(make_engine("d0", 0.5))
+    spokes = 0
+    for band, n in enumerate((32, 64, 128, 256, 512, 1024, 2048)):
+        while spokes < n:
+            spokes += 1
+            drv.on_update("R", (0, spokes), 1)
+            drv.on_update("S", (spokes, 0), 1)
+        off = (9000 + band, 9500 + band)
+        base = drv.on_update("T", off, 1)["total"]
+        drv.on_update("T", off, -1)
+        cost = drv.on_update("T", (0, 0), 1)["total"]
+        drv.on_update("T", (0, 0), -1)
+        assert cost == base, (n, cost, base)
+    assert drv.engine.count == 0
