@@ -9,10 +9,21 @@ first in even pairs and the change first in odd ones, and reads the last
 line of each run's stdout (one JSON object). Per end-to-end metric of the
 change's BENCHMARK.json it prints each side's median and quartiles, how
 many pairs the change won (ties count for neither side), the parent's
-interquartile range, and whether a gain may be claimed: the change wins
-at least nine tenths of the pairs and its median is better than the
-parent's by more than the parent's interquartile range. Nothing in either
-checkout is written. Exit status: 0 when every run was correct, 1 if any
+interquartile range, whether a gain may be claimed (the change wins at
+least nine tenths of the pairs and its median is better than the
+parent's by more than the parent's interquartile range), and the
+regression verdict against the metric's `bound`, a fraction of the
+parent's median:
+
+  worse       the change's median is worse than the parent's by more
+              than the bound;
+  unresolved  otherwise, the parent's interquartile range is wider than
+              the bound, so the runs cannot show a regression of that
+              size, unless every change run reads better than every
+              parent run;
+  ok          otherwise.
+
+Nothing in either checkout is written. Exit status: 0 when every run was correct, 1 if any
 run failed or printed no result, 2 on a usage error.
 """
 
@@ -51,17 +62,28 @@ def quartiles(values):
     return q1, q2, q3
 
 
-def compare(parent_runs, change_runs, better):
-    """Per metric: (parent quartiles, change quartiles, wins, claim)."""
+def compare(parent_runs, change_runs, metrics):
+    """Per metric of `metrics` (BENCHMARK.json's end-to-end entries, each
+    with its name, `better` and `bound`): (parent quartiles, change
+    quartiles, wins, claim, verdict), as the module docstring defines
+    them."""
     out = {}
-    for name, direction in better.items():
+    for m in metrics:
+        name, bound = m["name"], m["bound"]
         ps = [r[name] for r in parent_runs]
         cs = [r[name] for r in change_runs]
-        sign = 1 if direction == "higher" else -1
+        sign = 1 if m["better"] == "higher" else -1
         wins = sum(sign * (c - p) > 0 for p, c in zip(ps, cs))
         pq, cq = quartiles(ps), quartiles(cs)
-        claim = wins >= 0.9 * len(ps) and sign * (cq[1] - pq[1]) > pq[2] - pq[0]
-        out[name] = (pq, cq, wins, claim)
+        iqr, limit = pq[2] - pq[0], bound * abs(pq[1])
+        claim = wins >= 0.9 * len(ps) and sign * (cq[1] - pq[1]) > iqr
+        if sign * (pq[1] - cq[1]) > limit:
+            verdict = "worse"
+        elif iqr > limit and not all(sign * (c - p) > 0 for p in ps for c in cs):
+            verdict = "unresolved"
+        else:
+            verdict = "ok"
+        out[name] = (pq, cq, wins, claim, verdict)
     return out
 
 
@@ -82,8 +104,7 @@ def main(argv=None):
     for checkout in (args.parent, args.change):
         if not (checkout / "bench" / "run.py").is_file():
             ap.error(f"{checkout}: no bench/run.py")
-    spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
 
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
@@ -100,11 +121,12 @@ def main(argv=None):
     n = args.pairs
     print(f"{args.workload}, seed {args.seed}, {args.seconds:g} s runs, {n} pairs")
     print(f"  {'metric':24} {'parent q1/median/q3':>32} {'change q1/median/q3':>32} "
-          f"{'wins':>6} {'parent IQR':>11}  claim")
-    for name, (pq, cq, wins, claim) in compare(runs["parent"], runs["change"], better).items():
+          f"{'wins':>6} {'parent IQR':>11}  claim  regression")
+    for name, (pq, cq, wins, claim, verdict) in compare(
+            runs["parent"], runs["change"], metrics).items():
         fmt = " / ".join(f"{v:.4g}" for v in pq), " / ".join(f"{v:.4g}" for v in cq)
         print(f"  {name:24} {fmt[0]:>32} {fmt[1]:>32} {wins:>3}/{n:<2} "
-              f"{pq[2] - pq[0]:>11.4g}  {'yes' if claim else 'no'}")
+              f"{pq[2] - pq[0]:>11.4g}  {'yes' if claim else 'no':5}  {verdict}")
     return 0
 
 

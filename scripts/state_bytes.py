@@ -13,7 +13,8 @@ each structure's bytes are divided by the database's live tuples:
   list slices   hash slices held as lists (at most COMPACT_FLOOR tuples)
   dict slices   hash slices held as dicts
   slice maps    each index's map from projection key to slice
-  marks         each hash index's high-water marks of its dict slices
+  marks         each index's high-water marks of its dict slices and
+                its slices map
   linked lists  the linked indexes' per-key lists and their node maps
   linked nodes  the linked indexes' per-tuple nodes
   key tuples    every distinct tuple object used as a key (stored tuples
@@ -71,8 +72,8 @@ def measure(eng):
             for sub in slices:
                 if isinstance(sub, tuple):
                     keys[id(sub)] = sub
+            out["marks"] += getsizeof(marks)
             if nodes is None:
-                out["marks"] += getsizeof(marks)
                 for s in slices.values():
                     kinds[type(s)] += 1
                     out["list slices" if type(s) is list else "dict slices"] += getsizeof(s)

@@ -4,9 +4,10 @@ R is partitioned on A alone; S and T on both their columns, so labels
 carry two letters (first letter: B-class for S, C-class for T). The
 result splits into seven fragments by label pattern. Five (four direct
 fragments and the closed view of tree st) add into one materialized pair
-relation, `res`, enumerated by key; two live in view trees rs and tr
-whose roots group results under heavy C-values and are enumerated with
-hop-union iterators over two-level buckets. Emission multiplicity is
+relation, `res`, enumerated by key; two live in view trees rs and tr,
+enumerated with hop-union iterators over two-level buckets: a bucket is
+the slice of the tree's top view at one heavy C-value, on the top's
+linked index on c. Emission multiplicity is
 reassembled per pair from its value in `res` plus the pair views of
 trees rs and tr sliced at the pair, each entry closed by the third
 relation's total, so the stored fragments never need to agree on how
@@ -29,8 +30,8 @@ class BinaryEngine(KeyedEngine):
         Direct("L", "*", "HH", "PNN"),
     )
     trees = (
-        # left, left group, right group, hat, top key[, pair, top, root, root key]
+        # left, left group, right group, hat, top key[, pair, top, root key]
         Tree("S", "H*", "L*", "st_agg", "ab"),
-        Tree("R", "H", "LH", "hat_rs", "ac", "pair_rs", "closed_rs", "root_rs", "c"),
-        Tree("T", "HL", "L", "hat_tr", "bc", "pair_tr", "closed_tr", "root_tr", "c"),
+        Tree("R", "H", "LH", "hat_rs", "ac", "pair_rs", "closed_rs", "c"),
+        Tree("T", "HL", "L", "hat_tr", "bc", "pair_tr", "closed_tr", "c"),
     )

@@ -34,9 +34,9 @@ at u0; the slice binds w, and (u0, u1, w) is the triangle in X's rotation
     right group's slice, a right update the left group's, both through
     one kernel (`store.walk_close`) that returns each walked tuple with
     the third relation's total at its (z, x); a third update looks the
-    hat up once. A tree with a root as well has buckets: its top is
-    walked per root value, and the root view sums the top per root value,
-    so its keys are the nonempty buckets.
+    hat up once. A tree with a root variable as well has buckets: its
+    top has a linked index on that variable, whose slices are the
+    buckets, and whose map's keys are the nonempty ones.
 
 The init path joins every direct fragment with `triangle_products` and
 fills every tree bottom up; `verify_views` reruns it on a copy.
@@ -57,10 +57,12 @@ O(1) bookkeeping and are not metered.
 Every fragment value is a product of nonnegative multiplicities, so the
 sum `res` holds for a tuple is nonzero exactly when one of the fragments
 written into it is: keeping them apart would buy nothing at read time.
-Enumeration (`KeyedEngine`) of an engine with one
-or two output variables is a union of `res`'s keys and one hop union per
-pair tree, whose buckets are keyed by the tree's root value, or by its
-top key for a tree without a root. A tuple's multiplicity is its value in
+Enumeration (`KeyedEngine`) of an engine with one or two output
+variables is a union of `res`'s keys and one hop union per pair tree. A
+bucketed tree's buckets are the slices of its top view's linked index on
+the root variable, keyed by the root value and listed from that index's
+map; a tree without a root has one bucket per top entry, keyed by the
+top key. A tuple's multiplicity is its value in
 `res` plus, per pair tree, the pair slice at the tuple closed by the
 third relation's totals. Each pair tree's candidate rule keeps the slice
 entries it walked for the last tuple it saw; a repeated call at that
@@ -119,25 +121,24 @@ class Tree:
     """View tree row: left relation and group, right group, hat view name
     and the top's variables `key`.
 
-    A pair tree also names its pair and top views, and a bucketed one its
-    root and the root's variable. A tree without a pair view writes its
-    top into the result: `res`, or `count` for a scalar output.
+    A pair tree also names its pair and top views, and a bucketed one the
+    top variable its buckets are keyed by, `root_key`. A tree without a
+    pair view writes its top into the result: `res`, or `count` for a
+    scalar output.
     """
 
-    def __init__(self, left, lgroup, rgroup, hat, key, pair=None, top=None, root=None,
-                 root_key=None):
+    def __init__(self, left, lgroup, rgroup, hat, key, pair=None, top=None, root_key=None):
         self.left = left
         self.right, self.third = ROTATION[left]
         self.groups = {left: lgroup, self.right: rgroup, self.third: "*"}
         self.pair, self.hat, self.top, self.key = pair, hat, top or "res", key
-        self.root, self.root_key = root, root_key
+        self.root_key = root_key
         self.xyz = xyz = VARS[left]
         xz = xyz[0] + xyz[2]
         self.abc_of = projector(xyz, "abc")  # pair key -> (a, b, c)
         self.top_of = projector(xz, key)  # hat key -> top key
         self.hat_of = projector(key, xz) if len(key) == 2 else None
-        self.root_of = root and projector(xz, root_key)
-        self.root_idx = root and (key.index(root_key),)  # the top's index on it
+        self.root_idx = root_key and (key.index(root_key),)  # the top's index on it
         self.third_of = projector(xyz, xyz[2] + xyz[0])  # pair key -> (z, x)
 
 
@@ -163,8 +164,8 @@ def _tree_step(eng, t, kernel, left):
     """Left (walking the right group's slice at u1) or right step of tree
     t. Each walked tuple's delta goes into the pair and hat views and,
     where the third relation's total tm closes it, times tm into the top
-    view and the root view of a bucketed tree. A scalar tree writes the
-    hat and adds the closed deltas into `count`."""
+    view. A scalar tree writes the hat and adds the closed deltas into
+    `count`."""
     hat = getattr(eng, t.hat)
     if not eng.out:
         def step(u0, u1, m):
@@ -174,8 +175,7 @@ def _tree_step(eng, t, kernel, left):
                 s += mw * tm
             eng.count += m * s
         return step
-    pair, top, root = (getattr(eng, n) if n else None for n in (t.pair, t.top, t.root))
-    top_of, root_of = t.top_of, t.root_of
+    pair, top, top_of = t.pair and getattr(eng, t.pair), getattr(eng, t.top), t.top_of
 
     def step(u0, u1, m):
         for hk, mw, tm in (kernel(u1, u0) if left else kernel(u0, u1)):
@@ -186,8 +186,6 @@ def _tree_step(eng, t, kernel, left):
             hat.apply_delta(hk, d)
             if tm:
                 top.apply_delta(top_of(hk), d * tm)
-                if root is not None:
-                    root.apply_delta(root_of(hk), d * tm)
     return step
 
 
@@ -198,24 +196,21 @@ def _close_step(eng, t):
         def close(u0, u1, m):
             eng.count += m * hat.lookup((u1, u0))
         return close
-    top, root = (getattr(eng, n) if n else None for n in (t.top, t.root))
-    top_of, root_of = t.top_of, t.root_of
+    top, top_of = getattr(eng, t.top), t.top_of
 
     def close(u0, u1, m):
         hk = u1, u0
         v = hat.lookup(hk)
         if v:
             top.apply_delta(top_of(hk), m * v)
-            if root is not None:
-                root.apply_delta(root_of(hk), m * v)
 
     return close
 
 
-def _candidate_rule(eng, walk, cols, bucket_of, bucket_lookup):
+def _candidate_rule(eng, walk, cols, bucket_of, bucket_live):
     """(candidates, kept) of a pair tree. `candidates(x)` gives the bucket
-    key of each pair entry at the output tuple x whose root (top, for a
-    rootless tree) is nonzero.
+    key of each pair entry at the output tuple x whose bucket is nonempty,
+    charged one tick per bucket tested; `bucket_live` is unmetered.
 
     `kept` holds the last walk: x, the engine version it ran at, the
     (pair key, value) entries and the bucket keys. A call at the same x
@@ -228,10 +223,10 @@ def _candidate_rule(eng, walk, cols, bucket_of, bucket_lookup):
             return kept[3]
         entries = list(walk(cols, x[0] if len(x) == 1 else x))
         out = []
-        for pk, _v in entries:
-            k = bucket_of(pk)
-            if bucket_lookup(k):
+        for pk, _ in entries:
+            if bucket_live(k := bucket_of(pk)):
                 out.append(k)
+        eng.meter.total += len(entries)
         kept[:] = x, eng.version, entries, out
         return out
     return candidates, kept
@@ -346,12 +341,10 @@ class FragmentEngine:
             elif t.pair:
                 views.append((t.pair, 3, ((0, 2),), ()))
             views.append((t.hat, 2, (), ()))
-            if t.root:
+            if t.pair:
                 # a bucket steps through the top's slice at its root value
-                idx = (t.root_idx,)
-                views += [(t.top, len(t.key), idx, idx), (t.root, 1, (), ())]
-            elif t.pair:
-                views.append((t.top, len(t.key), (), ()))
+                idx = (t.root_idx,) if t.root_key else ()
+                views.append((t.top, len(t.key), idx, idx))
         cls._views = tuple(views)
         cls.view_names = tuple(v[0] for v in views) + ("count",) * (not cls.out)
 
@@ -481,10 +474,7 @@ class FragmentEngine:
             if t.top == "res":
                 res += [(top_of(hk), v) for hk, v in closed]
                 continue
-            top = getattr(self, t.top)
-            top.load([(top_of(hk), v) for hk, v in closed])
-            if t.root:
-                getattr(self, t.root).load([(t.root_of(hk), v) for hk, v in closed])
+            getattr(self, t.top).load([(top_of(hk), v) for hk, v in closed])
         if key is not None:
             self.res.load(res)
 
@@ -584,21 +574,19 @@ class KeyedEngine(FragmentEngine):
         """Keys of the buckets of pair tree t that may hold the output tuple x."""
         return (self._enum or self._bind_enumeration())[0][t](x)
 
-    def _hop_union(self, t, rule, check):
+    def _hop_union(self, t, rule):
         pair, top = getattr(self, t.pair), getattr(self, t.top)
         idx, keys = t.root_idx, self._hops[t][2]
-        return HopUnionIterator(
-            getattr(self, t.root or t.top).entries,
-            lambda k: Bucket(pair, top, k, idx, keys),
-            rule, self.meter, check)
+        # a bucketed tree's bucket keys are its top's root values, as 1-tuples
+        buckets = top.entries if idx is None else zip(top.linked_slices(idx))
+        return HopUnionIterator(buckets, lambda k: Bucket(pair, top, k, idx, keys),
+                                rule, self.meter)
 
     def open_union(self):
         """Union of `res`'s keys and one hop union per pair tree."""
         rules = (self._enum or self._bind_enumeration())[0]
-        check = self.guard()
-        iters = [KeyIterator(self.res, check)]
-        iters += [self._hop_union(t, rule, check) for t, rule in rules.items()]
-        return UnionIterator(iters, self.meter, check)
+        iters = [KeyIterator(self.res)] + [self._hop_union(t, r) for t, r in rules.items()]
+        return UnionIterator(iters, self.meter, self.guard())
 
     def _bind_enumeration(self):
         """Bind each pair tree's candidate rule, and multiplicity's walk of
@@ -608,9 +596,11 @@ class KeyedEngine(FragmentEngine):
             raise NotImplementedError(f"{self.query} enumerates its pair trees itself")
         rules, walks = {}, []
         for t, (cols, bucket_of, _) in self._hops.items():
-            pair, buckets = getattr(self, t.pair), getattr(self, t.root or t.top)
-            rules[t], kept = _candidate_rule(self, pair.slice_items, cols, bucket_of,
-                                             buckets.lookup)
+            pair, top, idx = getattr(self, t.pair), getattr(self, t.top), t.root_idx
+            # a bucket is live while its top entry is, or its top slice
+            live = (top.entries.__contains__ if idx is None else
+                    lambda k, roots=top.linked_slices(idx): k[0] in roots)
+            rules[t], kept = _candidate_rule(self, pair.slice_items, cols, bucket_of, live)
             walks.append((pair.slice_items, cols, self.parts[t.third].total, t.third_of, kept))
         self._enum = (rules, tuple(walks))
         return self._enum

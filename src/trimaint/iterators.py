@@ -58,20 +58,18 @@ class SeqIterator:
 
 
 class KeyIterator:
-    """Set iterator over the keys of a Relation, in insertion order."""
+    """Set iterator over the keys of a Relation, in insertion order; the
+    UnionIterator around it checks the engine version first."""
 
-    def __init__(self, rel, guard):
+    def __init__(self, rel):
         self._rel = rel
         self._it = iter(rel.entries)
-        self._guard = guard
 
     def next(self):
-        self._guard()
         self._rel.meter.total += 1
         return next(self._it, EOF)
 
     def contains(self, t):
-        self._guard()
         return self._rel.lookup(t) != 0
 
 
@@ -102,7 +100,8 @@ def _union_next(iters, n):
 
 
 class UnionIterator:
-    """Stateful wrapper around union_next over a fixed iterator list."""
+    """Stateful wrapper around union_next over a fixed iterator list; `next`
+    calls `guard` first, the one staleness check of each step."""
 
     def __init__(self, iterators, meter, guard):
         self._iters = list(iterators)
@@ -113,9 +112,6 @@ class UnionIterator:
         self._guard()
         self._meter.total += 1
         return _union_next(self._iters, len(self._iters))
-
-    def contains(self, t):
-        return any(it.contains(t) for it in self._iters)
 
 
 class ListCollection:
@@ -205,25 +201,25 @@ class HopUnionIterator:
     """Distinct union over per-key buckets with exclusion of emitted elements.
 
     A bucket-level hop iterator walks the buckets in the order
-    `bucket_keys` lists them (engines pass the root view's entries, so its
-    key order); listing them costs one tick per key before the first
-    element. Bucket hop iterators are created on first access, whether
-    that access is iteration or exclusion. After emitting t from the
-    current bucket, t is excluded from every other candidate bucket; a
-    bucket left with every element excluded that way is excluded from the
-    bucket-level hop iterator and never iterated. Only a bucket not yet
-    started loses elements this way: an element that an earlier bucket
-    also held was emitted there already.
+    `bucket_keys` lists them (engines pass the keys of a top view, or of
+    its linked index on the root variable, in their order); listing them
+    costs one tick per key before the first element. Bucket hop iterators
+    are created on first access, whether that access is iteration or
+    exclusion. After emitting t from the current bucket, t is excluded
+    from every other candidate bucket; a bucket left with every element
+    excluded that way is excluded from the bucket-level hop iterator and
+    never iterated. Only a bucket not yet started loses elements this
+    way: an element that an earlier bucket also held was emitted there
+    already.
 
     Every bucket must be non-empty: the delay bound of a few ticks per
     candidate bucket rests on it.
     """
 
-    def __init__(self, bucket_keys, open_bucket, candidate_keys, meter, guard):
+    def __init__(self, bucket_keys, open_bucket, candidate_keys, meter):
         self._open_bucket = open_bucket
         self._candidates = candidate_keys
         self._meter = meter
-        self._guard = guard
         self.buckets = ListCollection(bucket_keys)
         # listing the bucket keys: one tick per key
         meter.total += len(self.buckets)
@@ -245,7 +241,6 @@ class HopUnionIterator:
         return it
 
     def next(self):
-        self._guard()
         self._meter.total += 1
         while True:
             if self._cur is None:
@@ -268,7 +263,6 @@ class HopUnionIterator:
             return t
 
     def contains(self, t):
-        self._guard()
         buckets = self.buckets
         for k in self._candidates(t):
             if buckets.contains(k) and self._coll(k).contains(t):

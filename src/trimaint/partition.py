@@ -85,10 +85,6 @@ class Partition:
     def size(self):
         return sum(len(p.entries) for p in self.parts.values())
 
-    def items(self):
-        for p in self.parts.values():
-            yield from p.items()
-
     def column(self, side):
         """The column a side partitions on."""
         return self._sides[side][0]

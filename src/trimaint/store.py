@@ -16,35 +16,37 @@ tuples under it, of one of two kinds:
 Most slices are tiny, and on CPython 3.11 a list of one to COMPACT_FLOOR
 tuples takes 64 to 120 bytes where a dict of them takes 224 or 352. A
 list slice is scanned to remove a tuple, which is at most COMPACT_FLOOR
-steps. The write that takes a list
-past the floor replaces it with a dict of the same tuples in the same
-order; that promotion is unmetered constant work, like a dict resize,
-since the list holds COMPACT_FLOOR + 1 tuples.
+steps. The write that takes a list past the floor replaces it with a
+dict of the same tuples in the same order; that promotion is unmetered
+constant work, like a dict resize, since the list holds
+COMPACT_FLOOR + 1 tuples.
 
 CPython dicts keep the slots of deleted keys until they next grow, and
 iterating walks those slots too: a dict that shrank from a million keys
 to one still takes milliseconds to yield its first key, delay the meter
-cannot see. So every dict that is iterated and can shrink (`entries` and
-each dict slice) is rebuilt once its length falls below a quarter of its
-high-water mark, charged one tick per entry moved; the rebuilt dict's
-mark is its new length, and a rebuilt slice of at most COMPACT_FLOOR
-tuples becomes a list again. `entries` is left alone while its mark is
-at most COMPACT_FLOOR: CPython sizes a dict from its live keys whenever
-it grows, so one that never held more than that many keys has a small
-constant number of slots to walk.
+cannot see. So one rule holds for every dict a Relation owns: `entries`,
+each index's slices map and each dict slice. Once its length falls below
+a quarter of its high-water mark, it is rebuilt in place (the same dict,
+in the same order), charged one tick per key moved, and its mark becomes
+its length. A dict whose mark is at most COMPACT_FLOOR is left alone:
+CPython sizes a dict from its live keys whenever it grows, so one that
+never held more keys has a small constant number of slots to walk. A
+dict slice rebuilt at or below COMPACT_FLOOR tuples becomes a list
+again. `entries` and the slices maps thus live as long as the Relation,
+and `load` fills them in place too. A rebuild invalidates an iterator
+open over the dict, so a reader resumed after an update checks the
+engine version first.
 
 The update path reads the parts through two kernels: `walk_probe`, for a
 direct fragment's "walk one partner's slice, probe the other partner at
 the rotated pair", and `walk_close`, for a view tree's "walk the
 partner's slice, keep every walked tuple and close it with the third
-relation's total". A kernel is bound once per build to the parts and to
-the `slices` maps of their indexes, which live as long as their Relation;
-promotion and compaction replace single slices, and compaction replaces
-`entries`, so a kernel reads both afresh on every call. `walk_probe`
-first reads both partners' slice lengths, one tick each, and walks the
-shorter side (the intersection rule of worst-case optimal joins),
-charging the lengths, the chosen walk at one tick per tuple plus one per
-probe, and one per hit; `walk_close` charges what the equivalent
+relation's total". A kernel is bound once per build to the parts'
+`entries` and slices maps, and reads a slice afresh on every call.
+`walk_probe` first reads both partners' slice lengths, one tick each,
+and walks the shorter side (the intersection rule of worst-case optimal
+joins), charging the lengths, the chosen walk at one tick per tuple plus
+one per probe, and one per hit; `walk_close` charges what the equivalent
 `slice_items` and `lookup` calls would. Each charges in one add once its
 walk has run (see CostMeter for when that is allowed).
 
@@ -155,6 +157,15 @@ class _KeyList:
         self.count -= 1
 
 
+class _Marks(dict):
+    """An index's high-water marks: per dict slice, and of slices as `hwm`."""
+
+    __slots__ = ("hwm",)
+
+    def __init__(self):
+        self.hwm = 0
+
+
 class Relation:
     """A finite map from tuples to nonzero signed integer multiplicities.
 
@@ -162,10 +173,11 @@ class Relation:
     column-position tuples, one per projection that must support slicing;
     those also listed in `linked` are linked indexes (see the module
     docstring). Each index is a tuple (projector, slices, marks, nodes):
-    slices maps projection key to slice, marks holds the high-water mark
-    of each dict slice (a hash slice has a mark exactly when it is a dict,
-    and a list slice none), and nodes maps each stored tuple to its list
-    node for a linked index and is None for a hash one.
+    slices maps projection key to slice, marks holds the high-water marks
+    of each dict slice by key (a hash slice has a mark exactly when it is
+    a dict, and a list slice none) and of slices as `marks.hwm`, and nodes
+    maps each stored tuple to its list node for a linked index and is
+    None for a hash one. `_hwm` is the high-water mark of `entries`.
     """
 
     __slots__ = ("name", "arity", "meter", "index_cols", "entries", "_hwm",
@@ -184,7 +196,7 @@ class Relation:
                 if not 0 <= c < arity:
                     raise ValueError(f"{name}: index column {c} outside arity {arity}")
             # one C-level call projects a tuple onto the index columns
-            by_cols[cols] = (itemgetter(*cols), {}, {}, {} if cols in linked else None)
+            by_cols[cols] = (itemgetter(*cols), {}, _Marks(), {} if cols in linked else None)
         for cols in linked:
             if tuple(cols) not in by_cols:
                 raise ValueError(f"{name}: linked index {cols} is not declared")
@@ -226,13 +238,15 @@ class Relation:
             for project, slices, marks, nodes in indexes:
                 sub = project(key)
                 s = slices.get(sub)
+                if s is None:
+                    slices[sub] = s = [key] if nodes is None else _KeyList()
+                    if len(slices) > marks.hwm:
+                        marks.hwm = len(slices)
+                    if nodes is None:
+                        continue
                 if nodes is not None:
-                    if s is None:
-                        s = slices[sub] = _KeyList()
                     node = nodes[key] = _Node(key)
                     s.append(node)
-                elif s is None:
-                    slices[sub] = [key]
                 elif s.__class__ is list:
                     s.append(key)
                     if len(s) > COMPACT_FLOOR:
@@ -251,32 +265,30 @@ class Relation:
             s = slices[sub]
             if nodes is not None:
                 s.remove(nodes.pop(key))
-                if not s.count:
-                    del slices[sub]
-                continue
-            if s.__class__ is list:
+                if s.count:
+                    continue
+            elif s.__class__ is list:
                 # at most COMPACT_FLOOR tuples to scan
                 s.remove(key)
-                if not s:
-                    del slices[sub]
-                continue
-            del s[key]
-            n = len(s)
-            if not n:
-                del slices[sub], marks[sub]
-            elif 4 * n < marks[sub]:
-                meter.total += n
-                if n > COMPACT_FLOOR:
-                    slices[sub] = dict(s)
-                    marks[sub] = n
-                else:
-                    slices[sub] = list(s)
-                    del marks[sub]
-        n = len(entries)
-        if 4 * n < self._hwm and self._hwm > COMPACT_FLOOR:
-            self.entries = dict(entries)
-            meter.total += n
-            self._hwm = n
+                if s:
+                    continue
+            else:
+                del s[key]
+                if s:
+                    if 4 * len(s) < marks[sub]:
+                        marks[sub] = mark = _compact(s, marks[sub], meter)
+                        if mark <= COMPACT_FLOOR:
+                            # compacted to a list's size
+                            slices[sub] = list(s)
+                            del marks[sub]
+                    continue
+                del marks[sub]
+            # the slice emptied: its key leaves the map
+            del slices[sub]
+            if 4 * len(slices) < marks.hwm:
+                marks.hwm = _compact(slices, marks.hwm, meter)
+        if 4 * len(entries) < self._hwm:
+            self._hwm = _compact(entries, self._hwm, meter)
         return 0
 
     def load(self, items):
@@ -296,14 +308,14 @@ class Relation:
             return
         if min(map(_mult, items)) <= 0:
             raise ValueError(f"{self.name}: load needs positive multiplicities")
-        entries = dict(items)
+        entries = self.entries
+        entries.update(items)
         if len(entries) < len(items):
             # a key repeats: its multiplicities add up
-            entries = {}
+            entries.clear()
             get = entries.get
             for key, m in items:
                 entries[key] = get(key, 0) + m
-        self.entries = entries
         n = len(entries)
         if n > self._hwm:
             self._hwm = n
@@ -316,15 +328,17 @@ class Relation:
                         s = slices[sub] = _KeyList()
                     node = nodes[key] = _Node(key)
                     s.append(node)
-                continue
-            groups = defaultdict(list)
-            for key in entries:
-                groups[project(key)].append(key)
-            for sub, s in groups.items():
-                if len(s) > COMPACT_FLOOR:
-                    groups[sub] = dict.fromkeys(s)
-                    marks[sub] = len(s)
-            slices.update(groups)
+            else:
+                groups = defaultdict(list)
+                for key in entries:
+                    groups[project(key)].append(key)
+                for sub, s in groups.items():
+                    if len(s) > COMPACT_FLOOR:
+                        groups[sub] = dict.fromkeys(s)
+                        marks[sub] = len(s)
+                slices.update(groups)
+            if len(slices) > marks.hwm:
+                marks.hwm = len(slices)
         self.meter.total += len(items) + n * len(self._indexes)
 
     def _missing(self, cols, kind="index"):
@@ -347,37 +361,29 @@ class Relation:
         return self.slice_count(cols, sub) > 0
 
     def slice_items(self, cols, sub):
-        """Yield (tuple, multiplicity) for each entry under the key, constant delay.
+        """Yield (tuple, multiplicity) for each entry under the key of a
+        hash index, constant delay.
 
         The relation must not be mutated while the generator is live.
         """
-        try:
-            _, slices, _, nodes = self._by_cols[cols]
-        except KeyError:
-            raise self._missing(cols) from None
+        ix = self._by_cols.get(cols)
+        if ix is None or ix[3] is not None:
+            raise self._missing(cols, "hash index")
         meter = self.meter
         meter.total += 1
-        s = slices.get(sub)
+        s = ix[1].get(sub)
         if s is None:
             return
         entries = self.entries
-        if nodes is None:
-            for k in s:
-                meter.total += 1
-                yield k, entries[k]
-            return
-        node = s.head
-        while node is not None:
+        for k in s:
             meter.total += 1
-            k = node.key
             yield k, entries[k]
-            node = node.nxt
 
     def hash_slices(self, cols):
         """The slices map of a hash index: projection key -> list or dict
         of its tuples, both iterated in insertion order. The map lives as
-        long as the Relation; the slices in it do not (promotion and
-        compaction replace them)."""
+        long as the Relation; the slices in it do not (promotion, and a
+        compaction that makes a list, replace them)."""
         ix = self._by_cols.get(cols)
         if ix is None or ix[3] is not None:
             raise self._missing(cols, "hash index")
@@ -388,6 +394,10 @@ class Relation:
         if ix is None or ix[3] is None:
             raise self._missing(cols, "linked index")
         return ix
+
+    def linked_slices(self, cols):
+        """The slices map of a linked index (see `hash_slices`)."""
+        return self._linked(cols)[1]
 
     def slice_head(self, cols, sub):
         """First tuple in a linked slice's insertion order, or None if empty."""
@@ -426,7 +436,8 @@ class Relation:
         for key, mult in entries.items():
             audit(mult != 0, key)
             audit(len(key) == self.arity, key)
-        audit(not (4 * len(entries) < self._hwm and self._hwm > COMPACT_FLOOR), self.name)
+        for d, mark in [(entries, self._hwm)] + [(ix[1], ix[2].hwm) for ix in self._indexes]:
+            audit(len(d) <= mark and (4 * len(d) >= mark or mark <= COMPACT_FLOOR), self.name)
         for cols, (project, slices, marks, nodes) in self._by_cols.items():
             seen = 0
             for sub, s in slices.items():
@@ -458,6 +469,19 @@ class Relation:
             audit(set(marks) <= set(slices), (self.name, cols))
             if nodes is not None:
                 audit(len(nodes) == len(entries), (self.name, cols))
+
+
+def _compact(d, mark, meter):
+    """d's high-water mark once the compaction rule has run on the dict d,
+    which fell below a quarter of `mark`. Refilling d in place, in order,
+    gives it the slots a dict filled key by key with its keys gets."""
+    if mark <= COMPACT_FLOOR:
+        return mark
+    items = list(d.items())
+    d.clear()
+    d.update(items)
+    meter.total += len(items)
+    return len(items)
 
 
 def audit(ok, what):
@@ -512,24 +536,26 @@ def walk_probe(walked, col, probed, meter):
         # written out
         (rel,), (probe,) = walked, probed
         (by_sub,), (by_other,) = slices, others
+        we, pe = rel.entries, probe.entries
+        wget, pget = we.get, pe.get
 
         def kernel(sub, other):
             s, t = by_sub.get(sub), by_other.get(other)
             if s is None or t is None:
                 meter.total += 2
                 return []
-            we, pe, out = rel.entries, probe.entries, []
+            out = []
             if len(s) <= len(t):
                 for k in s:
                     w = k[at]
-                    mp = pe.get((w, other) if first else (other, w), 0)
+                    mp = pget((w, other) if first else (other, w), 0)
                     if mp:
                         out.append((w, we[k] * mp))
                 meter.total += 2 + 2 * len(s) + len(out)
             else:
                 for k in t:
                     w = k[col]
-                    mw = we.get((sub, w) if first else (w, sub), 0)
+                    mw = wget((sub, w) if first else (w, sub), 0)
                     if mw:
                         out.append((w, mw * pe[k]))
                 meter.total += 2 + 2 * len(t) + len(out)
@@ -570,21 +596,21 @@ def _probe_walk(walked, col, probed):
     slices, part by part, each in insertion order, mp summed over the
     `probed` parts at the rotated pair; unmetered."""
     at, first = 1 - col, col == 0
-    sides = tuple((rel, rel.hash_slices((col,))) for rel in walked)
+    sides = tuple((rel.entries, rel.hash_slices((col,))) for rel in walked)
+    gets = tuple(p.entries.get for p in probed)
 
     def walk(sub, other):
         out = []
-        for rel, by_sub in sides:
+        for entries, by_sub in sides:
             s = by_sub.get(sub)
             if s is None:
                 continue
-            entries = rel.entries
             for k in s:
                 w = k[at]
                 key = (w, other) if first else (other, w)
                 mp = 0
-                for p in probed:
-                    mp += p.entries.get(key, 0)
+                for get in gets:
+                    mp += get(key, 0)
                 if mp:
                     out.append((w, entries[k] * mp))
         return out
@@ -597,38 +623,28 @@ def walk_close(walked, col, third, meter):
 
     The `walked` parts (one or two binary Relations) are sliced on column
     `col` at `sub`, part by part, each in insertion order. The kernel
-    returns (hat_key, mw, tm) for every walked tuple, in a list, or an
-    empty tuple when it walks none: hat_key is the tuple with `other` in
-    place of `sub`, mw its multiplicity, and tm the third relation's total
-    at the rotated pair, (w, other) when walking column 0 and (other, w)
-    when walking column 1, summed over the `third` parts (two or four: a
-    whole partition), 0 on a miss. It charges what the same walk through
-    `slice_items` and `lookup` costs, with one combine per nonzero tm:
-    1 + (1 + #third) * n per walked part with n tuples under `sub`, plus
-    one per nonzero tm, in one add.
+    returns (hat_key, mw, tm) for every walked tuple, in a list: hat_key
+    is the tuple with `other` in place of `sub`, mw its multiplicity, and
+    tm the third relation's total at the rotated pair, (w, other) when
+    walking column 0 and (other, w) when walking column 1, summed over the
+    `third` parts (two or four: a whole partition), 0 on a miss. It
+    charges what the same walk through `slice_items` and `lookup` costs,
+    with one combine per nonzero tm: 1 + (1 + #third) * n per walked part
+    with n tuples under `sub`, plus one per nonzero tm, in one add.
     """
     if not 1 <= len(walked) <= 2 or len(third) not in (2, 4):
         raise ValueError(f"{len(walked)} walked and {len(third)} third parts")
-    # a slices map lives as long as its Relation, so its getter is bound
-    # here; compaction replaces `entries`, so the third parts' are read per
-    # call, and only once a slice is nonempty, as most are empty
-    sides = [(rel, rel.hash_slices((col,)).get) for rel in walked]
+    sides = [(rel.entries, rel.hash_slices((col,)).get) for rel in walked]
     nsides, per, first = len(sides), 1 + len(third), col == 0
-    t0, t1, *rest = third
-    t2, t3 = rest or (None, None)
+    e0, e1, *rest = [t.entries.get for t in third]
+    e2, e3 = rest or (None, None)
 
     def kernel(sub, other):
-        out, ops = (), nsides
-        for rel, get in sides:
+        out, ops = [], nsides
+        for entries, get in sides:
             s = get(sub)
             if s is None:
                 continue
-            if not out:
-                out = []
-                e0, e1 = t0.entries, t1.entries
-                if rest:
-                    e2, e3 = t2.entries, t3.entries
-            entries = rel.entries
             ops += per * len(s)
             for k in s:
                 if first:
@@ -637,9 +653,9 @@ def walk_close(walked, col, third, meter):
                 else:
                     w = k[0]
                     key, hk = (other, w), (w, other)
-                tm = e0.get(key, 0) + e1.get(key, 0)
+                tm = e0(key, 0) + e1(key, 0)
                 if rest:
-                    tm += e2.get(key, 0) + e3.get(key, 0)
+                    tm += e2(key, 0) + e3(key, 0)
                 if tm:
                     ops += 1
                 out.append((hk, entries[k], tm))

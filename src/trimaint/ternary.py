@@ -41,10 +41,12 @@ class TernaryEngine(KeyedEngine):
         return self._enumerate(self.guard())
 
     def _enumerate(self, check):
+        # checked before any walk advances: an update can rebuild its dict
         meter = self.meter
+        check()
         for key, mult in self.res.items():
-            check()
             yield key, mult
+            check()
         for t in self.trees:
             third = self.parts[t.third]
             pair, abc = getattr(self, t.pair), t.abc_of
@@ -53,6 +55,6 @@ class TernaryEngine(KeyedEngine):
                 tm = third.total((z, x))
                 # a pair entry holds left(x, y) * right(y, z)
                 for pk, pv in pair.slice_items((0, 2), (x, z)):
-                    check()
                     meter.total += 1
                     yield abc(pk), pv * tm
+                    check()

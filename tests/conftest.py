@@ -21,17 +21,12 @@ WORKED_CANDIDATES = {
 }
 
 
-def no_guard():
-    """A version guard that never refuses: the iterator tests have no engine."""
-
-
 def build_worked_hop_example():
     return HopUnionIterator(
         ["a1", "a2", "a3", "a4"],
         lambda k: ListCollection(WORKED_ORDERS[k]),
         lambda t: WORKED_CANDIDATES[t],
         CostMeter(),
-        no_guard,
     )
 
 
@@ -47,10 +42,10 @@ def part_labels(eng, triangle=TRIANGLE):
 
 def relation_layout(r):
     """Everything the insertion order of a Relation shows: its entries,
-    high-water mark, and per index each slice's members in order (a hash
-    slice with its container kind, list or dict; a linked slice walked
-    from its head, with its tail and count), the marks and the order of
-    the linked nodes."""
+    the high-water marks of its entries and of its slices maps, and per
+    index each slice's members in order (a hash slice with its container
+    kind, list or dict; a linked slice walked from its head, with its tail
+    and count), the marks and the order of the linked nodes."""
     out = [list(r.entries.items()), r._hwm]
     for _, slices, marks, nodes in r._indexes:
         if nodes is None:
@@ -64,5 +59,5 @@ def relation_layout(r):
                     node = node.nxt
                 walks.append((sub, keys, s.tail.key, s.count))
             out += [walks, list(nodes)]
-        out.append(dict(marks))
+        out.append((dict(marks), marks.hwm))
     return out

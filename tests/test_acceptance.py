@@ -10,7 +10,7 @@ module's runtime and keeps stream lengths moderate on purpose.
 import random
 from math import isqrt
 
-from conftest import build_worked_hop_example, no_guard
+from conftest import build_worked_hop_example
 from trimaint.cli import measure_delay, run_stream, solve_oumv, static_ternary
 from trimaint.driver import Driver, make_engine
 from trimaint.iterators import BOF, EOF, HopUnionIterator, ListCollection, SeqIterator, union_next
@@ -258,8 +258,7 @@ def test_union_primitives_random_families():
             lambda k: ListCollection(orders[k]),
             lambda t: members[t],
             CostMeter(),
-            no_guard,
-        )
+            )
         got = drain(it.next)
         want = set(members)
         assert set(got) == want and len(got) == len(want), orders

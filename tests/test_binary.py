@@ -84,13 +84,24 @@ def test_update_invalidates_open_enumeration():
     apply(eng, "R", (5, 5), 1)
     with pytest.raises(StaleIterator):
         next(it)
+    # after the first emitted tuple, by an update that closes a new
+    # triangle: the emission must not resume its walks
+    eng = BinaryEngine.from_database({(1, 2): 1}, {(2, 3): 1, (5, 6): 1},
+                              {(3, 1): 1, (6, 4): 1}, 0.5)
+    it = eng.enumerate_result()
+    next(it)
+    apply(eng, "R", (4, 5), 1)
+    with pytest.raises(StaleIterator):
+        next(it)
 
 
 def test_hub_state_lives_in_rs_tree():
     eng, rd, sd, td = hub_state()
     # no direct fragment and no pair-less top holds a pair
     assert len(eng.res) == 0
-    assert dict(eng.root_rs.items()) == {(9,): 6}
+    # one bucket, root 9, whose top slice holds the pair (1, 9) at 6
+    assert list(eng.closed_rs.linked_slices((1,))) == [9]
+    assert dict(eng.closed_rs.items()) == {(1, 9): 6}
     # root 9's bucket holds the six pairs (1, b)
     rs = eng.trees[1]
     bucket = Bucket(eng.pair_rs, eng.closed_rs, (9,), rs.root_idx, eng._hops[rs][2])
@@ -100,6 +111,38 @@ def test_hub_state_lives_in_rs_tree():
         x = bucket.successor(x)
     assert len(walked) == 6
     assert collect(eng) == oracle_triangle(rd, sd, td, 2)
+    eng.verify_views()
+
+
+def test_shrunk_roots_open_a_hop_union_over_the_live_buckets():
+    # 40 heavy C-values, each closing triangles through heavy A-value 1,
+    # make 40 buckets of the rs tree; deleting T's closing tuple of all but
+    # the last empties 39 of them, and the top's root map is rebuilt
+    roots = range(100, 140)
+    rd = {(1, 10 * c + i): 1 for c in roots for i in range(8)}
+    sd = {(10 * c + i, c): 1 for c in roots for i in range(8)}
+    td = {(c, 1): 1 for c in roots}
+    eng = BinaryEngine.from_database(rd, sd, td, 0.25)
+    rs = eng.trees[1]
+    root_map = eng.closed_rs.linked_slices(rs.root_idx)
+    assert list(root_map) == list(roots)
+    for c in roots[:-1]:
+        apply(eng, "T", (c, 1), -1)
+        del td[c, 1]
+    # rebuilt at 9 live roots, then at 2
+    assert list(root_map) == [139] and eng.closed_rs._by_cols[rs.root_idx][2].hwm == 2
+
+    def live_buckets():
+        hop = eng.open_union()._iters[1]
+        out, k = [], hop.buckets.first()
+        while k is not None:
+            out.append(k)
+            k = hop.buckets.successor(k)
+        return out
+
+    assert live_buckets() == [(139,)]
+    assert collect(eng) == oracle_triangle(rd, sd, td, 2)
+    eng.closed_rs.check_consistency()
     eng.verify_views()
 
 

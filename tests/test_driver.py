@@ -265,23 +265,23 @@ def test_extreme_epsilon_never_minor_rebalances(eps):
 OP_PINS = {
     ("d0", False): dict(
         base={"total": 25697, "apply": 22533, "major": 1278, "minor": 1886},
-        counts={"total": 25813, "apply": 22634, "major": 1291, "minor": 1888},
+        counts={"total": 25856, "apply": 22657, "major": 1311, "minor": 1888},
         enum=1, majors=14, minors=18),
     ("d0", True): dict(
         base={"total": 54063, "apply": 46127, "major": 3521, "minor": 4415},
-        counts={"total": 54173, "apply": 46207, "major": 3530, "minor": 4436},
+        counts={"total": 54218, "apply": 46236, "major": 3546, "minor": 4436},
         enum=1, majors=14, minors=31),
     ("d1", False): dict(
         base={"total": 51112, "apply": 43878, "major": 3133, "minor": 4101},
-        counts={"total": 51226, "apply": 43977, "major": 3133, "minor": 4116},
+        counts={"total": 51274, "apply": 44012, "major": 3146, "minor": 4116},
         enum=201, majors=14, minors=27),
     ("d2", False): dict(
-        base={"total": 53763, "apply": 45838, "major": 3122, "minor": 4803},
-        counts={"total": 53893, "apply": 45940, "major": 3131, "minor": 4822},
+        base={"total": 53428, "apply": 45549, "major": 3111, "minor": 4768},
+        counts={"total": 53621, "apply": 45697, "major": 3137, "minor": 4787},
         enum=620, majors=14, minors=29),
     ("d3", False): dict(
         base={"total": 29207, "apply": 25567, "major": 1406, "minor": 2234},
-        counts={"total": 29386, "apply": 25724, "major": 1424, "minor": 2238},
+        counts={"total": 29452, "apply": 25768, "major": 1444, "minor": 2240},
         enum=307, majors=14, minors=18),
 }
 
@@ -329,7 +329,7 @@ ZIPF_PINS = {
                        majors=11, minors=5),
     ("d1", False): dict(ops={"total": 161918, "apply": 149606, "major": 2751, "minor": 9561},
                         majors=11, minors=4),
-    ("d2", False): dict(ops={"total": 170531, "apply": 156385, "major": 1634, "minor": 12512},
+    ("d2", False): dict(ops={"total": 170071, "apply": 156009, "major": 1634, "minor": 12428},
                         majors=11, minors=5),
     ("d3", False): dict(ops={"total": 95090, "apply": 87746, "major": 980, "minor": 6364},
                         majors=11, minors=3),

@@ -3,7 +3,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_worked_hop_example, no_guard
+from conftest import build_worked_hop_example
 from trimaint.iterators import (
     BOF,
     EOF,
@@ -95,10 +95,8 @@ def test_hop_exclude_current_element_is_safe():
 
 
 def test_hop_union_single_bucket_passthrough():
-    it = HopUnionIterator(
-        ["k"], lambda k: ListCollection([3, 1, 2]), lambda t: ("k",),
-        CostMeter(), no_guard,
-    )
+    it = HopUnionIterator(["k"], lambda k: ListCollection([3, 1, 2]), lambda t: ("k",),
+                          CostMeter())
     assert drain(it.next) == [3, 1, 2]
 
 
@@ -109,7 +107,6 @@ def test_hop_union_disjoint_buckets():
         lambda k: ListCollection(colls[k]),
         lambda t: ("x", "y"),
         CostMeter(),
-        no_guard,
     )
     assert drain(it.next) == [1, 2]
 
@@ -176,7 +173,6 @@ def test_hop_union_over_relation_slices():
         lambda a: LinkedSlice(v, a),
         candidates,
         m,
-        no_guard,
     )
     # Elements are the distinct B-values reachable from each A-keyed slice.
     assert drain(it.next) == [5, 6, 7]
@@ -211,7 +207,6 @@ def test_hop_union_emits_distinct_union(sets, rng):
         lambda i: ListCollection(colls[i]),
         candidates,
         CostMeter(),
-        no_guard,
     )
     got = drain(it.next)
     assert len(got) == len(set(got))
@@ -258,7 +253,6 @@ def test_hop_union_delay_bounded_by_candidates(sets):
         lambda i: ListCollection(colls[i]),
         candidates,
         m,
-        no_guard,
     )
     while True:
         before = m.total

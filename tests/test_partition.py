@@ -1,16 +1,18 @@
+import sys
 from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trimaint.partition import (
+    BASE_IDX,
     DoublePartition,
     SinglePartition,
     Threshold,
     strict_double,
     strict_single,
 )
-from trimaint.store import CostMeter
+from trimaint.store import CostMeter, Relation, entry_list
 
 
 def build_single(tuples, theta, mults=None):
@@ -144,7 +146,7 @@ rel_items = st.dictionaries(
 def test_strict_single_reconstructs_and_is_loose(items, theta):
     p = strict_single(items.items(), "K", CostMeter(), theta)
     merged = Counter()
-    for t, m in p.items():
+    for t, m in entry_list(p.parts.values(), p.meter):
         merged[t] += m
     assert dict(merged) == items
     assert p.violations(theta) == []
@@ -156,7 +158,7 @@ def test_strict_single_reconstructs_and_is_loose(items, theta):
 def test_strict_double_reconstructs_and_is_loose(items, theta):
     p = strict_double(items.items(), "K", CostMeter(), theta)
     merged = Counter()
-    for t, m in p.items():
+    for t, m in entry_list(p.parts.values(), p.meter):
         merged[t] += m
     assert dict(merged) == items
     assert p.violations(theta) == []
@@ -165,3 +167,33 @@ def test_strict_double_reconstructs_and_is_loose(items, theta):
     hx = set(p.parts["HH"].index_keys((0,))) | set(p.parts["HL"].index_keys((0,)))
     lx = set(p.parts["LH"].index_keys((0,))) | set(p.parts["LL"].index_keys((0,)))
     assert not (hx & lx)
+
+
+def test_a_shrunk_column_map_is_rebuilt_and_scans_only_live_values():
+    # 4096 values on column 0 drain to one: the column's slices map, like
+    # the entries, is rebuilt in place at each quarter of its mark, so it
+    # ends the size of a fresh one-value map and a major's scan of it
+    # walks one slot, charged one tick
+    meter = CostMeter()
+    p = SinglePartition("K", meter)
+    light = p.parts["L"]
+    slices = light.hash_slices((0,))
+    for v in range(4096):
+        light.apply_delta((v, 0), 1)
+    extra = {}
+    for v in range(4095):
+        before = meter.total
+        light.apply_delta((v, 0), -1)
+        extra[4095 - v] = meter.total - before - 3
+    # marks 4096, 1023, 255, 63, 15: at each, the entries, the column 0
+    # map and column 1's one slice each move every live key or tuple
+    assert {left: t for left, t in extra.items() if t} == {
+        n: 3 * n for n in (1023, 255, 63, 15, 3)}
+    assert light.hash_slices((0,)) is slices and list(slices) == [4095]
+    fresh = Relation("F", 2, BASE_IDX, CostMeter())
+    fresh.apply_delta((4095, 0), 1)
+    assert sys.getsizeof(slices) <= sys.getsizeof(fresh.hash_slices((0,)))
+    before = meter.total
+    assert p.strict_flips(2.0) == ([], 0)
+    assert meter.total - before == 1
+    light.check_consistency()

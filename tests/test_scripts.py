@@ -1,6 +1,7 @@
 """Every script under scripts/ starts and prints its usage, so an API the
 scripts import cannot vanish unnoticed."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -23,3 +24,36 @@ def test_script_help_exits_0(script):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "usage:" in proc.stdout
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_ab_pairs_compare_gives_claims_and_regression_verdicts():
+    compare = load_script("ab_pairs").compare
+    metrics = [{"name": name, "better": better, "bound": 0.25} for name, better in (
+        ("flat", "higher"), ("slower", "higher"), ("faster", "lower"),
+        ("noisy", "lower"), ("noisy_but_better", "lower"))]
+    parent = [100, 101, 99, 100, 102, 98, 100, 101, 99, 100]
+    wide = [60, 140, 80, 120, 100, 70, 130, 90, 110, 100]
+    parent_runs = [dict(flat=p, slower=p, faster=p, noisy=w, noisy_but_better=w)
+                   for p, w in zip(parent, wide)]
+    change_runs = [dict(flat=p + 1, slower=0.7 * p, faster=0.8 * p, noisy=w + 5,
+                        noisy_but_better=w / 3) for p, w in zip(parent, wide)]
+    out = compare(parent_runs, change_runs, metrics)
+    assert {name: (r[2], r[3], r[4]) for name, r in out.items()} == {
+        # a 1% rise wins every pair but not by the parent's spread
+        "flat": (10, False, "ok"),
+        # 30% lower where higher is better: past the 25% bound
+        "slower": (0, False, "worse"),
+        "faster": (10, True, "ok"),
+        # the parent's quartiles are 35 apart, wider than the bound
+        "noisy": (0, False, "unresolved"),
+        # every change run reads better than every parent run
+        "noisy_but_better": (10, True, "ok"),
+    }
+    assert out["flat"][0] == (99.25, 100.0, 100.75)

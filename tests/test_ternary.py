@@ -78,6 +78,15 @@ def test_update_invalidates_open_enumeration():
     apply(eng, "R", (4, 4), 1)
     with pytest.raises(StaleIterator):
         next(it)
+    # after the first emitted tuple, by an update that closes a new
+    # triangle: the emission must not resume its walks
+    eng = TernaryEngine.from_database({(1, 2): 1}, {(2, 3): 1, (5, 6): 1},
+                              {(3, 1): 1, (6, 4): 1}, 0.5)
+    it = eng.enumerate_result()
+    next(it)
+    apply(eng, "R", (4, 5), 1)
+    with pytest.raises(StaleIterator):
+        next(it)
 
 
 def test_union_and_multiplicity_are_refused():
