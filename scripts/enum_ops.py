@@ -6,8 +6,10 @@
 Each database of the workload's round is built from its preload and
 brought to its first read point by the driver, once per query at the
 workload's epsilon. One full enumeration then gives the metered ops and
-the pair-slice walks (`Relation.slice_items` on a pair tree's view) per
-emitted tuple, and a second one `cli.measure_delay`'s max delay. Figures
+the pair-slice walks per emitted tuple, and a second one
+`cli.measure_delay`'s max delay. A walk is a call of a pair view's bound
+read kernel (`store.walk_slice`, which d1 and d2 bind) or of its
+`Relation.slice_items` (which d3 calls). Figures
 are summed over the databases (the delay is their max) and depend on the
 seed alone. `bench/workloads.py` is imported, nothing under bench/ is
 written, and the library is the one beside it in this checkout.
@@ -23,6 +25,7 @@ sys.dont_write_bytecode = True
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 import workloads  # noqa: E402  (also puts this checkout's src/ on sys.path)
+from trimaint import fragments  # noqa: E402
 from trimaint.cli import measure_delay  # noqa: E402
 from trimaint.driver import Driver, make_engine  # noqa: E402
 from trimaint.store import Relation, RejectedDelete  # noqa: E402
@@ -63,13 +66,21 @@ def main(argv=None):
     w = workloads.WORKLOADS[args.workload]
 
     walked = {}
-    slice_items = Relation.slice_items
+    slice_items, walk_slice = Relation.slice_items, fragments.walk_slice
 
     def counted(self, cols, sub):
         walked[self.name] = walked.get(self.name, 0) + 1
         return slice_items(self, cols, sub)
 
-    Relation.slice_items = counted
+    def counting(rel, cols, meter):
+        walk = walk_slice(rel, cols, meter)
+
+        def counted_walk(sub):
+            walked[rel.name] = walked.get(rel.name, 0) + 1
+            return walk(sub)
+        return counted_walk
+
+    Relation.slice_items, fragments.walk_slice = counted, counting
     try:
         totals = {q: [0, 0, 0, 0] for q in QUERIES}
         inputs = workloads.generate(w, args.seed)
@@ -82,7 +93,7 @@ def main(argv=None):
                 tot[2] += walks
                 tot[3] = max(tot[3], delay)
     finally:
-        Relation.slice_items = slice_items
+        Relation.slice_items, fragments.walk_slice = slice_items, walk_slice
 
     print(f"{w.name}, seed {args.seed}, epsilon {w.epsilon:g}, {w.databases} database(s) "
           f"at update {inputs[0].reads[0]}")

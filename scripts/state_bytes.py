@@ -13,8 +13,8 @@ each structure's bytes are divided by the database's live tuples:
   list slices   hash slices held as lists (at most COMPACT_FLOOR tuples)
   dict slices   hash slices held as dicts
   slice maps    each index's map from projection key to slice
-  marks         each index's high-water marks of its dict slices and
-                its slices map
+  marks         each index's high-water marks of its dict slices, and
+                each Relation's list of its slices maps' marks
   linked lists  the linked indexes' per-key lists and their node maps
   linked nodes  the linked indexes' per-tuple nodes
   key tuples    every distinct tuple object used as a key (stored tuples
@@ -67,7 +67,8 @@ def measure(eng):
         out["entries"] += getsizeof(r.entries)
         for key in r.entries:
             keys[id(key)] = key
-        for _, slices, marks, nodes in r._indexes:
+        out["marks"] += getsizeof(r._map_hwm)
+        for _, slices, marks, nodes, _ in r._indexes:
             out["slice maps"] += getsizeof(slices)
             for sub in slices:
                 if isinstance(sub, tuple):

@@ -62,25 +62,36 @@ variables is a union of `res`'s keys and one hop union per pair tree. A
 bucketed tree's buckets are the slices of its top view's linked index on
 the root variable, keyed by the root value and listed from that index's
 map; a tree without a root has one bucket per top entry, keyed by the
-top key. A tuple's multiplicity is its value in
-`res` plus, per pair tree, the pair slice at the tuple closed by the
-third relation's totals. Each pair tree's candidate rule keeps the slice
-entries it walked for the last tuple it saw; a repeated call at that
-tuple, and `multiplicity`, reuse them while the engine version stands.
-An emitted tuple's slice is then walked once per pair tree, unless the
-tree's rule moved on after probing it: in d2 a later hop union can emit
-a tuple that the first one probed and then stepped past.
+top key. A tuple's multiplicity is its value in `res` plus, per pair
+tree, the pair slice at the tuple closed by the third relation's totals.
+Each pair tree's candidate rule keeps the slice entries it walked for
+the last tuple it saw; a repeated call at that tuple, and
+`multiplicity`, reuse them while the engine version stands. An emitted
+tuple's slice is then walked once per pair tree, unless the tree's rule
+moved on after probing it: in d2 a later hop union can emit a tuple that
+the first one probed and then stepped past.
+
+The read path binds on first use after a build, as the update plan
+does, and reads the views' and parts' maps directly at the charge of
+the method calls it replaces: the candidate rule and `multiplicity` walk
+a pair slice through one `store.walk_slice` kernel per tree,
+`multiplicity` closes each entry with the third relation's part getters
+(charged as `Partition.total`), and a `Bucket` steps through the pair's
+and top's linked slices and nodes maps (charged as `slice_head`,
+`slice_next` and `lookup`).
 """
 
 from __future__ import annotations
 
 import copy
+from functools import partial
 from operator import itemgetter
 
 from trimaint.iterators import EOF, HopUnionIterator, KeyIterator, StaleIterator, UnionIterator
 from trimaint.joins import triangle_products
 from trimaint.partition import BASE_IDX, DoublePartition, SinglePartition, Threshold
-from trimaint.store import CostMeter, RejectedDelete, Relation, entry_list, walk_close, walk_probe
+from trimaint.store import (CostMeter, RejectedDelete, Relation, entry_list, walk_close,
+                            walk_probe, walk_slice)
 
 RELS = ("R", "S", "T")
 # next and previous relation in the R->S->T cycle
@@ -207,29 +218,77 @@ def _close_step(eng, t):
     return close
 
 
-def _candidate_rule(eng, walk, cols, bucket_of, bucket_live):
+def _candidate_rule(eng, walk, bucket, live):
     """(candidates, kept) of a pair tree. `candidates(x)` gives the bucket
-    key of each pair entry at the output tuple x whose bucket is nonempty,
-    charged one tick per bucket tested; `bucket_live` is unmetered.
+    key of each pair entry at the output tuple x whose bucket is nonempty:
+    `walk` is the pair's read kernel on the output variables (see
+    `store.walk_slice`), and each bucket tested costs one tick. For a tree
+    without a root, `bucket` maps a pair key to its top key, the bucket
+    key, and `live` is the top's entries; else `bucket` is the root's
+    position in a pair key, the bucket key is the root value as a 1-tuple,
+    and `live` is the top's linked slices map on the root. The tests are
+    unmetered.
 
     `kept` holds the last walk: x, the engine version it ran at, the
     (pair key, value) entries and the bucket keys. A call at the same x
     and version returns the kept keys without walking again.
     """
     kept = [None, None, (), ()]
+    meter, rooted = eng.meter, isinstance(bucket, int)
+    # a one-column index is keyed by the bare value, not a 1-tuple
+    bare = len(eng.out) == 1
 
     def candidates(x):
-        if kept[1] == eng.version and kept[0] == x:
+        version = eng.version
+        if kept[1] == version and kept[0] == x:
             return kept[3]
-        entries = list(walk(cols, x[0] if len(x) == 1 else x))
+        entries = walk(x[0] if bare else x)
         out = []
-        for pk, _ in entries:
-            if bucket_live(k := bucket_of(pk)):
-                out.append(k)
-        eng.meter.total += len(entries)
-        kept[:] = x, eng.version, entries, out
+        if rooted:
+            for pk, _ in entries:
+                if pk[bucket] in live:
+                    out.append((pk[bucket],))
+        else:
+            for pk, _ in entries:
+                k = bucket(pk)
+                if k in live:
+                    out.append(k)
+        meter.total += len(entries)
+        kept[:] = x, version, entries, out
         return out
     return candidates, kept
+
+
+def _multiplicity_rule(eng, closes):
+    """`multiplicity(x)`: x's value in `res`, charged as a `lookup`, plus
+    per pair tree each pair entry at x times the third relation's total at
+    the entry's (z, x), charged as `Partition.total` is (a tick per part),
+    with one combine per nonzero total, in one add after any walk.
+
+    `closes` holds per pair tree (walk, kept, pair key -> (z, x), the
+    third relation's part count, its parts' getters, the last two None
+    for two parts). The entries are the tree's kept walk when its
+    candidate rule walked x at this version, else a fresh walk.
+    """
+    meter, get, bare = eng.meter, eng.res.entries.get, len(eng.out) == 1
+
+    def multiplicity(x):
+        v, ops = get(x, 0), 1
+        version, sub = eng.version, x[0] if bare else x
+        for walk, kept, third_of, nparts, e0, e1, e2, e3 in closes:
+            entries = kept[2] if kept[1] == version and kept[0] == x else walk(sub)
+            ops += nparts * len(entries)
+            for pk, pv in entries:
+                zx = third_of(pk)
+                tm = e0(zx, 0) + e1(zx, 0)
+                if e2 is not None:
+                    tm += e2(zx, 0) + e3(zx, 0)
+                if tm:
+                    ops += 1
+                    v += pv * tm
+        meter.total += ops
+        return v
+    return multiplicity
 
 
 class Bucket:
@@ -241,40 +300,60 @@ class Bucket:
     bucket is its one top entry, at no cost. Level 2 walks the pair view's
     linked (0, 2) slice at each top entry's (x, z). An element followed by
     the bucket key gives the pair and top keys.
+
+    `layout` is bound once per build (see `KeyedEngine`): the meter, the
+    pair's (0, 2) slices and nodes maps and entries, the top's slices and
+    nodes maps on the root (None for a rootless tree) and entries, and the
+    projections top key -> (x, z), element + bucket key -> pair and top
+    keys, pair key -> element. Each step reads those maps directly and
+    charges a tick per head, next and lookup, as `slice_head`,
+    `slice_next` and `lookup` do.
     """
 
-    __slots__ = ("_pair", "_top", "_key", "_idx", "_hat", "_pk", "_ck", "_elem")
+    __slots__ = ("_key", "_meter", "_heads", "_nodes", "_pairs", "_roots", "_top_nodes",
+                 "_tops", "_hat", "_pk", "_ck", "_elem")
 
-    def __init__(self, pair, top, key, idx, keys):
-        self._pair, self._top, self._key, self._idx = pair, top, key, idx
-        # top key -> (x, z), element + bucket key -> pair and top keys,
-        # pair key -> element
-        self._hat, self._pk, self._ck, self._elem = keys
+    def __init__(self, layout, key):
+        self._key = key
+        (self._meter, self._heads, self._nodes, self._pairs, self._roots, self._top_nodes,
+         self._tops, self._hat, self._pk, self._ck, self._elem) = layout
 
     def _head(self, ck):
-        if ck is None:
-            return None
-        return self._elem(self._pair.slice_head((0, 2), self._hat(ck)))
+        # the first element under the top entry ck: its (x, z) pair slice
+        # is nonempty while the entry is stored
+        self._meter.total += 1
+        return self._elem(self._heads[self._hat(ck)].head.key)
 
     def first(self):
-        if self._idx is None:
+        if self._roots is None:
             return self._head(self._key)
-        return self._head(self._top.slice_head(self._idx, self._key[0]))
+        self._meter.total += 1
+        s = self._roots.get(self._key[0])
+        return None if s is None else self._head(s.head.key)
 
     def successor(self, x):
         full = x + self._key
-        nk = self._pair.slice_next((0, 2), self._pk(full))
-        if nk is not None:
-            return self._elem(nk)
-        if self._idx is None:
+        meter = self._meter
+        meter.total += 1
+        nxt = self._nodes[self._pk(full)].nxt
+        if nxt is not None:
+            return self._elem(nxt.key)
+        if self._roots is None:
             return None
-        return self._head(self._top.slice_next(self._idx, self._ck(full)))
+        meter.total += 1
+        nxt = self._top_nodes[self._ck(full)].nxt
+        return None if nxt is None else self._head(nxt.key)
 
     def contains(self, x):
+        # a Relation stores no zero multiplicity
         full = x + self._key
-        if self._idx is not None and not self._top.lookup(self._ck(full)):
-            return False
-        return self._pair.lookup(self._pk(full)) != 0
+        meter = self._meter
+        if self._roots is not None:
+            meter.total += 1
+            if self._ck(full) not in self._tops:
+                return False
+        meter.total += 1
+        return self._pk(full) in self._pairs
 
 
 class FragmentEngine:
@@ -325,7 +404,8 @@ class FragmentEngine:
         # (name, arity, index columns, linked columns) of every Relation view
         views = [("res", len(cls.out), (), ())] if cls.out else []
         # pair trees enumerated by a hop union: (pair columns of the output
-        # variables, pair key -> bucket key, Bucket projections)
+        # variables, the root's position in a pair key or, for a tree
+        # without a root, pair key -> top key, Bucket projections)
         cls._hops = {}
         for t in cls.trees:
             if t.pair and len(cls.out) < 3:
@@ -334,7 +414,8 @@ class FragmentEngine:
                 cols = tuple(map(t.xyz.index, cls.out))
                 bucket_vars = t.root_key or t.key
                 full = cls.out + bucket_vars
-                cls._hops[t] = (cols, projector(t.xyz, bucket_vars), (
+                cls._hops[t] = (cols, t.xyz.index(t.root_key) if t.root_key else
+                                projector(t.xyz, t.key), (
                     t.hat_of, projector(full, t.xyz), projector(full, t.key),
                     projector(t.xyz, cls.out)))
                 views.append((t.pair, 3, ((0, 2), cols), ((0, 2),)))
@@ -420,7 +501,9 @@ class FragmentEngine:
                 raise AssertionError(f"view {name} drifted")
 
     def guard(self):
-        """Version check callable for enumeration iterators."""
+        """Version check callable, which raises StaleIterator once the
+        state has moved past its version; d3's enumeration calls it
+        between tuples (the keyed union checks `version` itself)."""
         v = self.version
 
         def check():
@@ -566,43 +649,50 @@ class FragmentEngine:
 
 
 class KeyedEngine(FragmentEngine):
-    """A fragment engine with output variables, read by enumeration; its
-    reads bind on first use after a build. d3, whose pair trees have no
-    hop union, overrides `enumerate_result`."""
+    """A fragment engine with output variables, read by enumeration. Its
+    read path binds on first use after a build, as the update plan does:
+    each pair tree's candidate rule, its hop union's bucket layout and
+    multiplicity's close read the views' maps directly (see
+    `_bind_enumeration`). d3, whose pair trees have no hop union,
+    overrides `enumerate_result`."""
 
     def candidate_buckets(self, t, x):
         """Keys of the buckets of pair tree t that may hold the output tuple x."""
-        return (self._enum or self._bind_enumeration())[0][t](x)
-
-    def _hop_union(self, t, rule):
-        pair, top = getattr(self, t.pair), getattr(self, t.top)
-        idx, keys = t.root_idx, self._hops[t][2]
-        # a bucketed tree's bucket keys are its top's root values, as 1-tuples
-        buckets = top.entries if idx is None else zip(top.linked_slices(idx))
-        return HopUnionIterator(buckets, lambda k: Bucket(pair, top, k, idx, keys),
-                                rule, self.meter)
+        return (self._enum or self._bind_enumeration())[0][t][3](x)
 
     def open_union(self):
         """Union of `res`'s keys and one hop union per pair tree."""
-        rules = (self._enum or self._bind_enumeration())[0]
-        iters = [KeyIterator(self.res)] + [self._hop_union(t, r) for t, r in rules.items()]
-        return UnionIterator(iters, self.meter, self.guard())
+        hops = (self._enum or self._bind_enumeration())[0]
+        iters = [KeyIterator(self.res)]
+        for keys, rooted, layout, rule in hops.values():
+            # a bucketed tree's bucket keys are its top's root values, as 1-tuples
+            iters.append(HopUnionIterator(zip(keys) if rooted else keys,
+                                          partial(Bucket, layout), rule, self.meter))
+        return UnionIterator(iters, self.meter, self)
 
     def _bind_enumeration(self):
-        """Bind each pair tree's candidate rule, and multiplicity's walk of
-        its pair slices, to this build's views."""
+        """Bind each pair tree's candidate rule, bucket layout and
+        multiplicity's walk and close of its pair slices to this build's
+        views and parts: ((bucket keys map, rooted, bucket layout,
+        candidate rule) by tree, multiplicity)."""
         if any(t.pair and t not in self._hops for t in self.trees):
             # the union would miss that tree's fragment
             raise NotImplementedError(f"{self.query} enumerates its pair trees itself")
-        rules, walks = {}, []
-        for t, (cols, bucket_of, _) in self._hops.items():
+        meter, hops, closes = self.meter, {}, []
+        for t, (cols, bucket, keys) in self._hops.items():
             pair, top, idx = getattr(self, t.pair), getattr(self, t.top), t.root_idx
-            # a bucket is live while its top entry is, or its top slice
-            live = (top.entries.__contains__ if idx is None else
-                    lambda k, roots=top.linked_slices(idx): k[0] in roots)
-            rules[t], kept = _candidate_rule(self, pair.slice_items, cols, bucket_of, live)
-            walks.append((pair.slice_items, cols, self.parts[t.third].total, t.third_of, kept))
-        self._enum = (rules, tuple(walks))
+            walk = walk_slice(pair, cols, meter)
+            # a bucket is live while its top entry is, or its top slice on
+            # the root; the keys of that map list the buckets
+            live = top.entries if idx is None else top.linked_slices(idx)
+            rule, kept = _candidate_rule(self, walk, bucket, live)
+            roots, top_nodes = (None, None) if idx is None else (live, top.linked_nodes(idx))
+            layout = (meter, pair.linked_slices((0, 2)), pair.linked_nodes((0, 2)),
+                      pair.entries, roots, top_nodes, top.entries, *keys)
+            hops[t] = (live, idx is not None, layout, rule)
+            gets = [p.entries.get for p in self.parts[t.third].parts.values()]
+            closes.append((walk, kept, t.third_of, len(gets), *gets, *[None] * (4 - len(gets))))
+        self._enum = (hops, _multiplicity_rule(self, tuple(closes)))
         return self._enum
 
     def multiplicity(self, x):
@@ -610,31 +700,12 @@ class KeyedEngine(FragmentEngine):
         pair tree each pair entry at x times the third relation's total at
         the entry's (z, x). A pair slice the tree's candidate rule walked
         at x, at this version, is read from the rule, not walked again."""
-        walks = (self._enum or self._bind_enumeration())[1]
-        v = self.res.lookup(x)
-        # a one-column index is keyed by the bare value, not a 1-tuple
-        meter, version, sub = self.meter, self.version, x[0] if len(x) == 1 else x
-        for walk, cols, total, third_of, kept in walks:
-            entries = kept[2] if kept[1] == version and kept[0] == x else walk(cols, sub)
-            for pk, pv in entries:
-                tm = total(third_of(pk))
-                if tm:
-                    meter.total += 1
-                    v += pv * tm
-        return v
+        return (self._enum or self._bind_enumeration())[1](x)
 
     def enumerate_result(self):
         """Iterator of (key, multiplicity), each result key exactly once."""
-        u = self.open_union()
-
-        def gen():
-            while True:
-                t = u.next()
-                if t is EOF:
-                    return
-                yield t, self.multiplicity(t)
-
-        return gen()
+        u, multiplicity = self.open_union(), self.multiplicity
+        return ((t, multiplicity(t)) for t in iter(u.next, EOF))
 
     def query_result(self):
         return dict(self.enumerate_result())

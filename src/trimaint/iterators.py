@@ -2,8 +2,8 @@
 
 Three layers, each with constant delay in its own terms:
 
-  * union_next over plain set iterators: the recursive absorb algorithm
-    (an element found in a later set defers emission to that set's cursor);
+  * union_next over plain set iterators: the absorb algorithm (an
+    element found in a later set defers emission to that set's cursor);
   * HopIterator: iteration with an exclusion set, using mutually inverse
     skipTo/skippedFrom pointer maps so runs of excluded elements are
     jumped in one hop; the run that reaches EOF from the first element
@@ -59,18 +59,22 @@ class SeqIterator:
 
 class KeyIterator:
     """Set iterator over the keys of a Relation, in insertion order; the
-    UnionIterator around it checks the engine version first."""
+    UnionIterator around it checks the engine version first. `next` and
+    `contains` each charge one tick, as a key step and a `lookup`."""
 
     def __init__(self, rel):
-        self._rel = rel
+        self._meter = rel.meter
+        self._entries = rel.entries
         self._it = iter(rel.entries)
 
     def next(self):
-        self._rel.meter.total += 1
+        self._meter.total += 1
         return next(self._it, EOF)
 
     def contains(self, t):
-        return self._rel.lookup(t) != 0
+        # a Relation stores no zero multiplicity
+        self._meter.total += 1
+        return t in self._entries
 
 
 def union_next(iterators):
@@ -82,36 +86,41 @@ def union_next(iterators):
     in its place and the element itself surfaces when that iterator reaches
     it.
     """
-    return _union_next(list(iterators), len(iterators))
-
-
-def _union_next(iters, n):
-    if n == 0:
+    it = iter(iterators)
+    head = next(it, None)
+    if head is None:
         return EOF
-    if n == 1:
-        return iters[0].next()
-    t = _union_next(iters, n - 1)
-    last = iters[n - 1]
-    if t is not EOF:
-        if last.contains(t):
-            return last.next()
-        return t
-    return last.next()
+    return _absorb(head.next(), [(later.contains, later.next) for later in it])
+
+
+def _absorb(t, later):
+    """The absorb rule over the first iterator's element t and the bound
+    (contains, next) of each later iterator, in order: each later one
+    either absorbs t (emitting its own next element instead) or passes it
+    on, and an EOF passes to its next element."""
+    for contains, nxt in later:
+        if t is EOF or contains(t):
+            t = nxt()
+    return t
 
 
 class UnionIterator:
-    """Stateful wrapper around union_next over a fixed iterator list; `next`
-    calls `guard` first, the one staleness check of each step."""
+    """Stateful union_next over a fixed iterator list, whose methods it
+    binds once. Each `next` first checks that `state.version` has not
+    moved since the open, the one staleness check of a step."""
 
-    def __init__(self, iterators, meter, guard):
-        self._iters = list(iterators)
+    def __init__(self, iterators, meter, state):
+        self._iters = iters = list(iterators)
         self._meter = meter
-        self._guard = guard
+        self._state, self._version = state, state.version
+        self._head = iters[0].next
+        self._later = tuple((it.contains, it.next) for it in iters[1:])
 
     def next(self):
-        self._guard()
+        if self._state.version != self._version:
+            raise StaleIterator(f"state advanced past version {self._version}")
         self._meter.total += 1
-        return _union_next(self._iters, len(self._iters))
+        return _absorb(self._head(), self._later)
 
 
 class ListCollection:

@@ -24,31 +24,36 @@ COMPACT_FLOOR + 1 tuples.
 CPython dicts keep the slots of deleted keys until they next grow, and
 iterating walks those slots too: a dict that shrank from a million keys
 to one still takes milliseconds to yield its first key, delay the meter
-cannot see. So one rule holds for every dict a Relation owns: `entries`,
-each index's slices map and each dict slice. Once its length falls below
-a quarter of its high-water mark, it is rebuilt in place (the same dict,
-in the same order), charged one tick per key moved, and its mark becomes
-its length. A dict whose mark is at most COMPACT_FLOOR is left alone:
-CPython sizes a dict from its live keys whenever it grows, so one that
-never held more keys has a small constant number of slots to walk. A
-dict slice rebuilt at or below COMPACT_FLOOR tuples becomes a list
-again. `entries` and the slices maps thus live as long as the Relation,
-and `load` fills them in place too. A rebuild invalidates an iterator
-open over the dict, so a reader resumed after an update checks the
-engine version first.
+cannot see. So one rule holds for every dict a Relation iterates:
+`entries`, each index's slices map and each dict slice. Once its length
+falls below a quarter of its high-water mark, it is rebuilt in place
+(the same dict, in the same order), charged one tick per key moved, and
+its mark becomes its length. A dict whose mark is at most COMPACT_FLOOR
+is left alone: CPython sizes a dict from its live keys whenever it
+grows, so one that never held more keys has a small constant number of
+slots to walk. A dict slice rebuilt at or below COMPACT_FLOOR tuples
+becomes a list again. `entries` and the slices maps thus live as long as
+the Relation, and `load` fills them in place too. A rebuild invalidates
+an iterator open over the dict, so a reader resumed after an update
+checks the engine version first. A linked index's nodes map is outside
+the rule: it is only ever keyed, never iterated, so its dead slots cost
+memory, not delay.
 
-The update path reads the parts through two kernels: `walk_probe`, for a
-direct fragment's "walk one partner's slice, probe the other partner at
-the rotated pair", and `walk_close`, for a view tree's "walk the
-partner's slice, keep every walked tuple and close it with the third
-relation's total". A kernel is bound once per build to the parts'
-`entries` and slices maps, and reads a slice afresh on every call.
-`walk_probe` first reads both partners' slice lengths, one tick each,
-and walks the shorter side (the intersection rule of worst-case optimal
-joins), charging the lengths, the chosen walk at one tick per tuple plus
-one per probe, and one per hit; `walk_close` charges what the equivalent
-`slice_items` and `lookup` calls would. Each charges in one add once its
-walk has run (see CostMeter for when that is allowed).
+Kernels read the maps directly. Each is bound once per build to the
+`entries` and slices maps it reads, which live as long as their
+Relation, and reads a slice afresh on every call. Keyed enumeration
+walks a pair view's hash slice through `walk_slice`, which charges what
+draining `slice_items` does. The update path reads the parts through
+two kernels: `walk_probe`, for a direct fragment's "walk one partner's
+slice, probe the other partner at the rotated pair", and `walk_close`,
+for a view tree's "walk the partner's slice, keep every walked tuple and
+close it with the third relation's total". `walk_probe` first reads both
+partners' slice lengths, one tick each, and walks the shorter side (the
+intersection rule of worst-case optimal joins), charging the lengths,
+the chosen walk at one tick per tuple plus one per probe, and one per
+hit; `walk_close` charges what the equivalent `slice_items` and `lookup`
+calls would. Each kernel charges in one add once its walk has run (see
+CostMeter for when that is allowed).
 
 The init path (a build, and a major that falls back to a rebuild) fills
 each fresh part and view with `load`: one pass per index over the new
@@ -92,12 +97,12 @@ class CostMeter:
 
     A loop may charge its whole cost in one add (bulk charging) only if it
     always runs to its end and nothing reads `total` while it runs: the
-    update-path kernels (`walk_probe`, `walk_close`) do, and so does the
-    init path, since a build or a rebuild always runs to its end
-    (`Relation.load`, `joins.triangle_products` and the tree fills).
-    Enumeration, hop iterators and walks that can stop early charge item
-    by item, so the delay between two reads of `total` is what was metered
-    in between.
+    update-path kernels (`walk_probe`, `walk_close`) and the read kernel
+    `walk_slice` do, and so does the init path, since a build or a
+    rebuild always runs to its end (`Relation.load`,
+    `joins.triangle_products` and the tree fills). Enumeration, hop
+    iterators and walks that can stop early charge item by item, so the
+    delay between two reads of `total` is what was metered in between.
     """
 
     __slots__ = ("total", "major", "minor")
@@ -157,31 +162,25 @@ class _KeyList:
         self.count -= 1
 
 
-class _Marks(dict):
-    """An index's high-water marks: per dict slice, and of slices as `hwm`."""
-
-    __slots__ = ("hwm",)
-
-    def __init__(self):
-        self.hwm = 0
-
-
 class Relation:
     """A finite map from tuples to nonzero signed integer multiplicities.
 
     Indexes are fixed at construction: `index_cols` is a sequence of
     column-position tuples, one per projection that must support slicing;
     those also listed in `linked` are linked indexes (see the module
-    docstring). Each index is a tuple (projector, slices, marks, nodes):
-    slices maps projection key to slice, marks holds the high-water marks
-    of each dict slice by key (a hash slice has a mark exactly when it is
-    a dict, and a list slice none) and of slices as `marks.hwm`, and nodes
-    maps each stored tuple to its list node for a linked index and is
-    None for a hash one. `_hwm` is the high-water mark of `entries`.
+    docstring). Each index is a tuple (projector, slices, marks, nodes,
+    i): slices maps projection key to slice, marks holds the high-water
+    marks of each dict slice by key (a hash slice has a mark exactly when
+    it is a dict, and a list slice none), nodes maps each stored tuple to
+    its list node for a linked index and is None for a hash one, and i is
+    the index's position. `_hwm` is the high-water mark of `entries`, and
+    `_map_hwm[i]` that of index i's slices map, kept out of marks so that
+    marks is an exact dict, which CPython subscripts faster than a
+    subclass.
     """
 
     __slots__ = ("name", "arity", "meter", "index_cols", "entries", "_hwm",
-                 "_by_cols", "_indexes")
+                 "_map_hwm", "_by_cols", "_indexes")
 
     def __init__(self, name, arity, index_cols, meter, linked=()):
         self.name = name
@@ -190,13 +189,14 @@ class Relation:
         self.index_cols = index_cols = tuple(map(tuple, index_cols))
         self.entries = {}
         self._hwm = 0
+        self._map_hwm = [0] * len(index_cols)
         by_cols = {}
-        for cols in index_cols:
+        for i, cols in enumerate(index_cols):
             for c in cols:
                 if not 0 <= c < arity:
                     raise ValueError(f"{name}: index column {c} outside arity {arity}")
             # one C-level call projects a tuple onto the index columns
-            by_cols[cols] = (itemgetter(*cols), {}, _Marks(), {} if cols in linked else None)
+            by_cols[cols] = (itemgetter(*cols), {}, {}, {} if cols in linked else None, i)
         for cols in linked:
             if tuple(cols) not in by_cols:
                 raise ValueError(f"{name}: linked index {cols} is not declared")
@@ -235,13 +235,14 @@ class Relation:
             n = len(entries)
             if n > self._hwm:
                 self._hwm = n
-            for project, slices, marks, nodes in indexes:
+            for project, slices, marks, nodes, i in indexes:
                 sub = project(key)
                 s = slices.get(sub)
                 if s is None:
                     slices[sub] = s = [key] if nodes is None else _KeyList()
-                    if len(slices) > marks.hwm:
-                        marks.hwm = len(slices)
+                    hwm = self._map_hwm
+                    if len(slices) > hwm[i]:
+                        hwm[i] = len(slices)
                     if nodes is None:
                         continue
                 if nodes is not None:
@@ -260,7 +261,7 @@ class Relation:
                         marks[sub] = len(s)
             return new
         del entries[key]
-        for project, slices, marks, nodes in indexes:
+        for project, slices, marks, nodes, i in indexes:
             sub = project(key)
             s = slices[sub]
             if nodes is not None:
@@ -285,8 +286,9 @@ class Relation:
                 del marks[sub]
             # the slice emptied: its key leaves the map
             del slices[sub]
-            if 4 * len(slices) < marks.hwm:
-                marks.hwm = _compact(slices, marks.hwm, meter)
+            hwm = self._map_hwm
+            if 4 * len(slices) < hwm[i]:
+                hwm[i] = _compact(slices, hwm[i], meter)
         if 4 * len(entries) < self._hwm:
             self._hwm = _compact(entries, self._hwm, meter)
         return 0
@@ -319,7 +321,7 @@ class Relation:
         n = len(entries)
         if n > self._hwm:
             self._hwm = n
-        for project, slices, marks, nodes in self._indexes:
+        for project, slices, marks, nodes, i in self._indexes:
             if nodes is not None:
                 for key in entries:
                     sub = project(key)
@@ -337,8 +339,8 @@ class Relation:
                         groups[sub] = dict.fromkeys(s)
                         marks[sub] = len(s)
                 slices.update(groups)
-            if len(slices) > marks.hwm:
-                marks.hwm = len(slices)
+            if len(slices) > self._map_hwm[i]:
+                self._map_hwm[i] = len(slices)
         self.meter.total += len(items) + n * len(self._indexes)
 
     def _missing(self, cols, kind="index"):
@@ -348,17 +350,13 @@ class Relation:
         """|sigma_{cols=sub}K|: number of distinct tuples under the key, O(1)."""
         self.meter.total += 1
         try:
-            _, slices, _, nodes = self._by_cols[cols]
+            _, slices, _, nodes, _ = self._by_cols[cols]
         except KeyError:
             raise self._missing(cols) from None
         s = slices.get(sub)
         if s is None:
             return 0
         return len(s) if nodes is None else s.count
-
-    def contains(self, cols, sub):
-        """Projection membership test, O(1)."""
-        return self.slice_count(cols, sub) > 0
 
     def slice_items(self, cols, sub):
         """Yield (tuple, multiplicity) for each entry under the key of a
@@ -399,6 +397,12 @@ class Relation:
         """The slices map of a linked index (see `hash_slices`)."""
         return self._linked(cols)[1]
 
+    def linked_nodes(self, cols):
+        """The nodes map of a linked index: each stored tuple -> its list
+        node, whose `nxt` is the next node of its slice or None. The map
+        lives as long as the Relation."""
+        return self._linked(cols)[3]
+
     def slice_head(self, cols, sub):
         """First tuple in a linked slice's insertion order, or None if empty."""
         self.meter.total += 1
@@ -436,9 +440,10 @@ class Relation:
         for key, mult in entries.items():
             audit(mult != 0, key)
             audit(len(key) == self.arity, key)
-        for d, mark in [(entries, self._hwm)] + [(ix[1], ix[2].hwm) for ix in self._indexes]:
+        for d, mark in [(entries, self._hwm)] + [(ix[1], self._map_hwm[ix[4]])
+                                                 for ix in self._indexes]:
             audit(len(d) <= mark and (4 * len(d) >= mark or mark <= COMPACT_FLOOR), self.name)
-        for cols, (project, slices, marks, nodes) in self._by_cols.items():
+        for cols, (project, slices, marks, nodes, _) in self._by_cols.items():
             seen = 0
             for sub, s in slices.items():
                 if nodes is None:
@@ -498,6 +503,27 @@ def entry_list(rels, meter):
     kvs = list(chain.from_iterable(r.entries.items() for r in rels))
     meter.total += len(kvs)
     return kvs
+
+
+def walk_slice(rel, cols, meter):
+    """Bind the read kernel of a hash index of `rel`, `walk(sub)`: the
+    (tuple, multiplicity) pairs under `sub`, in insertion order, as a
+    list, or () if there are none. It charges what draining `slice_items` does, one tick plus one
+    per pair, in one add once the walk has run."""
+    get, entries = rel.hash_slices(cols).get, rel.entries
+
+    def walk(sub):
+        s = get(sub)
+        if s is None:
+            meter.total += 1
+            return ()
+        out = []
+        for k in s:
+            out.append((k, entries[k]))
+        meter.total += 1 + len(out)
+        return out
+
+    return walk
 
 
 def walk_probe(walked, col, probed, meter):

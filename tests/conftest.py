@@ -47,7 +47,7 @@ def relation_layout(r):
     kind, list or dict; a linked slice walked from its head, with its tail
     and count), the marks and the order of the linked nodes."""
     out = [list(r.entries.items()), r._hwm]
-    for _, slices, marks, nodes in r._indexes:
+    for _, slices, marks, nodes, i in r._indexes:
         if nodes is None:
             out.append([(sub, type(s), list(s)) for sub, s in slices.items()])
         else:
@@ -59,5 +59,5 @@ def relation_layout(r):
                     node = node.nxt
                 walks.append((sub, keys, s.tail.key, s.count))
             out += [walks, list(nodes)]
-        out.append((dict(marks), marks.hwm))
+        out.append((dict(marks), r._map_hwm[i]))
     return out

@@ -104,7 +104,7 @@ def test_hub_state_lives_in_rs_tree():
     assert dict(eng.closed_rs.items()) == {(1, 9): 6}
     # root 9's bucket holds the six pairs (1, b)
     rs = eng.trees[1]
-    bucket = Bucket(eng.pair_rs, eng.closed_rs, (9,), rs.root_idx, eng._hops[rs][2])
+    bucket = Bucket(eng._bind_enumeration()[0][rs][2], (9,))
     walked, x = [], bucket.first()
     while x is not None:
         walked.append(x)
@@ -130,7 +130,8 @@ def test_shrunk_roots_open_a_hop_union_over_the_live_buckets():
         apply(eng, "T", (c, 1), -1)
         del td[c, 1]
     # rebuilt at 9 live roots, then at 2
-    assert list(root_map) == [139] and eng.closed_rs._by_cols[rs.root_idx][2].hwm == 2
+    closed = eng.closed_rs
+    assert list(root_map) == [139] and closed._map_hwm[closed._by_cols[rs.root_idx][4]] == 2
 
     def live_buckets():
         hop = eng.open_union()._iters[1]

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import trimaint
-from trimaint import store
+from trimaint import fragments, store
 from trimaint.driver import Driver, make_engine
 from trimaint.fragments import FragmentEngine, projector
 from trimaint.iterators import HopUnionIterator
@@ -526,7 +526,7 @@ def test_deep_audit_checks_view_indexes():
     drv.check_invariants(deep=True)
     # a key repeated in a list slice of a pair view's hash index: the
     # view's entries, and so its recomputation, stay the same
-    (_, slices, _, _), = [ix for ix in drv.engine.pair_rs._indexes if ix[3] is None]
+    (_, slices, *_), = [ix for ix in drv.engine.pair_rs._indexes if ix[3] is None]
     s = next(s for s in slices.values() if type(s) is list)
     s.append(s[0])
     drv.check_invariants()
@@ -596,15 +596,20 @@ def test_kept_walk_never_goes_stale(query, walk):
 def test_one_pair_slice_walk_per_emitted_tuple(query, monkeypatch):
     # a pair tree's slice at an emitted tuple is walked by the candidate
     # rule and reused by a repeated probe and by multiplicity (d2 can walk
-    # it twice where the rule stepped past it, which this stream never does)
+    # it twice where the rule stepped past it, which this stream never does);
+    # the walks are counted as calls of the pair's bound read kernel
     walks = []
-    slice_items = Relation.slice_items
+    walk_slice = fragments.walk_slice
 
-    def counted(self, cols, sub):
-        walks.append((self.name, sub))
-        return slice_items(self, cols, sub)
+    def counting(rel, cols, meter):
+        walk = walk_slice(rel, cols, meter)
 
-    monkeypatch.setattr(Relation, "slice_items", counted)
+        def counted(sub):
+            walks.append((rel.name, sub))
+            return walk(sub)
+        return counted
+
+    monkeypatch.setattr(fragments, "walk_slice", counting)
     drv, ref = grown_with_reference(query)
     eng = drv.engine
     pairs = {t.pair for t in eng.trees if t.pair}
@@ -711,7 +716,7 @@ if not raises(drv.check_invariants):
     raise SystemExit("a drifted size passed the audit")
 eng.size -= 1
 # a key repeated in a list slice of a pair view's hash index
-(_, slices, _, _), = [ix for ix in eng.pair_rs._indexes if ix[3] is None]
+(_, slices, *_), = [ix for ix in eng.pair_rs._indexes if ix[3] is None]
 s = next(s for s in slices.values() if type(s) is list)
 s.append(s[0])
 if not raises(lambda: drv.check_invariants(deep=True)):

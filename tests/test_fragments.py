@@ -175,7 +175,7 @@ def test_init_path_loads_as_per_item_writes(query, double, monkeypatch):
         rels += [v for v in map(eng.__getattribute__, eng.view_names) if isinstance(v, Relation)]
         assert all(len(r) for r in rels)
         # hash slices of both kinds: lists up to COMPACT_FLOOR, dicts above
-        kinds = {type(s) for r in rels for _, slices, _, nodes in r._indexes
+        kinds = {type(s) for r in rels for _, slices, _, nodes, _ in r._indexes
                  if nodes is None for s in slices.values()}
         assert kinds == {list, dict}
         built = built_state(eng)

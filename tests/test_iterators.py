@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,8 +10,10 @@ from trimaint.iterators import (
     EOF,
     HopIterator,
     HopUnionIterator,
+    KeyIterator,
     ListCollection,
     SeqIterator,
+    StaleIterator,
     UnionIterator,
     union_next,
 )
@@ -48,6 +51,30 @@ def test_union_three_identical_singletons():
 
 def test_union_no_iterators():
     assert union_next([]) is EOF
+
+
+class Versioned:
+    version = 0
+
+
+def test_union_iterator_over_relation_keys():
+    # a tick per union step, per key step and per probe of a later
+    # iterator, as `lookup` charges; a moved version stops the union
+    meter, state = CostMeter(), Versioned()
+    rels = [Relation(f"V{i}", 1, (), meter) for i in range(3)]
+    for i, keys in enumerate(([1, 2, 3], [2, 4], [3, 4, 5])):
+        for k in keys:
+            rels[i].apply_delta((k,), 1)
+    union, before = UnionIterator([KeyIterator(r) for r in rels], meter, state), meter.total
+    t = union.next()
+    # (1,): one union step, one key step, two probes
+    assert t == (1,) and meter.total - before == 4
+    assert drain(union.next) == [(2,), (3,), (4,), (5,)]
+    union = UnionIterator([KeyIterator(r) for r in rels], meter, state)
+    union.next()
+    state.version += 1
+    with pytest.raises(StaleIterator):
+        union.next()
 
 
 def test_hop_exclude_skips_over_excluded_run():

@@ -1,9 +1,12 @@
-"""The update path's bulk-metered reads against the method-based reads they
+"""Bulk-metered and bound reads against the method-based reads they
 replace: `walk_probe` and `walk_close` against `slice_items` + `lookup`
-loops, and partition routing against definitions through `slice_count`,
-`contains` and `lookup`. Results and metered ops must both agree. A
-`walk_probe` kernel walks the shorter side, so it is held to its own
-charge, and its hits are compared summed per w."""
+loops, partition routing against definitions through `slice_count` (a
+positive count is membership) and `lookup`, and enumeration's read
+kernels, `walk_slice` and a hop union's `Bucket`, against a drained
+`slice_items` and a bucket built on `slice_head`, `slice_next` and
+`lookup`. Results and metered ops must both agree. A `walk_probe` kernel
+walks the shorter side, so it is held to its own charge, and its hits
+are compared summed per w."""
 
 import random
 
@@ -12,9 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trimaint.driver import Driver, make_engine
+from trimaint.fragments import Bucket, projector
 from trimaint.oracle import RefMaintainer
 from trimaint.partition import strict_double, strict_single
-from trimaint.store import CostMeter, Relation, walk_close, walk_probe
+from trimaint.store import CostMeter, Relation, walk_close, walk_probe, walk_slice
+from trimaint.workload import WorkloadSpec, stream
 
 IDX = ((0,), (1,))
 
@@ -234,16 +239,16 @@ def ref_single_affected(p, key, epsilon):
     if epsilon == 0:
         return "H"
     col = p.column("X")
-    return "H" if p.parts["H"].contains((col,), key[col]) else "L"
+    return "H" if p.parts["H"].slice_count((col,), key[col]) > 0 else "L"
 
 
 def ref_single_violation(p, value, theta):
     cols = (p.column("X"),)
     deg = ref_single_degree(p, value)
-    if p.parts["H"].contains(cols, value):
+    if p.parts["H"].slice_count(cols, value) > 0:
         if 2 * deg < theta:
             return "to_light"
-    elif p.parts["L"].contains(cols, value):
+    elif p.parts["L"].slice_count(cols, value) > 0:
         if 2 * deg >= 3 * theta:
             return "to_heavy"
     return None
@@ -271,7 +276,7 @@ def ref_double_degree(p, side, value):
 
 def ref_side_class(p, side, value):
     cols, (h1, h2), _ = double_sides(p, side)
-    return "H" if h1.contains(cols, value) or h2.contains(cols, value) else "L"
+    return "H" if h1.slice_count(cols, value) > 0 or h2.slice_count(cols, value) > 0 else "L"
 
 
 def ref_double_affected(p, key, epsilon):
@@ -284,10 +289,10 @@ def ref_double_affected(p, key, epsilon):
 def ref_double_violation(p, side, value, theta):
     cols, (h1, h2), (l1, l2) = double_sides(p, side)
     deg = ref_double_degree(p, side, value)
-    if h1.contains(cols, value) or h2.contains(cols, value):
+    if h1.slice_count(cols, value) > 0 or h2.slice_count(cols, value) > 0:
         if 2 * deg < theta:
             return "to_light"
-    elif l1.contains(cols, value) or l2.contains(cols, value):
+    elif l1.slice_count(cols, value) > 0 or l2.slice_count(cols, value) > 0:
         if 2 * deg >= 3 * theta:
             return "to_heavy"
     return None
@@ -399,5 +404,180 @@ def test_compaction_under_bound_kernels(query, double):
         apply("S", (300 + j, j % 2), 1)
         apply("T", (j % 2, 200 + j), 1)
         apply("T", (j % 2, 38), 1)
-    assert drv.majors == 0 and all(light.contains((0,), 200 + j) for j in range(6))
+    assert drv.majors == 0 and all(light.slice_count((0,), 200 + j) > 0 for j in range(6))
     drv.check_invariants(deep=True)
+
+
+# -- enumeration's read kernels -------------------------------------------
+
+
+def drained(rel, cols, sub):
+    """What `walk_slice` replaces: `slice_items` drained into a list."""
+    return list(rel.slice_items(cols, sub))
+
+
+# a hub under 0 grows past COMPACT_FLOOR and drains, promoting, compacting
+# and demoting its slice, and the entries dict is rebuilt, all after the
+# kernels were bound: each must read the current slice on every call
+@settings(max_examples=60, deadline=None)
+@given(ops=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 40), st.integers(0, 3),
+                              st.integers(-2, 3).filter(bool)), max_size=150),
+       keep=st.floats(0.0, 0.3), seed=st.integers(0, 2**16))
+def test_walk_slice_matches_drained_slice_items(ops, keep, seed):
+    meter = CostMeter()
+    cols_list = ((0,), (0, 2), (1,))
+    rel = Relation("V", 3, cols_list, meter, linked=((1,),))
+    walks = {cols: walk_slice(rel, cols, meter) for cols in cols_list[:2]}
+    subs = {(0,): range(5), (0, 2): [(a, c) for a in range(5) for c in range(5)]}
+
+    def check():
+        for cols, walk in walks.items():
+            for sub in subs[cols]:
+                got, ops = metered(meter, walk, sub)
+                assert (list(got), ops) == metered(meter, drained, rel, cols, sub)
+
+    for w in range(30):
+        rel.apply_delta((0, w, w % 3), 1)
+    check()
+    for a, w, c, m in ops:
+        if rel.entries.get((a, w, c), 0) + m >= 0:
+            rel.apply_delta((a, w, c), m)
+    check()
+    rng = random.Random(seed)
+    for key, m in list(rel.entries.items()):
+        if rng.random() >= keep:
+            rel.apply_delta(key, -m)
+    check()
+    for a, w, c, m in ops[:30]:
+        if m > 0:
+            rel.apply_delta((a, w, c), m)
+    check()
+    rel.check_consistency()
+    with pytest.raises(Exception, match="hash index"):
+        walk_slice(rel, (1,), meter)
+
+
+class RefBucket:
+    """A hop union's bucket read through `slice_head`, `slice_next` and
+    `lookup`, one tick each: what a bound `Bucket` replaces."""
+
+    def __init__(self, pair, top, key, idx, keys):
+        self._pair, self._top, self._key, self._idx = pair, top, key, idx
+        self._hat, self._pk, self._ck, self._elem = keys
+
+    def _head(self, ck):
+        if ck is None:
+            return None
+        return self._elem(self._pair.slice_head((0, 2), self._hat(ck)))
+
+    def first(self):
+        if self._idx is None:
+            return self._head(self._key)
+        return self._head(self._top.slice_head(self._idx, self._key[0]))
+
+    def successor(self, x):
+        full = x + self._key
+        nk = self._pair.slice_next((0, 2), self._pk(full))
+        if nk is not None:
+            return self._elem(nk)
+        if self._idx is None:
+            return None
+        return self._head(self._top.slice_next(self._idx, self._ck(full)))
+
+    def contains(self, x):
+        full = x + self._key
+        if self._idx is not None and not self._top.lookup(self._ck(full)):
+            return False
+        return self._pair.lookup(self._pk(full)) != 0
+
+
+def ref_candidates(eng, t, x):
+    """Bucket keys of pair tree t at x, and the walk's entries, through
+    `slice_items`: a tick per entry walked and one per bucket tested."""
+    cols = eng._hops[t][0]
+    top = getattr(eng, t.top)
+    entries = drained(getattr(eng, t.pair), cols, x[0] if len(x) == 1 else x)
+    eng.meter.total += len(entries)
+    if t.root_idx is None:
+        keys = [projector(t.xyz, t.key)(pk) for pk, _ in entries]
+        return [k for k in keys if k in top.entries]
+    keys = [projector(t.xyz, t.root_key)(pk) for pk, _ in entries]
+    return [k for k in keys if k[0] in top.linked_slices(t.root_idx)]
+
+
+def ref_multiplicity(eng, x):
+    """x's value in `res` through `lookup`, plus each pair entry at x
+    walked through `slice_items` and closed through `Partition.total`."""
+    v = eng.res.lookup(x)
+    for t in eng._hops:
+        cols = eng._hops[t][0]
+        for pk, pv in drained(getattr(eng, t.pair), cols, x[0] if len(x) == 1 else x):
+            tm = eng.parts[t.third].total(t.third_of(pk))
+            if tm:
+                eng.meter.total += 1
+                v += pv * tm
+    return v
+
+
+def skewed_states(query):
+    """A driver after each hundredth update of a skewed stream with deletes,
+    which fills every pair tree of d1 and d2 and empties some buckets."""
+    drv = Driver(make_engine(query, 0.25))
+    spec = WorkloadSpec(seed=11, domain=20, updates=1600, delete_frac=0.3, skew="zipf:1.1")
+    for i, upd in enumerate(stream(spec)):
+        drv.on_update(*upd)
+        if i % 100 == 99:
+            yield drv
+
+
+@pytest.mark.parametrize("query", ["d1", "d2"])
+def test_bound_buckets_match_method_based_reads(query):
+    seen = 0
+    for drv in skewed_states(query):
+        eng, meter = drv.engine, drv.meter
+        # the layouts may have been bound many updates ago
+        hops = (eng._enum or eng._bind_enumeration())[0]
+        for t, (_, rooted, layout, _) in hops.items():
+            pair, top, keys = getattr(eng, t.pair), getattr(eng, t.top), eng._hops[t][2]
+            buckets = [(r,) for r in top.linked_slices(t.root_idx)] if rooted else list(top.entries)
+            elems = {keys[3](pk) for pk in pair.entries} | {(-1,) * len(eng.out)}
+            # a root with no top slice is an empty bucket
+            for k in buckets + [(-1,)] * rooted:
+                got, ref = Bucket(layout, k), RefBucket(pair, top, k, t.root_idx, keys)
+                x, ops = metered(meter, got.first)
+                assert (x, ops) == metered(meter, ref.first), (t.pair, k)
+                while x is not None:
+                    seen += 1
+                    y, ops = metered(meter, got.successor, x)
+                    assert (y, ops) == metered(meter, ref.successor, x), (t.pair, k, x)
+                    x = y
+                for x in elems:
+                    assert metered(meter, got.contains, x) == metered(meter, ref.contains, x)
+    assert seen > 100
+
+
+@pytest.mark.parametrize("query", ["d1", "d2"])
+def test_bound_candidates_and_multiplicity_match_method_based_reads(query):
+    seen = 0
+    for drv in skewed_states(query):
+        eng, meter = drv.engine, drv.meter
+        outs = {projector(t.xyz, eng.out)(pk) for t in eng._hops
+                for pk in getattr(eng, t.pair).entries}
+        for x in outs | set(eng.res.entries) | {(-1,) * len(eng.out)}:
+            sub = x[0] if len(x) == 1 else x
+            # a new version: no tree's kept walk serves x
+            eng.version += 1
+            assert metered(meter, eng.multiplicity, x) == metered(meter, ref_multiplicity, eng, x)
+            eng.version += 1
+            walked = 0
+            for t in eng._hops:
+                keys, ops = metered(meter, eng.candidate_buckets, t, x)
+                assert (keys, ops) == metered(meter, ref_candidates, eng, t, x)
+                # a repeated probe at x reads the kept walk, at no tick
+                assert metered(meter, eng.candidate_buckets, t, x) == (keys, 0)
+                walked += 1 + getattr(eng, t.pair).slice_count(eng._hops[t][0], sub)
+                seen += len(keys)
+            # so does multiplicity: the same value, less the walks' ticks
+            v, ops = metered(meter, eng.multiplicity, x)
+            assert (v, ops + walked) == metered(meter, ref_multiplicity, eng, x)
+    assert seen > 100
