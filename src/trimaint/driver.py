@@ -69,7 +69,10 @@ class Driver:
         Returns this update's ops by phase.
         """
         eng = self.engine
-        part = eng.parts.get(rel)
+        try:
+            part = eng.parts.get(rel)
+        except TypeError:
+            part = None  # an unhashable name names no relation
         if part is None:
             raise ValueError(f"unknown relation {rel!r}")
         if not isinstance(key, tuple) or len(key) != 2:

@@ -21,8 +21,9 @@ at u0; the slice binds w, and (u0, u1, w) is the triangle in X's rotation
     prev(X) up, "P" walks prev(X)'s slice and looks next(X) up. The
     letter names the slice the partition bounds (by theta for a light
     value, by N/theta for the heavy values), so it carries the
-    update-time bound. The step's kernel may walk the other side instead
-    when that side's slices are shorter (see `store.walk_probe`), which
+    update-time bound. Each of its steps is one `store.walk_probe`
+    kernel, which writes every hit into `res` as it walks. It may walk
+    the other side instead when that side's slices are shorter, which
     never costs more, so the letter's bound still holds.
   * `Tree(left, lgroup, rgroup, hat, key, ...)` is a view tree. The left
     relation X joins the right one next(X) on y into a pair view keyed
@@ -32,11 +33,12 @@ at u0; the slice binds w, and (u0, u1, w) is the triangle in X's rotation
     output order. A tree without a pair view writes its top into the
     result, so its key is the output variables. A left update walks the
     right group's slice, a right update the left group's, both through
-    one kernel (`store.walk_close`) that returns each walked tuple with
-    the third relation's total at its (z, x); a third update looks the
-    hat up once. A tree with a root variable as well has buckets: its
-    top has a linked index on that variable, whose slices are the
-    buckets, and whose map's keys are the nonempty ones.
+    one kernel (`store.walk_close`) that writes each walked tuple into
+    the pair and hat views and, times the third relation's total at its
+    (z, x), into the top as it walks; a third update looks the hat up
+    once (`store.lookup_close`). A tree with a root variable as well has
+    buckets: its top has a linked index on that variable, whose slices
+    are the buckets, and whose map's keys are the nonempty ones.
 
 The init path joins every direct fragment with `triangle_products` and
 fills every tree bottom up; `verify_views` reruns it on a copy.
@@ -48,11 +50,12 @@ in bulk, so a build's ops do not depend on how it is carried out.
 
 A table with no output variables (`out = ""`, d0's count) has a scalar
 output: every direct fragment and every tree top (its trees have no pair
-view) adds into one integer, `count`. A direct step adds the sum of its
-kernel's hits; a tree step writes every walked tuple into the hat, as a
-keyed tree does, and adds the walked deltas closed by the third
-relation's totals; a close step looks the hat up. Writes to `count` are
-O(1) bookkeeping and are not metered.
+view) adds into one integer, `count`. Each step returns what it adds
+and `apply_update` adds the sum: a direct step its hits' sum, a tree
+step the walked deltas closed by the third relation's totals (it writes
+every walked tuple into the hat, as a keyed tree does), a close step the
+hat's value. Writes to `count` are O(1) bookkeeping and are not
+metered.
 
 Every fragment value is a product of nonnegative multiplicities, so the
 sum `res` holds for a tuple is nonzero exactly when one of the fragments
@@ -90,8 +93,8 @@ from operator import itemgetter
 from trimaint.iterators import EOF, HopUnionIterator, KeyIterator, StaleIterator, UnionIterator
 from trimaint.joins import triangle_products
 from trimaint.partition import BASE_IDX, DoublePartition, SinglePartition, Threshold
-from trimaint.store import (CostMeter, RejectedDelete, Relation, entry_list, walk_close,
-                            walk_probe, walk_slice)
+from trimaint.store import (CostMeter, RejectedDelete, Relation, entry_list, lookup_close,
+                            walk_close, walk_probe, walk_slice)
 
 RELS = ("R", "S", "T")
 # next and previous relation in the R->S->T cycle
@@ -151,71 +154,6 @@ class Tree:
         self.hat_of = projector(key, xz) if len(key) == 2 else None
         self.root_idx = root_key and (key.index(root_key),)  # the top's index on it
         self.third_of = projector(xyz, xyz[2] + xyz[0])  # pair key -> (z, x)
-
-
-def _direct_step(kernel, next_side, view, key):
-    """Update step of a direct fragment: the kernel intersects next(X)'s
-    slice at u1 with prev(X)'s at u0, walking the side its letter names
-    unless the other is shorter."""
-    def step(u0, u1, m):
-        for w, d in (kernel(u1, u0) if next_side else kernel(u0, u1)):
-            view.apply_delta(key((u0, u1, w)), m * d)
-    return step
-
-
-def _sum_step(eng, kernel, next_side):
-    """`_direct_step` into a scalar output: the hits summed, written once."""
-    def step(u0, u1, m):
-        hits = kernel(u1, u0) if next_side else kernel(u0, u1)
-        eng.count += m * sum([d for _, d in hits])
-    return step
-
-
-def _tree_step(eng, t, kernel, left):
-    """Left (walking the right group's slice at u1) or right step of tree
-    t. Each walked tuple's delta goes into the pair and hat views and,
-    where the third relation's total tm closes it, times tm into the top
-    view. A scalar tree writes the hat and adds the closed deltas into
-    `count`."""
-    hat = getattr(eng, t.hat)
-    if not eng.out:
-        def step(u0, u1, m):
-            s = 0
-            for hk, mw, tm in (kernel(u1, u0) if left else kernel(u0, u1)):
-                hat.apply_delta(hk, m * mw)
-                s += mw * tm
-            eng.count += m * s
-        return step
-    pair, top, top_of = t.pair and getattr(eng, t.pair), getattr(eng, t.top), t.top_of
-
-    def step(u0, u1, m):
-        for hk, mw, tm in (kernel(u1, u0) if left else kernel(u0, u1)):
-            d = m * mw
-            if pair is not None:
-                # y, the walked slice's value, sits between x and z
-                pair.apply_delta((hk[0], u1 if left else u0, hk[1]), d)
-            hat.apply_delta(hk, d)
-            if tm:
-                top.apply_delta(top_of(hk), d * tm)
-    return step
-
-
-def _close_step(eng, t):
-    """Third-relation step of tree t: it looks the hat up once."""
-    hat = getattr(eng, t.hat)
-    if not eng.out:
-        def close(u0, u1, m):
-            eng.count += m * hat.lookup((u1, u0))
-        return close
-    top, top_of = getattr(eng, t.top), t.top_of
-
-    def close(u0, u1, m):
-        hk = u1, u0
-        v = hat.lookup(hk)
-        if v:
-            top.apply_delta(top_of(hk), m * v)
-
-    return close
 
 
 def _candidate_rule(eng, walk, bucket, live):
@@ -603,24 +541,28 @@ class FragmentEngine:
     # -- update processing ------------------------------------------------
 
     def _bind(self):
-        """Bind the class's update plan to this build's parts and views."""
+        """Bind the class's update plan to this build's parts and views,
+        one store kernel per plan row (see `store.walk_probe`,
+        `walk_close` and `lookup_close`)."""
         parts, meter = self.parts, self.meter
 
         def members(group):
             rel, labels = group
             return [parts[rel].parts[lab] for lab in labels]
 
+        res = self.res if self.out else None
         steps = {(rel, lab): [] for rel in RELS for lab in self.labels[rel]}
         for rel, labels, kind, row, walk, look, key in self._plan:
-            if kind == "close":
-                step = _close_step(self, row)
-            elif kind in ("N", "P"):
-                kernel = walk_probe(members(walk), 0 if kind == "N" else 1, members(look), meter)
-                step = (_sum_step(self, kernel, kind == "N") if not self.out else
-                        _direct_step(kernel, kind == "N", self.res, key))
+            if kind in ("N", "P"):
+                step = walk_probe(members(walk), 0 if kind == "N" else 1, members(look), meter,
+                                  res, key)
             else:
-                kernel = walk_close(members(walk), 0 if kind == "left" else 1, members(look), meter)
-                step = _tree_step(self, row, kernel, kind == "left")
+                # a scalar output has no top: its tree steps return their closed sums
+                hat, pair = getattr(self, row.hat), row.pair and getattr(self, row.pair)
+                top, key = (getattr(self, row.top), row.top_of) if self.out else (None, None)
+                step = (lookup_close(hat, meter, top, key) if kind == "close" else
+                        walk_close(members(walk), 0 if kind == "left" else 1, members(look),
+                                   meter, hat, pair, top, key))
             for lab in labels:
                 steps[rel, lab].append(step)
         # (rel, label) -> (the part the update writes, its steps)
@@ -637,8 +579,15 @@ class FragmentEngine:
             if part.entries.get(key, 0) + m < 0:
                 raise RejectedDelete(f"{rel}^{label}{key} {m:+d}")
         u0, u1 = key
-        for step in steps:
-            step(u0, u1, m)
+        if self.out:
+            for step in steps:
+                step(u0, u1, m)
+        else:
+            # a scalar output's steps return what they add to it
+            c = self.count
+            for step in steps:
+                c += step(u0, u1, m)
+            self.count = c
         # the key appeared iff its new value is m, vanished iff 0
         v = part.apply_delta(key, m)
         if v == m:

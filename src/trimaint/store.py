@@ -43,17 +43,33 @@ Kernels read the maps directly. Each is bound once per build to the
 `entries` and slices maps it reads, which live as long as their
 Relation, and reads a slice afresh on every call. Keyed enumeration
 walks a pair view's hash slice through `walk_slice`, which charges what
-draining `slice_items` does. The update path reads the parts through
-two kernels: `walk_probe`, for a direct fragment's "walk one partner's
-slice, probe the other partner at the rotated pair", and `walk_close`,
-for a view tree's "walk the partner's slice, keep every walked tuple and
-close it with the third relation's total". `walk_probe` first reads both
-partners' slice lengths, one tick each, and walks the shorter side (the
-intersection rule of worst-case optimal joins), charging the lengths,
-the chosen walk at one tick per tuple plus one per probe, and one per
-hit; `walk_close` charges what the equivalent `slice_items` and `lookup`
-calls would. Each kernel charges in one add once its walk has run (see
-CostMeter for when that is allowed).
+draining `slice_items` does. The update path is bound per row of an
+engine's plan, one kernel per step, `step(u0, u1, m)`, which walks the
+parts and writes its views in the same loop: `walk_probe`, a direct
+fragment's "walk one partner's slice, probe the other partner at the
+rotated pair, write each hit into the result"; `walk_close`, a view
+tree's "walk the partner's slice, write every walked tuple into the pair
+and hat views and, closed with the third relation's total, into the
+top"; and `lookup_close`, a tree's "look the hat up once, write it into
+the top". A step into a scalar output writes no result view and returns
+what it adds to the output (a tree step still writes its hat); a keyed
+one returns 0. `walk_probe` first reads both partners' slice lengths,
+one tick each, and walks the shorter side (the intersection rule of
+worst-case optimal joins), charging the lengths, the chosen walk at one
+tick per tuple plus one per probe, and one per hit; `walk_close`
+charges what the equivalent `slice_items` and `lookup` calls would, and
+`lookup_close` what a `lookup` does. Each charges its reads in one add
+once its walk has run (see CostMeter for when that is allowed). No step
+writes a Relation it reads, and each writes its views in the order of
+its walk.
+
+A step writes a view as `apply_delta` would, with that method's
+in-place branch inline: a key stored before and after the write (its
+old value and old + d both nonzero) gets `entries[key] = old + d` in
+the loop, for one tick. A key that appears or vanishes goes through
+`apply_delta`, so index upkeep, slice marks, the high-water mark and
+compaction stay in that one method, and so does the refusal of a
+negative result. Only the kernels in this module write a view in place.
 
 The init path (a build, and a major that falls back to a rebuild) fills
 each fresh part and view with `load`: one pass per index over the new
@@ -97,10 +113,12 @@ class CostMeter:
 
     A loop may charge its whole cost in one add (bulk charging) only if it
     always runs to its end and nothing reads `total` while it runs: the
-    update-path kernels (`walk_probe`, `walk_close`) and the read kernel
+    update steps (`walk_probe`, `walk_close`) and the read kernel
     `walk_slice` do, and so does the init path, since a build or a
     rebuild always runs to its end (`Relation.load`,
-    `joins.triangle_products` and the tree fills). Enumeration, hop
+    `joins.triangle_products` and the tree fills). An update step's
+    `apply_delta` calls charge as they run, inside its walk, which adds
+    to `total` but does not read it. Enumeration, hop
     iterators and walks that can stop early charge item by item, so the
     delay between two reads of `total` is what was metered in between.
     """
@@ -526,20 +544,24 @@ def walk_slice(rel, cols, meter):
     return walk
 
 
-def walk_probe(walked, col, probed, meter):
-    """Bind a direct fragment's walk-and-probe kernel, `kernel(sub, other)`.
+def walk_probe(walked, col, probed, meter, view=None, key=None):
+    """Bind a direct fragment's update step, `step(u0, u1, m)`.
 
-    The `walked` parts (one or two binary Relations) are sliced on column
-    `col` at `sub`; a walked tuple binds w, its other column, and the
-    probe key is the rotated pair: (w, other) when walking column 0,
-    (other, w) when walking column 1. The kernel returns (w, mw * mp) for
-    every w where both the walked multiplicity mw and the multiplicity mp
-    summed over the `probed` parts (one, two or four) are nonzero. Every
-    part needs a hash index on each column it is sliced on.
+    The update (u0, u1) by m slices the `walked` parts (one or two binary
+    Relations) on column `col` at sub, u1 when walking column 0 and u0
+    when walking column 1, and `other` is its other value. A walked tuple
+    binds w, its other column, and the probe key is the rotated pair:
+    (w, other) when walking column 0, (other, w) when walking column 1.
+    Every w where both the walked multiplicity mw and the multiplicity mp
+    summed over the `probed` parts (one, two or four) are nonzero is a
+    hit: the step adds m * mw * mp to `view` at key((u0, u1, w)), in the
+    order of the walk (see the module docstring), and returns 0; with no
+    view it writes nothing and returns the hits' sum. Every part needs a
+    hash index on each column it is sliced on.
 
     It reads, one tick each, the length of each walked part's slice at
-    `sub` and of each probed part's slice at `other` on column 1 - col:
-    the probe keys that can hit are exactly the tuples of those slices. If
+    sub and of each probed part's slice at `other` on column 1 - col: the
+    probe keys that can hit are exactly the tuples of those slices. If
     either side is empty it returns there. Otherwise it walks the side
     that costs less, the intersection rule of worst-case optimal joins:
     n_walked * (1 + #probed) against n_probed * (1 + #walked), ties to the
@@ -547,52 +569,66 @@ def walk_probe(walked, col, probed, meter):
     walked parts at (sub, w) or (w, sub); it yields one hit per probed
     tuple, so where probed parts overlap (never within a partition) a w can
     come out more than once. The charge is #walked + #probed, plus the
-    chosen walk, plus one per hit, in one add once the walk has run. The
-    walk never costs more than the walked side's, so the bound a
-    fragment's `sides` letter gives still holds.
+    chosen walk, plus one per hit, in one add once the walk has run, and
+    the writes. The walk never costs more than the walked side's, so the
+    bound a fragment's `sides` letter gives still holds.
     """
     if not 1 <= len(walked) <= 2 or len(probed) not in (1, 2, 4):
         raise ValueError(f"{len(walked)} walked and {len(probed)} probed parts")
     at, first = 1 - col, col == 0
     slices = tuple(rel.hash_slices((col,)) for rel in walked)
     others = tuple(rel.hash_slices((at,)) for rel in probed)
+    ve, put = (None, None) if view is None else (view.entries, view.apply_delta)
 
     if len(walked) == len(probed) == 1:
-        # the common case (most direct-fragment steps), with both walks
-        # written out
-        (rel,), (probe,) = walked, probed
+        # the common case (most direct-fragment steps), without the loops
+        # over parts
         (by_sub,), (by_other,) = slices, others
-        we, pe = rel.entries, probe.entries
+        we, pe = walked[0].entries, probed[0].entries
         wget, pget = we.get, pe.get
 
-        def kernel(sub, other):
+        def step(u0, u1, m):
+            sub, other = (u1, u0) if first else (u0, u1)
             s, t = by_sub.get(sub), by_other.get(other)
             if s is None or t is None:
                 meter.total += 2
-                return []
-            out = []
+                return 0
+            # walk s, probing at (w, other) or (other, w), or t, probing at
+            # (sub, w) or (w, sub)
             if len(s) <= len(t):
-                for k in s:
-                    w = k[at]
-                    mp = pget((w, other) if first else (other, w), 0)
-                    if mp:
-                        out.append((w, we[k] * mp))
-                meter.total += 2 + 2 * len(s) + len(out)
+                entries, get, pos, fix, wfirst = we, pget, at, other, first
             else:
-                for k in t:
-                    w = k[col]
-                    mw = wget((sub, w) if first else (w, sub), 0)
-                    if mw:
-                        out.append((w, mw * pe[k]))
-                meter.total += 2 + 2 * len(t) + len(out)
-            return out
+                s, entries, get, pos, fix, wfirst = t, pe, wget, col, sub, not first
+            ops, acc = 2 + 2 * len(s), 0
+            for k in s:
+                w = k[pos]
+                mp = get((w, fix) if wfirst else (fix, w), 0)
+                if mp:
+                    ops += 1
+                    d = m * entries[k] * mp
+                    if ve is None:
+                        acc += d
+                        continue
+                    rk = key((u0, u1, w))
+                    old = ve.get(rk, 0)
+                    new = old + d
+                    if old and new > 0:
+                        ve[rk] = new
+                        ops += 1
+                    else:
+                        put(rk, d)
+            meter.total += ops
+            return acc
 
-        return kernel
+        return step
 
     fixed, per_walked, per_probed = len(walked) + len(probed), 1 + len(probed), 1 + len(walked)
-    forward, flipped = _probe_walk(walked, col, probed), _probe_walk(probed, at, walked)
+    wsides = tuple((rel.entries, by_sub) for rel, by_sub in zip(walked, slices))
+    psides = tuple((rel.entries, by_other) for rel, by_other in zip(probed, others))
+    wgets, pgets = tuple(rel.entries.get for rel in walked), tuple(p.entries.get for p in probed)
 
-    def kernel(sub, other):
+    def step(u0, u1, m):
+        sub, other = (u1, u0) if first else (u0, u1)
         nw = np = 0
         for by_sub in slices:
             s = by_sub.get(sub)
@@ -605,58 +641,62 @@ def walk_probe(walked, col, probed, meter):
                     np += len(s)
         if not np:
             meter.total += fixed
-            return []
+            return 0
         if nw * per_walked <= np * per_probed:
-            out = forward(sub, other)
-            meter.total += fixed + nw * per_walked + len(out)
+            sides, on, gets, pos, fix, wfirst = wsides, sub, pgets, at, other, first
+            ops = fixed + nw * per_walked
         else:
-            out = flipped(other, sub)
-            meter.total += fixed + np * per_probed + len(out)
-        return out
-
-    return kernel
-
-
-def _probe_walk(walked, col, probed):
-    """`walk(sub, other)`: [(w, mw * mp)] over the `walked` parts' col = sub
-    slices, part by part, each in insertion order, mp summed over the
-    `probed` parts at the rotated pair; unmetered."""
-    at, first = 1 - col, col == 0
-    sides = tuple((rel.entries, rel.hash_slices((col,))) for rel in walked)
-    gets = tuple(p.entries.get for p in probed)
-
-    def walk(sub, other):
-        out = []
-        for entries, by_sub in sides:
-            s = by_sub.get(sub)
+            sides, on, gets, pos, fix, wfirst = psides, other, wgets, col, sub, not first
+            ops = fixed + np * per_probed
+        acc = 0
+        for entries, by in sides:
+            s = by.get(on)
             if s is None:
                 continue
             for k in s:
-                w = k[at]
-                key = (w, other) if first else (other, w)
+                w = k[pos]
+                pk = (w, fix) if wfirst else (fix, w)
                 mp = 0
                 for get in gets:
-                    mp += get(key, 0)
+                    mp += get(pk, 0)
                 if mp:
-                    out.append((w, entries[k] * mp))
-        return out
+                    ops += 1
+                    d = m * entries[k] * mp
+                    if ve is None:
+                        acc += d
+                        continue
+                    rk = key((u0, u1, w))
+                    old = ve.get(rk, 0)
+                    new = old + d
+                    if old and new > 0:
+                        ve[rk] = new
+                        ops += 1
+                    else:
+                        put(rk, d)
+        meter.total += ops
+        return acc
 
-    return walk
+    return step
 
 
-def walk_close(walked, col, third, meter):
-    """Bind a view tree's left or right step kernel, `kernel(sub, other)`.
+def walk_close(walked, col, third, meter, hat, pair=None, top=None, key=None):
+    """Bind a view tree's left or right update step, `step(u0, u1, m)`.
 
-    The `walked` parts (one or two binary Relations) are sliced on column
-    `col` at `sub`, part by part, each in insertion order. The kernel
-    returns (hat_key, mw, tm) for every walked tuple, in a list: hat_key
-    is the tuple with `other` in place of `sub`, mw its multiplicity, and
-    tm the third relation's total at the rotated pair, (w, other) when
-    walking column 0 and (other, w) when walking column 1, summed over the
-    `third` parts (two or four: a whole partition), 0 on a miss. It
-    charges what the same walk through `slice_items` and `lookup` costs,
-    with one combine per nonzero tm: 1 + (1 + #third) * n per walked part
-    with n tuples under `sub`, plus one per nonzero tm, in one add.
+    The update (u0, u1) by m slices the `walked` parts (one or two binary
+    Relations) on column `col` at sub, u1 when walking column 0 and u0
+    when walking column 1, part by part, each in insertion order, and
+    `other` is its other value. Each walked tuple k, binding w, gives the
+    hat key hk, k with `other` in place of sub, and d = m times its
+    multiplicity; tm is the third relation's total at the rotated pair,
+    (w, other) when walking column 0 and (other, w) when walking column 1,
+    summed over the `third` parts (two or four: a whole partition). In the
+    order of the walk, the step adds d to `pair` (if any) at (hk[0], sub,
+    hk[1]) and to `hat` at hk, and, where tm is nonzero, d * tm to `top`
+    at key(hk); it returns 0. With no top it writes the hat alone and
+    returns the sum of d * tm. It charges what the same walk through
+    `slice_items` and `lookup` costs, with one combine per nonzero tm:
+    1 + (1 + #third) * n per walked part with n tuples under sub, plus
+    one per nonzero tm, in one add, and the writes.
     """
     if not 1 <= len(walked) <= 2 or len(third) not in (2, 4):
         raise ValueError(f"{len(walked)} walked and {len(third)} third parts")
@@ -664,9 +704,13 @@ def walk_close(walked, col, third, meter):
     nsides, per, first = len(sides), 1 + len(third), col == 0
     e0, e1, *rest = [t.entries.get for t in third]
     e2, e3 = rest or (None, None)
+    he, put_hat = hat.entries, hat.apply_delta
+    pe, put_pair = (None, None) if pair is None else (pair.entries, pair.apply_delta)
+    te, put_top = (None, None) if top is None else (top.entries, top.apply_delta)
 
-    def kernel(sub, other):
-        out, ops = [], nsides
+    def step(u0, u1, m):
+        sub, other = (u1, u0) if first else (u0, u1)
+        ops, acc = nsides, 0
         for entries, get in sides:
             s = get(sub)
             if s is None:
@@ -675,17 +719,78 @@ def walk_close(walked, col, third, meter):
             for k in s:
                 if first:
                     w = k[1]
-                    key, hk = (w, other), (other, w)
+                    zx, hk = (w, other), (other, w)
                 else:
                     w = k[0]
-                    key, hk = (other, w), (w, other)
-                tm = e0(key, 0) + e1(key, 0)
+                    zx, hk = (other, w), (w, other)
+                d = m * entries[k]
+                if pe is not None:
+                    # y, the walked slice's value, sits between x and z
+                    pk = hk[0], sub, hk[1]
+                    old = pe.get(pk, 0)
+                    new = old + d
+                    if old and new > 0:
+                        pe[pk] = new
+                        ops += 1
+                    else:
+                        put_pair(pk, d)
+                old = he.get(hk, 0)
+                new = old + d
+                if old and new > 0:
+                    he[hk] = new
+                    ops += 1
+                else:
+                    put_hat(hk, d)
+                tm = e0(zx, 0) + e1(zx, 0)
                 if rest:
-                    tm += e2(key, 0) + e3(key, 0)
+                    tm += e2(zx, 0) + e3(zx, 0)
                 if tm:
                     ops += 1
-                out.append((hk, entries[k], tm))
+                    if te is None:
+                        acc += d * tm
+                        continue
+                    tk, d = key(hk), d * tm
+                    old = te.get(tk, 0)
+                    new = old + d
+                    if old and new > 0:
+                        te[tk] = new
+                        ops += 1
+                    else:
+                        put_top(tk, d)
         meter.total += ops
-        return out
+        return acc
 
-    return kernel
+    return step
+
+
+def lookup_close(hat, meter, top=None, key=None):
+    """Bind a view tree's third-relation update step, `step(u0, u1, m)`:
+    it reads the hat at (u1, u0), one tick as a `lookup`, and adds m times
+    that value to `top` at key((u1, u0)) if it is nonzero, returning 0;
+    with no top it returns m times the value."""
+    he = hat.entries
+    if top is None:
+        def close(u0, u1, m):
+            meter.total += 1
+            return m * he.get((u1, u0), 0)
+        return close
+    te, put = top.entries, top.apply_delta
+
+    def close(u0, u1, m):
+        hk = u1, u0
+        v = he.get(hk)
+        if not v:
+            meter.total += 1
+            return 0
+        tk, d = key(hk), m * v
+        old = te.get(tk, 0)
+        new = old + d
+        if old and new > 0:
+            te[tk] = new
+            meter.total += 2
+        else:
+            meter.total += 1
+            put(tk, d)
+        return 0
+
+    return close

@@ -317,6 +317,31 @@ def test_op_counts_pinned(query, double, compact, monkeypatch):
     assert drv.engine.db_size() == 0
 
 
+@pytest.mark.parametrize("query,double", list(OP_PINS))
+def test_view_writes_reach_apply_delta_only_to_insert_or_delete(query, double, monkeypatch):
+    # an update step overwrites a view value that stays stored in place;
+    # only a view key that appears or vanishes goes through apply_delta
+    # (a part write may overwrite)
+    seen = []
+    apply_delta = Relation.apply_delta
+
+    def spied(self, key, m):
+        old = self.entries.get(key, 0)
+        new = apply_delta(self, key, m)
+        seen.append((self.name, old, new))
+        return new
+
+    monkeypatch.setattr(Relation, "apply_delta", spied)
+    grow, shrink = pinned_stream()
+    drv = make_driver(query, 0.25, double=double)
+    for upd in grow + shrink:
+        drv.on_update(*upd)
+    views = set(drv.engine.view_names)
+    writes = [(old, new) for name, old, new in seen if name in views]
+    assert writes, "no view was written"
+    assert [w for w in writes if w[0] and w[1]] == []
+
+
 # The pinned stream's domain of 40 barely grows a hub, so walking the
 # shorter side shows little there. This zipf stream over a domain of 1000
 # at eps 0.5 does grow hubs (totals when the kernels walked the side the
@@ -642,7 +667,7 @@ for query, double in VARIANTS:
         if not d[key]:
             del d[key]
     state = (drv.meter.snapshot(), drv.updates)
-    for bad in (("R", (1, 2), 0), ("Q", (1, 2), 1), ("S", (1, 2, 3), 1)):
+    for bad in (("R", (1, 2), 0), ("Q", (1, 2), 1), ("S", (1, 2, 3), 1), (["R"], (1, 2), 1)):
         try:
             drv.on_update(*bad)
         except ValueError:

@@ -1,14 +1,16 @@
-"""Bulk-metered and bound reads against the method-based reads they
-replace: `walk_probe` and `walk_close` against `slice_items` + `lookup`
-loops, partition routing against definitions through `slice_count` (a
-positive count is membership) and `lookup`, and enumeration's read
-kernels, `walk_slice` and a hop union's `Bucket`, against a drained
-`slice_items` and a bucket built on `slice_head`, `slice_next` and
-`lookup`. Results and metered ops must both agree. A `walk_probe` kernel
-walks the shorter side, so it is held to its own charge, and its hits
-are compared summed per w."""
+"""Bulk-metered and bound reads and writes against the method-based ones
+they replace: the update steps `walk_probe`, `walk_close` and
+`lookup_close` against `slice_items` + `lookup` loops whose hits are
+written through `Relation.apply_delta`, partition routing against
+definitions through `slice_count` (a positive count is membership) and
+`lookup`, and enumeration's read kernels, `walk_slice` and a hop union's
+`Bucket`, against a drained `slice_items` and a bucket built on
+`slice_head`, `slice_next` and `lookup`. Results, views and metered ops
+must all agree. A `walk_probe` step walks the shorter side, so its
+reference walks the same side."""
 
 import random
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -18,10 +20,13 @@ from trimaint.driver import Driver, make_engine
 from trimaint.fragments import Bucket, projector
 from trimaint.oracle import RefMaintainer
 from trimaint.partition import strict_double, strict_single
-from trimaint.store import CostMeter, Relation, walk_close, walk_probe, walk_slice
+from trimaint.store import (COMPACT_FLOOR, CostMeter, Relation, lookup_close, walk_close,
+                            walk_probe, walk_slice)
 from trimaint.workload import WorkloadSpec, stream
 
 IDX = ((0,), (1,))
+RES_KEY = itemgetter(0, 2)  # (u0, u1, w) -> a direct step's result key
+TOP_KEY = itemgetter(1, 0)  # hat key -> top key
 
 
 def ref_hits(walked, col, sub, probed, other):
@@ -40,23 +45,25 @@ def ref_hits(walked, col, sub, probed, other):
 
 
 def ref_walk_probe(walked, col, probed, sub, other, meter):
-    """The hits summed per w, and the charge of the shorter walk: one tick
+    """The hits of the shorter walk, in its order, and its charge: one tick
     per slice length read, then, if neither side is empty, the cheaper
     side's walk (ties to the walked side) and one per hit of that walk."""
     nw = sum(rel.slice_count((col,), sub) for rel in walked)
     np = sum(p.slice_count((1 - col,), other) for p in probed)
-    if nw and np:
-        if nw * (1 + len(probed)) <= np * (1 + len(walked)):
-            meter.total += nw * (1 + len(probed)) + len(ref_hits(walked, col, sub, probed, other))
-        else:
-            meter.total += np * (1 + len(walked)) + len(ref_hits(probed, 1 - col, other,
-                                                                 walked, sub))
-    return summed(ref_hits(walked, col, sub, probed, other))
+    if not (nw and np):
+        return []
+    if nw * (1 + len(probed)) <= np * (1 + len(walked)):
+        hits = ref_hits(walked, col, sub, probed, other)
+        meter.total += nw * (1 + len(probed)) + len(hits)
+    else:
+        hits = ref_hits(probed, 1 - col, other, walked, sub)
+        meter.total += np * (1 + len(walked)) + len(hits)
+    return hits
 
 
 def summed(hits):
-    """A kernel's hits summed per w: where parts overlap, which they never
-    do within a partition, the walk on the probed side groups them apart."""
+    """Hits summed per w: where parts overlap, which they never do within
+    a partition, the walk on the probed side yields a w once per part."""
     out = {}
     for w, d in hits:
         out[w] = out.get(w, 0) + d
@@ -80,28 +87,201 @@ def ref_walk_close(walked, col, third, sub, other, meter):
     return out
 
 
+def ref_step(kind, walked, col, probed, meter, views):
+    """The update step of `kind` as the reference loops' hits written one
+    by one through `apply_delta` (see `bind_step`)."""
+    def step(u0, u1, m):
+        sub, other = (u1, u0) if col == 0 else (u0, u1)
+        if kind in ("direct", "sum"):
+            hits = ref_walk_probe(walked, col, probed, sub, other, meter)
+            if kind == "sum":
+                return m * sum(d for _, d in hits)
+            for w, d in hits:
+                views["res"].apply_delta(RES_KEY((u0, u1, w)), m * d)
+            return 0
+        s = 0
+        for hk, mw, tm in ref_walk_close(walked, col, probed, sub, other, meter):
+            d = m * mw
+            if kind == "pair":
+                views["pair"].apply_delta((hk[0], sub, hk[1]), d)
+            views["hat"].apply_delta(hk, d)
+            if tm:
+                if kind == "count":
+                    s += d * tm
+                else:
+                    views["top"].apply_delta(TOP_KEY(hk), d * tm)
+        return s
+    return step
+
+
+def ref_close(kind, views):
+    """A close step as a `lookup` of the hat and an `apply_delta`."""
+    def close(u0, u1, m):
+        v = views["hat"].lookup((u1, u0))
+        if kind == "count":
+            return m * v
+        if v:
+            views["top"].apply_delta(TOP_KEY((u1, u0)), m * v)
+        return 0
+    return close
+
+
+def bind_step(kind, walked, col, probed, meter, views):
+    """The bound step of `kind`: a direct fragment into `res` ("direct") or
+    summed ("sum"), or a view tree with a pair view ("pair"), without one
+    ("top") or into a count ("count")."""
+    if kind in ("direct", "sum"):
+        return walk_probe(walked, col, probed, meter, *((views["res"], RES_KEY) * (kind == "direct")))
+    hat = views["hat"]
+    if kind == "count":
+        return walk_close(walked, col, probed, meter, hat)
+    return walk_close(walked, col, probed, meter, hat, views["pair"] if kind == "pair" else None,
+                      views["top"], TOP_KEY)
+
+
+class Spy(Relation):
+    """A view that counts its `apply_delta` calls that only overwrite a
+    value, which a bound step makes in place."""
+
+    overwrites = 0
+
+    def apply_delta(self, key, m):
+        old = self.entries.get(key, 0)
+        new = super().apply_delta(key, m)
+        if old and new:
+            self.overwrites += 1
+        return new
+
+
+def fresh_views(meter):
+    """Views of every write shape: hash and linked indexes, on one column
+    and on two, and an unindexed hat, as the engines declare them."""
+    return {"res": Spy("res", 2, IDX, meter, linked=((1,),)),
+            "pair": Spy("pair", 3, ((0, 2), (1,)), meter, linked=((0, 2),)),
+            "hat": Spy("hat", 2, (), meter),
+            "top": Spy("top", 2, ((0,),), meter, linked=((0,),))}
+
+
+def layout(rel):
+    """Everything a write can move: the entries in order, the high-water
+    marks, and each index's slices in order with their kind and mark."""
+    out = [list(rel.entries.items()), rel._hwm, list(rel._map_hwm)]
+    for _, slices, marks, nodes, _ in rel._indexes:
+        for sub, s in slices.items():
+            if nodes is None:
+                out.append((sub, s.__class__, list(s), marks.get(sub)))
+                continue
+            keys, node = [], s.head
+            while node is not None:
+                keys.append(node.key)
+                node = node.nxt
+            out.append((sub, keys))
+    return out
+
+
 def metered(meter, f, *args):
     t0 = meter.total
     res = f(*args)
     return res, meter.total - t0
 
 
-def check_kernel(rels, meter, kernel, close_kernel, walked, col, probed, subs):
-    for sub in subs:
-        for other in subs:
-            got, ops = metered(meter, kernel, sub, other)
-            assert (summed(got), ops) == metered(meter, ref_walk_probe, walked, col, probed, sub,
-                                                 other, meter)
-            if close_kernel is not None:
-                got, ops = metered(meter, close_kernel, sub, other)
-                assert (list(got), ops) == metered(meter, ref_walk_close, walked, col, probed,
-                                                   sub, other, meter)
+def on(col, sub, other):
+    """The update key (u0, u1) whose step slices column `col` at sub."""
+    return (other, sub) if col == 0 else (sub, other)
+
+
+def check_step(meter, step, ref, got, want, u0, u1, m):
+    """One call of the bound step and of its reference, each on its own
+    views: equal returns, charges and view layouts."""
+    assert metered(meter, step, u0, u1, m) == metered(meter, ref, u0, u1, m), (u0, u1, m)
+    for name in got:
+        assert layout(got[name]) == layout(want[name]), (name, u0, u1, m)
+
+
+def hub_parts(meter, col, rng):
+    """Parts sharing a hub: 30 tuples under 0 on the walked column and as
+    probe keys in every part, and random tuples beside it."""
+    parts = [Relation(f"P{i}", 2, IDX, meter) for i in range(6)]
+    for p in parts:
+        for w in range(30):
+            p.apply_delta((0, w) if col == 0 else (w, 0), 1)
+            p.apply_delta((w, 0) if col == 0 else (0, w), 1)
+        for _ in range(rng.randrange(12)):
+            p.apply_delta((rng.randrange(4), rng.randrange(4)), rng.randint(1, 3))
+    return parts
+
+
+KINDS = [("direct", (1, 2, 4)), ("sum", (1, 2, 4)), ("pair", (2, 4)), ("top", (2, 4)),
+         ("count", (2, 4))]
+SHAPES = [(kind, nwalk, nprobe) for kind, probes in KINDS for nwalk in (1, 2) for nprobe in probes]
+
+
+@pytest.mark.parametrize("col", [0, 1])
+@pytest.mark.parametrize("kind,nwalk,nprobe", SHAPES)
+def test_bound_steps_write_as_the_reference_loop(kind, nwalk, nprobe, col):
+    # each update call is made again, so values stored before and after a
+    # write are overwritten in place; then every call is undone in a random
+    # order, so keys vanish and the hub's views fall below a quarter of
+    # their marks and are compacted; a close step runs between, on the
+    # filled hat
+    for seed in range(6):
+        rng = random.Random(seed)
+        meter = CostMeter()
+        parts = hub_parts(meter, col, rng)
+        walked, probed = parts[:nwalk], parts[2:2 + nprobe]
+        got, want = fresh_views(meter), fresh_views(meter)
+        step, ref = (bind_step(kind, walked, col, probed, meter, got),
+                     ref_step(kind, walked, col, probed, meter, want))
+        calls = [(0, 0, 1)] + [(rng.randrange(5), rng.randrange(5), rng.randint(1, 3))
+                               for _ in range(8)]
+        calls += [(u0, u1, m + 1) for u0, u1, m in calls]
+        for call in calls:
+            check_step(meter, step, ref, got, want, *call)
+        peak = {name: len(v) for name, v in got.items()}
+        if kind in ("pair", "top", "count"):
+            close = (lookup_close(got["hat"], meter) if kind == "count" else
+                     lookup_close(got["hat"], meter, got["top"], TOP_KEY))
+            hks = list(got["hat"].entries) + [(-1, -1)]
+            closes = [(hk[1], hk[0], rng.randint(1, 3)) for hk in rng.sample(hks, min(6, len(hks)))]
+            closes += [(u0, u1, m + 1) for u0, u1, m in closes]
+            for call in closes + [(u0, u1, -m) for u0, u1, m in rng.sample(closes, len(closes))]:
+                check_step(meter, close, ref_close(kind, want), got, want, *call)
+        for u0, u1, m in rng.sample(calls, len(calls)):
+            check_step(meter, step, ref, got, want, u0, u1, -m)
+        for name, view in got.items():
+            assert len(view) == 0, name
+            view.check_consistency()
+            want[name].check_consistency()
+            # nothing but a key that appears or vanishes reaches apply_delta
+            assert view.overwrites == 0, name
+        if kind != "sum":
+            # the reference overwrote values, and the hub's views were compacted
+            assert sum(v.overwrites for v in want.values()) > 0
+            assert any(view._hwm < peak[name] for name, view in got.items()
+                       if peak[name] > COMPACT_FLOOR)
+
+
+def check_kernel(rels, meter, walked, col, probed, subs):
+    """Every kind of step over these parts, bound after they were filled,
+    against its reference at every (sub, other), each call undone at once
+    so the views end empty."""
+    for kind, probes in KINDS:
+        if len(probed) not in probes:
+            continue
+        got, want = fresh_views(meter), fresh_views(meter)
+        step, ref = (bind_step(kind, walked, col, probed, meter, got),
+                     ref_step(kind, walked, col, probed, meter, want))
+        for sub in subs:
+            for other in subs:
+                for m in (2, -2):
+                    check_step(meter, step, ref, got, want, *on(col, sub, other), m)
+        assert all(len(v) == 0 for v in got.values())
 
 
 # a slice grows past COMPACT_FLOOR under sub 0 and then mostly drains, so
 # slices are promoted from lists to dicts, compacted and demoted to lists
-# again, and entries dicts rebuilt in place, all after the kernel was
-# bound: a kernel must read the new slice object on every call
+# again, and entries dicts rebuilt in place, all after the steps were
+# bound: a step must read the new slice object on every call
 @settings(max_examples=60, deadline=None)
 @given(nwalk=st.integers(1, 2), nprobe=st.sampled_from([1, 2, 4]), col=st.sampled_from([0, 1]),
        ops=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 2), st.integers(0, 40),
@@ -111,9 +291,6 @@ def test_kernel_matches_slice_and_lookup_loop(nwalk, nprobe, col, ops, seed, kee
     meter = CostMeter()
     rels = [Relation(f"P{i}", 2, IDX, meter) for i in range(6)]
     walked, probed = rels[:nwalk], rels[2:2 + nprobe]
-    kernel = walk_probe(walked, col, probed, meter)
-    # walk_close closes with a whole partition: two or four parts
-    close_kernel = walk_close(walked, col, probed, meter) if nprobe >= 2 else None
     subs = range(3)
 
     def put(i, key, m):
@@ -128,7 +305,7 @@ def test_kernel_matches_slice_and_lookup_loop(nwalk, nprobe, col, ops, seed, kee
         put(i, (sub, w) if col == 0 else (w, sub), m)
         put(i, (w, sub) if col == 0 else (sub, w), m)
     before = [r._hwm for r in rels]
-    check_kernel(rels, meter, kernel, close_kernel, walked, col, probed, subs)
+    check_kernel(rels, meter, walked, col, probed, subs)
 
     # keeping at most a fifth of a dict's entries takes it below a quarter
     # of its high-water mark, so every entries dict is rebuilt
@@ -141,12 +318,15 @@ def test_kernel_matches_slice_and_lookup_loop(nwalk, nprobe, col, ops, seed, kee
                 r.apply_delta(key, -m)
     # a rebuild keeps the dict object and lowers its mark to its length
     assert all(r._hwm < b for r, b in zip(rels, before)), "entries were not rebuilt"
-    check_kernel(rels, meter, kernel, close_kernel, walked, col, probed, subs)
+    check_kernel(rels, meter, walked, col, probed, subs)
     for i, sub, w, m in ops[:20]:
         put(i, (sub, w) if col == 0 else (w, sub), m)
-    check_kernel(rels, meter, kernel, close_kernel, walked, col, probed, subs)
+    check_kernel(rels, meter, walked, col, probed, subs)
     for r in rels:
         r.check_consistency()
+
+
+W_KEY = itemgetter(slice(2, 3))  # (u0, u1, w) -> (w,)
 
 
 @pytest.mark.parametrize("nprobe", [1, 2, 4])
@@ -172,32 +352,35 @@ def test_kernel_walks_the_shorter_side(col, nwalk, nprobe):
     for i, p in enumerate(probed):
         put(p, 1 - col, 0, i)  # w = i: a hit in the hub
         put(p, 1 - col, 0, 100 + i)  # no walked tuple binds 100 + i
-        want[i] = 1
+        want[(i,)] = 1
     if nwalk == 2:
         put(probed[0], 1 - col, 0, 21)
-        want[21] = 1
+        want[(21,)] = 1
     assert walked[0].hash_slices((col,))[0].__class__ is dict
-    kernel = walk_probe(walked, col, probed, meter)
+    # the hits keyed by w, in an unindexed view: one tick per insert
+    view = Relation("V", 1, (), meter)
+    step = walk_probe(walked, col, probed, meter, view, W_KEY)
     fixed = nwalk + nprobe
     nw, np = 20 + 3 * (nwalk - 1), 2 * nprobe + (nwalk == 2)
     # the probed side is the cheaper walk: one tick per slice length, its
-    # tuples at 1 + #walked each, one per hit
+    # tuples at 1 + #walked each, one per hit, and the writes
     assert np * (1 + nwalk) < nw * (1 + nprobe)
-    got, ops = metered(meter, kernel, 0, 0)
-    assert summed(got) == want and len(got) == len(want)
-    assert ops == fixed + np * (1 + nwalk) + len(want)
-    assert (summed(got), ops) == metered(meter, ref_walk_probe, walked, col, probed, 0, 0, meter)
+    assert metered(meter, step, *on(col, 0, 0), 1) == (0, fixed + np * (1 + nwalk) + 2 * len(want))
+    assert view.entries == want
+    assert summed(ref_walk_probe(walked, col, probed, 0, 0, meter)) == {
+        w: d for (w,), d in want.items()}
     # an empty probed side: the lengths alone, whatever the hub holds
-    assert metered(meter, kernel, 0, 7) == ([], fixed)
+    assert metered(meter, step, *on(col, 0, 7), 1) == (0, fixed)
     # and an empty walked side
-    assert metered(meter, kernel, 5, 0) == ([], fixed)
+    assert metered(meter, step, *on(col, 5, 0), 1) == (0, fixed)
+    assert view.entries == want
 
 
 @pytest.mark.parametrize("nparts", [1, 2])
 @pytest.mark.parametrize("col", [0, 1])
 def test_kernel_ties_walk_the_walked_side(col, nparts):
     # three tuples a side, in a different order on each: at equal cost the
-    # hits come out in the walked side's order
+    # hits are written in the walked side's order
     meter = CostMeter()
     walked = [Relation(f"W{i}", 2, IDX, meter) for i in range(nparts)]
     probed = [Relation(f"P{i}", 2, IDX, meter) for i in range(nparts)]
@@ -205,9 +388,11 @@ def test_kernel_ties_walk_the_walked_side(col, nparts):
         walked[i // 2 if nparts == 2 else 0].apply_delta((0, w) if col == 0 else (w, 0), 1)
     for i, w in enumerate((2, 3, 1)):
         probed[i // 2 if nparts == 2 else 0].apply_delta((w, 0) if col == 0 else (0, w), 1)
-    got, ops = metered(meter, walk_probe(walked, col, probed, meter), 0, 0)
-    assert got == [(3, 1), (1, 1), (2, 1)]
-    assert ops == 2 * nparts + 3 * (1 + nparts) + 3
+    view = Relation("V", 1, (), meter)
+    step = walk_probe(walked, col, probed, meter, view, W_KEY)
+    _, ops = metered(meter, step, *on(col, 0, 0), 1)
+    assert list(view.entries.items()) == [((3,), 1), ((1,), 1), ((2,), 1)]
+    assert ops == 2 * nparts + 3 * (1 + nparts) + 3 + 3
 
 
 def test_kernel_refuses_what_it_cannot_walk():
@@ -221,7 +406,7 @@ def test_kernel_refuses_what_it_cannot_walk():
         walk_probe([a], 0, [], meter)
     for nthird in (1, 3):
         with pytest.raises(ValueError):
-            walk_close([a], 0, [a] * nthird, meter)
+            walk_close([a], 0, [a] * nthird, meter, a)
     linked = Relation("L", 2, IDX, meter, linked=((0,),))
     with pytest.raises(Exception, match="hash index"):
         walk_probe([linked], 0, [a], meter)
