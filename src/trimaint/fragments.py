@@ -579,15 +579,13 @@ class FragmentEngine:
             if part.entries.get(key, 0) + m < 0:
                 raise RejectedDelete(f"{rel}^{label}{key} {m:+d}")
         u0, u1 = key
-        if self.out:
-            for step in steps:
-                step(u0, u1, m)
-        else:
-            # a scalar output's steps return what they add to it
-            c = self.count
-            for step in steps:
-                c += step(u0, u1, m)
-            self.count = c
+        # a scalar output's steps return what they add to it, a keyed
+        # output's 0
+        c = 0
+        for step in steps:
+            c += step(u0, u1, m)
+        if c:
+            self.count += c
         # the key appeared iff its new value is m, vanished iff 0
         v = part.apply_delta(key, m)
         if v == m:

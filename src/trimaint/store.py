@@ -582,7 +582,11 @@ def walk_probe(walked, col, probed, meter, view=None, key=None):
 
     if len(walked) == len(probed) == 1:
         # the common case (most direct-fragment steps), without the loops
-        # over parts
+        # over parts: with this branch dropped, so that the loop below ran
+        # one walked and one probed part, `scripts/ab_pairs.py` (10 pairs
+        # of 10 s, CPython 3.11, 2-core Xeon) read count-churn's
+        # updates_per_s 8% lower and update_p50_us 9% higher, losing all
+        # ten pairs on both
         (by_sub,), (by_other,) = slices, others
         we, pe = walked[0].entries, probed[0].entries
         wget, pget = we.get, pe.get

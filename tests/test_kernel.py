@@ -261,16 +261,22 @@ def test_bound_steps_write_as_the_reference_loop(kind, nwalk, nprobe, col):
                        if peak[name] > COMPACT_FLOOR)
 
 
-def check_kernel(rels, meter, walked, col, probed, subs):
-    """Every kind of step over these parts, bound after they were filled,
-    against its reference at every (sub, other), each call undone at once
-    so the views end empty."""
+def bound_kinds(meter, walked, col, probed):
+    """Every kind of step over these parts, each with its reference, bound
+    with their own views before the parts are filled."""
+    out = []
     for kind, probes in KINDS:
-        if len(probed) not in probes:
-            continue
-        got, want = fresh_views(meter), fresh_views(meter)
-        step, ref = (bind_step(kind, walked, col, probed, meter, got),
-                     ref_step(kind, walked, col, probed, meter, want))
+        if len(probed) in probes:
+            got, want = fresh_views(meter), fresh_views(meter)
+            out.append((bind_step(kind, walked, col, probed, meter, got),
+                        ref_step(kind, walked, col, probed, meter, want), got, want))
+    return out
+
+
+def check_kernel(meter, kinds, col, subs):
+    """Each bound step against its reference at every (sub, other), each
+    call undone at once so the views end empty and serve the next check."""
+    for step, ref, got, want in kinds:
         for sub in subs:
             for other in subs:
                 for m in (2, -2):
@@ -291,6 +297,7 @@ def test_kernel_matches_slice_and_lookup_loop(nwalk, nprobe, col, ops, seed, kee
     meter = CostMeter()
     rels = [Relation(f"P{i}", 2, IDX, meter) for i in range(6)]
     walked, probed = rels[:nwalk], rels[2:2 + nprobe]
+    kinds = bound_kinds(meter, walked, col, probed)
     subs = range(3)
 
     def put(i, key, m):
@@ -305,7 +312,7 @@ def test_kernel_matches_slice_and_lookup_loop(nwalk, nprobe, col, ops, seed, kee
         put(i, (sub, w) if col == 0 else (w, sub), m)
         put(i, (w, sub) if col == 0 else (sub, w), m)
     before = [r._hwm for r in rels]
-    check_kernel(rels, meter, walked, col, probed, subs)
+    check_kernel(meter, kinds, col, subs)
 
     # keeping at most a fifth of a dict's entries takes it below a quarter
     # of its high-water mark, so every entries dict is rebuilt
@@ -318,10 +325,10 @@ def test_kernel_matches_slice_and_lookup_loop(nwalk, nprobe, col, ops, seed, kee
                 r.apply_delta(key, -m)
     # a rebuild keeps the dict object and lowers its mark to its length
     assert all(r._hwm < b for r, b in zip(rels, before)), "entries were not rebuilt"
-    check_kernel(rels, meter, walked, col, probed, subs)
+    check_kernel(meter, kinds, col, subs)
     for i, sub, w, m in ops[:20]:
         put(i, (sub, w) if col == 0 else (w, sub), m)
-    check_kernel(rels, meter, walked, col, probed, subs)
+    check_kernel(meter, kinds, col, subs)
     for r in rels:
         r.check_consistency()
 
