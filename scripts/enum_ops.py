@@ -7,12 +7,13 @@ Each database of the workload's round is built from its preload and
 brought to its first read point by the driver, once per query at the
 workload's epsilon. One full enumeration then gives the metered ops and
 the pair-slice walks per emitted tuple, and a second one
-`cli.measure_delay`'s max delay. A walk is a call of a pair view's bound
-read kernel (`store.walk_slice`, which d1 and d2 bind) or of its
-`Relation.slice_items` (which d3 calls). Figures
-are summed over the databases (the delay is their max) and depend on the
-seed alone. `bench/workloads.py` is imported, nothing under bench/ is
-written, and the library is the one beside it in this checkout.
+`cli.measure_delay`'s max delay. d1 and d2 walk a pair slice per call of
+a pair view's bound read kernel (`store.walk_slice`), which is counted;
+d3 walks one per top entry its enumeration steps, so a full pass makes
+one per entry of its tops. Figures are summed over the databases (the
+delay is their max) and depend on the seed alone. `bench/workloads.py`
+is imported, nothing under bench/ is written, and the library is the
+one beside it in this checkout.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import workloads  # noqa: E402  (also puts this checkout's src/ on sys.path)
 from trimaint import fragments  # noqa: E402
 from trimaint.cli import measure_delay  # noqa: E402
 from trimaint.driver import Driver, make_engine  # noqa: E402
-from trimaint.store import Relation, RejectedDelete  # noqa: E402
+from trimaint.store import RejectedDelete  # noqa: E402
 
 QUERIES = ("d1", "d2", "d3")
 
@@ -54,6 +55,8 @@ def measure(eng, walked):
     tuples = sum(1 for _ in eng.enumerate_result())
     ops = eng.meter.total - before
     walks = sum(walked.get(name, 0) for name in pairs)
+    if eng.query == "d3":
+        walks += sum(len(getattr(eng, t.top)) for t in eng.trees)
     return tuples, ops, walks, measure_delay(eng)
 
 
@@ -66,11 +69,7 @@ def main(argv=None):
     w = workloads.WORKLOADS[args.workload]
 
     walked = {}
-    slice_items, walk_slice = Relation.slice_items, fragments.walk_slice
-
-    def counted(self, cols, sub):
-        walked[self.name] = walked.get(self.name, 0) + 1
-        return slice_items(self, cols, sub)
+    walk_slice = fragments.walk_slice
 
     def counting(rel, cols, meter):
         walk = walk_slice(rel, cols, meter)
@@ -80,7 +79,7 @@ def main(argv=None):
             return walk(sub)
         return counted_walk
 
-    Relation.slice_items, fragments.walk_slice = counted, counting
+    fragments.walk_slice = counting
     try:
         totals = {q: [0, 0, 0, 0] for q in QUERIES}
         inputs = workloads.generate(w, args.seed)
@@ -93,7 +92,7 @@ def main(argv=None):
                 tot[2] += walks
                 tot[3] = max(tot[3], delay)
     finally:
-        Relation.slice_items, fragments.walk_slice = slice_items, walk_slice
+        fragments.walk_slice = walk_slice
 
     print(f"{w.name}, seed {args.seed}, epsilon {w.epsilon:g}, {w.databases} database(s) "
           f"at update {inputs[0].reads[0]}")

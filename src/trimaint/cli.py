@@ -257,16 +257,24 @@ def parse_list(text, kind, flag):
         raise InputError(f"{flag} must be a comma list of numbers, got {text!r}") from None
 
 
+def parse_file(path, parse, *args):
+    """`parse` run on the lines of the file at `path`; a parse error names
+    the file."""
+    with open(path) as fh:
+        try:
+            return parse(fh, *args)
+        except ParseError as exc:
+            raise InputError(f"{path}: {exc}") from None
+
+
 def load_updates(args):
     if args.stream:
-        with open(args.stream) as fh:
-            return parse_stream(fh)
+        return parse_file(args.stream, parse_stream)
     return list(stream(workload_spec(args, args.updates)))
 
 
 def load_database(path):
-    with open(path) as fh:
-        updates = parse_stream(fh)
+    updates = parse_file(path, parse_stream)
     rels = {"R": {}, "S": {}, "T": {}}
     for rel, key, m in updates:
         d = rels[rel]
@@ -331,10 +339,8 @@ def cmd_bench(args):
 
 def cmd_oumv(args):
     check_epsilon(args.epsilon)
-    with open(args.matrix) as fh:
-        matrix = parse_matrix(fh)
-    with open(args.vectors) as fh:
-        rounds = parse_vectors(fh, len(matrix))
+    matrix = parse_file(args.matrix, parse_matrix)
+    rounds = parse_file(args.vectors, parse_vectors, len(matrix))
     t0 = time.monotonic()
     bits, drv = solve_oumv(matrix, rounds, args.epsilon)
     wall = time.monotonic() - t0
@@ -415,7 +421,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, DimensionMismatch, InputError, OSError) as exc:
+    except (DimensionMismatch, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

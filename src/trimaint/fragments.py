@@ -81,7 +81,10 @@ a pair slice through one `store.walk_slice` kernel per tree,
 `multiplicity` closes each entry with the third relation's part getters
 (charged as `Partition.total`), and a `Bucket` steps through the pair's
 and top's linked slices and nodes maps (charged as `slice_head`,
-`slice_next` and `lookup`).
+`slice_next` and `lookup`). d3's pair trees have no hop union: it binds
+its own read loop the same way (see `ternary`), into `_read` rather than
+`_enum`, so `open_union` and `multiplicity` stay refused for it. Every
+bound read is dropped with the views it reads, in `_fresh_views`.
 """
 
 from __future__ import annotations
@@ -90,7 +93,7 @@ import copy
 from functools import partial
 from operator import itemgetter
 
-from trimaint.iterators import EOF, HopUnionIterator, KeyIterator, StaleIterator, UnionIterator
+from trimaint.iterators import EOF, HopUnionIterator, KeyIterator, UnionIterator
 from trimaint.joins import triangle_products
 from trimaint.partition import BASE_IDX, DoublePartition, SinglePartition, Threshold
 from trimaint.store import (CostMeter, RejectedDelete, Relation, entry_list, lookup_close,
@@ -438,18 +441,6 @@ class FragmentEngine:
             if _contents(getattr(self, name)) != _contents(getattr(fresh, name)):
                 raise AssertionError(f"view {name} drifted")
 
-    def guard(self):
-        """Version check callable, which raises StaleIterator once the
-        state has moved past its version; d3's enumeration calls it
-        between tuples (the keyed union checks `version` itself)."""
-        v = self.version
-
-        def check():
-            if self.version != v:
-                raise StaleIterator(f"state advanced past version {v}")
-
-        return check
-
     def _build_partitions(self, rel_items):
         th = self.threshold.theta
         self.parts = {rel: shape.strict_build(rel_items[rel], rel, self.meter, th)
@@ -461,7 +452,8 @@ class FragmentEngine:
             setattr(self, name, Relation(name, arity, idx, m, linked))
         if not self.out:
             self.count = 0
-        self._steps = self._enum = None
+        # the bound update plan, d1/d2's read path and d3's read loop
+        self._steps = self._enum = self._read = None
 
     # -- init path --------------------------------------------------------
 
@@ -601,7 +593,7 @@ class KeyedEngine(FragmentEngine):
     each pair tree's candidate rule, its hop union's bucket layout and
     multiplicity's close read the views' maps directly (see
     `_bind_enumeration`). d3, whose pair trees have no hop union,
-    overrides `enumerate_result`."""
+    overrides `enumerate_result` with its own bound loop."""
 
     def candidate_buckets(self, t, x):
         """Keys of the buckets of pair tree t that may hold the output tuple x."""

@@ -120,7 +120,9 @@ class CostMeter:
     `apply_delta` calls charge as they run, inside its walk, which adds
     to `total` but does not read it. Enumeration, hop
     iterators and walks that can stop early charge item by item, so the
-    delay between two reads of `total` is what was metered in between.
+    delay between two reads of `total` is what was metered in between:
+    d3's bound read loop charges each tuple before it yields it, and each
+    top entry's step, close and slice open before its first tuple.
     """
 
     __slots__ = ("total", "major", "minor")

@@ -8,11 +8,21 @@ Each tree joins a heavy part with the light part of the next relation
 then closes the cycle with the third relation's total multiplicity (root
 view). Roots drive enumeration: every root entry has at least one
 matching pair tuple, so the walk never stalls.
+
+Enumeration is one generator over maps bound once per build (see
+`_bind_read`): `res`'s entries, then per tree its top's entries and, at
+each top entry, the pair's (0, 2) slice. It reads those maps directly,
+checks the engine version itself after every tuple, and charges what the
+method calls it replaces would: a tick per entry stepped (as
+`Relation.items` and `slice_items` do), one per part for the third
+relation's total (as `Partition.total` does) and one per pair slice
+opened.
 """
 
 from __future__ import annotations
 
 from trimaint.fragments import Direct, KeyedEngine, Tree
+from trimaint.iterators import StaleIterator
 
 
 class TernaryEngine(KeyedEngine):
@@ -35,26 +45,52 @@ class TernaryEngine(KeyedEngine):
     def enumerate_result(self):
         """Return an iterator of ((a, b, c), multiplicity), one per triple.
 
-        The version guard is pinned here, not at first consumption, so an
-        update between open and first next() already invalidates it.
+        The version is pinned here, not at first consumption, so an update
+        between open and first next() already invalidates it: the next
+        next() raises StaleIterator, as it does after any update.
         """
-        return self._enumerate(self.guard())
+        return self._enumerate(self.version, self._read or self._bind_read())
 
-    def _enumerate(self, check):
-        # checked before any walk advances: an update can rebuild its dict
-        meter = self.meter
-        check()
-        for key, mult in self.res.items():
-            yield key, mult
-            check()
+    def _bind_read(self):
+        """Bind the enumeration to this build's views and parts: (`res`'s
+        entries, per tree (top entries, the pair's (0, 2) slices map and
+        entries, top key -> (x, z), pair key -> (a, b, c), the third
+        relation's part getters))."""
+        trees = []
         for t in self.trees:
-            third = self.parts[t.third]
-            pair, abc = getattr(self, t.pair), t.abc_of
-            for rk, _ in getattr(self, t.top).items():
-                x, z = t.hat_of(rk)
-                tm = third.total((z, x))
+            pair = getattr(self, t.pair)
+            gets = tuple(p.entries.get for p in self.parts[t.third].parts.values())
+            trees.append((getattr(self, t.top).entries, pair.hash_slices((0, 2)), pair.entries,
+                          t.hat_of, t.abc_of, gets))
+        self._read = (self.res.entries, tuple(trees))
+        return self._read
+
+    def _enumerate(self, version, read):
+        # checked before any walk advances: an update can rebuild its dict
+        meter, (res, trees) = self.meter, read
+        if self.version != version:
+            raise _stale(version)
+        for kv in res.items():
+            meter.total += 1
+            yield kv
+            if self.version != version:
+                raise _stale(version)
+        for top, slices, pairs, hat_of, abc, gets in trees:
+            # per top entry: its step, the third's total and the slice open
+            opened = 2 + len(gets)
+            for rk in top:
+                x, z = hat_of(rk)
+                zx, tm = (z, x), 0
+                for get in gets:
+                    tm += get(zx, 0)
+                meter.total += opened
                 # a pair entry holds left(x, y) * right(y, z)
-                for pk, pv in pair.slice_items((0, 2), (x, z)):
-                    meter.total += 1
-                    yield abc(pk), pv * tm
-                    check()
+                for pk in slices.get((x, z), ()):
+                    meter.total += 2
+                    yield abc(pk), pairs[pk] * tm
+                    if self.version != version:
+                        raise _stale(version)
+
+
+def _stale(version):
+    return StaleIterator(f"state advanced past version {version}")

@@ -13,8 +13,12 @@ RELS = ("R", "S", "T")
 
 
 class ParseError(Exception):
+    """A malformed line, at `lineno`, or with `lineno` None an input that
+    holds the wrong number of lines, found at its end."""
+
     def __init__(self, lineno, msg):
-        super().__init__(f"line {lineno}: {msg}")
+        where = "at end of file" if lineno is None else f"line {lineno}"
+        super().__init__(f"{where}: {msg}")
         self.lineno = lineno
 
 
@@ -219,8 +223,8 @@ def parse_matrix(lines):
         if len(rows) == n:
             return rows
     if n is None:
-        raise ParseError(0, "missing the size line n before the matrix rows")
-    raise ParseError(0, f"expected {n} matrix rows, got {len(rows)}")
+        raise ParseError(None, "missing the size line n before the matrix rows")
+    raise ParseError(None, f"expected {n} matrix rows, got {len(rows)}")
 
 
 def parse_vectors(lines, n):
@@ -229,5 +233,5 @@ def parse_vectors(lines, n):
     for lineno, line in _content_lines(lines):
         flat.append(_bit_row(lineno, line, n))
     if len(flat) != 2 * n:
-        raise ParseError(0, f"expected {2 * n} vector rows, got {len(flat)}")
+        raise ParseError(None, f"expected {2 * n} vector rows, got {len(flat)}")
     return [(flat[2 * r], flat[2 * r + 1]) for r in range(n)]

@@ -140,6 +140,31 @@ def test_oumv_dimension_error(tmp_path, capsys):
     assert main(["oumv", mpath, vpath]) == 2
 
 
+PARSE_ERRORS = {
+    # argv, and the file and the place in it that the message starts with
+    "vectors-short": (["oumv", "{m}", "{v_short}"], "v_short.txt", "at end of file: expected 4"),
+    "vectors-long": (["oumv", "{m}", "{v_long}"], "v_long.txt", "at end of file: expected 4"),
+    "matrix-short": (["oumv", "{m_short}", "{v}"], "m_short.txt", "at end of file: expected 2"),
+    "matrix-no-size": (["oumv", "{empty}", "{v}"], "empty.txt", "at end of file: missing"),
+    "matrix-bits": (["oumv", "{m_bits}", "{v}"], "m_bits.txt", "line 3: expected 2 bits"),
+    "vector-bits": (["oumv", "{m}", "{v_bits}"], "v_bits.txt", "line 2: expected 2 bits"),
+    "stream": (["run", "--stream", "{bad}"], "bad.txt", "line 2: expected 4 or 5 fields"),
+    "database": (["static", "{bad}"], "bad.txt", "line 2: expected 4 or 5 fields"),
+}
+
+
+@pytest.mark.parametrize("argv,name,where", list(PARSE_ERRORS.values()), ids=list(PARSE_ERRORS))
+def test_parse_error_names_its_file(tmp_path, capsys, argv, name, where):
+    files = {f"{{{stem}}}": write(tmp_path, f"{stem}.txt", text) for stem, text in (
+        ("m", "2\n10\n00\n"), ("m_short", "2\n10\n"), ("m_bits", "2\n10\n0\n"), ("empty", ""),
+        ("v", "10\n10\n10\n01\n"), ("v_short", "10\n10\n"), ("v_long", "10\n10\n10\n01\n11\n"),
+        ("v_bits", "10\n1x\n10\n01\n"), ("bad", "+ R 1 2\n+ S 2\n"))}
+    assert main([files.get(a, a) for a in argv]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith(f"error: {tmp_path / name}: {where}")
+    assert out.err.count("\n") == 1 and out.out == ""
+
+
 def test_solve_oumv_random_rounds():
     rng = random.Random(21)
     n = 8

@@ -4,10 +4,12 @@ import pytest
 from conftest import TRIANGLE, part_labels
 from hypothesis import given, settings, strategies as st
 
+from trimaint.driver import Driver, make_engine
 from trimaint.iterators import StaleIterator
-from trimaint.oracle import oracle_triangle
+from trimaint.oracle import RefMaintainer, oracle_triangle
 from trimaint.store import RejectedDelete
 from trimaint.ternary import TernaryEngine
+from trimaint.workload import WorkloadSpec, stream
 
 EPS_GRID = [0.0, 0.25, 0.5, 0.75, 1.0]
 
@@ -96,6 +98,74 @@ def test_union_and_multiplicity_are_refused():
         eng.open_union()
     with pytest.raises(NotImplementedError):
         eng.multiplicity((1, 2, 3))
+
+
+def reference_pass(eng):
+    """The enumeration loop the bound one replaced, through
+    `Relation.items`, `Partition.total` and `Relation.slice_items`: the
+    bound loop must emit what it does and charge what it charges between
+    any two tuples."""
+    meter = eng.meter
+    yield from eng.res.items()
+    for t in eng.trees:
+        third, pair = eng.parts[t.third], getattr(eng, t.pair)
+        for rk, _ in getattr(eng, t.top).items():
+            x, z = t.hat_of(rk)
+            tm = third.total((z, x))
+            for pk, pv in pair.slice_items((0, 2), (x, z)):
+                meter.total += 1
+                yield t.abc_of(pk), pv * tm
+
+
+def gaps(meter, items):
+    """Each item with the ops charged since the one before it, and the ops
+    charged after the last."""
+    out, before = [], meter.total
+    for item in items:
+        out.append((item, meter.total - before))
+        before = meter.total
+    return out, meter.total - before
+
+
+def test_tree_half_matches_the_reference_loop():
+    # the hubs of a zipf stream at eps 0.25 fill all three view trees,
+    # which no benchmark workload does
+    drv, ref = Driver(make_engine("d3", 0.25)), RefMaintainer(3)
+    spec = WorkloadSpec(seed=3, domain=200, updates=1500, delete_frac=0.2, skew="zipf:1.2")
+    for upd in stream(spec):
+        drv.on_update(*upd)
+        ref.apply(*upd)
+    eng = drv.engine
+    assert all(len(getattr(eng, t.top)) for t in eng.trees)
+
+    emitted, tail = gaps(eng.meter, eng.enumerate_result())
+    assert dict(item for item, _ in emitted) == ref.result()
+    assert len(emitted) == len(ref.result())
+    assert (emitted, tail) == gaps(eng.meter, reference_pass(eng))
+    # the bound loop is d3's own: the union and multiplicity stay refused
+    with pytest.raises(NotImplementedError):
+        eng.open_union()
+    with pytest.raises(NotImplementedError):
+        eng.multiplicity(emitted[0][0][0])
+
+    # the first tree tuple comes from the R tree's top; deleting its T
+    # tuple removes that top entry from the dict being walked
+    it = eng.enumerate_result()
+    for _ in range(len(eng.res)):
+        next(it)
+    (a, b, c), _ = next(it)
+    assert (a, c) in eng.root_rs.entries
+    m = ref.rels["T"][c, a]
+    apply(eng, "T", (c, a), -m)
+    assert (a, c) not in eng.root_rs.entries
+    with pytest.raises(StaleIterator):
+        next(it)
+
+    # a rebuild makes fresh views: the loop binds to them, not to the
+    # views it read before, which no longer take updates
+    eng.rebuild(eng.rel_items(), 2 * eng.db_size() + 1)
+    apply(eng, "T", (c, a), m)
+    assert collect(eng) == ref.result()
 
 
 def dense_db(n):

@@ -140,12 +140,16 @@ def test_parse_matrix_errors():
     with pytest.raises(ParseError) as exc:
         parse_matrix(["2", "10", "111"])
     assert exc.value.lineno == 3
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as exc:
         parse_matrix(["2", "10"])
+    # a row count is checked at the end of the input, not at a line
+    assert exc.value.lineno is None
+    assert str(exc.value) == "at end of file: expected 2 matrix rows, got 1"
 
 
 def test_parse_vectors():
     rounds = parse_vectors(["10", "01", "11", "00"], 2)
     assert rounds == [((1, 0), (0, 1)), ((1, 1), (0, 0))]
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as exc:
         parse_vectors(["10", "01"], 2)
+    assert exc.value.lineno is None
