@@ -258,13 +258,15 @@ def parse_list(text, kind, flag):
 
 
 def parse_file(path, parse, *args):
-    """`parse` run on the lines of the file at `path`; a parse error names
-    the file."""
+    """`parse` run on the lines of the file at `path`; a parse error, or
+    a byte the file's text encoding cannot decode, names the file."""
     with open(path) as fh:
         try:
             return parse(fh, *args)
         except ParseError as exc:
             raise InputError(f"{path}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: byte {exc.start} is not {exc.encoding} text") from None
 
 
 def load_updates(args):

@@ -165,6 +165,16 @@ def test_parse_error_names_its_file(tmp_path, capsys, argv, name, where):
     assert out.err.count("\n") == 1 and out.out == ""
 
 
+@pytest.mark.parametrize("argv", [["run", "--stream", "{bin}"], ["static", "{bin}"],
+                                  ["oumv", "{bin}", "{bin}"]], ids=["stream", "database", "oumv"])
+def test_undecodable_file_exits_2_naming_it(tmp_path, capsys, argv):
+    path = tmp_path / "bin.txt"
+    path.write_bytes(b"\xff\xfe+ R 1 2\n")
+    assert main([str(path) if a == "{bin}" else a for a in argv]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith(f"error: {path}: ") and out.err.count("\n") == 1
+
+
 def test_solve_oumv_random_rounds():
     rng = random.Random(21)
     n = 8

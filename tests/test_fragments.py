@@ -9,6 +9,7 @@ from trimaint import store
 from trimaint.binary import BinaryEngine
 from trimaint.driver import Driver, make_engine
 from trimaint.nullary import NullaryDoubleEngine, NullaryEngine
+from trimaint.oracle import RefMaintainer
 from trimaint.store import Relation
 from trimaint.ternary import TernaryEngine
 from trimaint.unary import UnaryEngine
@@ -191,3 +192,22 @@ def test_init_path_loads_as_per_item_writes(query, double, monkeypatch):
     monkeypatch.setattr(Relation, "load", per_item)
     want = build_and_rebuild()
     assert got == want
+
+
+@pytest.mark.parametrize("query", ["d1", "d2", "d3"])
+def test_a_rebuild_rebinds_the_read_path(query):
+    # the read path binds on first use after a build; a rebuild makes fresh
+    # views, and a binding kept from before would read views that no longer
+    # take updates
+    ups = list(stream(WorkloadSpec(seed=3, domain=12, updates=300, delete_frac=0.2)))
+    drv, ref = Driver(make_engine(query, 0.5)), RefMaintainer(int(query[1]))
+    for upd in ups[:200]:
+        drv.on_update(*upd)
+        ref.apply(*upd)
+    eng = drv.engine
+    assert eng.query_result() == ref.result()
+    eng.rebuild(eng.rel_items(), 2 * eng.db_size() + 1)
+    for rel, key, m in ups[200:]:
+        eng.apply_update(rel, eng.parts[rel].affected_label(key, eng.epsilon), key, m)
+        ref.apply(rel, key, m)
+    assert eng.query_result() == ref.result()

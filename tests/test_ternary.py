@@ -155,17 +155,10 @@ def test_tree_half_matches_the_reference_loop():
         next(it)
     (a, b, c), _ = next(it)
     assert (a, c) in eng.root_rs.entries
-    m = ref.rels["T"][c, a]
-    apply(eng, "T", (c, a), -m)
+    apply(eng, "T", (c, a), -ref.rels["T"][c, a])
     assert (a, c) not in eng.root_rs.entries
     with pytest.raises(StaleIterator):
         next(it)
-
-    # a rebuild makes fresh views: the loop binds to them, not to the
-    # views it read before, which no longer take updates
-    eng.rebuild(eng.rel_items(), 2 * eng.db_size() + 1)
-    apply(eng, "T", (c, a), m)
-    assert collect(eng) == ref.result()
 
 
 def dense_db(n):
