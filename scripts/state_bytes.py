@@ -17,6 +17,8 @@ each structure's bytes are divided by the database's live tuples:
                 each Relation's list of its slices maps' marks
   linked lists  the linked indexes' per-key lists and their node maps
   linked nodes  the linked indexes' per-tuple nodes
+  totals maps   each double partition's map from key to its total over
+                the parts (its keys are the parts' own tuples)
   key tuples    every distinct tuple object used as a key (stored tuples
                 and multi-column projection keys), each counted once
 
@@ -43,7 +45,7 @@ from trimaint.driver import ENGINES, Driver, make_engine  # noqa: E402
 from trimaint.store import Relation  # noqa: E402
 
 ROWS = ("entries", "list slices", "dict slices", "slice maps", "marks",
-        "linked lists", "linked nodes", "key tuples")
+        "linked lists", "linked nodes", "totals maps", "key tuples")
 
 
 def after_stream(w, inp, query, double):
@@ -81,6 +83,11 @@ def measure(eng):
             else:
                 out["linked lists"] += getsizeof(nodes) + sum(map(getsizeof, slices.values()))
                 out["linked nodes"] += sum(map(getsizeof, nodes.values()))
+    for p in eng.parts.values():
+        if p.totals is not None:
+            out["totals maps"] += getsizeof(p.totals)
+            for key in p.totals:
+                keys[id(key)] = key
     out["key tuples"] = sum(map(getsizeof, keys.values()))
     return out, kinds
 

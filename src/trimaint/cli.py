@@ -19,6 +19,7 @@ from trimaint.ternary import TernaryEngine
 from trimaint.workload import (
     ParseError,
     WorkloadSpec,
+    brief,
     parse_matrix,
     parse_stream,
     parse_vectors,
@@ -282,7 +283,8 @@ def load_database(path):
         d = rels[rel]
         new = d.get(key, 0) + m
         if new < 0:
-            raise InputError(f"{path}: database deletes below zero at {rel}{key}")
+            raise InputError(f"{path}: database deletes below zero at {rel}"
+                             f"({brief(str(key[0]), str)}, {brief(str(key[1]), str)})")
         if new == 0:
             d.pop(key, None)
         else:
@@ -421,11 +423,20 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    # values of any length: CPython caps int <-> str conversion at 4300
+    # digits by default (since 3.11 and 3.10.7), for parsing and for
+    # printing the result alike; lifted while the command runs
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if cap is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
     except (DimensionMismatch, InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if cap is not None:
+            sys.set_int_max_str_digits(cap)
 
 
 if __name__ == "__main__":

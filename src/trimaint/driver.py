@@ -157,21 +157,24 @@ class Driver:
         """Move every tuple with this value from part src to part dst.
 
         Each tuple costs two engine applies: an insert into dst and a
-        delete from src, so all views stay consistent throughout.
+        delete from src, so all views stay consistent throughout. A move
+        keeps every tuple's total, so neither writes a double partition's
+        `totals` (no update of `rel` reads them).
         """
         eng = self.engine
         part = eng.parts[rel]
         moved = list(part.part(src).slice_items((part.column(side),), value))
         for key, m in moved:
-            eng.apply_update(rel, dst, key, m)
-            eng.apply_update(rel, src, key, -m)
+            eng.apply_update(rel, dst, key, m, move=True)
+            eng.apply_update(rel, src, key, -m, move=True)
         return len(moved)
 
     def check_invariants(self, deep=False):
         """Raise AssertionError unless the size invariant and the loose
         conditions hold.
 
-        With deep=True also recompute every view and check the index
+        With deep=True also recompute every view, check each double
+        partition's `totals` against its parts and check the index
         structures of every part and view Relation; the meter keeps
         ticking during these reads, so cost measuring runs should not
         interleave with this.
@@ -187,6 +190,8 @@ class Driver:
             bad = part.violations(theta)
             audit(not bad, f"{part.name}: loose conditions violated at {bad}")
             part.check_disjoint()
+            if deep:
+                part.check_totals()
             for r in part.parts.values():
                 audit(all(m != 0 for m in r.entries.values()), r.name)
                 if deep:

@@ -40,6 +40,9 @@ at u0; the slice binds w, and (u0, u1, w) is the triangle in X's rotation
     buckets: its top has a linked index on that variable, whose slices
     are the buckets, and whose map's keys are the nonempty ones.
 
+A tree's close and a direct fragment's probe of a "*" group read the
+relation through its partition's `total_gets` (see `partition`).
+
 The init path joins every direct fragment with `triangle_products` and
 fills every tree bottom up; `verify_views` reruns it on a copy.
 It collects what each view receives and fills the view with one
@@ -78,13 +81,14 @@ The read path binds on first use after a build, as the update plan
 does, and reads the views' and parts' maps directly at the charge of
 the method calls it replaces: the candidate rule and `multiplicity` walk
 a pair slice through one `store.walk_slice` kernel per tree,
-`multiplicity` closes each entry with the third relation's part getters
-(charged as `Partition.total`), and a `Bucket` steps through the pair's
-and top's linked slices and nodes maps (charged as `slice_head`,
-`slice_next` and `lookup`). d3's pair trees have no hop union: it binds
-its own read loop the same way (see `ternary`), into `_read` rather than
-`_enum`, so `open_union` and `multiplicity` stay refused for it. Every
-bound read is dropped with the views it reads, in `_fresh_views`.
+`multiplicity` closes each entry with the third relation's
+`total_gets` (a tick per getter, as `Partition.total`), and a `Bucket`
+steps through the pair's and top's linked slices and nodes maps (charged
+as `slice_head`, `slice_next` and `lookup`). d3's pair trees have no hop
+union: it binds its own read loop the same way (see `ternary`), into
+`_read` rather than `_enum`, so `open_union` and `multiplicity` stay
+refused for it. Every bound read is dropped with the views it reads, in
+`_fresh_views`.
 """
 
 from __future__ import annotations
@@ -203,27 +207,26 @@ def _candidate_rule(eng, walk, bucket, live):
 def _multiplicity_rule(eng, closes):
     """`multiplicity(x)`: x's value in `res`, charged as a `lookup`, plus
     per pair tree each pair entry at x times the third relation's total at
-    the entry's (z, x), charged as `Partition.total` is (a tick per part),
-    with one combine per nonzero total, in one add after any walk.
+    the entry's (z, x), a tick per getter read, with one combine per
+    nonzero total, in one add after any walk.
 
     `closes` holds per pair tree (walk, kept, pair key -> (z, x), the
-    third relation's part count, its parts' getters, the last two None
-    for two parts). The entries are the tree's kept walk when its
-    candidate rule walked x at this version, else a fresh walk.
+    third relation's `total_gets`). The entries are the tree's kept walk
+    when its candidate rule walked x at this version, else a fresh walk.
     """
     meter, get, bare = eng.meter, eng.res.entries.get, len(eng.out) == 1
+    closes = [(walk, kept, third_of, len(gets), *(*gets, None)[:2])
+              for walk, kept, third_of, gets in closes]
 
     def multiplicity(x):
         v, ops = get(x, 0), 1
         version, sub = eng.version, x[0] if bare else x
-        for walk, kept, third_of, nparts, e0, e1, e2, e3 in closes:
+        for walk, kept, third_of, ngets, g0, g1 in closes:
             entries = kept[2] if kept[1] == version and kept[0] == x else walk(sub)
-            ops += nparts * len(entries)
+            ops += ngets * len(entries)
             for pk, pv in entries:
                 zx = third_of(pk)
-                tm = e0(zx, 0) + e1(zx, 0)
-                if e2 is not None:
-                    tm += e2(zx, 0) + e3(zx, 0)
+                tm = g0(zx, 0) if g1 is None else g0(zx, 0) + g1(zx, 0)
                 if tm:
                     ops += 1
                     v += pv * tm
@@ -496,8 +499,8 @@ class FragmentEngine:
         return [((x, z), hat value * the third relation's total at (z, x))]
         over the hat's entries in order, where that total is nonzero.
 
-        Charged as the reads through `items`, `slice_items` and `total`
-        would be, one add per loop.
+        Charged as the reads through `items`, `slice_items` and a `lookup`
+        per getter of the third's `total_gets` would be, one add per loop.
         """
         if not left.entries:
             # nothing to fill or charge; returning now keeps an empty build cheap
@@ -518,14 +521,13 @@ class FragmentEngine:
         if pair is not None:
             pair.load(pairs)
         hat.load(hats)
-        ga, gb, *more = [p.entries.get for p in self.parts[t.third].parts.values()]
-        meter.total += (3 + len(more)) * len(hat.entries)
+        gets = self.parts[t.third].total_gets
+        g0, g1 = (*gets, None)[:2]
+        meter.total += (1 + len(gets)) * len(hat.entries)
         closed = []
         for (x, z), v in hat.entries.items():
             zx = z, x
-            tm = ga(zx, 0) + gb(zx, 0)
-            for g in more:
-                tm += g(zx, 0)
+            tm = g0(zx, 0) if g1 is None else g0(zx, 0) + g1(zx, 0)
             if tm:
                 closed.append(((x, z), v * tm))
         return closed
@@ -542,29 +544,41 @@ class FragmentEngine:
             rel, labels = group
             return [parts[rel].parts[lab] for lab in labels]
 
+        def gets(group):
+            # a group of every part is the whole relation
+            rel, labels = group
+            p = parts[rel]
+            return p.total_gets if labels == p.labels else tuple(
+                p.parts[lab].entries.get for lab in labels)
+
         res = self.res if self.out else None
         steps = {(rel, lab): [] for rel in RELS for lab in self.labels[rel]}
         for rel, labels, kind, row, walk, look, key in self._plan:
             if kind in ("N", "P"):
-                step = walk_probe(members(walk), 0 if kind == "N" else 1, members(look), meter,
-                                  res, key)
+                step = walk_probe(members(walk), 0 if kind == "N" else 1, members(look),
+                                  gets(look), meter, res, key)
             else:
                 # a scalar output has no top: its tree steps return their closed sums
                 hat, pair = getattr(self, row.hat), row.pair and getattr(self, row.pair)
                 top, key = (getattr(self, row.top), row.top_of) if self.out else (None, None)
                 step = (lookup_close(hat, meter, top, key) if kind == "close" else
-                        walk_close(members(walk), 0 if kind == "left" else 1, members(look),
+                        walk_close(members(walk), 0 if kind == "left" else 1, gets(look),
                                    meter, hat, pair, top, key))
             for lab in labels:
                 steps[rel, lab].append(step)
-        # (rel, label) -> (the part the update writes, its steps)
-        self._steps = {(rel, lab): (parts[rel].parts[lab], tuple(s))
+        # (rel, label) -> (the part the update writes, its steps, the
+        # relation's totals map or None)
+        self._steps = {(rel, lab): (parts[rel].parts[lab], tuple(s), parts[rel].totals)
                        for (rel, lab), s in steps.items()}
         return self._steps
 
-    def apply_update(self, rel, label, key, m):
+    def apply_update(self, rel, label, key, m, move=False):
+        """Apply the update key by m to part `label` of relation `rel` and
+        to every view. A double partition's `totals` is written beside the
+        part unless the update is one half of a rebalancing move (`move`),
+        which keeps every key's total."""
         assert m != 0
-        part, steps = (self._steps or self._bind())[rel, label]
+        part, steps, totals = (self._steps or self._bind())[rel, label]
         if m < 0:
             # the overdelete check, charged as one lookup, before any write
             self.meter.total += 1
@@ -584,6 +598,13 @@ class FragmentEngine:
             self.size += 1
         elif not v:
             self.size -= 1
+        if totals is not None and not move:
+            # a key lives in one part, so its total is the part's value
+            self.meter.total += 1
+            if v:
+                totals[key] = v
+            else:
+                del totals[key]
         self.version += 1
 
 
@@ -629,8 +650,7 @@ class KeyedEngine(FragmentEngine):
             layout = (meter, pair.linked_slices((0, 2)), pair.linked_nodes((0, 2)),
                       pair.entries, roots, top_nodes, top.entries, *keys)
             hops[t] = (live, idx is not None, layout, rule)
-            gets = [p.entries.get for p in self.parts[t.third].parts.values()]
-            closes.append((walk, kept, t.third_of, len(gets), *gets, *[None] * (4 - len(gets))))
+            closes.append((walk, kept, t.third_of, self.parts[t.third].total_gets))
         self._enum = (hops, _multiplicity_rule(self, tuple(closes)))
         return self._enum
 

@@ -11,6 +11,15 @@ Loose conditions (checked between driver steps):
   light value x:  deg(x) <  (3/2)*theta
 Strict partitioning uses deg(x) >= theta. Comparisons against fractional
 thresholds are done as 2*deg vs theta and 2*deg vs 3*theta.
+
+`total_gets` are the getters whose values at a key sum to the relation's
+multiplicity there, what a view tree's close and a probe of the whole
+relation read: a single partition's two parts, or one map a double
+partition keeps, `totals`, instead of its four. A key lives in one part,
+so an update writes the part's new value into `totals` (one tick) and a
+rebalancing move, which keeps every total, leaves it alone. The map is
+never iterated outside the audit, so, like a linked index's nodes map,
+it is outside the store's compaction rule.
 """
 
 from __future__ import annotations
@@ -51,14 +60,16 @@ class Partition:
     side's class, the audit (`violation`, `violations`,
     `check_disjoint`) and a major's scan (`strict_flips`). The shapes,
     `SinglePartition` and `DoublePartition`, write out the per-update
-    kernels (`affected_label`, `minor_moves`, `total`): they read the
-    parts' entries and slices maps directly and charge what the
+    kernels (`affected_label`, `minor_moves`) and `total_gets`: they read
+    the parts' entries and slices maps directly and charge what the
     equivalent `lookup`, `slice_count` and `contains` calls would. Each
     shape's `strict_build(items, name, meter, theta)` builds it strictly.
     """
 
     __slots__ = ("name", "meter", "parts")
     labels = ()
+    # a double partition's map from key to total (see the module docstring)
+    totals = None
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -164,6 +175,10 @@ class Partition:
         self.meter.total += values
         return flips, k
 
+    def check_totals(self):
+        """Raise AssertionError unless `totals`, where the shape keeps one,
+        maps exactly the stored keys to their sums over the parts."""
+
     def check_disjoint(self):
         """Raise AssertionError if a value sits in a heavy and a light part
         of one side."""
@@ -191,7 +206,14 @@ class SinglePartition(Partition):
         self._h, self._l = self.parts.values()
         self._hs, self._ls = self._side_slices("X")
 
+    @property
+    def total_gets(self):
+        return self._h.entries.get, self._l.entries.get
+
     def total(self, key):
+        """The relation's multiplicity at `key`, a tick per part read. The
+        kernels read `total_gets` instead; this stays because
+        bench/tracer.py's TARGETS spans it by name."""
         self.meter.total += 2
         return self._h.entries.get(key, 0) + self._l.entries.get(key, 0)
 
@@ -230,10 +252,11 @@ class DoublePartition(Partition):
     """Four-way split of a binary relation on sides X and Y.
 
     Loose conditions are evaluated on a value's total degree across all
-    parts.
+    parts. `totals` maps each stored key to its multiplicity summed over
+    the parts, sharing the parts' key objects (see the module docstring).
     """
 
-    __slots__ = ("_all", "_slices", "_heavy")
+    __slots__ = ("_all", "_slices", "_heavy", "totals")
     labels = ("HH", "HL", "LH", "LL")
 
     @staticmethod
@@ -249,12 +272,26 @@ class DoublePartition(Partition):
         self._slices = xs, ys = self._side_slices("X"), self._side_slices("Y")
         # where routing looks a value's class up
         self._heavy = xs[:2] + ys[:2]
+        self.totals = {}
+
+    @property
+    def total_gets(self):
+        return (self.totals.get,)
 
     def total(self, key):
-        hh, hl, lh, ll = self._all
-        self.meter.total += 4
-        return (hh.entries.get(key, 0) + hl.entries.get(key, 0)
-                + lh.entries.get(key, 0) + ll.entries.get(key, 0))
+        """The relation's multiplicity at `key`: one read of `totals`, one
+        tick. The kernels read `total_gets` instead; this stays because
+        bench/tracer.py's TARGETS spans it by name."""
+        self.meter.total += 1
+        return self.totals.get(key, 0)
+
+    def check_totals(self):
+        want = {}
+        for r in self._all:
+            for key, m in r.entries.items():
+                want[key] = want.get(key, 0) + m
+        audit(0 not in self.totals.values(), f"{self.name}: a zero total")
+        audit(self.totals == want, f"{self.name}: totals drifted from the parts")
 
     def affected_label(self, key, epsilon):
         """Part an update with this tuple lands in: per side, H if a heavy
@@ -324,7 +361,8 @@ def strict_single(items, name, meter, theta):
 
 def strict_double(items, name, meter, theta):
     """Build a DoublePartition from the strict partitions on both sides,
-    each part loaded in one pass, in the order of `items`."""
+    each part loaded in one pass, in the order of `items`, then its
+    `totals` from the parts, charged one tick per key."""
     buf = list(items)
     p = DoublePartition(name, meter)
     if buf:  # an empty build skips the degree count
@@ -335,4 +373,8 @@ def strict_double(items, name, meter, theta):
             groups[_LABELS[x in hx][y in hy]].append(kv)
         for lab, group in groups.items():
             p.parts[lab].load(group)
+        for part in p._all:
+            # a key lives in one part: its total is the part's value
+            p.totals.update(part.entries)
+        meter.total += len(p.totals)
     return p

@@ -53,15 +53,19 @@ and hat views and, closed with the third relation's total, into the
 top"; and `lookup_close`, a tree's "look the hat up once, write it into
 the top". A step into a scalar output writes no result view and returns
 what it adds to the output (a tree step still writes its hat); a keyed
-one returns 0. `walk_probe` first reads both partners' slice lengths,
-one tick each, and walks the shorter side (the intersection rule of
-worst-case optimal joins), charging the lengths, the chosen walk at one
-tick per tuple plus one per probe, and one per hit; `walk_close`
-charges what the equivalent `slice_items` and `lookup` calls would, and
-`lookup_close` what a `lookup` does. Each charges its reads in one add
-once its walk has run (see CostMeter for when that is allowed). No step
-writes a Relation it reads, and each writes its views in the order of
-its walk.
+one returns 0. A relation read whole at one key, a tree's third or a
+probed group of every part, is handed over as getters whose values sum
+to its multiplicity: a single partition's two parts, or a double
+partition's one totals map (see `partition`). `walk_probe` first reads
+both partners' slice lengths, one tick each, and walks the shorter side
+(the intersection rule of worst-case optimal joins), charging the
+lengths, the chosen walk at one tick per tuple plus one per probe
+getter, and one per hit; `walk_close` charges what the equivalent
+`slice_items` and `lookup` calls would, a `lookup` being one getter
+read, and `lookup_close` what a `lookup` does. Each charges its reads
+in one add once its walk has run (see CostMeter for when that is
+allowed). No step writes a Relation it reads, and each writes its views
+in the order of its walk.
 
 A step writes a view as `apply_delta` would, with that method's
 in-place branch inline: a key stored before and after the write (its
@@ -546,7 +550,7 @@ def walk_slice(rel, cols, meter):
     return walk
 
 
-def walk_probe(walked, col, probed, meter, view=None, key=None):
+def walk_probe(walked, col, probed, gets, meter, view=None, key=None):
     """Bind a direct fragment's update step, `step(u0, u1, m)`.
 
     The update (u0, u1) by m slices the `walked` parts (one or two binary
@@ -555,18 +559,21 @@ def walk_probe(walked, col, probed, meter, view=None, key=None):
     binds w, its other column, and the probe key is the rotated pair:
     (w, other) when walking column 0, (other, w) when walking column 1.
     Every w where both the walked multiplicity mw and the multiplicity mp
-    summed over the `probed` parts (one, two or four) are nonzero is a
-    hit: the step adds m * mw * mp to `view` at key((u0, u1, w)), in the
-    order of the walk (see the module docstring), and returns 0; with no
-    view it writes nothing and returns the hits' sum. Every part needs a
-    hash index on each column it is sliced on.
+    of the `probed` parts (one, two or four) are nonzero is a hit: the
+    step adds m * mw * mp to `view` at key((u0, u1, w)), in the order of
+    the walk (see the module docstring), and returns 0; with no view it
+    writes nothing and returns the hits' sum. mp is summed over `gets`:
+    one getter (of the one probed part, or of the parts' sum, a double
+    partition's totals, when all four are probed) or the two probed
+    parts' `entries.get`. Every part needs a hash index on each column it
+    is sliced on.
 
     It reads, one tick each, the length of each walked part's slice at
     sub and of each probed part's slice at `other` on column 1 - col: the
     probe keys that can hit are exactly the tuples of those slices. If
     either side is empty it returns there. Otherwise it walks the side
     that costs less, the intersection rule of worst-case optimal joins:
-    n_walked * (1 + #probed) against n_probed * (1 + #walked), ties to the
+    n_walked * (1 + #gets) against n_probed * (1 + #walked), ties to the
     walked side. Walking the probed side binds w = k[col] and probes the
     walked parts at (sub, w) or (w, sub); it yields one hit per probed
     tuple, so where probed parts overlap (never within a partition) a w can
@@ -575,8 +582,10 @@ def walk_probe(walked, col, probed, meter, view=None, key=None):
     the writes. The walk never costs more than the walked side's, so the
     bound a fragment's `sides` letter gives still holds.
     """
-    if not 1 <= len(walked) <= 2 or len(probed) not in (1, 2, 4):
-        raise ValueError(f"{len(walked)} walked and {len(probed)} probed parts")
+    if (not 1 <= len(walked) <= 2 or len(probed) not in (1, 2, 4)
+            or not (len(gets) == 1 or len(gets) == len(probed) == 2)):
+        raise ValueError(f"{len(walked)} walked and {len(probed)} probed parts, "
+                         f"{len(gets)} probe getters")
     at, first = 1 - col, col == 0
     slices = tuple(rel.hash_slices((col,)) for rel in walked)
     others = tuple(rel.hash_slices((at,)) for rel in probed)
@@ -589,9 +598,9 @@ def walk_probe(walked, col, probed, meter, view=None, key=None):
         # of 10 s, CPython 3.11, 2-core Xeon) read count-churn's
         # updates_per_s 8% lower and update_p50_us 9% higher, losing all
         # ten pairs on both
-        (by_sub,), (by_other,) = slices, others
+        (by_sub,), (by_other,), (pget,) = slices, others, gets
         we, pe = walked[0].entries, probed[0].entries
-        wget, pget = we.get, pe.get
+        wget = we.get
 
         def step(u0, u1, m):
             sub, other = (u1, u0) if first else (u0, u1)
@@ -628,10 +637,12 @@ def walk_probe(walked, col, probed, meter, view=None, key=None):
 
         return step
 
-    fixed, per_walked, per_probed = len(walked) + len(probed), 1 + len(probed), 1 + len(walked)
+    fixed, per_walked, per_probed = len(walked) + len(probed), 1 + len(gets), 1 + len(walked)
     wsides = tuple((rel.entries, by_sub) for rel, by_sub in zip(walked, slices))
     psides = tuple((rel.entries, by_other) for rel, by_other in zip(probed, others))
-    wgets, pgets = tuple(rel.entries.get for rel in walked), tuple(p.entries.get for p in probed)
+    # each side's probe getters, the second None where there is one
+    wgets = (*(rel.entries.get for rel in walked), None)[:2]
+    pgets = (*gets, None)[:2]
 
     def step(u0, u1, m):
         sub, other = (u1, u0) if first else (u0, u1)
@@ -649,10 +660,10 @@ def walk_probe(walked, col, probed, meter, view=None, key=None):
             meter.total += fixed
             return 0
         if nw * per_walked <= np * per_probed:
-            sides, on, gets, pos, fix, wfirst = wsides, sub, pgets, at, other, first
+            sides, on, (g0, g1), pos, fix, wfirst = wsides, sub, pgets, at, other, first
             ops = fixed + nw * per_walked
         else:
-            sides, on, gets, pos, fix, wfirst = psides, other, wgets, col, sub, not first
+            sides, on, (g0, g1), pos, fix, wfirst = psides, other, wgets, col, sub, not first
             ops = fixed + np * per_probed
         acc = 0
         for entries, by in sides:
@@ -662,9 +673,7 @@ def walk_probe(walked, col, probed, meter, view=None, key=None):
             for k in s:
                 w = k[pos]
                 pk = (w, fix) if wfirst else (fix, w)
-                mp = 0
-                for get in gets:
-                    mp += get(pk, 0)
+                mp = g0(pk, 0) if g1 is None else g0(pk, 0) + g1(pk, 0)
                 if mp:
                     ops += 1
                     d = m * entries[k] * mp
@@ -695,21 +704,21 @@ def walk_close(walked, col, third, meter, hat, pair=None, top=None, key=None):
     hat key hk, k with `other` in place of sub, and d = m times its
     multiplicity; tm is the third relation's total at the rotated pair,
     (w, other) when walking column 0 and (other, w) when walking column 1,
-    summed over the `third` parts (two or four: a whole partition). In the
+    summed over the `third` getters: a single partition's two parts'
+    `entries.get`, or a double partition's one totals getter. In the
     order of the walk, the step adds d to `pair` (if any) at (hk[0], sub,
     hk[1]) and to `hat` at hk, and, where tm is nonzero, d * tm to `top`
     at key(hk); it returns 0. With no top it writes the hat alone and
     returns the sum of d * tm. It charges what the same walk through
-    `slice_items` and `lookup` costs, with one combine per nonzero tm:
-    1 + (1 + #third) * n per walked part with n tuples under sub, plus
-    one per nonzero tm, in one add, and the writes.
+    `slice_items` and a `lookup` per getter costs, with one combine per
+    nonzero tm: 1 + (1 + #third) * n per walked part with n tuples under
+    sub, plus one per nonzero tm, in one add, and the writes.
     """
-    if not 1 <= len(walked) <= 2 or len(third) not in (2, 4):
-        raise ValueError(f"{len(walked)} walked and {len(third)} third parts")
+    if not 1 <= len(walked) <= 2 or len(third) not in (1, 2):
+        raise ValueError(f"{len(walked)} walked parts and {len(third)} third getters")
     sides = [(rel.entries, rel.hash_slices((col,)).get) for rel in walked]
     nsides, per, first = len(sides), 1 + len(third), col == 0
-    e0, e1, *rest = [t.entries.get for t in third]
-    e2, e3 = rest or (None, None)
+    g0, g1 = (*third, None)[:2]
     he, put_hat = hat.entries, hat.apply_delta
     pe, put_pair = (None, None) if pair is None else (pair.entries, pair.apply_delta)
     te, put_top = (None, None) if top is None else (top.entries, top.apply_delta)
@@ -747,9 +756,7 @@ def walk_close(walked, col, third, meter, hat, pair=None, top=None, key=None):
                     ops += 1
                 else:
                     put_hat(hk, d)
-                tm = e0(zx, 0) + e1(zx, 0)
-                if rest:
-                    tm += e2(zx, 0) + e3(zx, 0)
+                tm = g0(zx, 0) if g1 is None else g0(zx, 0) + g1(zx, 0)
                 if tm:
                     ops += 1
                     if te is None:

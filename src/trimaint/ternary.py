@@ -14,9 +14,9 @@ Enumeration is one generator over maps bound once per build (see
 each top entry, the pair's (0, 2) slice. It reads those maps directly,
 checks the engine version itself after every tuple, and charges what the
 method calls it replaces would: a tick per entry stepped (as
-`Relation.items` and `slice_items` do), one per part for the third
-relation's total (as `Partition.total` does) and one per pair slice
-opened.
+`Relation.items` and `slice_items` do), one per getter of the third
+relation's `total_gets` for its total (two: d3's partitions are single)
+and one per pair slice opened.
 """
 
 from __future__ import annotations
@@ -55,13 +55,12 @@ class TernaryEngine(KeyedEngine):
         """Bind the enumeration to this build's views and parts: (`res`'s
         entries, per tree (top entries, the pair's (0, 2) slices map and
         entries, top key -> (x, z), pair key -> (a, b, c), the third
-        relation's part getters))."""
+        relation's `total_gets`))."""
         trees = []
         for t in self.trees:
             pair = getattr(self, t.pair)
-            gets = tuple(p.entries.get for p in self.parts[t.third].parts.values())
             trees.append((getattr(self, t.top).entries, pair.hash_slices((0, 2)), pair.entries,
-                          t.hat_of, t.abc_of, gets))
+                          t.hat_of, t.abc_of, self.parts[t.third].total_gets))
         self._read = (self.res.entries, tuple(trees))
         return self._read
 

@@ -2,7 +2,10 @@
 
 Stream files carry one update per line: `<+|-> <R|S|T> <a> <b> [m]`
 with `#` comments and blank lines ignored. Matrix files carry n and
-then n rows of bits; vector files carry two bit rows per round.
+then n rows of bits; vector files carry two bit rows per round. A value,
+a multiplicity and n are nonnegative integers written in the ASCII digits
+0-9 alone (no sign, no `_`, no other script's digits), of any length; a
+refusal quotes at most the first `BRIEF` characters of what it refuses.
 """
 
 import bisect
@@ -10,6 +13,9 @@ import random
 from dataclasses import dataclass
 
 RELS = ("R", "S", "T")
+
+# most characters of a refused token that a message quotes
+BRIEF = 20
 
 
 class ParseError(Exception):
@@ -171,14 +177,23 @@ def _content_lines(lines):
             yield i, line
 
 
+def brief(text, quote=repr):
+    """`text` quoted for a one-line message, cut to its first BRIEF
+    characters."""
+    if len(text) <= BRIEF:
+        return quote(text)
+    return f"{quote(text[:BRIEF])}... ({len(text)} characters)"
+
+
 def _uint(lineno, tok, what):
+    if not (tok.isascii() and tok.isdigit()):
+        raise ParseError(lineno, f"{what} is not an integer of ASCII digits 0-9: {brief(tok)}")
     try:
-        v = int(tok)
+        return int(tok)
     except ValueError:
-        raise ParseError(lineno, f"{what} is not an integer: {tok!r}")
-    if v < 0:
-        raise ParseError(lineno, f"{what} must be nonnegative: {tok}")
-    return v
+        # CPython's int/str digit cap; `trimaint.cli.main` lifts it
+        raise ParseError(lineno, f"{what} has {len(tok)} digits, past this interpreter's "
+                                 f"conversion limit") from None
 
 
 def parse_stream(lines):
@@ -190,9 +205,9 @@ def parse_stream(lines):
             raise ParseError(lineno, f"expected 4 or 5 fields, got {len(toks)}")
         sign, rel = toks[0], toks[1]
         if sign not in ("+", "-"):
-            raise ParseError(lineno, f"bad sign {sign!r}")
+            raise ParseError(lineno, f"bad sign {brief(sign)}")
         if rel not in RELS:
-            raise ParseError(lineno, f"bad relation {rel!r}")
+            raise ParseError(lineno, f"bad relation {brief(rel)}")
         a = _uint(lineno, toks[2], "a")
         b = _uint(lineno, toks[3], "b")
         mult = _uint(lineno, toks[4], "m") if len(toks) == 5 else 1
@@ -205,7 +220,7 @@ def parse_stream(lines):
 def _bit_row(lineno, line, n):
     row = line.replace(" ", "")
     if len(row) != n or any(ch not in "01" for ch in row):
-        raise ParseError(lineno, f"expected {n} bits, got {line!r}")
+        raise ParseError(lineno, f"expected {brief(str(n), str)} bits, got {brief(line)}")
     return tuple(int(ch) for ch in row)
 
 
@@ -224,7 +239,7 @@ def parse_matrix(lines):
             return rows
     if n is None:
         raise ParseError(None, "missing the size line n before the matrix rows")
-    raise ParseError(None, f"expected {n} matrix rows, got {len(rows)}")
+    raise ParseError(None, f"expected {brief(str(n), str)} matrix rows, got {len(rows)}")
 
 
 def parse_vectors(lines, n):

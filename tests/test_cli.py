@@ -1,5 +1,6 @@
 import csv
 import random
+import sys
 
 import pytest
 
@@ -12,7 +13,7 @@ from trimaint.cli import (
     verify_stream,
 )
 from trimaint.oracle import RefMaintainer, oracle_oumv, oracle_triangle
-from trimaint.workload import WorkloadSpec, format_update, stream
+from trimaint.workload import WorkloadSpec, format_update, parse_stream, stream
 
 TRIANGLE = "+ R 1 2\n+ S 2 3\n+ T 3 1\n"
 
@@ -275,3 +276,65 @@ def test_refused_input_exits_2_with_one_line(tmp_path, capsys, argv):
     out = capsys.readouterr()
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
     assert out.out == ""
+
+
+def big_stream():
+    """A stream of triangles over two 10,000-digit values, one of them
+    also a multiplicity, beside small ones."""
+    a, b = "9" * 10000, "1" + "0" * 9999
+    return "".join(f"{line}\n" for line in (
+        f"+ R {a} {b}", f"+ S {b} 7 {a}", f"+ T 7 {a}", f"+ T 7 {a} 2",
+        f"+ R 1 {b}", "+ T 7 1", f"+ S {b} 3", f"- S {b} 3"))
+
+
+def want_output(query, text):
+    """What `dump_result` prints for the reference's result of the stream
+    `text`, with the digit cap lifted to write it out."""
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        ref = RefMaintainer(int(query[1]))
+        for upd in parse_stream(text.splitlines()):
+            ref.apply(*upd)
+        res = ref.result()
+        if isinstance(res, int):
+            return f"{res}\n"
+        return "".join(" ".join(map(str, key + (res[key],))) + "\n" for key in sorted(res))
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
+@pytest.mark.parametrize("argv", [["run", "--query", "d0"], ["run", "--query", "d1"],
+                                  ["run", "--query", "d2"], ["run", "--query", "d3"],
+                                  ["verify", "--query", "d2"], ["verify", "--query", "d3"],
+                                  ["static"]], ids=" ".join)
+def test_values_of_any_length(tmp_path, capsys, argv):
+    # CPython's default int/str digit cap (4300) is on around the call
+    text = big_stream()
+    path = write(tmp_path, "big.txt", text)
+    cap = sys.get_int_max_str_digits()
+    assert 0 < cap < 10000
+    assert main(argv + ([path] if argv == ["static"] else ["--stream", path])) == 0
+    assert sys.get_int_max_str_digits() == cap
+    out = capsys.readouterr().out
+    if argv[0] == "verify":
+        assert out.startswith("PASS")
+    else:
+        assert out == want_output("d3" if argv == ["static"] else argv[2], text)
+        # a number printed past the cap
+        assert max(map(len, out.split())) > 10000
+
+
+BAD_VALUES = {"underscore-plus": "+ R 1_0 +5", "arabic-indic": "+ S \u0663 2",
+              "plus-m": "+ R 1 2 +3", "minus": "+ T -1 2", "long": "+ R 1 " + "x" * 5000,
+              "long-arabic-indic": "+ R 1 2 " + "\u0663" * 5000}
+
+
+@pytest.mark.parametrize("line", list(BAD_VALUES.values()), ids=list(BAD_VALUES))
+@pytest.mark.parametrize("cmd", ["run", "verify", "static"])
+def test_values_are_ascii_digits_alone(tmp_path, capsys, cmd, line):
+    path = write(tmp_path, "bad.txt", TRIANGLE + line + "\n")
+    assert main([cmd, path] if cmd == "static" else [cmd, "--stream", path]) == 2
+    out = capsys.readouterr()
+    assert out.err.startswith(f"error: {path}: line 4: ") and out.err.count("\n") == 1
+    assert len(out.err) < len(path) + 120 and out.out == ""

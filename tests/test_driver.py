@@ -12,6 +12,7 @@ from trimaint.driver import Driver, make_engine
 from trimaint.fragments import FragmentEngine, projector
 from trimaint.iterators import HopUnionIterator
 from trimaint.oracle import RefMaintainer, oracle_triangle
+from trimaint.partition import DoublePartition
 from trimaint.store import CostMeter, Relation, RejectedDelete
 from trimaint.workload import WorkloadSpec, stream
 
@@ -166,11 +167,12 @@ def test_move_tuples_two_applies_per_tuple():
     before = eng.query_result()
     calls = []
     real = eng.apply_update
-    eng.apply_update = lambda *a: (calls.append(a), real(*a))[1]
+    eng.apply_update = lambda *a, **kw: (calls.append(kw), real(*a, **kw))[1]
     moved = drv.move_tuples("R", "X", 1, "L", "H")
     eng.apply_update = real
     assert moved == 3
-    assert len(calls) == 6
+    # each apply is one half of a move, which keeps every tuple's total
+    assert calls == [{"move": True}] * 6
     assert eng.parts["R"].part("H").slice_count((0,), 1) == 3
     assert eng.query_result() == before
     eng.verify_views()
@@ -268,17 +270,17 @@ OP_PINS = {
         counts={"total": 25856, "apply": 22657, "major": 1311, "minor": 1888},
         enum=1, majors=14, minors=18),
     ("d0", True): dict(
-        base={"total": 54063, "apply": 46127, "major": 3521, "minor": 4415},
-        counts={"total": 54218, "apply": 46236, "major": 3546, "minor": 4436},
+        base={"total": 51880, "apply": 44679, "major": 3293, "minor": 3908},
+        counts={"total": 52035, "apply": 44788, "major": 3318, "minor": 3929},
         enum=1, majors=14, minors=31),
     ("d1", False): dict(
-        base={"total": 51112, "apply": 43878, "major": 3133, "minor": 4101},
-        counts={"total": 51274, "apply": 44012, "major": 3146, "minor": 4116},
+        base={"total": 49933, "apply": 43116, "major": 3025, "minor": 3792},
+        counts={"total": 50095, "apply": 43250, "major": 3038, "minor": 3807},
         enum=201, majors=14, minors=27),
     ("d2", False): dict(
-        base={"total": 53428, "apply": 45549, "major": 3111, "minor": 4768},
-        counts={"total": 53621, "apply": 45697, "major": 3137, "minor": 4787},
-        enum=620, majors=14, minors=29),
+        base={"total": 52450, "apply": 44850, "major": 3030, "minor": 4570},
+        counts={"total": 52643, "apply": 44998, "major": 3056, "minor": 4589},
+        enum=527, majors=14, minors=29),
     ("d3", False): dict(
         base={"total": 29207, "apply": 25567, "major": 1406, "minor": 2234},
         counts={"total": 29452, "apply": 25768, "major": 1444, "minor": 2240},
@@ -345,16 +347,16 @@ def test_view_writes_reach_apply_delta_only_to_insert_or_delete(query, double, m
 # The pinned stream's domain of 40 barely grows a hub, so walking the
 # shorter side shows little there. This zipf stream over a domain of 1000
 # at eps 0.5 does grow hubs (totals when the kernels walked the side the
-# `sides` letter names: d0 122758, d0 double 255958, d1 231174, d2 240968,
-# d3 131274).
+# `sides` letter names, before double partitions kept a totals map: d0
+# 122758, d0 double 255958, d1 231174, d2 240968, d3 131274).
 ZIPF_PINS = {
     ("d0", False): dict(ops={"total": 86574, "apply": 80446, "major": 980, "minor": 5148},
                         majors=11, minors=3),
-    ("d0", True): dict(ops={"total": 178034, "apply": 163572, "major": 3055, "minor": 11407},
+    ("d0", True): dict(ops={"total": 175014, "apply": 161815, "major": 3055, "minor": 10144},
                        majors=11, minors=5),
-    ("d1", False): dict(ops={"total": 161918, "apply": 149606, "major": 2751, "minor": 9561},
+    ("d1", False): dict(ops={"total": 159343, "apply": 147967, "major": 2751, "minor": 8625},
                         majors=11, minors=4),
-    ("d2", False): dict(ops={"total": 170071, "apply": 156009, "major": 1634, "minor": 12428},
+    ("d2", False): dict(ops={"total": 169389, "apply": 156008, "major": 1634, "minor": 11747},
                         majors=11, minors=5),
     ("d3", False): dict(ops={"total": 95090, "apply": 87746, "major": 980, "minor": 6364},
                         majors=11, minors=3),
@@ -463,9 +465,9 @@ def fallback_stream():
 # ninth, which scans and then rebuilds
 FALLBACK_PINS = {
     ("d0", False): dict(major=2454, rebuild=2276, majors=9, minors=33),
-    ("d0", True): dict(major=3782, rebuild=3356, majors=9, minors=45),
-    ("d1", False): dict(major=4258, rebuild=3868, majors=9, minors=45),
-    ("d2", False): dict(major=4138, rebuild=3848, majors=9, minors=41),
+    ("d0", True): dict(major=3990, rebuild=3564, majors=9, minors=45),
+    ("d1", False): dict(major=4402, rebuild=4012, majors=9, minors=45),
+    ("d2", False): dict(major=4266, rebuild=3976, majors=9, minors=41),
     ("d3", False): dict(major=2982, rebuild=2804, majors=9, minors=33),
 }
 
@@ -495,6 +497,54 @@ def test_a_major_moving_too_much_rebuilds(query, double, monkeypatch):
     pin = FALLBACK_PINS[(query, double)]
     assert (drv.meter.major, rebuilt, drv.majors, drv.minors) == (
         pin["major"], pin["rebuild"], pin["majors"], pin["minors"])
+
+@pytest.mark.parametrize("query,double", [("d0", True), ("d1", False), ("d2", False)])
+def test_totals_follow_every_rebalance(query, double, monkeypatch):
+    # every double partition's totals map is the sum of its parts after
+    # each minor and each major (by difference on the ladder stream, a
+    # fallback rebuild on the other), every 50 updates, and after a
+    # rebuild onto another database, which must not keep the old maps
+    rebuilds = []
+    rebuild = FragmentEngine.rebuild
+
+    def counted(self, rel_items, n):
+        rebuilds.append(n)
+        return rebuild(self, rel_items, n)
+
+    monkeypatch.setattr(FragmentEngine, "rebuild", counted)
+    seen = {"minor:after": 0, "major:after": 0}
+    for updates in (ladder_stream(), fallback_stream()):
+        drv = make_driver(query, 0.25, double=double)
+        eng = drv.engine
+        doubles = [p for p in eng.parts.values() if isinstance(p, DoublePartition)]
+        assert doubles
+
+        def check(event, d):
+            if event.endswith(":after"):
+                seen[event] += 1
+                for p in eng.parts.values():
+                    p.check_totals()
+
+        drv.observers.append(check)
+        for i, upd in enumerate(updates):
+            drv.on_update(*upd)
+            if i % 50 == 0:
+                for p in doubles:
+                    p.check_totals()
+    assert seen["minor:after"] > 0 and seen["major:after"] > 0 and rebuilds
+    drv.check_invariants(deep=True)
+    # every other tuple of the fallback stream's final database
+    half = {rel: kvs[::2] for rel, kvs in eng.rel_items().items()}
+    old = [p.totals for p in eng.parts.values() if p.totals is not None]
+    eng.rebuild(half, 2 * sum(map(len, half.values())) + 1)
+    assert not any(p.totals is t for p in eng.parts.values() for t in old)
+    drv.check_invariants(deep=True)
+    for rel, kvs in half.items():
+        for key, m in kvs:
+            drv.on_update(rel, key, -m)
+    drv.check_invariants(deep=True)
+    assert all(not p.totals for p in eng.parts.values() if p.totals is not None)
+
 
 @pytest.mark.parametrize("query,double", list(OP_PINS))
 def test_a_doubling_major_costs_less_than_a_rebuild(query, double, monkeypatch):

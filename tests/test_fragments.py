@@ -97,8 +97,8 @@ def skipping(monkeypatch, rel, label, i):
 
     def bind_without(self):
         steps = bind(self)
-        part, plan = steps[rel, label]
-        steps[rel, label] = part, plan[:i] + plan[i + 1:]
+        part, plan, totals = steps[rel, label]
+        steps[rel, label] = part, plan[:i] + plan[i + 1:], totals
         return steps
 
     monkeypatch.setattr(FragmentEngine, "_bind", bind_without)
@@ -129,7 +129,7 @@ def test_audit_catches_every_skipped_step(cls, monkeypatch):
             keys.setdefault(part.affected_label(key, 0.25), []).append(key)
         plans = eng._bind()
         for label in part.labels:
-            _, plan = plans[rel, label]
+            _, plan, _ = plans[rel, label]
             for i in range(len(plan)):
                 with monkeypatch.context() as mp:
                     skipping(mp, rel, label, i)

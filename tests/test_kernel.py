@@ -7,7 +7,10 @@ definitions through `slice_count` (a positive count is membership) and
 `Bucket`, against a drained `slice_items` and a bucket built on
 `slice_head`, `slice_next` and `lookup`. Results, views and metered ops
 must all agree. A `walk_probe` step walks the shorter side, so its
-reference walks the same side."""
+reference walks the same side. A probed group or a tree's third is read
+through getters: one per part of one or two, or, for four parts, as a
+double partition's totals map is read, one of a `Relation` holding the
+parts' sum."""
 
 import random
 from operator import itemgetter
@@ -44,17 +47,18 @@ def ref_hits(walked, col, sub, probed, other):
     return out
 
 
-def ref_walk_probe(walked, col, probed, sub, other, meter):
+def ref_walk_probe(walked, col, probed, reads, sub, other, meter):
     """The hits of the shorter walk, in its order, and its charge: one tick
     per slice length read, then, if neither side is empty, the cheaper
-    side's walk (ties to the walked side) and one per hit of that walk."""
+    side's walk (ties to the walked side) and one per hit of that walk.
+    A walk of the walked side probes the Relations `reads`, a tick each."""
     nw = sum(rel.slice_count((col,), sub) for rel in walked)
     np = sum(p.slice_count((1 - col,), other) for p in probed)
     if not (nw and np):
         return []
-    if nw * (1 + len(probed)) <= np * (1 + len(walked)):
-        hits = ref_hits(walked, col, sub, probed, other)
-        meter.total += nw * (1 + len(probed)) + len(hits)
+    if nw * (1 + len(reads)) <= np * (1 + len(walked)):
+        hits = ref_hits(walked, col, sub, reads, other)
+        meter.total += nw * (1 + len(reads)) + len(hits)
     else:
         hits = ref_hits(probed, 1 - col, other, walked, sub)
         meter.total += np * (1 + len(walked)) + len(hits)
@@ -72,8 +76,9 @@ def summed(hits):
 
 def ref_walk_close(walked, col, third, sub, other, meter):
     """The loop `walk_close` replaces: every walked tuple with `other` in
-    place of `sub`, its multiplicity and the third parts' total at the
-    rotated pair, one combine charged per nonzero total."""
+    place of `sub`, its multiplicity and the total of the third's Relations
+    at the rotated pair, a `lookup` each, one combine charged per nonzero
+    total."""
     out = []
     for rel in walked:
         for k, mw in rel.slice_items((col,), sub):
@@ -87,20 +92,20 @@ def ref_walk_close(walked, col, third, sub, other, meter):
     return out
 
 
-def ref_step(kind, walked, col, probed, meter, views):
+def ref_step(kind, walked, col, probed, reads, meter, views):
     """The update step of `kind` as the reference loops' hits written one
     by one through `apply_delta` (see `bind_step`)."""
     def step(u0, u1, m):
         sub, other = (u1, u0) if col == 0 else (u0, u1)
         if kind in ("direct", "sum"):
-            hits = ref_walk_probe(walked, col, probed, sub, other, meter)
+            hits = ref_walk_probe(walked, col, probed, reads, sub, other, meter)
             if kind == "sum":
                 return m * sum(d for _, d in hits)
             for w, d in hits:
                 views["res"].apply_delta(RES_KEY((u0, u1, w)), m * d)
             return 0
         s = 0
-        for hk, mw, tm in ref_walk_close(walked, col, probed, sub, other, meter):
+        for hk, mw, tm in ref_walk_close(walked, col, reads, sub, other, meter):
             d = m * mw
             if kind == "pair":
                 views["pair"].apply_delta((hk[0], sub, hk[1]), d)
@@ -126,16 +131,24 @@ def ref_close(kind, views):
     return close
 
 
-def bind_step(kind, walked, col, probed, meter, views):
+def getters(rels):
+    """The Relations' `entries.get`, what a kernel reads them through."""
+    return tuple(r.entries.get for r in rels)
+
+
+def bind_step(kind, walked, col, probed, reads, meter, views):
     """The bound step of `kind`: a direct fragment into `res` ("direct") or
     summed ("sum"), or a view tree with a pair view ("pair"), without one
-    ("top") or into a count ("count")."""
+    ("top") or into a count ("count"). A probe or a close reads the
+    Relations `reads` through their getters."""
+    gets = getters(reads)
     if kind in ("direct", "sum"):
-        return walk_probe(walked, col, probed, meter, *((views["res"], RES_KEY) * (kind == "direct")))
+        res = (views["res"], RES_KEY) if kind == "direct" else (None, None)
+        return walk_probe(walked, col, probed, gets, meter, *res)
     hat = views["hat"]
     if kind == "count":
-        return walk_close(walked, col, probed, meter, hat)
-    return walk_close(walked, col, probed, meter, hat, views["pair"] if kind == "pair" else None,
+        return walk_close(walked, col, gets, meter, hat)
+    return walk_close(walked, col, gets, meter, hat, views["pair"] if kind == "pair" else None,
                       views["top"], TOP_KEY)
 
 
@@ -211,6 +224,27 @@ def hub_parts(meter, col, rng):
     return parts
 
 
+def sum_of(parts, meter):
+    """One Relation holding the parts' sum: a double partition's totals."""
+    total = Relation("T", 2, IDX, meter)
+    for p in parts:
+        for key, m in p.entries.items():
+            total.apply_delta(key, m)
+    return total
+
+
+def probe_shape(nprobe, parts, total):
+    """(probed parts, the Relations a probe or a close reads): one or two
+    parts read one by one, or four, a double partition's, read through
+    `total`, their sum."""
+    if nprobe == 4:
+        return parts[2:6], [total]
+    probed = parts[2:2 + nprobe]
+    return probed, probed
+
+
+# a direct step probes one, two or four parts; a tree's third is a single
+# partition's two parts or a double partition's four
 KINDS = [("direct", (1, 2, 4)), ("sum", (1, 2, 4)), ("pair", (2, 4)), ("top", (2, 4)),
          ("count", (2, 4))]
 SHAPES = [(kind, nwalk, nprobe) for kind, probes in KINDS for nwalk in (1, 2) for nprobe in probes]
@@ -228,10 +262,11 @@ def test_bound_steps_write_as_the_reference_loop(kind, nwalk, nprobe, col):
         rng = random.Random(seed)
         meter = CostMeter()
         parts = hub_parts(meter, col, rng)
-        walked, probed = parts[:nwalk], parts[2:2 + nprobe]
+        walked = parts[:nwalk]
+        probed, reads = probe_shape(nprobe, parts, sum_of(parts[2:6], meter))
         got, want = fresh_views(meter), fresh_views(meter)
-        step, ref = (bind_step(kind, walked, col, probed, meter, got),
-                     ref_step(kind, walked, col, probed, meter, want))
+        step, ref = (bind_step(kind, walked, col, probed, reads, meter, got),
+                     ref_step(kind, walked, col, probed, reads, meter, want))
         calls = [(0, 0, 1)] + [(rng.randrange(5), rng.randrange(5), rng.randint(1, 3))
                                for _ in range(8)]
         calls += [(u0, u1, m + 1) for u0, u1, m in calls]
@@ -261,15 +296,16 @@ def test_bound_steps_write_as_the_reference_loop(kind, nwalk, nprobe, col):
                        if peak[name] > COMPACT_FLOOR)
 
 
-def bound_kinds(meter, walked, col, probed):
+def bound_kinds(meter, walked, col, nprobe, parts, total):
     """Every kind of step over these parts, each with its reference, bound
     with their own views before the parts are filled."""
     out = []
+    probed, reads = probe_shape(nprobe, parts, total)
     for kind, probes in KINDS:
-        if len(probed) in probes:
+        if nprobe in probes:
             got, want = fresh_views(meter), fresh_views(meter)
-            out.append((bind_step(kind, walked, col, probed, meter, got),
-                        ref_step(kind, walked, col, probed, meter, want), got, want))
+            out.append((bind_step(kind, walked, col, probed, reads, meter, got),
+                        ref_step(kind, walked, col, probed, reads, meter, want), got, want))
     return out
 
 
@@ -296,12 +332,16 @@ def check_kernel(meter, kinds, col, subs):
 def test_kernel_matches_slice_and_lookup_loop(nwalk, nprobe, col, ops, seed, keep):
     meter = CostMeter()
     rels = [Relation(f"P{i}", 2, IDX, meter) for i in range(6)]
-    walked, probed = rels[:nwalk], rels[2:2 + nprobe]
-    kinds = bound_kinds(meter, walked, col, probed)
+    # the sum of parts 2 to 5, kept as every write to them lands
+    total = Relation("T", 2, IDX, meter)
+    walked = rels[:nwalk]
+    kinds = bound_kinds(meter, walked, col, nprobe, rels, total)
     subs = range(3)
 
     def put(i, key, m):
         rels[i].apply_delta(key, m)
+        if 2 <= i < 6:
+            total.apply_delta(key, m)
 
     # a hub under sub 0 in every part, on the walked column and as probe key
     for i in range(6):
@@ -317,19 +357,19 @@ def test_kernel_matches_slice_and_lookup_loop(nwalk, nprobe, col, ops, seed, kee
     # keeping at most a fifth of a dict's entries takes it below a quarter
     # of its high-water mark, so every entries dict is rebuilt
     rng = random.Random(seed)
-    for r in rels:
+    for j, r in enumerate(rels):
         entries = list(r.entries.items())
         kept = set(rng.sample(range(len(entries)), int(keep * len(entries))))
         for i, (key, m) in enumerate(entries):
             if i not in kept:
-                r.apply_delta(key, -m)
+                put(j, key, -m)
     # a rebuild keeps the dict object and lowers its mark to its length
     assert all(r._hwm < b for r, b in zip(rels, before)), "entries were not rebuilt"
     check_kernel(meter, kinds, col, subs)
     for i, sub, w, m in ops[:20]:
         put(i, (sub, w) if col == 0 else (w, sub), m)
     check_kernel(meter, kinds, col, subs)
-    for r in rels:
+    for r in rels + [total]:
         r.check_consistency()
 
 
@@ -366,15 +406,17 @@ def test_kernel_walks_the_shorter_side(col, nwalk, nprobe):
     assert walked[0].hash_slices((col,))[0].__class__ is dict
     # the hits keyed by w, in an unindexed view: one tick per insert
     view = Relation("V", 1, (), meter)
-    step = walk_probe(walked, col, probed, meter, view, W_KEY)
+    # four probed parts are read through their sum, as a double partition's
+    reads = [sum_of(probed, meter)] if nprobe == 4 else probed
+    step = walk_probe(walked, col, probed, getters(reads), meter, view, W_KEY)
     fixed = nwalk + nprobe
     nw, np = 20 + 3 * (nwalk - 1), 2 * nprobe + (nwalk == 2)
     # the probed side is the cheaper walk: one tick per slice length, its
     # tuples at 1 + #walked each, one per hit, and the writes
-    assert np * (1 + nwalk) < nw * (1 + nprobe)
+    assert np * (1 + nwalk) < nw * (1 + len(reads))
     assert metered(meter, step, *on(col, 0, 0), 1) == (0, fixed + np * (1 + nwalk) + 2 * len(want))
     assert view.entries == want
-    assert summed(ref_walk_probe(walked, col, probed, 0, 0, meter)) == {
+    assert summed(ref_walk_probe(walked, col, probed, reads, 0, 0, meter)) == {
         w: d for (w,), d in want.items()}
     # an empty probed side: the lengths alone, whatever the hub holds
     assert metered(meter, step, *on(col, 0, 7), 1) == (0, fixed)
@@ -396,7 +438,7 @@ def test_kernel_ties_walk_the_walked_side(col, nparts):
     for i, w in enumerate((2, 3, 1)):
         probed[i // 2 if nparts == 2 else 0].apply_delta((w, 0) if col == 0 else (0, w), 1)
     view = Relation("V", 1, (), meter)
-    step = walk_probe(walked, col, probed, meter, view, W_KEY)
+    step = walk_probe(walked, col, probed, getters(probed), meter, view, W_KEY)
     _, ops = metered(meter, step, *on(col, 0, 0), 1)
     assert list(view.entries.items()) == [((3,), 1), ((1,), 1), ((2,), 1)]
     assert ops == 2 * nparts + 3 * (1 + nparts) + 3 + 3
@@ -405,18 +447,22 @@ def test_kernel_ties_walk_the_walked_side(col, nparts):
 def test_kernel_refuses_what_it_cannot_walk():
     meter = CostMeter()
     a = Relation("A", 2, IDX, meter)
-    with pytest.raises(ValueError):
-        walk_probe([a, a, a], 0, [a], meter)
-    with pytest.raises(ValueError):
-        walk_probe([a], 0, [a, a, a], meter)
-    with pytest.raises(ValueError):
-        walk_probe([a], 0, [], meter)
-    for nthird in (1, 3):
+    for walked, probed in (([a, a, a], [a]), ([a], [a, a, a]), ([a], [])):
         with pytest.raises(ValueError):
-            walk_close([a], 0, [a] * nthird, meter, a)
+            walk_probe(walked, 0, probed, getters(probed), meter)
+    # four probed parts are read through one getter of their sum, two
+    # through theirs or their sum's
+    for nprobe, ngets in ((4, 0), (4, 2), (4, 4), (2, 3), (1, 2)):
+        with pytest.raises(ValueError):
+            walk_probe([a], 0, [a] * nprobe, (a.entries.get,) * ngets, meter)
+    # a third is one getter (a double partition's totals) or two (a single
+    # partition's parts), never its four parts
+    for nthird in (0, 3, 4):
+        with pytest.raises(ValueError):
+            walk_close([a], 0, (a.entries.get,) * nthird, meter, a)
     linked = Relation("L", 2, IDX, meter, linked=((0,),))
     with pytest.raises(Exception, match="hash index"):
-        walk_probe([linked], 0, [a], meter)
+        walk_probe([linked], 0, [a], getters([a]), meter)
 
 
 # -- partition routing: the method-based definitions ----------------------
@@ -447,7 +493,10 @@ def ref_single_violation(p, value, theta):
 
 
 def ref_total(p, key):
-    return sum(p.parts[lab].lookup(key) for lab in p.labels)
+    """The parts' sum at key, charged a `lookup` per part of a single
+    partition and one, of its totals, for a double one."""
+    p.meter.total += 1 if len(p.labels) == 4 else 2
+    return sum(p.parts[lab].entries.get(key, 0) for lab in p.labels)
 
 
 def ref_size(p):
@@ -507,6 +556,10 @@ def test_routing_matches_method_based_reads(items, theta, stray, double):
     p = build(dict(items).items(), "X", meter, theta)
     for i, key in stray:
         p.parts[p.labels[i % len(p.labels)]].apply_delta(key, 1)
+        if double:
+            # a stray key can sit in two parts: its total is their sum
+            p.totals[key] = p.totals.get(key, 0) + 1
+    p.check_totals()
     assert p.size() == ref_size(p)
     for v in range(8):
         for key in ((v, 0), (0, v), (v, v), (v, 3)):

@@ -57,3 +57,21 @@ def test_ab_pairs_compare_gives_claims_and_regression_verdicts():
         "noisy_but_better": (10, True, "ok"),
     }
     assert out["flat"][0] == (99.25, 100.0, 100.75)
+
+
+def test_state_bytes_reports_the_totals_maps_apart():
+    mod = load_script("state_bytes")
+    from trimaint.driver import make_engine
+    from trimaint.partition import DoublePartition
+
+    db = {(a, b): 1 for a in range(12) for b in range(a % 5 + 1)}
+    for query, double in (("d0", False), ("d0", True), ("d1", False), ("d2", False)):
+        eng = make_engine(query, 0.5, double=double, rd=db, sd=db, td=db)
+        maps = [p.totals for p in eng.parts.values() if isinstance(p, DoublePartition)]
+        out, _ = mod.measure(eng)
+        assert list(out) == list(mod.ROWS)
+        assert out["totals maps"] == sum(map(sys.getsizeof, maps))
+        assert (out["totals maps"] > 0) == bool(maps)
+        # the maps share the parts' key tuples, which count once
+        keyed = {id(k) for p in eng.parts.values() for r in p.parts.values() for k in r.entries}
+        assert all(id(k) in keyed for t in maps for k in t)

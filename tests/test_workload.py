@@ -131,6 +131,29 @@ def test_parse_stream_errors(line, frag):
     assert frag in str(exc.value)
 
 
+VALUE_ERRORS = {
+    # a value is ASCII digits alone: no separator, sign or other digits
+    "underscore": ("+ R 1_0 2", "a is not an integer of ASCII digits 0-9: '1_0'"),
+    "plus": ("+ R +5 2", "a is not an integer of ASCII digits 0-9: '+5'"),
+    "minus": ("+ R -1 2", "a is not an integer of ASCII digits 0-9: '-1'"),
+    "arabic-indic": ("+ S \u0663 2", "a is not an integer of ASCII digits 0-9: '\u0663'"),
+    "superscript": ("+ R 1 2 \u00b2", "m is not an integer of ASCII digits 0-9: '\u00b2'"),
+    # a long token is quoted in part
+    "long": ("+ R 1 " + "x" * 5000, "b is not an integer of ASCII digits 0-9: "
+                                    f"{'x' * 20!r}... (5000 characters)"),
+    # past CPython's int/str digit cap, which only the command line lifts
+    "past-cap": ("+ R 1 " + "7" * 5000,
+                 "b has 5000 digits, past this interpreter's conversion limit"),
+}
+
+
+@pytest.mark.parametrize("line,msg", list(VALUE_ERRORS.values()), ids=list(VALUE_ERRORS))
+def test_parse_stream_takes_ascii_digits_alone(line, msg):
+    with pytest.raises(ParseError) as exc:
+        parse_stream(["+ R 0 0", line])
+    assert str(exc.value) == f"line 2: {msg}"
+
+
 def test_parse_matrix():
     rows = parse_matrix(["# M", "3", "101", "0 1 0", "111"])
     assert rows == [(1, 0, 1), (0, 1, 0), (1, 1, 1)]
