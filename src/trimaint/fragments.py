@@ -85,9 +85,8 @@ a pair slice through one `store.walk_slice` kernel per tree,
 `total_gets` (a tick per getter, as `Partition.total`), and a `Bucket`
 steps through the pair's and top's linked slices and nodes maps (charged
 as `slice_head`, `slice_next` and `lookup`). d3's pair trees have no hop
-union: it binds its own read loop the same way (see `ternary`), into
-`_read` rather than `_enum`, so `open_union` and `multiplicity` stay
-refused for it. Every bound read is dropped with the views it reads, in
+union: it binds its own read loop the same way (see `ternary`). Either
+bound read is kept in `_enum` and dropped with the views it reads, in
 `_fresh_views`.
 """
 
@@ -308,7 +307,9 @@ class FragmentEngine:
     specs, init joins, the update plan and the enumeration's bucket
     layouts are worked out once per class; the update plan is bound to a
     build's parts and views on first update after the build. A keyed
-    output is read through `KeyedEngine`; a scalar one is `count`.
+    output is read by `enumerate_result`: `KeyedEngine`'s hop unions for
+    one or two output variables, d3's own loop (see `ternary`) for three.
+    A scalar one is `count`.
 
     An engine holds its threshold, a version that every update and
     rebuild advances, and |D| as `size`: `rebuild` sets it from the fresh
@@ -455,8 +456,8 @@ class FragmentEngine:
             setattr(self, name, Relation(name, arity, idx, m, linked))
         if not self.out:
             self.count = 0
-        # the bound update plan, d1/d2's read path and d3's read loop
-        self._steps = self._enum = self._read = None
+        # the bound update plan and read path
+        self._steps = self._enum = None
 
     # -- init path --------------------------------------------------------
 
@@ -607,14 +608,18 @@ class FragmentEngine:
                 del totals[key]
         self.version += 1
 
+    def query_result(self):
+        """A keyed output's result, key -> multiplicity; the count engine
+        overrides it."""
+        return dict(self.enumerate_result())
+
 
 class KeyedEngine(FragmentEngine):
-    """A fragment engine with output variables, read by enumeration. Its
-    read path binds on first use after a build, as the update plan does:
-    each pair tree's candidate rule, its hop union's bucket layout and
-    multiplicity's close read the views' maps directly (see
-    `_bind_enumeration`). d3, whose pair trees have no hop union,
-    overrides `enumerate_result` with its own bound loop."""
+    """A fragment engine with one or two output variables, read by a union
+    of hop unions. Its read path binds on first use after a build, as the
+    update plan does: each pair tree's candidate rule, its hop union's
+    bucket layout and multiplicity's close read the views' maps directly
+    (see `_bind_enumeration`)."""
 
     def candidate_buckets(self, t, x):
         """Keys of the buckets of pair tree t that may hold the output tuple x."""
@@ -635,9 +640,6 @@ class KeyedEngine(FragmentEngine):
         multiplicity's walk and close of its pair slices to this build's
         views and parts: ((bucket keys map, rooted, bucket layout,
         candidate rule) by tree, multiplicity)."""
-        if any(t.pair and t not in self._hops for t in self.trees):
-            # the union would miss that tree's fragment
-            raise NotImplementedError(f"{self.query} enumerates its pair trees itself")
         meter, hops, closes = self.meter, {}, []
         for t, (cols, bucket, keys) in self._hops.items():
             pair, top, idx = getattr(self, t.pair), getattr(self, t.top), t.root_idx
@@ -665,9 +667,6 @@ class KeyedEngine(FragmentEngine):
         """Iterator of (key, multiplicity), each result key exactly once."""
         u, multiplicity = self.open_union(), self.multiplicity
         return ((t, multiplicity(t)) for t in iter(u.next, EOF))
-
-    def query_result(self):
-        return dict(self.enumerate_result())
 
 
 def _refused(rel, d):

@@ -2,8 +2,8 @@
 
 Three layers, each with constant delay in its own terms:
 
-  * union_next over plain set iterators: the absorb algorithm (an
-    element found in a later set defers emission to that set's cursor);
+  * UnionIterator over set iterators: the absorb algorithm (an element
+    found in a later set defers emission to that set's cursor);
   * HopIterator: iteration with an exclusion set, using mutually inverse
     skipTo/skippedFrom pointer maps so runs of excluded elements are
     jumped in one hop; the run that reaches EOF from the first element
@@ -58,56 +58,32 @@ class SeqIterator:
 
 
 class KeyIterator:
-    """Set iterator over the keys of a Relation, in insertion order; the
-    UnionIterator around it checks the engine version first. `next` and
-    `contains` each charge one tick, as a key step and a `lookup`."""
+    """Set iterator over the keys of a Relation, in insertion order, as
+    the head of a UnionIterator, which checks the engine version first.
+    `next` charges one tick, as a key step."""
 
     def __init__(self, rel):
         self._meter = rel.meter
-        self._entries = rel.entries
         self._it = iter(rel.entries)
 
     def next(self):
         self._meter.total += 1
         return next(self._it, EOF)
 
-    def contains(self, t):
-        # a Relation stores no zero multiplicity
-        self._meter.total += 1
-        return t in self._entries
-
-
-def union_next(iterators):
-    """Next distinct element of the union of the given set iterators, or EOF.
-
-    Calling repeatedly until EOF emits every element of the union exactly
-    once. An element produced by an earlier iterator that also belongs to a
-    later set is absorbed: the later iterator's cursor element is emitted
-    in its place and the element itself surfaces when that iterator reaches
-    it.
-    """
-    it = iter(iterators)
-    head = next(it, None)
-    if head is None:
-        return EOF
-    return _absorb(head.next(), [(later.contains, later.next) for later in it])
-
-
-def _absorb(t, later):
-    """The absorb rule over the first iterator's element t and the bound
-    (contains, next) of each later iterator, in order: each later one
-    either absorbs t (emitting its own next element instead) or passes it
-    on, and an EOF passes to its next element."""
-    for contains, nxt in later:
-        if t is EOF or contains(t):
-            t = nxt()
-    return t
-
 
 class UnionIterator:
-    """Stateful union_next over a fixed iterator list, whose methods it
-    binds once. Each `next` first checks that `state.version` has not
-    moved since the open, the one staleness check of a step."""
+    """Next distinct element of the union of a fixed list of set
+    iterators, or EOF; their methods are bound once.
+
+    Calling `next` repeatedly until EOF emits every element of the union
+    exactly once. The head iterator is only stepped; each later one, in
+    order, either absorbs the element passed on to it (it holds that
+    element, so its own cursor element is passed on instead and the
+    absorbed one surfaces when its cursor reaches it) or passes it on,
+    and an EOF passes to its next element. Each `next` first checks that
+    `state.version` has not moved since the open, the one staleness
+    check of a step.
+    """
 
     def __init__(self, iterators, meter, state):
         self._iters = iters = list(iterators)
@@ -120,7 +96,11 @@ class UnionIterator:
         if self._state.version != self._version:
             raise StaleIterator(f"state advanced past version {self._version}")
         self._meter.total += 1
-        return _absorb(self._head(), self._later)
+        t = self._head()
+        for contains, nxt in self._later:
+            if t is EOF or contains(t):
+                t = nxt()
+        return t
 
 
 class ListCollection:
@@ -221,8 +201,9 @@ class HopUnionIterator:
     way: an element that an earlier bucket also held was emitted there
     already.
 
-    Every bucket must be non-empty: the delay bound of a few ticks per
-    candidate bucket rests on it.
+    `candidate_keys(t)` yields bucket keys only, which is not checked
+    here. Every bucket must be non-empty: the delay bound of a few ticks
+    per candidate bucket rests on it.
     """
 
     def __init__(self, bucket_keys, open_bucket, candidate_keys, meter):
@@ -262,9 +243,8 @@ class HopUnionIterator:
             if t is EOF:
                 self._cur = None
                 continue
-            buckets = self.buckets
             for k in self._candidates(t):
-                if k == cur or not buckets.contains(k):
+                if k == cur:
                     continue
                 it = self._ensure(k)
                 if it.exclude(t) and it.exhausted():
@@ -272,8 +252,7 @@ class HopUnionIterator:
             return t
 
     def contains(self, t):
-        buckets = self.buckets
         for k in self._candidates(t):
-            if buckets.contains(k) and self._coll(k).contains(t):
+            if self._coll(k).contains(t):
                 return True
         return False

@@ -138,12 +138,13 @@ class Partition:
 
     def violations(self, theta):
         """(side, value, direction) of every value that breaks its loose
-        condition, per side in the order its parts hold the values."""
+        condition, per side in the order its parts hold the values. Listing
+        the values costs a tick per key of each part's slices map."""
         out = []
-        for side, (col, heavy, light) in self._sides.items():
-            vals = dict.fromkeys(v for lab in heavy + light
-                                 for v in self.parts[lab].index_keys((col,)))
-            for v in vals:
+        for side in self._sides:
+            slices = self._side_slices(side)
+            self.meter.total += sum(map(len, slices))
+            for v in dict.fromkeys(x for sl in slices for x in sl):
                 d = self.violation(side, v, theta)
                 if d is not None:
                     out.append((side, v, d))
@@ -181,11 +182,12 @@ class Partition:
 
     def check_disjoint(self):
         """Raise AssertionError if a value sits in a heavy and a light part
-        of one side."""
-        for side, (col, heavy, light) in self._sides.items():
-            hv, lv = ({v for lab in labs for v in self.parts[lab].index_keys((col,))}
-                      for labs in (heavy, light))
-            shared = hv & lv
+        of one side, a tick per key of each part's slices map."""
+        for side, (_, heavy, _) in self._sides.items():
+            slices = self._side_slices(side)
+            self.meter.total += sum(map(len, slices))
+            n = len(heavy)
+            shared = set().union(*slices[:n]) & set().union(*slices[n:])
             audit(not shared, f"{self.name}/{side}: shared values {shared}")
 
 

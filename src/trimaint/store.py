@@ -442,15 +442,6 @@ class Relation:
         nxt = self._linked(cols)[3][key].nxt
         return nxt.key if nxt is not None else None
 
-    def index_keys(self, cols):
-        """Yield the distinct projection keys of an index (pi_{cols}K)."""
-        ix = self._by_cols.get(cols)
-        if ix is None:
-            raise self._missing(cols)
-        for sub in ix[1]:
-            self.meter.total += 1
-            yield sub
-
     def items(self):
         """Yield all (tuple, multiplicity) pairs in insertion order."""
         meter = self.meter

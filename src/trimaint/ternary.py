@@ -21,11 +21,11 @@ and one per pair slice opened.
 
 from __future__ import annotations
 
-from trimaint.fragments import Direct, KeyedEngine, Tree
+from trimaint.fragments import Direct, FragmentEngine, Tree
 from trimaint.iterators import StaleIterator
 
 
-class TernaryEngine(KeyedEngine):
+class TernaryEngine(FragmentEngine):
     query = "d3"
     out = "abc"
     direct = (
@@ -49,7 +49,7 @@ class TernaryEngine(KeyedEngine):
         between open and first next() already invalidates it: the next
         next() raises StaleIterator, as it does after any update.
         """
-        return self._enumerate(self.version, self._read or self._bind_read())
+        return self._enumerate(self.version, self._enum or self._bind_read())
 
     def _bind_read(self):
         """Bind the enumeration to this build's views and parts: (`res`'s
@@ -61,8 +61,8 @@ class TernaryEngine(KeyedEngine):
             pair = getattr(self, t.pair)
             trees.append((getattr(self, t.top).entries, pair.hash_slices((0, 2)), pair.entries,
                           t.hat_of, t.abc_of, self.parts[t.third].total_gets))
-        self._read = (self.res.entries, tuple(trees))
-        return self._read
+        self._enum = (self.res.entries, tuple(trees))
+        return self._enum
 
     def _enumerate(self, version, read):
         # checked before any walk advances: an update can rebuild its dict

@@ -30,6 +30,12 @@ def build_worked_hop_example():
     )
 
 
+class Versioned:
+    """The state a UnionIterator checks for staleness: a version field."""
+
+    version = 0
+
+
 # the one triangle (a, b, c) = (1, 2, 3)
 TRIANGLE = (("R", (1, 2)), ("S", (2, 3)), ("T", (3, 1)))
 

@@ -10,10 +10,10 @@ module's runtime and keeps stream lengths moderate on purpose.
 import random
 from math import isqrt
 
-from conftest import build_worked_hop_example
+from conftest import Versioned, build_worked_hop_example
 from trimaint.cli import measure_delay, run_stream, solve_oumv, static_ternary
 from trimaint.driver import Driver, make_engine
-from trimaint.iterators import BOF, EOF, HopUnionIterator, ListCollection, SeqIterator, union_next
+from trimaint.iterators import BOF, EOF, HopUnionIterator, ListCollection, SeqIterator, UnionIterator
 from trimaint.oracle import RefMaintainer, oracle_oumv, oracle_triangle
 from trimaint.store import CostMeter
 from trimaint.workload import WorkloadSpec, make_sampler, stream
@@ -241,8 +241,8 @@ def test_union_primitives_random_families():
             rng.sample(range(30), rng.randint(0, 6))
             for _ in range(rng.randint(1, 6))
         ]
-        iters = [SeqIterator(s) for s in sets]
-        got = drain(lambda: union_next(iters))
+        union = UnionIterator([SeqIterator(s) for s in sets], CostMeter(), Versioned())
+        got = drain(union.next)
         want = set().union(*map(set, sets))
         assert set(got) == want and len(got) == len(want), sets
     for _ in range(500):

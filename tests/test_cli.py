@@ -1,8 +1,13 @@
 import csv
+import io
+import itertools
 import random
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from trimaint import cli
 from trimaint.cli import (
@@ -13,7 +18,15 @@ from trimaint.cli import (
     verify_stream,
 )
 from trimaint.oracle import RefMaintainer, oracle_oumv, oracle_triangle
-from trimaint.workload import WorkloadSpec, format_update, parse_stream, stream
+from trimaint.workload import (
+    ParseError,
+    WorkloadSpec,
+    format_update,
+    parse_matrix,
+    parse_stream,
+    parse_vectors,
+    stream,
+)
 
 TRIANGLE = "+ R 1 2\n+ S 2 3\n+ T 3 1\n"
 
@@ -296,12 +309,16 @@ def want_output(query, text):
         ref = RefMaintainer(int(query[1]))
         for upd in parse_stream(text.splitlines()):
             ref.apply(*upd)
-        res = ref.result()
-        if isinstance(res, int):
-            return f"{res}\n"
-        return "".join(" ".join(map(str, key + (res[key],))) + "\n" for key in sorted(res))
+        return dumped(ref.result())
     finally:
         sys.set_int_max_str_digits(cap)
+
+
+def dumped(res):
+    """What `dump_result` prints for a count or a keyed result."""
+    if isinstance(res, int):
+        return f"{res}\n"
+    return "".join(" ".join(map(str, key + (res[key],))) + "\n" for key in sorted(res))
 
 
 @pytest.mark.parametrize("argv", [["run", "--query", "d0"], ["run", "--query", "d1"],
@@ -338,3 +355,194 @@ def test_values_are_ascii_digits_alone(tmp_path, capsys, cmd, line):
     out = capsys.readouterr()
     assert out.err.startswith(f"error: {path}: line 4: ") and out.err.count("\n") == 1
     assert len(out.err) < len(path) + 120 and out.out == ""
+
+
+# -- differential fuzz ----------------------------------------------------
+
+# a refused token: a sign, a `_`, another script's digits, a non-number,
+# or any short text
+BAD_TOKENS = st.one_of(st.sampled_from(["+5", "-1", "1_0", "\u0663", "0x1", "1.0", "x" * 40]),
+                       st.text(max_size=4))
+# bytes no UTF-8 text holds: a lone continuation byte, a truncated
+# sequence, an encoded surrogate
+BAD_BYTES = st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80"])
+
+
+@st.composite
+def update_lines(draw):
+    """A well-formed update over values 0-2, or in a third of the draws
+    the three inserts of a triangle, so that streams close triangles;
+    some lines carry a multiplicity, a comment or blank space."""
+    values = st.sampled_from("012")
+    a, b, c = draw(values), draw(values), draw(values)
+    if draw(st.integers(0, 2)):
+        updates = [(draw(st.sampled_from("++-")), draw(st.sampled_from("RST")), a, b)]
+    else:
+        updates = [("+", "R", a, b), ("+", "S", b, c), ("+", "T", c, a)]
+    lines = []
+    for fields in updates:
+        if draw(st.booleans()):
+            fields += (draw(st.sampled_from(["1", "2", "3", "9" * 40])),)
+        lines.append(draw(st.sampled_from(["", "  ", "\t"])) + " ".join(fields)
+                     + draw(st.sampled_from(["", " # note", "\n"])))
+    return "\n".join(lines)
+
+
+@st.composite
+def corrupted(draw, lines, bad_lines):
+    """The lines as UTF-8 bytes, left alone in half the examples; else one
+    line replaced by or followed by a bad one, a line dropped, or a byte
+    no UTF-8 text holds put in anywhere."""
+    lines = list(lines)
+    how = draw(st.sampled_from(["none"] * 4 + ["replace", "insert", "drop", "bytes"]))
+    if how == "insert" or how in ("replace", "drop") and lines:
+        at = draw(st.integers(0, len(lines) - (how != "insert")))
+        lines[at:at + (how != "insert")] = [] if how == "drop" else [draw(bad_lines)]
+    data = "\n".join(lines).encode()
+    if how == "bytes":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(BAD_BYTES) + data[at:]
+    return data
+
+
+@st.composite
+def bad_update_lines(draw):
+    """An update line with one field changed, mostly to a refused one
+    (a 0 is refused only as a multiplicity), the wrong number of fields,
+    or any text."""
+    kind = draw(st.sampled_from(["field", "field", "count", "text"]))
+    if kind == "text":
+        return draw(st.text(max_size=12))
+    if kind == "count":
+        return " ".join(["+", "R", "1", "2", "1", "1"][:draw(st.sampled_from([1, 2, 3, 6]))])
+    fields = ["+", "R", "1", "2", "1"][:draw(st.integers(4, 5))]
+    at = draw(st.integers(0, len(fields) - 1))
+    fields[at] = draw(st.one_of(BAD_TOKENS, st.sampled_from(["*", "Q", "r", "0"])))
+    return " ".join(fields)
+
+
+# a new file per example: rewriting one costs far more than making one on
+# some file systems
+FILE_NO = itertools.count()
+
+
+def new_file(tmp_path, data):
+    path = tmp_path / f"f{next(FILE_NO)}.txt"
+    path.write_bytes(data)
+    return path
+
+
+def parsed(path, parse, *args):
+    """What `parse` makes of the file, read as the command line reads it,
+    or None where the command line refuses it."""
+    try:
+        with open(path) as fh:
+            return parse(fh, *args)
+    except (ParseError, UnicodeDecodeError):
+        return None
+
+
+def call_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_refused_in_one_line(code, out, err, path):
+    # the message names the file and quotes at most 20 characters of a
+    # token, each at most 10 in its repr
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert len(err) <= len(str(path)) + 300
+
+
+def reference_run(query, updates):
+    """The reference result of the stream, skipping each delete the engine
+    rejects, and the number skipped."""
+    ref, rejected = RefMaintainer(int(query[1])), 0
+    for rel, key, m in updates:
+        if ref.rels[rel].get(key, 0) + m < 0:
+            rejected += 1
+        else:
+            ref.apply(rel, key, m)
+    return ref.result(), rejected
+
+
+def net_database(updates):
+    """The database the stream sums to, or None if it dips below zero."""
+    rels = {"R": {}, "S": {}, "T": {}}
+    for rel, key, m in updates:
+        v = rels[rel].get(key, 0) + m
+        if v < 0:
+            return None
+        rels[rel][key] = v
+    return [{k: v for k, v in rels[rel].items() if v} for rel in "RST"]
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(["run", "verify", "static"]), st.sampled_from(["d0", "d1", "d2", "d3"]),
+       st.sampled_from([0.0, 0.5, 1.0]), st.booleans(),
+       st.lists(update_lines(), max_size=12).flatmap(lambda ls: corrupted(ls, bad_update_lines())))
+def test_stream_commands_agree_with_the_reference(tmp_path, cmd, query, eps, double, data):
+    # exit 0 or 2, never 1 (verify's divergence) and never a traceback
+    path = new_file(tmp_path, data)
+    double = double and query == "d0"
+    if cmd == "static":
+        argv = ["static", str(path)]
+    else:
+        argv = [cmd, "--query", query, "--epsilon", str(eps), "--stream", str(path)]
+        argv += ["--double-partition"] * double
+    code, out, err = call_main(argv)
+    updates = parsed(path, parse_stream)
+    db = None if updates is None else net_database(updates)
+    if updates is None or (cmd == "static" and db is None):
+        assert_refused_in_one_line(code, out, err, path)
+    elif cmd == "static":
+        assert (code, err) == (0, "")
+        assert out == dumped(oracle_triangle(*db, 3))
+    elif cmd == "verify":
+        assert (code, err) == (0, "")
+        assert out == f"PASS {query} eps={eps:g} updates={len(updates)}\n"
+    else:
+        res, rejected = reference_run(query, updates)
+        assert code == 0 and out == dumped(res)
+        assert err == (f"warning: {rejected} deletes rejected\n" if rejected else "")
+
+
+@st.composite
+def bit_rows(draw, n, count):
+    sep = draw(st.sampled_from(["", " "]))
+    return [sep.join(draw(st.lists(st.sampled_from("01"), min_size=n, max_size=n)))
+            for _ in range(count)]
+
+
+# a row of the wrong width or with a character other than 0 and 1
+BAD_BIT_ROWS = st.one_of(st.sampled_from(["0", "0101", "2", "1x", "\u0661"]), st.text(max_size=6))
+
+
+@st.composite
+def oumv_files(draw):
+    """A matrix file, an n-line size and n bit rows, and a vectors file,
+    2n bit rows, either one corrupted at times; or a refused size."""
+    n = draw(st.integers(1, 3))
+    size = str(n) if draw(st.integers(0, 7)) else draw(BAD_TOKENS)
+    matrix = draw(corrupted([size] + draw(bit_rows(n, n)), BAD_BIT_ROWS))
+    vectors = draw(corrupted(draw(bit_rows(n, 2 * n)), BAD_BIT_ROWS))
+    return matrix, vectors
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(oumv_files())
+def test_oumv_agrees_with_the_oracle(tmp_path, files):
+    mpath, vpath = (new_file(tmp_path, data) for data in files)
+    code, out, err = call_main(["oumv", str(mpath), str(vpath)])
+    matrix = parsed(mpath, parse_matrix)
+    rounds = None if matrix is None else parsed(vpath, parse_vectors, len(matrix))
+    if rounds is None:
+        assert_refused_in_one_line(code, out, err, mpath)
+    else:
+        assert (code, err) == (0, "")
+        assert out.split() == [str(oracle_oumv(matrix, u, v)) for u, v in rounds]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_worked_hop_example
+from conftest import Versioned, build_worked_hop_example
 from trimaint.iterators import (
     BOF,
     EOF,
@@ -15,7 +15,6 @@ from trimaint.iterators import (
     SeqIterator,
     StaleIterator,
     UnionIterator,
-    union_next,
 )
 from trimaint.store import CostMeter, Relation
 
@@ -31,8 +30,8 @@ def drain(next_fn, limit=10_000):
 
 
 def drain_union(sets):
-    iters = [SeqIterator(s) for s in sets]
-    return drain(lambda: union_next(iters))
+    union = UnionIterator([SeqIterator(s) for s in sets], CostMeter(), Versioned())
+    return drain(union.next)
 
 
 def test_union_two_overlapping_sets():
@@ -44,37 +43,33 @@ def test_union_with_empty_first_set():
 
 
 def test_union_three_identical_singletons():
-    iters = [SeqIterator([1]) for _ in range(3)]
-    assert union_next(iters) == 1
-    assert union_next(iters) is EOF
-
-
-def test_union_no_iterators():
-    assert union_next([]) is EOF
-
-
-class Versioned:
-    version = 0
+    union = UnionIterator([SeqIterator([1]) for _ in range(3)], CostMeter(), Versioned())
+    assert union.next() == 1
+    assert union.next() is EOF
 
 
 def test_union_iterator_over_relation_keys():
-    # a tick per union step, per key step and per probe of a later
-    # iterator, as `lookup` charges; a moved version stops the union
+    # a tick per union step and per key step of the head; a moved
+    # version stops the union
     meter, state = CostMeter(), Versioned()
-    rels = [Relation(f"V{i}", 1, (), meter) for i in range(3)]
-    for i, keys in enumerate(([1, 2, 3], [2, 4], [3, 4, 5])):
-        for k in keys:
-            rels[i].apply_delta((k,), 1)
-    union, before = UnionIterator([KeyIterator(r) for r in rels], meter, state), meter.total
-    t = union.next()
-    # (1,): one union step, one key step, two probes
-    assert t == (1,) and meter.total - before == 4
-    assert drain(union.next) == [(2,), (3,), (4,), (5,)]
-    union = UnionIterator([KeyIterator(r) for r in rels], meter, state)
-    union.next()
+    head = Relation("V", 1, (), meter)
+    for k in (1, 2, 3):
+        head.apply_delta((k,), 1)
+
+    def union():
+        later = [SeqIterator([(k,) for k in keys]) for keys in ([2, 4], [3, 4, 5])]
+        return UnionIterator([KeyIterator(head)] + later, meter, state)
+
+    u, before = union(), meter.total
+    t = u.next()
+    # (1,): one union step, one key step
+    assert t == (1,) and meter.total - before == 2
+    assert drain(u.next) == [(2,), (3,), (4,), (5,)]
+    u = union()
+    u.next()
     state.version += 1
     with pytest.raises(StaleIterator):
-        union.next()
+        u.next()
 
 
 def test_hop_exclude_skips_over_excluded_run():

@@ -164,8 +164,8 @@ def test_strict_double_reconstructs_and_is_loose(items, theta):
     assert p.violations(theta) == []
     p.check_disjoint()
     # Part-function property: no X-value in both class groups.
-    hx = set(p.parts["HH"].index_keys((0,))) | set(p.parts["HL"].index_keys((0,)))
-    lx = set(p.parts["LH"].index_keys((0,))) | set(p.parts["LL"].index_keys((0,)))
+    hx = set(p.parts["HH"].hash_slices((0,))) | set(p.parts["HL"].hash_slices((0,)))
+    lx = set(p.parts["LH"].hash_slices((0,))) | set(p.parts["LL"].hash_slices((0,)))
     assert not (hx & lx)
 
 

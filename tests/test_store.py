@@ -117,8 +117,11 @@ def test_index_keys():
     r = make_rel()
     for t in [(1, 1), (1, 2), (3, 1)]:
         r.apply_delta(t, 1)
-    assert set(r.index_keys((0,))) == {1, 3}
-    assert set(r.index_keys((1,))) == {1, 2}
+    # a value is a key of an index's slices map exactly while it is stored
+    assert set(r.hash_slices((0,))) == {1, 3}
+    assert set(r.hash_slices((1,))) == {1, 2}
+    r.apply_delta((3, 1), -1)
+    assert set(r.hash_slices((0,))) == {1}
 
 
 def test_multi_column_index_uses_tuple_keys():

@@ -5,6 +5,7 @@ from conftest import TRIANGLE, part_labels
 from hypothesis import given, settings, strategies as st
 
 from trimaint.driver import Driver, make_engine
+from trimaint.fragments import KeyedEngine
 from trimaint.iterators import StaleIterator
 from trimaint.oracle import RefMaintainer, oracle_triangle
 from trimaint.store import RejectedDelete
@@ -92,12 +93,12 @@ def test_update_invalidates_open_enumeration():
 
 
 def test_union_and_multiplicity_are_refused():
-    # neither would see the view-tree fragments, which d3 enumerates itself
+    # neither would see the view-tree fragments, which d3 enumerates
+    # itself, so d3 has no hop-union read path at all
     eng = TernaryEngine.from_database({(1, 2): 1}, {(2, 3): 1}, {(3, 1): 1}, 0.0)
-    with pytest.raises(NotImplementedError):
-        eng.open_union()
-    with pytest.raises(NotImplementedError):
-        eng.multiplicity((1, 2, 3))
+    assert not isinstance(eng, KeyedEngine)
+    assert not hasattr(eng, "open_union")
+    assert not hasattr(eng, "multiplicity")
 
 
 def reference_pass(eng):
@@ -142,11 +143,8 @@ def test_tree_half_matches_the_reference_loop():
     assert dict(item for item, _ in emitted) == ref.result()
     assert len(emitted) == len(ref.result())
     assert (emitted, tail) == gaps(eng.meter, reference_pass(eng))
-    # the bound loop is d3's own: the union and multiplicity stay refused
-    with pytest.raises(NotImplementedError):
-        eng.open_union()
-    with pytest.raises(NotImplementedError):
-        eng.multiplicity(emitted[0][0][0])
+    # the bound loop is d3's own: it has no union and no multiplicity
+    assert not hasattr(eng, "open_union") and not hasattr(eng, "multiplicity")
 
     # the first tree tuple comes from the R tree's top; deleting its T
     # tuple removes that top entry from the dict being walked
