@@ -3,9 +3,12 @@
 
 Writes one CSV row per (query, epsilon, size) cell; columns match the
 `trimaint bench` output. Counter units only, wall-clock is advisory.
+The query token `d0double` runs d0 on double partitions (`trimaint
+bench --double-partition`) and labels its rows `d0double`.
 """
 
 import argparse
+from dataclasses import replace
 
 from trimaint.cli import bench_sweep, write_rows
 from trimaint.workload import WorkloadSpec
@@ -15,7 +18,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--sizes", default="1024,4096")
     ap.add_argument("--epsilons", default="0,0.25,0.5,0.75,1")
-    ap.add_argument("--queries", default="d0,d1,d2,d3")
+    ap.add_argument("--queries", default="d0,d0double,d1,d2,d3")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--domain", type=int, default=64)
     ap.add_argument("--skew", default="uniform")
@@ -24,11 +27,13 @@ def main():
     sizes = [int(tok) for tok in args.sizes.split(",")]
     epsilons = [float(tok) for tok in args.epsilons.split(",")]
     rows = []
-    for query in args.queries.split(","):
+    for token in args.queries.split(","):
+        query, double = ("d0", True) if token == "d0double" else (token, False)
         spec = WorkloadSpec(
             seed=args.seed, domain=args.domain, updates=1, skew=args.skew
         )
-        rows.extend(bench_sweep(query, epsilons, sizes, spec))
+        rows.extend(replace(row, query=token)
+                    for row in bench_sweep(query, epsilons, sizes, spec, double=double))
     write_rows(rows, args.out)
 
 

@@ -163,7 +163,7 @@ class Driver:
         """
         eng = self.engine
         part = eng.parts[rel]
-        moved = list(part.part(src).slice_items((part.column(side),), value))
+        moved = list(part.parts[src].slice_items((part.column(side),), value))
         for key, m in moved:
             eng.apply_update(rel, dst, key, m, move=True)
             eng.apply_update(rel, src, key, -m, move=True)

@@ -68,26 +68,29 @@ variables is a union of `res`'s keys and one hop union per pair tree. A
 bucketed tree's buckets are the slices of its top view's linked index on
 the root variable, keyed by the root value and listed from that index's
 map; a tree without a root has one bucket per top entry, keyed by the
-top key. A tuple's multiplicity is its value in `res` plus, per pair
-tree, the pair slice at the tuple closed by the third relation's totals.
-Each pair tree's candidate rule keeps the slice entries it walked for
-the last tuple it saw; a repeated call at that tuple, and
-`multiplicity`, reuse them while the engine version stands. An emitted
-tuple's slice is then walked once per pair tree, unless the tree's rule
-moved on after probing it: in d2 a later hop union can emit a tuple that
-the first one probed and then stepped past.
+top key. A pair entry (x, y, z) is in a bucket exactly when its top
+entry, hat(x, z) times the third relation's total at (z, x), is stored,
+that is when the entry closes. So each pair tree has one read rule: it
+walks the pair slice at an output tuple once and closes every entry,
+and the entries that close give both the keys of the buckets that hold
+the tuple and the tree's share of the tuple's multiplicity (its value
+in `res` plus every pair tree's share). The rule keeps both for the last tuple
+it walked; a repeated call at that tuple, and `multiplicity`, reuse them
+while the engine version stands. An emitted tuple's slice is then walked
+once per pair tree, unless the tree's rule moved on after probing it: in
+d2 a later hop union can emit a tuple that the first one probed and then
+stepped past.
 
 The read path binds on first use after a build, as the update plan
 does, and reads the views' and parts' maps directly at the charge of
-the method calls it replaces: the candidate rule and `multiplicity` walk
-a pair slice through one `store.walk_slice` kernel per tree,
-`multiplicity` closes each entry with the third relation's
-`total_gets` (a tick per getter, as `Partition.total`), and a `Bucket`
-steps through the pair's and top's linked slices and nodes maps (charged
-as `slice_head`, `slice_next` and `lookup`). d3's pair trees have no hop
-union: it binds its own read loop the same way (see `ternary`). Either
-bound read is kept in `_enum` and dropped with the views it reads, in
-`_fresh_views`.
+the method calls it replaces: a tree's rule walks a pair slice through
+one `store.walk_slice` kernel and closes each entry with the third
+relation's `total_gets` (a tick per getter, as `Partition.total`), and a
+`Bucket` steps through the pair's and top's linked slices and nodes maps
+(charged as `slice_head`, `slice_next` and `lookup`). d3's pair trees
+have no hop union: it binds its own read loop the same way (see
+`ternary`). Either bound read is kept in `_enum` and dropped with the
+views it reads, in `_fresh_views`.
 """
 
 from __future__ import annotations
@@ -162,76 +165,42 @@ class Tree:
         self.third_of = projector(xyz, xyz[2] + xyz[0])  # pair key -> (z, x)
 
 
-def _candidate_rule(eng, walk, bucket, live):
-    """(candidates, kept) of a pair tree. `candidates(x)` gives the bucket
-    key of each pair entry at the output tuple x whose bucket is nonempty:
-    `walk` is the pair's read kernel on the output variables (see
-    `store.walk_slice`), and each bucket tested costs one tick. For a tree
-    without a root, `bucket` maps a pair key to its top key, the bucket
-    key, and `live` is the top's entries; else `bucket` is the root's
-    position in a pair key, the bucket key is the root value as a 1-tuple,
-    and `live` is the top's linked slices map on the root. The tests are
-    unmetered.
+def _pair_rule(eng, walk, bucket_of, third_of, gets):
+    """(rule, kept) of a pair tree. `rule(x)` walks the pair slice at the
+    output tuple x once, through `walk`, the pair's read kernel on the
+    output variables (see `store.walk_slice`), and closes each entry with
+    the third relation's total at its (z, x), summed over `gets`: a tick
+    per getter read, and one per nonzero total. A nonzero total means the
+    entry's top, hat(x, z) times that total, is stored, so the entries
+    that close are the ones in a bucket: `rule` returns their bucket keys,
+    in walk order, each through `bucket_of`, pair key -> bucket key.
 
     `kept` holds the last walk: x, the engine version it ran at, the
-    (pair key, value) entries and the bucket keys. A call at the same x
-    and version returns the kept keys without walking again.
+    bucket keys and the tree's share of x's multiplicity, each closed
+    entry's value times its total. A call at the same x and version
+    returns the kept keys at no tick.
     """
-    kept = [None, None, (), ()]
-    meter, rooted = eng.meter, isinstance(bucket, int)
+    kept = [None, None, (), 0]
+    meter, ngets, (g0, g1) = eng.meter, len(gets), (*gets, None)[:2]
     # a one-column index is keyed by the bare value, not a 1-tuple
     bare = len(eng.out) == 1
 
-    def candidates(x):
+    def rule(x):
         version = eng.version
         if kept[1] == version and kept[0] == x:
-            return kept[3]
+            return kept[2]
         entries = walk(x[0] if bare else x)
-        out = []
-        if rooted:
-            for pk, _ in entries:
-                if pk[bucket] in live:
-                    out.append((pk[bucket],))
-        else:
-            for pk, _ in entries:
-                k = bucket(pk)
-                if k in live:
-                    out.append(k)
-        meter.total += len(entries)
-        kept[:] = x, version, entries, out
-        return out
-    return candidates, kept
-
-
-def _multiplicity_rule(eng, closes):
-    """`multiplicity(x)`: x's value in `res`, charged as a `lookup`, plus
-    per pair tree each pair entry at x times the third relation's total at
-    the entry's (z, x), a tick per getter read, with one combine per
-    nonzero total, in one add after any walk.
-
-    `closes` holds per pair tree (walk, kept, pair key -> (z, x), the
-    third relation's `total_gets`). The entries are the tree's kept walk
-    when its candidate rule walked x at this version, else a fresh walk.
-    """
-    meter, get, bare = eng.meter, eng.res.entries.get, len(eng.out) == 1
-    closes = [(walk, kept, third_of, len(gets), *(*gets, None)[:2])
-              for walk, kept, third_of, gets in closes]
-
-    def multiplicity(x):
-        v, ops = get(x, 0), 1
-        version, sub = eng.version, x[0] if bare else x
-        for walk, kept, third_of, ngets, g0, g1 in closes:
-            entries = kept[2] if kept[1] == version and kept[0] == x else walk(sub)
-            ops += ngets * len(entries)
-            for pk, pv in entries:
-                zx = third_of(pk)
-                tm = g0(zx, 0) if g1 is None else g0(zx, 0) + g1(zx, 0)
-                if tm:
-                    ops += 1
-                    v += pv * tm
-        meter.total += ops
-        return v
-    return multiplicity
+        keys, share = [], 0
+        for pk, pv in entries:
+            zx = third_of(pk)
+            tm = g0(zx, 0) if g1 is None else g0(zx, 0) + g1(zx, 0)
+            if tm:
+                keys.append(bucket_of(pk))
+                share += pv * tm
+        meter.total += ngets * len(entries) + len(keys)
+        kept[:] = x, version, keys, share
+        return keys
+    return rule, kept
 
 
 class Bucket:
@@ -245,21 +214,21 @@ class Bucket:
     the bucket key gives the pair and top keys.
 
     `layout` is bound once per build (see `KeyedEngine`): the meter, the
-    pair's (0, 2) slices and nodes maps and entries, the top's slices and
-    nodes maps on the root (None for a rootless tree) and entries, and the
-    projections top key -> (x, z), element + bucket key -> pair and top
-    keys, pair key -> element. Each step reads those maps directly and
+    pair's (0, 2) slices and nodes maps, the top's slices and nodes maps
+    on the root (None for a rootless tree), and the projections top key
+    -> (x, z), element + bucket key -> pair and top keys, pair key ->
+    element. Each step reads those maps directly and
     charges a tick per head, next and lookup, as `slice_head`,
     `slice_next` and `lookup` do.
     """
 
-    __slots__ = ("_key", "_meter", "_heads", "_nodes", "_pairs", "_roots", "_top_nodes",
-                 "_tops", "_hat", "_pk", "_ck", "_elem")
+    __slots__ = ("_key", "_meter", "_heads", "_nodes", "_roots", "_top_nodes", "_hat", "_pk",
+                 "_ck", "_elem")
 
     def __init__(self, layout, key):
         self._key = key
-        (self._meter, self._heads, self._nodes, self._pairs, self._roots, self._top_nodes,
-         self._tops, self._hat, self._pk, self._ck, self._elem) = layout
+        (self._meter, self._heads, self._nodes, self._roots, self._top_nodes, self._hat,
+         self._pk, self._ck, self._elem) = layout
 
     def _head(self, ck):
         # the first element under the top entry ck: its (x, z) pair slice
@@ -286,17 +255,6 @@ class Bucket:
         meter.total += 1
         nxt = self._top_nodes[self._ck(full)].nxt
         return None if nxt is None else self._head(nxt.key)
-
-    def contains(self, x):
-        # a Relation stores no zero multiplicity
-        full = x + self._key
-        meter = self._meter
-        if self._roots is not None:
-            meter.total += 1
-            if self._ck(full) not in self._tops:
-                return False
-        meter.total += 1
-        return self._pk(full) in self._pairs
 
 
 class FragmentEngine:
@@ -349,18 +307,16 @@ class FragmentEngine:
         # (name, arity, index columns, linked columns) of every Relation view
         views = [("res", len(cls.out), (), ())] if cls.out else []
         # pair trees enumerated by a hop union: (pair columns of the output
-        # variables, the root's position in a pair key or, for a tree
-        # without a root, pair key -> top key, Bucket projections)
+        # variables, pair key -> bucket key, Bucket projections)
         cls._hops = {}
         for t in cls.trees:
             if t.pair and len(cls.out) < 3:
                 # buckets step through the pair's (x, z) slices, and the
-                # candidate rule slices it on the output variables
+                # tree's rule slices it on the output variables
                 cols = tuple(map(t.xyz.index, cls.out))
                 bucket_vars = t.root_key or t.key
                 full = cls.out + bucket_vars
-                cls._hops[t] = (cols, t.xyz.index(t.root_key) if t.root_key else
-                                projector(t.xyz, t.key), (
+                cls._hops[t] = (cols, projector(t.xyz, bucket_vars), (
                     t.hat_of, projector(full, t.xyz), projector(full, t.key),
                     projector(t.xyz, cls.out)))
                 views.append((t.pair, 3, ((0, 2), cols), ((0, 2),)))
@@ -617,13 +573,9 @@ class FragmentEngine:
 class KeyedEngine(FragmentEngine):
     """A fragment engine with one or two output variables, read by a union
     of hop unions. Its read path binds on first use after a build, as the
-    update plan does: each pair tree's candidate rule, its hop union's
-    bucket layout and multiplicity's close read the views' maps directly
-    (see `_bind_enumeration`)."""
-
-    def candidate_buckets(self, t, x):
-        """Keys of the buckets of pair tree t that may hold the output tuple x."""
-        return (self._enum or self._bind_enumeration())[0][t][3](x)
+    update plan does: each pair tree's rule and its hop union's bucket
+    layout read the views' and parts' maps directly (see
+    `_bind_enumeration`)."""
 
     def open_union(self):
         """Union of `res`'s keys and one hop union per pair tree."""
@@ -636,31 +588,40 @@ class KeyedEngine(FragmentEngine):
         return UnionIterator(iters, self.meter, self)
 
     def _bind_enumeration(self):
-        """Bind each pair tree's candidate rule, bucket layout and
-        multiplicity's walk and close of its pair slices to this build's
-        views and parts: ((bucket keys map, rooted, bucket layout,
-        candidate rule) by tree, multiplicity)."""
-        meter, hops, closes = self.meter, {}, []
-        for t, (cols, bucket, keys) in self._hops.items():
+        """Bind each pair tree's rule (see `_pair_rule`) and bucket layout,
+        and `multiplicity`, to this build's views and parts: ((bucket keys
+        map, rooted, bucket layout, rule) by tree, multiplicity)."""
+        meter, hops, rules = self.meter, {}, []
+        for t, (cols, bucket_of, keys) in self._hops.items():
             pair, top, idx = getattr(self, t.pair), getattr(self, t.top), t.root_idx
-            walk = walk_slice(pair, cols, meter)
-            # a bucket is live while its top entry is, or its top slice on
-            # the root; the keys of that map list the buckets
+            rule, kept = _pair_rule(self, walk_slice(pair, cols, meter), bucket_of, t.third_of,
+                                    self.parts[t.third].total_gets)
+            # the keys of the top's entries, or of its slices map on the
+            # root, list the buckets
             live = top.entries if idx is None else top.linked_slices(idx)
-            rule, kept = _candidate_rule(self, walk, bucket, live)
             roots, top_nodes = (None, None) if idx is None else (live, top.linked_nodes(idx))
-            layout = (meter, pair.linked_slices((0, 2)), pair.linked_nodes((0, 2)),
-                      pair.entries, roots, top_nodes, top.entries, *keys)
+            layout = (meter, pair.linked_slices((0, 2)), pair.linked_nodes((0, 2)), roots,
+                      top_nodes, *keys)
             hops[t] = (live, idx is not None, layout, rule)
-            closes.append((walk, kept, t.third_of, self.parts[t.third].total_gets))
-        self._enum = (hops, _multiplicity_rule(self, tuple(closes)))
+            rules.append((rule, kept))
+        get, rules = self.res.entries.get, tuple(rules)
+
+        def multiplicity(x):
+            # x's value in res, charged as a lookup, plus each tree's share
+            meter.total += 1
+            v = get(x, 0)
+            for rule, kept in rules:
+                rule(x)
+                v += kept[3]
+            return v
+        self._enum = (hops, multiplicity)
         return self._enum
 
     def multiplicity(self, x):
         """Multiplicity of the output tuple x: its value in `res`, plus per
         pair tree each pair entry at x times the third relation's total at
-        the entry's (z, x). A pair slice the tree's candidate rule walked
-        at x, at this version, is read from the rule, not walked again."""
+        the entry's (z, x), the share the tree's rule keeps for x. A pair
+        slice the rule walked at x, at this version, is not walked again."""
         return (self._enum or self._bind_enumeration())[1](x)
 
     def enumerate_result(self):

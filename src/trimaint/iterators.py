@@ -9,11 +9,12 @@ Three layers, each with constant delay in its own terms:
     jumped in one hop; the run that reaches EOF from the first element
     says every element is excluded;
   * HopUnionIterator: a union of per-key buckets where emitting an element
-    excludes it from every candidate bucket that may still hold it, and a
-    bucket left with every element excluded is dropped unvisited.
+    excludes it from every other bucket that holds it, and a bucket left
+    with every element excluded is dropped unvisited.
 
-Collections backing hop iterators expose first() -> element or None,
-successor(x) -> element or None, and contains(x) -> bool.
+A hop union is told which buckets hold an element, its candidate keys, so
+the collections backing hop iterators only step: first() -> element or
+None, and successor(x) -> element or None.
 """
 
 from __future__ import annotations
@@ -121,9 +122,6 @@ class ListCollection:
         i = self._pos[x] + 1
         return self._seq[i] if i < len(self._seq) else None
 
-    def contains(self, x):
-        return x in self._pos
-
 
 class HopIterator:
     """Iterator over a collection supporting exclusion of arbitrary elements.
@@ -167,9 +165,11 @@ class HopIterator:
         return self.curr
 
     def exclude(self, x):
-        """Prevent x from ever being reported. Returns True if state changed."""
+        """Prevent x, an element of the collection, from ever being
+        reported. Returns True if state changed, False if x was excluded
+        already."""
         self._meter.total += 1
-        if x in self.excluded or not self.coll.contains(x):
+        if x in self.excluded:
             return False
         succ = self.coll.successor(x)
         to = self._hop(EOF if succ is None else succ)
@@ -201,9 +201,10 @@ class HopUnionIterator:
     way: an element that an earlier bucket also held was emitted there
     already.
 
-    `candidate_keys(t)` yields bucket keys only, which is not checked
-    here. Every bucket must be non-empty: the delay bound of a few ticks
-    per candidate bucket rests on it.
+    `candidate_keys(t)` returns the keys of exactly the buckets that hold
+    t, which is not checked here: the exclusions trust it, and `contains`
+    is whether t has a candidate. Every bucket must be non-empty: the
+    delay bound of a few ticks per candidate bucket rests on it.
     """
 
     def __init__(self, bucket_keys, open_bucket, candidate_keys, meter):
@@ -215,19 +216,12 @@ class HopUnionIterator:
         meter.total += len(self.buckets)
         self.i_buckets = HopIterator(self.buckets, meter)
         self.bucket_iters = {}
-        self._colls = {}
         self._cur = None
-
-    def _coll(self, k):
-        c = self._colls.get(k)
-        if c is None:
-            c = self._colls[k] = self._open_bucket(k)
-        return c
 
     def _ensure(self, k):
         it = self.bucket_iters.get(k)
         if it is None:
-            it = self.bucket_iters[k] = HopIterator(self._coll(k), self._meter)
+            it = self.bucket_iters[k] = HopIterator(self._open_bucket(k), self._meter)
         return it
 
     def next(self):
@@ -252,7 +246,4 @@ class HopUnionIterator:
             return t
 
     def contains(self, t):
-        for k in self._candidates(t):
-            if self._coll(k).contains(t):
-                return True
-        return False
+        return bool(self._candidates(t))

@@ -90,9 +90,6 @@ class Partition:
             lab: Relation(f"{name}^{lab}", 2, BASE_IDX, meter) for lab in self.labels
         }
 
-    def part(self, lab):
-        return self.parts[lab]
-
     def size(self):
         return sum(len(p.entries) for p in self.parts.values())
 

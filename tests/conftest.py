@@ -30,6 +30,12 @@ def build_worked_hop_example():
     )
 
 
+def bound_rule(eng, t):
+    """The bound read rule of pair tree t of a d1 or d2 engine: the keys
+    of the buckets that hold an output tuple (see `fragments._pair_rule`)."""
+    return (eng._enum or eng._bind_enumeration())[0][t][3]
+
+
 class Versioned:
     """The state a UnionIterator checks for staleness: a version field."""
 

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from conftest import TRIANGLE, part_labels
+from conftest import TRIANGLE, bound_rule, part_labels
 from hypothesis import given, settings, strategies as st
 
 from trimaint.binary import BinaryEngine
@@ -149,10 +149,10 @@ def test_shrunk_roots_open_a_hop_union_over_the_live_buckets():
 
 def test_candidate_buckets():
     eng, _, _, _ = hub_state()
-    rs, tr = eng.trees[1], eng.trees[2]
-    assert eng.candidate_buckets(rs, (1, 2)) == [(9,)]
-    assert eng.candidate_buckets(rs, (5, 5)) == []
-    assert eng.candidate_buckets(tr, (1, 2)) == []
+    rs, tr = bound_rule(eng, eng.trees[1]), bound_rule(eng, eng.trees[2])
+    assert rs((1, 2)) == [(9,)]
+    assert rs((5, 5)) == []
+    assert tr((1, 2)) == []
 
 
 def skewed_db(rng, n):

@@ -26,7 +26,6 @@ KEEP = {
     "format_update": "writes a stream file, the inverse of parse_stream",
     "oracle_triangle": "the tests' and the bench's brute-force reference",
     "oracle_oumv": "the tests' reference for the oumv command",
-    "candidate_buckets": "the tests' accessor to a pair tree's candidate rule",
     "SeqIterator": "the tests' set iterator for the union",
 }
 

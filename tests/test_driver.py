@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import bound_rule
 
 import trimaint
 from trimaint import fragments, store
@@ -110,13 +111,13 @@ def test_minor_promotion_at_degree_six():
     part = drv.engine.parts["R"]
     for b in range(5):
         drv.on_update("R", (1, b), 1)
-        assert part.part("L").slice_count((0,), 1) == b + 1
+        assert part.parts["L"].slice_count((0,), 1) == b + 1
         assert drv.minors == 0
     # degree 6 trips the loose condition 2d >= 3 * theta
     drv.on_update("R", (1, 5), 1)
     assert drv.minors == 1
-    assert part.part("L").slice_count((0,), 1) == 0
-    assert part.part("H").slice_count((0,), 1) == 6
+    assert part.parts["L"].slice_count((0,), 1) == 0
+    assert part.parts["H"].slice_count((0,), 1) == 6
     drv.check_invariants(deep=True)
 
 
@@ -129,15 +130,15 @@ def test_minor_demotion_below_half_theta():
     }
     drv.engine.rebuild(items, 16)
     part = drv.engine.parts["R"]
-    assert part.part("H").slice_count((0,), 1) == 4
+    assert part.parts["H"].slice_count((0,), 1) == 4
     drv.on_update("R", (1, 3), -1)
     drv.on_update("R", (1, 2), -1)
     assert drv.minors == 0
     # degree 1 trips 2d < theta
     drv.on_update("R", (1, 1), -1)
     assert drv.minors == 1
-    assert part.part("H").slice_count((0,), 1) == 0
-    assert part.part("L").slice_count((0,), 1) == 1
+    assert part.parts["H"].slice_count((0,), 1) == 0
+    assert part.parts["L"].slice_count((0,), 1) == 1
     drv.check_invariants(deep=True)
 
 
@@ -148,7 +149,7 @@ def test_double_partition_y_side_promotion():
         drv.on_update("S", (80 + b, 9), 1)
     assert drv.minors == 1
     assert part.affected_label((0, 9), 0.5)[1] == "H"
-    assert part.part("LH").slice_count((1,), 9) == 6
+    assert part.parts["LH"].slice_count((1,), 9) == 6
     drv.check_invariants(deep=True)
 
 
@@ -173,7 +174,7 @@ def test_move_tuples_two_applies_per_tuple():
     assert moved == 3
     # each apply is one half of a move, which keeps every tuple's total
     assert calls == [{"move": True}] * 6
-    assert eng.parts["R"].part("H").slice_count((0,), 1) == 3
+    assert eng.parts["R"].parts["H"].slice_count((0,), 1) == 3
     assert eng.query_result() == before
     eng.verify_views()
 
@@ -274,13 +275,13 @@ OP_PINS = {
         counts={"total": 52035, "apply": 44788, "major": 3318, "minor": 3929},
         enum=1, majors=14, minors=31),
     ("d1", False): dict(
-        base={"total": 49933, "apply": 43116, "major": 3025, "minor": 3792},
-        counts={"total": 50095, "apply": 43250, "major": 3038, "minor": 3807},
-        enum=201, majors=14, minors=27),
+        base={"total": 49922, "apply": 43105, "major": 3025, "minor": 3792},
+        counts={"total": 50084, "apply": 43239, "major": 3038, "minor": 3807},
+        enum=190, majors=14, minors=27),
     ("d2", False): dict(
-        base={"total": 52450, "apply": 44850, "major": 3030, "minor": 4570},
-        counts={"total": 52643, "apply": 44998, "major": 3056, "minor": 4589},
-        enum=527, majors=14, minors=29),
+        base={"total": 52399, "apply": 44799, "major": 3030, "minor": 4570},
+        counts={"total": 52592, "apply": 44947, "major": 3056, "minor": 4589},
+        enum=476, majors=14, minors=29),
     ("d3", False): dict(
         base={"total": 29207, "apply": 25567, "major": 1406, "minor": 2234},
         counts={"total": 29452, "apply": 25768, "major": 1444, "minor": 2240},
@@ -625,7 +626,7 @@ def test_hop_union_buckets_are_never_empty(query):
         assert hops
         for h in hops:
             for k in h.buckets._seq:
-                assert h._coll(k).first() is not None, (i, k)
+                assert h._open_bucket(k).first() is not None, (i, k)
                 checked += 1
     assert checked
 
@@ -643,8 +644,9 @@ def grown_with_reference(query):
 @pytest.mark.parametrize("query", ["d1", "d2"])
 @pytest.mark.parametrize("walk", ["enumerate", "candidates"])
 def test_kept_walk_never_goes_stale(query, walk):
-    # enumeration and candidate_buckets keep the pair slice they walked
-    # at x; an update that moves x's multiplicity must not be read from it
+    # enumeration and a tree's rule keep what the rule read of the pair
+    # slice at x; an update that moves x's multiplicity must not be read
+    # from it
     drv, ref = grown_with_reference(query)
     eng = drv.engine
     # a pair entry whose triangle closes, so one more copy of its left
@@ -658,7 +660,7 @@ def test_kept_walk_never_goes_stale(query, walk):
             if y == x:
                 break
     else:
-        assert eng.candidate_buckets(t, x)
+        assert bound_rule(eng, t)(x)
     before = ref.result()[x]
     drv.on_update(t.left, pk[:2], 1)
     ref.apply(t.left, pk[:2], 1)
@@ -669,7 +671,7 @@ def test_kept_walk_never_goes_stale(query, walk):
 
 @pytest.mark.parametrize("query", ["d1", "d2"])
 def test_one_pair_slice_walk_per_emitted_tuple(query, monkeypatch):
-    # a pair tree's slice at an emitted tuple is walked by the candidate
+    # a pair tree's slice at an emitted tuple is walked by the tree's
     # rule and reused by a repeated probe and by multiplicity (d2 can walk
     # it twice where the rule stepped past it, which this stream never does);
     # the walks are counted as calls of the pair's bound read kernel
@@ -799,8 +801,8 @@ if not raises(lambda: drv.check_invariants(deep=True)):
 s.pop()
 # a value on both sides of a split
 R = eng.parts["R"]
-(x, _), _ = next(iter(R.part("L").items()))
-R.part("H").apply_delta((x, -1), 1)
+(x, _), _ = next(iter(R.parts["L"].items()))
+R.parts["H"].apply_delta((x, -1), 1)
 if not raises(R.check_disjoint):
     raise SystemExit("a split value passed check_disjoint")
 """

@@ -123,7 +123,7 @@ def test_audit_catches_every_skipped_step(cls, monkeypatch):
     eng = fresh()
     for rel in "RST":
         part = eng.parts[rel]
-        assert all(len(part.part(lab)) for lab in part.labels)
+        assert all(len(part.parts[lab]) for lab in part.labels)
         keys = {}
         for key in product(range(8), repeat=2):
             keys.setdefault(part.affected_label(key, 0.25), []).append(key)

@@ -13,12 +13,14 @@ double partition's totals map is read, one of a `Relation` holding the
 parts' sum."""
 
 import random
+from itertools import chain
 from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import bound_rule
 from trimaint.driver import Driver, make_engine
 from trimaint.fragments import Bucket, projector
 from trimaint.oracle import RefMaintainer
@@ -630,7 +632,7 @@ def test_compaction_under_bound_kernels(query, double):
         for key, m in d.items():
             ref.apply(rel, key, m)
     R = drv.engine.parts["R"]
-    light = R.part(R.labels[-1])
+    light = R.parts[R.labels[-1]]
     before = light._hwm
 
     def apply(rel, key, m):
@@ -704,7 +706,9 @@ def test_walk_slice_matches_drained_slice_items(ops, keep, seed):
 
 class RefBucket:
     """A hop union's bucket read through `slice_head`, `slice_next` and
-    `lookup`, one tick each: what a bound `Bucket` replaces."""
+    `lookup`, one tick each: what a bound `Bucket` replaces. `contains`
+    says whether the bucket holds an element, by the definition: its top
+    entry is stored (for a tree with a root) and so is its pair entry."""
 
     def __init__(self, pair, top, key, idx, keys):
         self._pair, self._top, self._key, self._idx = pair, top, key, idx
@@ -736,43 +740,72 @@ class RefBucket:
         return self._pair.lookup(self._pk(full)) != 0
 
 
-def ref_candidates(eng, t, x):
-    """Bucket keys of pair tree t at x, and the walk's entries, through
-    `slice_items`: a tick per entry walked and one per bucket tested."""
-    cols = eng._hops[t][0]
-    top = getattr(eng, t.top)
-    entries = drained(getattr(eng, t.pair), cols, x[0] if len(x) == 1 else x)
-    eng.meter.total += len(entries)
-    if t.root_idx is None:
-        keys = [projector(t.xyz, t.key)(pk) for pk, _ in entries]
-        return [k for k in keys if k in top.entries]
-    keys = [projector(t.xyz, t.root_key)(pk) for pk, _ in entries]
-    return [k for k in keys if k[0] in top.linked_slices(t.root_idx)]
+def ref_rule(eng, t, x):
+    """Bucket keys of pair tree t at x and the tree's share of x's
+    multiplicity: the pair slice at x walked through `slice_items`, each
+    entry closed through `Partition.total`, a tick per nonzero total."""
+    bucket_of = projector(t.xyz, t.root_key or t.key)
+    keys, share = [], 0
+    for pk, pv in drained(getattr(eng, t.pair), eng._hops[t][0], x[0] if len(x) == 1 else x):
+        tm = eng.parts[t.third].total(t.third_of(pk))
+        if tm:
+            eng.meter.total += 1
+            keys.append(bucket_of(pk))
+            share += pv * tm
+    return keys, share
 
 
 def ref_multiplicity(eng, x):
-    """x's value in `res` through `lookup`, plus each pair entry at x
-    walked through `slice_items` and closed through `Partition.total`."""
+    """x's value in `res` through `lookup`, plus every pair tree's share
+    (see `ref_rule`)."""
     v = eng.res.lookup(x)
     for t in eng._hops:
-        cols = eng._hops[t][0]
-        for pk, pv in drained(getattr(eng, t.pair), cols, x[0] if len(x) == 1 else x):
-            tm = eng.parts[t.third].total(t.third_of(pk))
-            if tm:
-                eng.meter.total += 1
-                v += pv * tm
+        v += ref_rule(eng, t, x)[1]
     return v
 
 
-def skewed_states(query):
+def skewed_states(query, epsilon=0.25):
     """A driver after each hundredth update of a skewed stream with deletes,
     which fills every pair tree of d1 and d2 and empties some buckets."""
-    drv = Driver(make_engine(query, 0.25))
+    drv = Driver(make_engine(query, epsilon))
     spec = WorkloadSpec(seed=11, domain=20, updates=1600, delete_frac=0.3, skew="zipf:1.1")
     for i, upd in enumerate(stream(spec)):
         drv.on_update(*upd)
         if i % 100 == 99:
             yield drv
+
+
+# per query, streams that fill its pair trees at any eps: the column each
+# relation puts the hub in, the left and right relations of a tree making
+# the hub heavy there, and the tree's third relation closing at (0, 0)
+HUB_COLS = {"d1": ({"R": 1, "T": 0},), "d2": ({"R": 0, "S": 1}, {"R": 1, "T": 0})}
+
+
+def hub_states(query, epsilon, updates=2000, domain=400):
+    """A driver after each hundredth update of each of the query's hub
+    streams: nine in ten inserted tuples hold the value 0 in the column
+    HUB_COLS names for their relation, or are (0, 0) where it names none,
+    and the rest are uniform; a fifth of the updates delete a live tuple.
+    The hub's degree then passes theta even at eps 0.75."""
+    for cols in HUB_COLS[query]:
+        rng, live, ups = random.Random(11), [], []
+        for _ in range(updates):
+            if live and rng.random() < 0.2:
+                rel, key = live.pop(rng.randrange(len(live)))
+                ups.append((rel, key, -1))
+                continue
+            rel, u, v = rng.choice("RST"), rng.randrange(1, domain), rng.randrange(1, domain)
+            col = cols.get(rel)
+            key = ((u, v) if rng.random() >= 0.9 else (0, 0) if col is None else
+                   (0, v) if col == 0 else (u, 0))
+            if (rel, key) not in live:
+                live.append((rel, key))
+                ups.append((rel, key, 1))
+        drv = Driver(make_engine(query, epsilon))
+        for i, upd in enumerate(ups):
+            drv.on_update(*upd)
+            if i % 100 == 99:
+                yield drv
 
 
 @pytest.mark.parametrize("query", ["d1", "d2"])
@@ -785,7 +818,6 @@ def test_bound_buckets_match_method_based_reads(query):
         for t, (_, rooted, layout, _) in hops.items():
             pair, top, keys = getattr(eng, t.pair), getattr(eng, t.top), eng._hops[t][2]
             buckets = [(r,) for r in top.linked_slices(t.root_idx)] if rooted else list(top.entries)
-            elems = {keys[3](pk) for pk in pair.entries} | {(-1,) * len(eng.out)}
             # a root with no top slice is an empty bucket
             for k in buckets + [(-1,)] * rooted:
                 got, ref = Bucket(layout, k), RefBucket(pair, top, k, t.root_idx, keys)
@@ -796,8 +828,6 @@ def test_bound_buckets_match_method_based_reads(query):
                     y, ops = metered(meter, got.successor, x)
                     assert (y, ops) == metered(meter, ref.successor, x), (t.pair, k, x)
                     x = y
-                for x in elems:
-                    assert metered(meter, got.contains, x) == metered(meter, ref.contains, x)
     assert seen > 100
 
 
@@ -809,20 +839,55 @@ def test_bound_candidates_and_multiplicity_match_method_based_reads(query):
         outs = {projector(t.xyz, eng.out)(pk) for t in eng._hops
                 for pk in getattr(eng, t.pair).entries}
         for x in outs | set(eng.res.entries) | {(-1,) * len(eng.out)}:
-            sub = x[0] if len(x) == 1 else x
             # a new version: no tree's kept walk serves x
             eng.version += 1
             assert metered(meter, eng.multiplicity, x) == metered(meter, ref_multiplicity, eng, x)
             eng.version += 1
             walked = 0
             for t in eng._hops:
-                keys, ops = metered(meter, eng.candidate_buckets, t, x)
-                assert (keys, ops) == metered(meter, ref_candidates, eng, t, x)
+                rule = bound_rule(eng, t)
+                keys, ops = metered(meter, rule, x)
+                (ref_keys, _), ref_ops = metered(meter, ref_rule, eng, t, x)
+                assert (keys, ops) == (ref_keys, ref_ops)
                 # a repeated probe at x reads the kept walk, at no tick
-                assert metered(meter, eng.candidate_buckets, t, x) == (keys, 0)
-                walked += 1 + getattr(eng, t.pair).slice_count(eng._hops[t][0], sub)
+                assert metered(meter, rule, x) == (keys, 0)
+                walked += ops
                 seen += len(keys)
-            # so does multiplicity: the same value, less the walks' ticks
+            # so does multiplicity: the same value, less the rules' ticks
             v, ops = metered(meter, eng.multiplicity, x)
             assert (v, ops + walked) == metered(meter, ref_multiplicity, eng, x)
+    assert seen > 100
+
+
+@pytest.mark.parametrize("query", ["d1", "d2"])
+@pytest.mark.parametrize("epsilon", [0.25, 0.5, 0.75])
+def test_rule_keys_are_the_buckets_that_hold_each_output_tuple(query, epsilon):
+    # a pair entry at x closes exactly when its bucket holds x, so a tree's
+    # rule lists, in the order of its walk, every bucket that holds x and
+    # no other, and the shares it keeps sum to x's multiplicity
+    seen = 0
+    for drv in chain(skewed_states(query, epsilon), hub_states(query, epsilon)):
+        eng = drv.engine
+        emitted = list(eng.enumerate_result())
+        outs = {projector(t.xyz, eng.out)(pk) for t in eng._hops
+                for pk in getattr(eng, t.pair).entries} - {x for x, _ in emitted}
+        for t, (_, rooted, _, rule) in eng._enum[0].items():
+            pair, top, keys = getattr(eng, t.pair), getattr(eng, t.top), eng._hops[t][2]
+            buckets = {(r,) for r in top.linked_slices(t.root_idx)} if rooted else set(top.entries)
+            bucket_of = projector(t.xyz, t.root_key or t.key)
+
+            def holds(k, x):
+                # a rootless tree's bucket is live while its top entry is
+                return k in buckets and RefBucket(pair, top, k, t.root_idx, keys).contains(x)
+
+            for x in [x for x, _ in emitted] + sorted(outs):
+                walked = [bucket_of(pk) for pk, _ in
+                          drained(pair, eng._hops[t][0], x[0] if len(x) == 1 else x)]
+                want = [k for k in walked if holds(k, x)]
+                assert rule(x) == want, (t.pair, x)
+                assert set(want) == {k for k in buckets if holds(k, x)}, (t.pair, x)
+                seen += len(want)
+        for x, v in emitted:
+            assert v == eng.multiplicity(x) == ref_multiplicity(eng, x), x
+        assert not any(ref_multiplicity(eng, x) for x in outs)
     assert seen > 100

@@ -33,7 +33,7 @@ def dump(view):
 
 def state(drv):
     eng = drv.engine
-    parts = {(rel, lab): dict(p.part(lab).entries) for rel, p in eng.parts.items()
+    parts = {(rel, lab): dict(p.parts[lab].entries) for rel, p in eng.parts.items()
              for lab in p.labels}
     views = {name: dump(getattr(eng, name)) for name in eng.view_names}
     return (parts, views, eng.version, eng.threshold.N, eng.db_size(), drv.updates,

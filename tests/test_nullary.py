@@ -100,9 +100,9 @@ def test_extreme_epsilon_pins_one_part():
         hlab = "H" if cls is NullaryEngine else "HH"
         llab = "L" if cls is NullaryEngine else "LL"
         for p in heavy_all.parts.values():
-            assert p.size() == len(p.part(hlab).entries)
+            assert p.size() == len(p.parts[hlab].entries)
         for p in light_all.parts.values():
-            assert p.size() == len(p.part(llab).entries)
+            assert p.size() == len(p.parts[llab].entries)
         assert heavy_all.count == light_all.count
 
 

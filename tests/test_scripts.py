@@ -26,6 +26,20 @@ def test_script_help_exits_0(script):
     assert "usage:" in proc.stdout
 
 
+def test_sweep_labels_the_double_partitioned_count():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "sweep.py"), "--sizes", "64",
+                           "--epsilons", "0.5", "--queries", "d0,d0double"], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    header, single, double = [line.split(",") for line in proc.stdout.splitlines()]
+    assert (single[0], double[0]) == ("d0", "d0double")
+    # the same stream and count; a double partition routes on both columns
+    col = {name: i for i, name in enumerate(header)}
+    assert single[col["db_size"]] == double[col["db_size"]]
+    assert single[col["total"]] != double[col["total"]]
+
+
 def load_script(name):
     spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)

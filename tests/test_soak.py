@@ -43,7 +43,7 @@ def misplaced(part, theta):
     for col in range(len(part.labels[0])):
         for cls in "HL":
             deg = Counter(key[col] for lab in part.labels if lab[col] == cls
-                          for key in part.part(lab).entries)
+                          for key in part.parts[lab].entries)
             out += [(col, v, d) for v, d in deg.items() if (d >= theta) != (cls == "H")]
     return out
 
@@ -83,7 +83,7 @@ def test_grow_to_2_14_then_delete_everything(query, double, eps):
 
     assert eng.db_size() == 0
     for part in eng.parts.values():
-        assert all(not part.part(lab).entries for lab in part.labels)
+        assert all(not part.parts[lab].entries for lab in part.labels)
     assert [name for name in eng.view_names if not empty(getattr(eng, name))] == []
     if hasattr(eng, "enumerate_result"):
         assert list(eng.enumerate_result()) == []

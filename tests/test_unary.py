@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from conftest import TRIANGLE, part_labels
+from conftest import TRIANGLE, bound_rule, part_labels
 from hypothesis import given, settings, strategies as st
 
 from trimaint.iterators import StaleIterator
@@ -122,9 +122,9 @@ def test_hub_state_lives_in_hop_fragment():
 
 def test_candidate_buckets():
     eng, _, _, _ = hub_state()
-    tree = eng.trees[2]
-    assert eng.candidate_buckets(tree, (1,)) == [(7, 9)]
-    assert eng.candidate_buckets(tree, (42,)) == []
+    rule = bound_rule(eng, eng.trees[2])
+    assert rule((1,)) == [(7, 9)]
+    assert rule((42,)) == []
 
 
 def skewed_db(rng, n):
