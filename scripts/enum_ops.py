@@ -8,12 +8,12 @@ brought to its first read point by the driver, once per query at the
 workload's epsilon. One full enumeration then gives the metered ops and
 the pair-slice walks per emitted tuple, and a second one
 `cli.measure_delay`'s max delay. d1 and d2 walk a pair slice per call of
-a pair view's bound read kernel (`store.walk_slice`), which is counted;
-d3 walks one per top entry its enumeration steps, so a full pass makes
-one per entry of its tops. Figures are summed over the databases (the
-delay is their max) and depend on the seed alone. `bench/workloads.py`
-is imported, nothing under bench/ is written, and the library is the
-one beside it in this checkout.
+the slices-map getter a pair tree's rule binds (`fragments._pair_rule`),
+which is counted; d3 walks one per top entry its enumeration steps, so a
+full pass makes one per entry of its tops. Figures are summed over the
+databases (the delay is their max) and depend on the seed alone.
+`bench/workloads.py` is imported, nothing under bench/ is written, and
+the library is the one beside it in this checkout.
 """
 
 from __future__ import annotations
@@ -69,17 +69,17 @@ def main(argv=None):
     w = workloads.WORKLOADS[args.workload]
 
     walked = {}
-    walk_slice = fragments.walk_slice
+    pair_rule = fragments._pair_rule
 
-    def counting(rel, cols, meter):
-        walk = walk_slice(rel, cols, meter)
+    def counting(eng, get, entries, *args):
+        name = next(t.pair for t in eng.trees if t.pair and getattr(eng, t.pair).entries is entries)
 
-        def counted_walk(sub):
-            walked[rel.name] = walked.get(rel.name, 0) + 1
-            return walk(sub)
-        return counted_walk
+        def counted_get(sub):
+            walked[name] = walked.get(name, 0) + 1
+            return get(sub)
+        return pair_rule(eng, counted_get, entries, *args)
 
-    fragments.walk_slice = counting
+    fragments._pair_rule = counting
     try:
         totals = {q: [0, 0, 0, 0] for q in QUERIES}
         inputs = workloads.generate(w, args.seed)
@@ -92,7 +92,7 @@ def main(argv=None):
                 tot[2] += walks
                 tot[3] = max(tot[3], delay)
     finally:
-        fragments.walk_slice = walk_slice
+        fragments._pair_rule = pair_rule
 
     print(f"{w.name}, seed {args.seed}, epsilon {w.epsilon:g}, {w.databases} database(s) "
           f"at update {inputs[0].reads[0]}")

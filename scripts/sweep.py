@@ -8,10 +8,15 @@ bench --double-partition`) and labels its rows `d0double`.
 """
 
 import argparse
+import sys
 from dataclasses import replace
+from pathlib import Path
 
-from trimaint.cli import bench_sweep, write_rows
-from trimaint.workload import WorkloadSpec
+# the library of this checkout, never an installed copy
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from trimaint.cli import bench_sweep, write_rows  # noqa: E402
+from trimaint.workload import WorkloadSpec  # noqa: E402
 
 
 def main():

@@ -83,14 +83,18 @@ stepped past.
 
 The read path binds on first use after a build, as the update plan
 does, and reads the views' and parts' maps directly at the charge of
-the method calls it replaces: a tree's rule walks a pair slice through
-one `store.walk_slice` kernel and closes each entry with the third
-relation's `total_gets` (a tick per getter, as `Partition.total`), and a
-`Bucket` steps through the pair's and top's linked slices and nodes maps
-(charged as `slice_head`, `slice_next` and `lookup`). d3's pair trees
-have no hop union: it binds its own read loop the same way (see
-`ternary`). Either bound read is kept in `_enum` and dropped with the
-views it reads, in `_fresh_views`.
+the method calls it replaces: a tree's rule walks the pair's hash slice
+at the tuple itself (charged as draining `slice_items`) and closes each
+entry with the third relation's `total_gets` (a tick per getter, as
+`Partition.total`), and a `Bucket` steps through the pair's and top's
+linked slices and nodes maps (charged as `slice_head`, `slice_next` and
+`lookup`). The union itself is one generator, `KeyedEngine._enumerate`:
+the absorb loop of `iterators.UnionIterator` written out over `res`'s
+keys and the hop unions, where a hop union holds a tuple when its
+tree's rule there lists a bucket, read from the kept walk when that is
+at the tuple. d3's pair trees have no hop union: it binds its own read
+loop the same way (see `ternary`). Either bound read is kept in `_enum`
+and dropped with the views it reads, in `_fresh_views`.
 """
 
 from __future__ import annotations
@@ -99,11 +103,11 @@ import copy
 from functools import partial
 from operator import itemgetter
 
-from trimaint.iterators import EOF, HopUnionIterator, KeyIterator, UnionIterator
+from trimaint.iterators import EOF, HopUnionIterator, stale
 from trimaint.joins import triangle_products
 from trimaint.partition import BASE_IDX, DoublePartition, SinglePartition, Threshold
 from trimaint.store import (CostMeter, RejectedDelete, Relation, entry_list, lookup_close,
-                            walk_close, walk_probe, walk_slice)
+                            walk_close, walk_probe)
 
 RELS = ("R", "S", "T")
 # next and previous relation in the R->S->T cycle
@@ -165,15 +169,17 @@ class Tree:
         self.third_of = projector(xyz, xyz[2] + xyz[0])  # pair key -> (z, x)
 
 
-def _pair_rule(eng, walk, bucket_of, third_of, gets):
+def _pair_rule(eng, get, entries, bucket_of, third_of, gets):
     """(rule, kept) of a pair tree. `rule(x)` walks the pair slice at the
-    output tuple x once, through `walk`, the pair's read kernel on the
-    output variables (see `store.walk_slice`), and closes each entry with
-    the third relation's total at its (z, x), summed over `gets`: a tick
-    per getter read, and one per nonzero total. A nonzero total means the
-    entry's top, hat(x, z) times that total, is stored, so the entries
-    that close are the ones in a bucket: `rule` returns their bucket keys,
-    in walk order, each through `bucket_of`, pair key -> bucket key.
+    output tuple x once: `get` is the getter of the pair's hash slices map
+    on the output variables, and `entries` gives each walked entry's value.
+    It closes each entry with the third relation's total at its (z, x),
+    summed over `gets`. A nonzero total means the entry's top, hat(x, z)
+    times that total, is stored, so the entries that close are the ones in
+    a bucket: `rule` returns their bucket keys, in walk order, each through
+    `bucket_of`, pair key -> bucket key. For a slice of n entries it charges
+    what draining `slice_items` does, 1 + n, a tick per getter read and one
+    per nonzero total, in one add once the walk has run.
 
     `kept` holds the last walk: x, the engine version it ran at, the
     bucket keys and the tree's share of x's multiplicity, each closed
@@ -189,15 +195,20 @@ def _pair_rule(eng, walk, bucket_of, third_of, gets):
         version = eng.version
         if kept[1] == version and kept[0] == x:
             return kept[2]
-        entries = walk(x[0] if bare else x)
-        keys, share = [], 0
-        for pk, pv in entries:
+        s = get(x[0] if bare else x)
+        keys = []
+        if s is None:
+            meter.total += 1
+            kept[:] = x, version, keys, 0
+            return keys
+        share = 0
+        for pk in s:
             zx = third_of(pk)
             tm = g0(zx, 0) if g1 is None else g0(zx, 0) + g1(zx, 0)
             if tm:
                 keys.append(bucket_of(pk))
-                share += pv * tm
-        meter.total += ngets * len(entries) + len(keys)
+                share += entries[pk] * tm
+        meter.total += 1 + (1 + ngets) * len(s) + len(keys)
         kept[:] = x, version, keys, share
         return keys
     return rule, kept
@@ -572,30 +583,30 @@ class FragmentEngine:
 
 class KeyedEngine(FragmentEngine):
     """A fragment engine with one or two output variables, read by a union
-    of hop unions. Its read path binds on first use after a build, as the
-    update plan does: each pair tree's rule and its hop union's bucket
-    layout read the views' and parts' maps directly (see
-    `_bind_enumeration`)."""
+    of `res`'s keys and one hop union per pair tree. Its read path binds
+    on first use after a build, as the update plan does: each pair tree's
+    rule and its hop union's bucket layout read the views' and parts' maps
+    directly (see `_bind_enumeration`)."""
 
     def open_union(self):
-        """Union of `res`'s keys and one hop union per pair tree."""
+        """One hop union per pair tree, in the order `_enumerate` passes
+        an element along them."""
         hops = (self._enum or self._bind_enumeration())[0]
-        iters = [KeyIterator(self.res)]
-        for keys, rooted, layout, rule in hops.values():
-            # a bucketed tree's bucket keys are its top's root values, as 1-tuples
-            iters.append(HopUnionIterator(zip(keys) if rooted else keys,
-                                          partial(Bucket, layout), rule, self.meter))
-        return UnionIterator(iters, self.meter, self)
+        # a bucketed tree's bucket keys are its top's root values, as 1-tuples
+        return [HopUnionIterator(zip(keys) if rooted else keys, partial(Bucket, layout), rule,
+                                 self.meter)
+                for keys, rooted, layout, rule in hops.values()]
 
     def _bind_enumeration(self):
         """Bind each pair tree's rule (see `_pair_rule`) and bucket layout,
         and `multiplicity`, to this build's views and parts: ((bucket keys
-        map, rooted, bucket layout, rule) by tree, multiplicity)."""
+        map, rooted, bucket layout, rule) by tree, multiplicity, (rule,
+        kept) per tree in the same order)."""
         meter, hops, rules = self.meter, {}, []
         for t, (cols, bucket_of, keys) in self._hops.items():
             pair, top, idx = getattr(self, t.pair), getattr(self, t.top), t.root_idx
-            rule, kept = _pair_rule(self, walk_slice(pair, cols, meter), bucket_of, t.third_of,
-                                    self.parts[t.third].total_gets)
+            rule, kept = _pair_rule(self, pair.hash_slices(cols).get, pair.entries, bucket_of,
+                                    t.third_of, self.parts[t.third].total_gets)
             # the keys of the top's entries, or of its slices map on the
             # root, list the buckets
             live = top.entries if idx is None else top.linked_slices(idx)
@@ -607,14 +618,16 @@ class KeyedEngine(FragmentEngine):
         get, rules = self.res.entries.get, tuple(rules)
 
         def multiplicity(x):
-            # x's value in res, charged as a lookup, plus each tree's share
+            # x's value in res, charged as a lookup, plus each tree's share,
+            # from its kept walk when that is at x and this version
             meter.total += 1
-            v = get(x, 0)
+            v, version = get(x, 0), self.version
             for rule, kept in rules:
-                rule(x)
+                if kept[1] != version or kept[0] != x:
+                    rule(x)
                 v += kept[3]
             return v
-        self._enum = (hops, multiplicity)
+        self._enum = (hops, multiplicity, rules)
         return self._enum
 
     def multiplicity(self, x):
@@ -625,9 +638,37 @@ class KeyedEngine(FragmentEngine):
         return (self._enum or self._bind_enumeration())[1](x)
 
     def enumerate_result(self):
-        """Iterator of (key, multiplicity), each result key exactly once."""
-        u, multiplicity = self.open_union(), self.multiplicity
-        return ((t, multiplicity(t)) for t in iter(u.next, EOF))
+        """Iterator of (key, multiplicity), each result key exactly once.
+
+        The version is pinned here, not at first consumption, so an update
+        between open and first next() already invalidates it: the next
+        next() raises StaleIterator, as it does after any update.
+        """
+        hops = self.open_union()
+        later = [(hop.next, rule, kept) for hop, (rule, kept) in zip(hops, self._enum[2])]
+        return self._enumerate(self.version, iter(self.res.entries), later, self.multiplicity)
+
+    def _enumerate(self, version, keys, later, multiplicity):
+        # The absorb loop of a union (Durand and Strozecki, CSL 2011) over
+        # the result's `keys` and the hop unions: the current element t
+        # passes along them in order, and a hop union that holds t (its
+        # tree's rule at t has a bucket key) absorbs it and steps, to
+        # emit t when its own cursor reaches it; an EOF passes to each hop
+        # union's next element in turn. "Holds" reads the rule's kept walk
+        # when that is at t and this version. A step charges the union step
+        # and the key step.
+        meter = self.meter
+        while True:
+            if self.version != version:
+                raise stale(version)
+            meter.total += 2
+            t = next(keys, EOF)
+            for step, rule, kept in later:
+                if t is EOF or (kept[2] if kept[1] == version and kept[0] == t else rule(t)):
+                    t = step()
+            if t is EOF:
+                return
+            yield t, multiplicity(t)
 
 
 def _refused(rel, d):

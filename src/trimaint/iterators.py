@@ -15,6 +15,11 @@ Three layers, each with constant delay in its own terms:
 A hop union is told which buckets hold an element, its candidate keys, so
 the collections backing hop iterators only step: first() -> element or
 None, and successor(x) -> element or None.
+
+d1's and d2's read runs the union's absorb loop itself, over `res`'s
+keys and one hop union per pair tree (`fragments.KeyedEngine`), so
+UnionIterator and KeyIterator serve only the tests' reference loops and
+the bench tracer's spans; HopUnionIterator is the one the engines open.
 """
 
 from __future__ import annotations
@@ -36,6 +41,11 @@ BOF = _Sentinel("BOF")
 
 class StaleIterator(Exception):
     """The engine state changed while an enumeration iterator was live."""
+
+
+def stale(version):
+    """The StaleIterator of a read opened at `version`."""
+    return StaleIterator(f"state advanced past version {version}")
 
 
 class SeqIterator:
@@ -61,7 +71,8 @@ class SeqIterator:
 class KeyIterator:
     """Set iterator over the keys of a Relation, in insertion order, as
     the head of a UnionIterator, which checks the engine version first.
-    `next` charges one tick, as a key step."""
+    `next` charges one tick, as a key step, as d1's and d2's read loop
+    does."""
 
     def __init__(self, rel):
         self._meter = rel.meter
@@ -95,7 +106,7 @@ class UnionIterator:
 
     def next(self):
         if self._state.version != self._version:
-            raise StaleIterator(f"state advanced past version {self._version}")
+            raise stale(self._version)
         self._meter.total += 1
         t = self._head()
         for contains, nxt in self._later:
@@ -202,9 +213,10 @@ class HopUnionIterator:
     already.
 
     `candidate_keys(t)` returns the keys of exactly the buckets that hold
-    t, which is not checked here: the exclusions trust it, and `contains`
-    is whether t has a candidate. Every bucket must be non-empty: the
-    delay bound of a few ticks per candidate bucket rests on it.
+    t, which is not checked here: the exclusions trust it, and the union
+    holds t exactly when t has a candidate. Every bucket must be
+    non-empty: the delay bound of a few ticks per candidate bucket rests
+    on it.
     """
 
     def __init__(self, bucket_keys, open_bucket, candidate_keys, meter):
@@ -244,6 +256,3 @@ class HopUnionIterator:
                 if it.exclude(t) and it.exhausted():
                     self.i_buckets.exclude(k)
             return t
-
-    def contains(self, t):
-        return bool(self._candidates(t))

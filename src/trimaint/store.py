@@ -42,10 +42,11 @@ memory, not delay.
 Kernels read the maps directly. Each is bound once per build to the
 `entries` and slices maps it reads, which live as long as their
 Relation, and reads a slice afresh on every call. Keyed enumeration
-walks a pair view's hash slice through `walk_slice`, which charges what
-draining `slice_items` does. The update path is bound per row of an
-engine's plan, one kernel per step, `step(u0, u1, m)`, which walks the
-parts and writes its views in the same loop: `walk_probe`, a direct
+walks a pair view's hash slice in a pair tree's read rule (see
+`fragments`), charged as draining `slice_items`. The update path is
+bound per row of an engine's plan, one kernel per step,
+`step(u0, u1, m)`, which walks the parts and writes its views in the
+same loop: `walk_probe`, a direct
 fragment's "walk one partner's slice, probe the other partner at the
 rotated pair, write each hit into the result"; `walk_close`, a view
 tree's "walk the partner's slice, write every walked tuple into the pair
@@ -117,9 +118,9 @@ class CostMeter:
 
     A loop may charge its whole cost in one add (bulk charging) only if it
     always runs to its end and nothing reads `total` while it runs: the
-    update steps (`walk_probe`, `walk_close`) and the read kernel
-    `walk_slice` do, and so does the init path, since a build or a
-    rebuild always runs to its end (`Relation.load`,
+    update steps (`walk_probe`, `walk_close`) and a pair tree's read
+    rule do, and so does the init path, since a build or a rebuild
+    always runs to its end (`Relation.load`,
     `joins.triangle_products` and the tree fills). An update step's
     `apply_delta` calls charge as they run, inside its walk, which adds
     to `total` but does not read it. Enumeration, hop
@@ -518,27 +519,6 @@ def entry_list(rels, meter):
     kvs = list(chain.from_iterable(r.entries.items() for r in rels))
     meter.total += len(kvs)
     return kvs
-
-
-def walk_slice(rel, cols, meter):
-    """Bind the read kernel of a hash index of `rel`, `walk(sub)`: the
-    (tuple, multiplicity) pairs under `sub`, in insertion order, as a
-    list, or () if there are none. It charges what draining `slice_items` does, one tick plus one
-    per pair, in one add once the walk has run."""
-    get, entries = rel.hash_slices(cols).get, rel.entries
-
-    def walk(sub):
-        s = get(sub)
-        if s is None:
-            meter.total += 1
-            return ()
-        out = []
-        for k in s:
-            out.append((k, entries[k]))
-        meter.total += 1 + len(out)
-        return out
-
-    return walk
 
 
 def walk_probe(walked, col, probed, gets, meter, view=None, key=None):

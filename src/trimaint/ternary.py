@@ -22,7 +22,7 @@ and one per pair slice opened.
 from __future__ import annotations
 
 from trimaint.fragments import Direct, FragmentEngine, Tree
-from trimaint.iterators import StaleIterator
+from trimaint.iterators import stale
 
 
 class TernaryEngine(FragmentEngine):
@@ -68,12 +68,12 @@ class TernaryEngine(FragmentEngine):
         # checked before any walk advances: an update can rebuild its dict
         meter, (res, trees) = self.meter, read
         if self.version != version:
-            raise _stale(version)
+            raise stale(version)
         for kv in res.items():
             meter.total += 1
             yield kv
             if self.version != version:
-                raise _stale(version)
+                raise stale(version)
         for top, slices, pairs, hat_of, abc, gets in trees:
             # per top entry: its step, the third's total and the slice open
             opened = 2 + len(gets)
@@ -88,8 +88,4 @@ class TernaryEngine(FragmentEngine):
                     meter.total += 2
                     yield abc(pk), pairs[pk] * tm
                     if self.version != version:
-                        raise _stale(version)
-
-
-def _stale(version):
-    return StaleIterator(f"state advanced past version {version}")
+                        raise stale(version)

@@ -134,7 +134,7 @@ def test_shrunk_roots_open_a_hop_union_over_the_live_buckets():
     assert list(root_map) == [139] and closed._map_hwm[closed._by_cols[rs.root_idx][4]] == 2
 
     def live_buckets():
-        hop = eng.open_union()._iters[1]
+        hop = eng.open_union()[0]
         out, k = [], hop.buckets.first()
         while k is not None:
             out.append(k)

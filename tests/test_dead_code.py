@@ -21,6 +21,10 @@ KEEP = {
     "slice_count": "bench/tracer.py spans it",
     "slice_head": "bench/tracer.py spans it",
     "slice_next": "bench/tracer.py spans it",
+    # d1's and d2's read runs the union's absorb loop inline
+    # (KeyedEngine._enumerate); the tests' reference loop uses them
+    "UnionIterator": "bench/tracer.py spans its next",
+    "KeyIterator": "bench/tracer.py spans its next",
     # API for the tests, the bench or users of the package
     "check_invariants": "the driver's audit, run by the tests and the soak",
     "format_update": "writes a stream file, the inverse of parse_stream",

@@ -3,9 +3,10 @@ they replace: the update steps `walk_probe`, `walk_close` and
 `lookup_close` against `slice_items` + `lookup` loops whose hits are
 written through `Relation.apply_delta`, partition routing against
 definitions through `slice_count` (a positive count is membership) and
-`lookup`, and enumeration's read kernels, `walk_slice` and a hop union's
-`Bucket`, against a drained `slice_items` and a bucket built on
-`slice_head`, `slice_next` and `lookup`. Results, views and metered ops
+`lookup`, and enumeration's bound reads, a pair tree's rule and a hop
+union's `Bucket`, against a drained `slice_items` and a bucket built on
+`slice_head`, `slice_next` and `lookup`, and d1's and d2's read loop
+against a `UnionIterator` over them. Results, views and metered ops
 must all agree. A `walk_probe` step walks the shorter side, so its
 reference walks the same side. A probed group or a tree's third is read
 through getters: one per part of one or two, or, for four parts, as a
@@ -13,20 +14,24 @@ double partition's totals map is read, one of a `Relation` holding the
 parts' sum."""
 
 import random
+from functools import partial
 from itertools import chain
 from operator import itemgetter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bound_rule
+from trimaint import fragments
 from trimaint.driver import Driver, make_engine
 from trimaint.fragments import Bucket, projector
+from trimaint.iterators import EOF, KeyIterator, StaleIterator, UnionIterator
 from trimaint.oracle import RefMaintainer
 from trimaint.partition import strict_double, strict_single
 from trimaint.store import (COMPACT_FLOOR, CostMeter, Relation, lookup_close, walk_close,
-                            walk_probe, walk_slice)
+                            walk_probe)
 from trimaint.workload import WorkloadSpec, stream
 
 IDX = ((0,), (1,))
@@ -659,29 +664,62 @@ def test_compaction_under_bound_kernels(query, double):
 
 
 def drained(rel, cols, sub):
-    """What `walk_slice` replaces: `slice_items` drained into a list."""
+    """What a pair tree's rule walks: `slice_items` drained into a list."""
     return list(rel.slice_items(cols, sub))
+
+
+def ref_closed_walk(rel, cols, sub, total, bucket_of, third_of):
+    """The bucket keys and share a pair tree's rule gives at sub: the
+    slice drained through `slice_items`, each entry closed by `total` at
+    its (z, x), which charges its own reads, and a tick per nonzero
+    total."""
+    keys, share = [], 0
+    for pk, pv in drained(rel, cols, sub):
+        tm = total(third_of(pk))
+        if tm:
+            rel.meter.total += 1
+            keys.append(bucket_of(pk))
+            share += pv * tm
+    return keys, share
 
 
 # a hub under 0 grows past COMPACT_FLOOR and drains, promoting, compacting
 # and demoting its slice, and the entries dict is rebuilt, all after the
-# kernels were bound: each must read the current slice on every call
+# rules were bound: each must read the current slice on every call
 @settings(max_examples=60, deadline=None)
 @given(ops=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 40), st.integers(0, 3),
                               st.integers(-2, 3).filter(bool)), max_size=150),
        keep=st.floats(0.0, 0.3), seed=st.integers(0, 2**16))
-def test_walk_slice_matches_drained_slice_items(ops, keep, seed):
+def test_pair_rule_matches_drained_slice_items(ops, keep, seed):
     meter = CostMeter()
     cols_list = ((0,), (0, 2), (1,))
     rel = Relation("V", 3, cols_list, meter, linked=((1,),))
-    walks = {cols: walk_slice(rel, cols, meter) for cols in cols_list[:2]}
-    subs = {(0,): range(5), (0, 2): [(a, c) for a in range(5) for c in range(5)]}
+    # the third relation's total at (z, x): zero where z + x is odd
+    total = {(z, x): 1 + z for z in range(4) for x in range(5) if (z + x) % 2 == 0}
+    third_of, bucket_of = itemgetter(2, 0), itemgetter(1)
+
+    def total_of(zx):
+        # one getter read
+        meter.total += 1
+        return total.get(zx, 0)
+
+    subs = {(0,): [(a,) for a in range(5)], (0, 2): [(a, c) for a in range(5) for c in range(5)]}
+    rules = {}
+    for cols, out in (((0,), "a"), ((0, 2), "ab")):
+        eng = SimpleNamespace(meter=meter, version=0, out=out)
+        rules[cols] = eng, fragments._pair_rule(eng, rel.hash_slices(cols).get, rel.entries,
+                                                bucket_of, third_of, (total.get,))
 
     def check():
-        for cols, walk in walks.items():
+        for cols, (eng, (rule, kept)) in rules.items():
             for sub in subs[cols]:
-                got, ops = metered(meter, walk, sub)
-                assert (list(got), ops) == metered(meter, drained, rel, cols, sub)
+                # a new version: the kept walk does not serve sub
+                eng.version += 1
+                got, ops = metered(meter, rule, sub)
+                key = sub[0] if len(sub) == 1 else sub
+                (want, share), ref_ops = metered(meter, ref_closed_walk, rel, cols, key,
+                                                 total_of, bucket_of, third_of)
+                assert (got, kept[3], ops) == (want, share, ref_ops)
 
     for w in range(30):
         rel.apply_delta((0, w, w % 3), 1)
@@ -701,7 +739,7 @@ def test_walk_slice_matches_drained_slice_items(ops, keep, seed):
     check()
     rel.check_consistency()
     with pytest.raises(Exception, match="hash index"):
-        walk_slice(rel, (1,), meter)
+        rel.hash_slices((1,))
 
 
 class RefBucket:
@@ -742,17 +780,11 @@ class RefBucket:
 
 def ref_rule(eng, t, x):
     """Bucket keys of pair tree t at x and the tree's share of x's
-    multiplicity: the pair slice at x walked through `slice_items`, each
-    entry closed through `Partition.total`, a tick per nonzero total."""
-    bucket_of = projector(t.xyz, t.root_key or t.key)
-    keys, share = [], 0
-    for pk, pv in drained(getattr(eng, t.pair), eng._hops[t][0], x[0] if len(x) == 1 else x):
-        tm = eng.parts[t.third].total(t.third_of(pk))
-        if tm:
-            eng.meter.total += 1
-            keys.append(bucket_of(pk))
-            share += pv * tm
-    return keys, share
+    multiplicity, each pair entry closed through `Partition.total` (see
+    `ref_closed_walk`)."""
+    return ref_closed_walk(getattr(eng, t.pair), eng._hops[t][0], x[0] if len(x) == 1 else x,
+                           eng.parts[t.third].total, projector(t.xyz, t.root_key or t.key),
+                           t.third_of)
 
 
 def ref_multiplicity(eng, x):
@@ -808,10 +840,16 @@ def hub_states(query, epsilon, updates=2000, domain=400):
                 yield drv
 
 
+def bound_read_states(query):
+    """The skewed states at eps 0.25, then the hub states at eps 0.5 and
+    0.75, where the skewed stream fills no pair tree."""
+    return chain(skewed_states(query), hub_states(query, 0.5), hub_states(query, 0.75))
+
+
 @pytest.mark.parametrize("query", ["d1", "d2"])
 def test_bound_buckets_match_method_based_reads(query):
     seen = 0
-    for drv in skewed_states(query):
+    for drv in bound_read_states(query):
         eng, meter = drv.engine, drv.meter
         # the layouts may have been bound many updates ago
         hops = (eng._enum or eng._bind_enumeration())[0]
@@ -834,7 +872,7 @@ def test_bound_buckets_match_method_based_reads(query):
 @pytest.mark.parametrize("query", ["d1", "d2"])
 def test_bound_candidates_and_multiplicity_match_method_based_reads(query):
     seen = 0
-    for drv in skewed_states(query):
+    for drv in bound_read_states(query):
         eng, meter = drv.engine, drv.meter
         outs = {projector(t.xyz, eng.out)(pk) for t in eng._hops
                 for pk in getattr(eng, t.pair).entries}
@@ -891,3 +929,77 @@ def test_rule_keys_are_the_buckets_that_hold_each_output_tuple(query, epsilon):
             assert v == eng.multiplicity(x) == ref_multiplicity(eng, x), x
         assert not any(ref_multiplicity(eng, x) for x in outs)
     assert seen > 100
+
+
+class Probed:
+    """A hop union as a later set of a `UnionIterator`: it holds t when
+    its tree's rule at t lists a bucket key."""
+
+    def __init__(self, hop, rule):
+        self.next, self._rule = hop.next, rule
+
+    def contains(self, t):
+        return bool(self._rule(t))
+
+
+def read_gaps(meter, open_read, step):
+    """(ops of the open, [(tuple, multiplicity, ops since the last one)],
+    ops of the step that ends the read) of a read opened by `open_read()`
+    and stepped by `step(read)`, which returns an item or None at the end."""
+    before = meter.total
+    read = open_read()
+    opened, out = meter.total - before, []
+    before = meter.total
+    while (item := step(read)) is not None:
+        out.append((*item, meter.total - before))
+        before = meter.total
+    return opened, out, meter.total - before
+
+
+def ref_union(eng):
+    """d1's or d2's read as the loop `KeyedEngine._enumerate` writes out:
+    a `UnionIterator` over `res`'s keys and the hop unions, each holding t
+    when its tree's rule at t lists a bucket."""
+    rules = [rule for *_, rule in eng._enum[0].values()]
+    return UnionIterator([KeyIterator(eng.res)] + list(map(Probed, eng.open_union(), rules)),
+                         eng.meter, eng)
+
+
+def union_step(u):
+    t = u.next()
+    return None if t is EOF else (t, u._state.multiplicity(t))
+
+
+@pytest.mark.parametrize("query", ["d1", "d2"])
+@pytest.mark.parametrize("epsilon", [0.25, 0.5, 0.75])
+def test_read_loop_matches_the_union_iterator(query, epsilon):
+    # the same tuples, in the same order, with the same ticks per gap, as
+    # a UnionIterator over the same hop unions; an update after the open,
+    # before or between two next() calls, makes the read stale
+    hop_tuples = 0
+    for drv in chain(skewed_states(query, epsilon), hub_states(query, epsilon)):
+        eng = drv.engine
+        eng.multiplicity((-1,) * len(eng.out))  # binds the read path
+        want = read_gaps(eng.meter, partial(ref_union, eng), union_step)
+        # a new version: no rule's kept walk from the reference serves
+        eng.version += 1
+        got = read_gaps(eng.meter, eng.enumerate_result, lambda it: next(it, None))
+        assert got == want
+        emitted = [t for t, _, _ in got[1]]
+        assert len(set(emitted)) == len(emitted)
+        hop_tuples += len(emitted) - len(eng.res)
+
+        # stale: a fresh tuple's insert, after the open or after a tuple
+        # the hop unions emit, and its delete undoes it
+        fresh = ("R", (10**6, 10**6), 1)
+        for steps in (0, len(eng.res) + 1):
+            if steps > len(emitted):
+                continue
+            it = eng.enumerate_result()
+            for _ in range(steps):
+                next(it)
+            drv.on_update(*fresh)
+            with pytest.raises(StaleIterator):
+                next(it)
+            drv.on_update(fresh[0], fresh[1], -1)
+    assert hop_tuples > 100

@@ -40,6 +40,24 @@ def test_sweep_labels_the_double_partitioned_count():
     assert single[col["total"]] != double[col["total"]]
 
 
+@pytest.mark.parametrize("decoy", [False, True])
+def test_sweep_runs_the_library_of_its_checkout(tmp_path, decoy):
+    # from outside the checkout with no PYTHONPATH, or with a decoy
+    # trimaint package (an installed copy) first on it
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    if decoy:
+        (tmp_path / "trimaint").mkdir()
+        (tmp_path / "trimaint" / "__init__.py").write_text("raise ImportError('decoy')\n")
+        env["PYTHONPATH"] = str(tmp_path)
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "sweep.py"), "--sizes", "64",
+                           "--epsilons", "0.5", "--queries", "d1"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    header, row = [line.split(",") for line in proc.stdout.splitlines()]
+    assert (header[0], row[0]) == ("query", "d1")
+
+
 def load_script(name):
     spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     mod = importlib.util.module_from_spec(spec)
