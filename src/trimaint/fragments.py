@@ -86,21 +86,21 @@ does, and reads the views' and parts' maps directly at the charge of
 the method calls it replaces: a tree's rule walks the pair's hash slice
 at the tuple itself (charged as draining `slice_items`) and closes each
 entry with the third relation's `total_gets` (a tick per getter, as
-`Partition.total`), and a `Bucket` steps through the pair's and top's
-linked slices and nodes maps (charged as `slice_head`, `slice_next` and
-`lookup`). The union itself is one generator, `KeyedEngine._enumerate`:
-the absorb loop of `iterators.UnionIterator` written out over `res`'s
-keys and the hop unions, where a hop union holds a tuple when its
-tree's rule there lists a bucket, read from the kept walk when that is
-at the tuple. d3's pair trees have no hop union: it binds its own read
-loop the same way (see `ternary`). Either bound read is kept in `_enum`
-and dropped with the views it reads, in `_fresh_views`.
+`Partition.total`), and its hop union's two bucket steps
+(`_bucket_steps`) walk the pair's and top's linked slices and nodes maps
+(charged as `slice_head`, `slice_next` and `lookup`). The union itself
+is one generator, `KeyedEngine._enumerate`: the absorb loop of
+`iterators.UnionIterator` written out over `res`'s keys and the hop
+unions, where a hop union holds a tuple when its tree's rule there lists
+a bucket, read from the kept walk when that is at the tuple. d3's pair
+trees have no hop union: it binds its own read loop the same way (see
+`ternary`). Either bound read is kept in `_enum` and dropped with the
+views it reads, in `_fresh_views`.
 """
 
 from __future__ import annotations
 
 import copy
-from functools import partial
 from operator import itemgetter
 
 from trimaint.iterators import EOF, HopUnionIterator, stale
@@ -214,10 +214,10 @@ def _pair_rule(eng, get, entries, bucket_of, third_of, gets):
     return rule, kept
 
 
-class Bucket:
-    """Hop-iterator collection of one bucket of a pair tree: the output
-    tuples under one root value, or under one top entry for a tree without
-    a root.
+def _bucket_steps(layout):
+    """(first(k), successor(k, x)) of a pair tree's buckets, the steps of
+    its hop union. Bucket k holds the output tuples under one root value,
+    or under one top entry for a tree without a root.
 
     Level 1 walks the top view's linked slice at the root value; a rootless
     bucket is its one top entry, at no cost. Level 2 walks the pair view's
@@ -228,44 +228,35 @@ class Bucket:
     pair's (0, 2) slices and nodes maps, the top's slices and nodes maps
     on the root (None for a rootless tree), and the projections top key
     -> (x, z), element + bucket key -> pair and top keys, pair key ->
-    element. Each step reads those maps directly and
-    charges a tick per head, next and lookup, as `slice_head`,
-    `slice_next` and `lookup` do.
+    element. Each step reads those maps directly and charges a tick per
+    head, next and lookup, as `slice_head`, `slice_next` and `lookup` do.
     """
+    meter, heads, nodes, roots, top_nodes, hat, pk, ck, elem = layout
 
-    __slots__ = ("_key", "_meter", "_heads", "_nodes", "_roots", "_top_nodes", "_hat", "_pk",
-                 "_ck", "_elem")
-
-    def __init__(self, layout, key):
-        self._key = key
-        (self._meter, self._heads, self._nodes, self._roots, self._top_nodes, self._hat,
-         self._pk, self._ck, self._elem) = layout
-
-    def _head(self, ck):
-        # the first element under the top entry ck: its (x, z) pair slice
-        # is nonempty while the entry is stored
-        self._meter.total += 1
-        return self._elem(self._heads[self._hat(ck)].head.key)
-
-    def first(self):
-        if self._roots is None:
-            return self._head(self._key)
-        self._meter.total += 1
-        s = self._roots.get(self._key[0])
-        return None if s is None else self._head(s.head.key)
-
-    def successor(self, x):
-        full = x + self._key
-        meter = self._meter
+    def head(top_key):
+        # a stored top entry's first element: its (x, z) pair slice is nonempty
         meter.total += 1
-        nxt = self._nodes[self._pk(full)].nxt
+        return elem(heads[hat(top_key)].head.key)
+
+    def first(k):
+        if roots is None:
+            return head(k)
+        meter.total += 1
+        s = roots.get(k[0])
+        return None if s is None else head(s.head.key)
+
+    def successor(k, x):
+        full = x + k
+        meter.total += 1
+        nxt = nodes[pk(full)].nxt
         if nxt is not None:
-            return self._elem(nxt.key)
-        if self._roots is None:
+            return elem(nxt.key)
+        if roots is None:
             return None
         meter.total += 1
-        nxt = self._top_nodes[self._ck(full)].nxt
-        return None if nxt is None else self._head(nxt.key)
+        nxt = top_nodes[ck(full)].nxt
+        return None if nxt is None else head(nxt.key)
+    return first, successor
 
 
 class FragmentEngine:
@@ -318,7 +309,7 @@ class FragmentEngine:
         # (name, arity, index columns, linked columns) of every Relation view
         views = [("res", len(cls.out), (), ())] if cls.out else []
         # pair trees enumerated by a hop union: (pair columns of the output
-        # variables, pair key -> bucket key, Bucket projections)
+        # variables, pair key -> bucket key, bucket step projections)
         cls._hops = {}
         for t in cls.trees:
             if t.pair and len(cls.out) < 3:
@@ -585,7 +576,7 @@ class KeyedEngine(FragmentEngine):
     """A fragment engine with one or two output variables, read by a union
     of `res`'s keys and one hop union per pair tree. Its read path binds
     on first use after a build, as the update plan does: each pair tree's
-    rule and its hop union's bucket layout read the views' and parts' maps
+    rule and its hop union's bucket steps read the views' and parts' maps
     directly (see `_bind_enumeration`)."""
 
     def open_union(self):
@@ -593,15 +584,14 @@ class KeyedEngine(FragmentEngine):
         an element along them."""
         hops = (self._enum or self._bind_enumeration())[0]
         # a bucketed tree's bucket keys are its top's root values, as 1-tuples
-        return [HopUnionIterator(zip(keys) if rooted else keys, partial(Bucket, layout), rule,
-                                 self.meter)
-                for keys, rooted, layout, rule in hops.values()]
+        return [HopUnionIterator(zip(keys) if rooted else keys, *steps, rule, self.meter)
+                for keys, rooted, steps, rule in hops.values()]
 
     def _bind_enumeration(self):
-        """Bind each pair tree's rule (see `_pair_rule`) and bucket layout,
-        and `multiplicity`, to this build's views and parts: ((bucket keys
-        map, rooted, bucket layout, rule) by tree, multiplicity, (rule,
-        kept) per tree in the same order)."""
+        """Bind each pair tree's rule (see `_pair_rule`) and bucket steps
+        (see `_bucket_steps`), and `multiplicity`, to this build's views
+        and parts: ((bucket keys map, rooted, (first, successor), rule) by
+        tree, multiplicity, (rule, kept) per tree in the same order)."""
         meter, hops, rules = self.meter, {}, []
         for t, (cols, bucket_of, keys) in self._hops.items():
             pair, top, idx = getattr(self, t.pair), getattr(self, t.top), t.root_idx
@@ -611,9 +601,9 @@ class KeyedEngine(FragmentEngine):
             # root, list the buckets
             live = top.entries if idx is None else top.linked_slices(idx)
             roots, top_nodes = (None, None) if idx is None else (live, top.linked_nodes(idx))
-            layout = (meter, pair.linked_slices((0, 2)), pair.linked_nodes((0, 2)), roots,
-                      top_nodes, *keys)
-            hops[t] = (live, idx is not None, layout, rule)
+            steps = _bucket_steps((meter, pair.linked_slices((0, 2)), pair.linked_nodes((0, 2)),
+                                   roots, top_nodes, *keys))
+            hops[t] = (live, idx is not None, steps, rule)
             rules.append((rule, kept))
         get, rules = self.res.entries.get, tuple(rules)
 

@@ -6,15 +6,17 @@ Three layers, each with constant delay in its own terms:
     found in a later set defers emission to that set's cursor);
   * HopIterator: iteration with an exclusion set, using mutually inverse
     skipTo/skippedFrom pointer maps so runs of excluded elements are
-    jumped in one hop; the run that reaches EOF from the first element
-    says every element is excluded;
+    jumped in one hop;
   * HopUnionIterator: a union of per-key buckets where emitting an element
     excludes it from every other bucket that holds it, and a bucket left
-    with every element excluded is dropped unvisited.
+    with every element excluded (its excluded run that reaches EOF starts
+    at its first element) is dropped unvisited. It holds every bucket's
+    skip maps itself and walks the buckets with one HopIterator.
 
 A hop union is told which buckets hold an element, its candidate keys, so
-the collections backing hop iterators only step: first() -> element or
-None, and successor(x) -> element or None.
+a HopIterator's collection only steps, first() and successor(x), and so
+does a hop union's bucket k, first(k) and successor(k, x): each gives an
+element or None.
 
 d1's and d2's read runs the union's absorb loop itself, over `res`'s
 keys and one hop union per pair tree (`fragments.KeyedEngine`), so
@@ -141,9 +143,6 @@ class HopIterator:
     live element (or EOF) after it; skippedFrom is its inverse for the
     reachable entries. Stale pointers left behind by run merges are never
     consulted: lookups happen only at live elements and run starts.
-
-    The collection's first element is read at most once: by the first
-    `next()`, or by `exhausted()` once an excluded run reaches EOF.
     """
 
     def __init__(self, coll, meter):
@@ -152,23 +151,17 @@ class HopIterator:
         self.skip_to = {}
         self.skipped_from = {}
         self.excluded = set()
-        self._first = BOF  # BOF until read
         self._meter = meter
 
     def _hop(self, x):
         return self.skip_to.get(x, x)
-
-    def _head(self):
-        if self._first is BOF:
-            self._first = self.coll.first()
-        return self._first
 
     def next(self):
         self._meter.total += 1
         if self.curr is EOF:
             return EOF
         if self.curr is BOF:
-            raw = self._head()
+            raw = self.coll.first()
         else:
             raw = self.coll.successor(self.curr)
         raw = EOF if raw is None else raw
@@ -190,12 +183,6 @@ class HopIterator:
         self.excluded.add(x)
         return True
 
-    def exhausted(self):
-        """True when every element is excluded: the excluded run that
-        reaches EOF starts at the first element."""
-        frm = self.skipped_from.get(EOF)
-        return frm is not None and frm == self._head()
-
 
 class HopUnionIterator:
     """Distinct union over per-key buckets with exclusion of emitted elements.
@@ -203,14 +190,17 @@ class HopUnionIterator:
     A bucket-level hop iterator walks the buckets in the order
     `bucket_keys` lists them (engines pass the keys of a top view, or of
     its linked index on the root variable, in their order); listing them
-    costs one tick per key before the first element. Bucket hop iterators
-    are created on first access, whether that access is iteration or
-    exclusion. After emitting t from the current bucket, t is excluded
-    from every other candidate bucket; a bucket left with every element
-    excluded that way is excluded from the bucket-level hop iterator and
-    never iterated. Only a bucket not yet started loses elements this
-    way: an element that an earlier bucket also held was emitted there
-    already.
+    costs one tick per key before the first element. The union steps
+    bucket k through `first(k)` and `successor(k, x)` and holds its hop
+    state: `heads[k]`, its first element, read at most once, and
+    `skips[k]`, its skipTo and skippedFrom maps, made at its first
+    exclusion. A bucket step ticks once, as does an exclusion. After
+    emitting t from the current bucket, t is excluded from every other
+    candidate bucket; a bucket left with every element excluded that way
+    is excluded from the bucket-level hop iterator and never iterated.
+    Only a bucket not yet started loses elements this way (an element an
+    earlier bucket also held was emitted there already), so none loses
+    one twice.
 
     `candidate_keys(t)` returns the keys of exactly the buckets that hold
     t, which is not checked here: the exclusions trust it, and the union
@@ -219,40 +209,60 @@ class HopUnionIterator:
     on it.
     """
 
-    def __init__(self, bucket_keys, open_bucket, candidate_keys, meter):
-        self._open_bucket = open_bucket
+    def __init__(self, bucket_keys, first, successor, candidate_keys, meter):
+        self._first, self._successor = first, successor
         self._candidates = candidate_keys
         self._meter = meter
         self.buckets = ListCollection(bucket_keys)
         # listing the bucket keys: one tick per key
         meter.total += len(self.buckets)
         self.i_buckets = HopIterator(self.buckets, meter)
-        self.bucket_iters = {}
-        self._cur = None
+        self.heads, self.skips = {}, {}
+        # the current bucket, its skipTo map or None, and its cursor
+        self.cur = self._skip_to = self._at = None
 
-    def _ensure(self, k):
-        it = self.bucket_iters.get(k)
-        if it is None:
-            it = self.bucket_iters[k] = HopIterator(self._open_bucket(k), self._meter)
-        return it
+    def _head(self, k):
+        x = self.heads.get(k, BOF)
+        if x is BOF:
+            x = self.heads[k] = self._first(k)
+        return x
 
     def next(self):
-        self._meter.total += 1
+        meter, successor = self._meter, self._successor
+        meter.total += 1
+        cur, skip_to = self.cur, self._skip_to
         while True:
-            if self._cur is None:
-                k = self.i_buckets.next()
-                if k is EOF:
+            if cur is None:
+                cur = self.i_buckets.next()
+                if cur is EOF:
                     return EOF
-                self._cur = k
-            cur = self._cur
-            t = self._ensure(cur).next()
-            if t is EOF:
-                self._cur = None
+                self.cur = cur
+                skip_to = self._skip_to = self.skips.get(cur, (None,))[0]
+                meter.total += 1
+                x = self._head(cur)
+            else:
+                meter.total += 1
+                x = successor(cur, self._at)
+            if x is None:
+                x = EOF
+            elif skip_to is not None:
+                x = skip_to.get(x, x)
+            if x is EOF:
+                self.cur = cur = None
                 continue
-            for k in self._candidates(t):
+            self._at = x
+            for k in self._candidates(x):
                 if k == cur:
                     continue
-                it = self._ensure(k)
-                if it.exclude(t) and it.exhausted():
+                # x joins or starts an excluded run, which now reaches the
+                # hop of x's successor
+                meter.total += 1
+                succ = successor(k, x)
+                hop_to, hop_from = self.skips.get(k) or self.skips.setdefault(k, ({}, {}))
+                to = EOF if succ is None else hop_to.get(succ, succ)
+                frm = hop_from.get(x, x)
+                hop_to[frm] = to
+                hop_from[to] = frm
+                if to is EOF and frm == self._head(k):
                     self.i_buckets.exclude(k)
-            return t
+            return x

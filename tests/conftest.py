@@ -1,6 +1,6 @@
 """Shared builders for enumeration and engine tests."""
 
-from trimaint.iterators import HopUnionIterator, ListCollection
+from trimaint.iterators import BOF, EOF, HopIterator, HopUnionIterator, ListCollection
 from trimaint.store import CostMeter
 
 # Per-bucket iteration orders and candidate-bucket map for the four-bucket
@@ -21,13 +21,122 @@ WORKED_CANDIDATES = {
 }
 
 
+def bucket_steps(orders, meter=None):
+    """(first(k), successor(k, x)) of a hop union over the buckets
+    `orders` lists, {key: elements in order}; with a meter, each step
+    ticks once."""
+    colls = {k: ListCollection(v) for k, v in orders.items()}
+
+    def first(k):
+        if meter is not None:
+            meter.total += 1
+        return colls[k].first()
+
+    def successor(k, x):
+        if meter is not None:
+            meter.total += 1
+        return colls[k].successor(x)
+    return first, successor
+
+
 def build_worked_hop_example():
     return HopUnionIterator(
         ["a1", "a2", "a3", "a4"],
-        lambda k: ListCollection(WORKED_ORDERS[k]),
+        *bucket_steps(WORKED_ORDERS),
         lambda t: WORKED_CANDIDATES[t],
         CostMeter(),
     )
+
+
+def started_buckets(it):
+    """The list, filled as `it` runs, of the buckets the hop union `it`
+    starts: each key its bucket-level hop iterator returns."""
+    started, step = [], it.i_buckets.next
+
+    def recorded():
+        k = step()
+        if k is not EOF:
+            started.append(k)
+        return k
+    it.i_buckets.next = recorded
+    return started
+
+
+class BoundBucket:
+    """Bucket k of a hop union's bound steps (first, successor) as a
+    hop-iterator collection."""
+
+    def __init__(self, steps, k):
+        first, successor = steps
+        self.first = lambda: first(k)
+        self.successor = lambda x: successor(k, x)
+
+
+class _FirstOnce:
+    """A bucket collection whose first element is read at most once."""
+
+    def __init__(self, coll):
+        self._coll, self._first = coll, BOF
+        self.successor = coll.successor
+
+    def first(self):
+        if self._first is BOF:
+            self._first = self._coll.first()
+        return self._first
+
+
+class RefHopUnion:
+    """The hop union as one HopIterator per bucket, made on the bucket's
+    first access, iteration or exclusion, over the collection
+    `open_bucket(key)`: the reference for HopUnionIterator, which holds
+    every bucket's hop state itself. A bucket's first element is read at
+    most once: by its first `next()`, or when an excluded run reaches EOF
+    and the bucket may be exhausted."""
+
+    def __init__(self, bucket_keys, open_bucket, candidate_keys, meter):
+        self._open_bucket = open_bucket
+        self._candidates = candidate_keys
+        self._meter = meter
+        self.buckets = ListCollection(bucket_keys)
+        meter.total += len(self.buckets)
+        self.i_buckets = HopIterator(self.buckets, meter)
+        self.bucket_iters = {}
+        self._cur = None
+
+    def _ensure(self, k):
+        it = self.bucket_iters.get(k)
+        if it is None:
+            it = self.bucket_iters[k] = HopIterator(_FirstOnce(self._open_bucket(k)),
+                                                    self._meter)
+        return it
+
+    @staticmethod
+    def _exhausted(it):
+        # every element is excluded: the excluded run that reaches EOF
+        # starts at the first element
+        frm = it.skipped_from.get(EOF)
+        return frm is not None and frm == it.coll.first()
+
+    def next(self):
+        self._meter.total += 1
+        while True:
+            if self._cur is None:
+                k = self.i_buckets.next()
+                if k is EOF:
+                    return EOF
+                self._cur = k
+            cur = self._cur
+            t = self._ensure(cur).next()
+            if t is EOF:
+                self._cur = None
+                continue
+            for k in self._candidates(t):
+                if k == cur:
+                    continue
+                it = self._ensure(k)
+                if it.exclude(t) and self._exhausted(it):
+                    self.i_buckets.exclude(k)
+            return t
 
 
 def bound_rule(eng, t):

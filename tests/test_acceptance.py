@@ -10,10 +10,10 @@ module's runtime and keeps stream lengths moderate on purpose.
 import random
 from math import isqrt
 
-from conftest import Versioned, build_worked_hop_example
+from conftest import Versioned, bucket_steps, build_worked_hop_example, started_buckets
 from trimaint.cli import measure_delay, run_stream, solve_oumv, static_ternary
 from trimaint.driver import Driver, make_engine
-from trimaint.iterators import BOF, EOF, HopUnionIterator, ListCollection, SeqIterator, UnionIterator
+from trimaint.iterators import EOF, HopUnionIterator, SeqIterator, UnionIterator
 from trimaint.oracle import RefMaintainer, oracle_oumv, oracle_triangle
 from trimaint.store import CostMeter
 from trimaint.workload import WorkloadSpec, make_sampler, stream
@@ -255,7 +255,7 @@ def test_union_primitives_random_families():
                 members.setdefault(v, []).append(key)
         it = HopUnionIterator(
             sorted(orders),
-            lambda k: ListCollection(orders[k]),
+            *bucket_steps(orders),
             lambda t: members[t],
             CostMeter(),
             )
@@ -266,6 +266,6 @@ def test_union_primitives_random_families():
 
 def test_worked_hop_example_skips_exhausted_bucket():
     it = build_worked_hop_example()
+    started = started_buckets(it)
     assert drain(it.next) == [1, 2, 3, 4, 5, 6]
-    third = it.bucket_iters["a3"]
-    assert third.curr is BOF
+    assert "a3" not in started

@@ -5,7 +5,6 @@ from conftest import TRIANGLE, bound_rule, part_labels
 from hypothesis import given, settings, strategies as st
 
 from trimaint.binary import BinaryEngine
-from trimaint.fragments import Bucket
 from trimaint.iterators import StaleIterator
 from trimaint.oracle import oracle_triangle
 from trimaint.store import RejectedDelete
@@ -104,11 +103,11 @@ def test_hub_state_lives_in_rs_tree():
     assert dict(eng.closed_rs.items()) == {(1, 9): 6}
     # root 9's bucket holds the six pairs (1, b)
     rs = eng.trees[1]
-    bucket = Bucket(eng._bind_enumeration()[0][rs][2], (9,))
-    walked, x = [], bucket.first()
+    first, successor = eng._bind_enumeration()[0][rs][2]
+    walked, x = [], first((9,))
     while x is not None:
         walked.append(x)
-        x = bucket.successor(x)
+        x = successor((9,), x)
     assert len(walked) == 6
     assert collect(eng) == oracle_triangle(rd, sd, td, 2)
     eng.verify_views()

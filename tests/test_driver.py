@@ -628,7 +628,7 @@ def test_hop_union_buckets_are_never_empty(query):
         assert hops and all(isinstance(h, HopUnionIterator) for h in hops)
         for h in hops:
             for k in h.buckets._seq:
-                assert h._open_bucket(k).first() is not None, (i, k)
+                assert h._first(k) is not None, (i, k)
                 checked += 1
     assert checked
 

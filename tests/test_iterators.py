@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import Versioned, build_worked_hop_example
+from conftest import (BoundBucket, RefHopUnion, Versioned, bucket_steps,
+                      build_worked_hop_example, started_buckets)
 from trimaint.iterators import (
-    BOF,
     EOF,
     HopIterator,
     HopUnionIterator,
@@ -119,7 +119,7 @@ def test_hop_exclude_current_element_is_safe():
 
 
 def test_hop_union_single_bucket_passthrough():
-    it = HopUnionIterator(["k"], lambda k: ListCollection([3, 1, 2]), lambda t: ("k",),
+    it = HopUnionIterator(["k"], *bucket_steps({"k": [3, 1, 2]}), lambda t: ("k",),
                           CostMeter())
     assert drain(it.next) == [3, 1, 2]
 
@@ -128,7 +128,7 @@ def test_hop_union_disjoint_buckets():
     colls = {"x": [1], "y": [2]}
     it = HopUnionIterator(
         ["x", "y"],
-        lambda k: ListCollection(colls[k]),
+        *bucket_steps(colls),
         lambda t: ("x",) if t == 1 else ("y",),
         CostMeter(),
     )
@@ -137,45 +137,45 @@ def test_hop_union_disjoint_buckets():
 
 def test_worked_example_emission_and_states():
     it = build_worked_hop_example()
+    started = started_buckets(it)
     got = [it.next() for _ in range(3)]
     assert got == [1, 2, 3]
 
-    a2 = it.bucket_iters["a2"]
-    a3 = it.bucket_iters["a3"]
-    assert a2.skip_to == {1: 5}
-    assert a2.skipped_from == {5: 1}
-    assert a3.skip_to == {2: 5, 3: EOF}
-    assert a3.skipped_from == {5: 2, EOF: 3}
+    # each bucket's (skipTo, skippedFrom) maps
+    a2_to, a2_from = it.skips["a2"]
+    a3_to, a3_from = it.skips["a3"]
+    assert a2_to == {1: 5}
+    assert a2_from == {5: 1}
+    assert a3_to == {2: 5, 3: EOF}
+    assert a3_from == {5: 2, EOF: 3}
 
     assert it.next() == 4
-    a4 = it.bucket_iters["a4"]
-    assert a4.skip_to == {4: EOF}
+    a4_to, _ = it.skips["a4"]
+    assert a4_to == {4: EOF}
 
     assert it.next() == 5
     # Excluding 5 merges a3's runs: its head now connects straight to EOF,
     # and the emptied bucket is skipped at the bucket level.
-    assert a3.skip_to[2] is EOF
-    assert a3.skipped_from[EOF] == 2
+    assert a3_to[2] is EOF
+    assert a3_from[EOF] == 2
     assert it.i_buckets.skip_to == {"a3": "a4"}
 
     assert it.next() == 6
     assert it.next() is EOF
-    assert a3.curr is BOF
+    assert started == ["a1", "a2", "a4"]
 
 
-class LinkedSlice:
-    """Hop-iterator collection over the B-values of V's linked slice at A = a."""
+def linked_slice_steps(rel):
+    """Bucket steps over the B-values of V's linked slice at each A = a."""
 
-    def __init__(self, rel, a):
-        self._rel, self._a = rel, a
-
-    def first(self):
-        k = self._rel.slice_head((0,), self._a)
+    def first(a):
+        k = rel.slice_head((0,), a)
         return k[1] if k is not None else None
 
-    def successor(self, b):
-        k = self._rel.slice_next((0,), (self._a, b))
+    def successor(a, b):
+        k = rel.slice_next((0,), (a, b))
         return k[1] if k is not None else None
+    return first, successor
 
 
 def test_hop_union_over_relation_slices():
@@ -191,13 +191,14 @@ def test_hop_union_over_relation_slices():
 
     it = HopUnionIterator(
         [1, 2, 3],
-        lambda a: LinkedSlice(v, a),
+        *linked_slice_steps(v),
         candidates,
         m,
     )
+    started = started_buckets(it)
     # Elements are the distinct B-values reachable from each A-keyed slice.
     assert drain(it.next) == [5, 6, 7]
-    assert it.bucket_iters[3].curr is BOF
+    assert 3 not in started
 
 
 unique_lists = st.lists(st.integers(0, 15), unique=True, max_size=16)
@@ -224,7 +225,7 @@ def test_hop_union_emits_distinct_union(sets, rng):
 
     it = HopUnionIterator(
         list(colls),
-        lambda i: ListCollection(colls[i]),
+        *bucket_steps(colls),
         candidates,
         CostMeter(),
     )
@@ -248,13 +249,25 @@ def test_hop_exclusion_soundness(seq, data):
 @settings(max_examples=300)
 @given(st.lists(st.integers(0, 15), unique=True, min_size=1, max_size=16), st.data())
 def test_hop_exhausted_exactly_when_every_element_is_excluded(seq, data):
+    # the excluded run that reaches EOF starts at the first element exactly
+    # when every element is excluded
     order = data.draw(st.permutations(seq))
     it = HopIterator(ListCollection(seq), CostMeter())
-    assert not it.exhausted()
     for i, x in enumerate(order):
         it.exclude(x)
-        assert it.exhausted() == (i == len(order) - 1), order[:i + 1]
+        assert (it.skipped_from.get(EOF) == seq[0]) == (i == len(order) - 1), order[:i + 1]
     assert drain(it.next) == []
+    # so a hop union drops a bucket not yet started, "held", exactly when
+    # the bucket before it has emitted every one of its elements
+    union = HopUnionIterator(["emit", "held"], *bucket_steps({"emit": order, "held": seq}),
+                             lambda t: ("emit", "held"), CostMeter())
+    started = started_buckets(union)
+    for i, x in enumerate(order):
+        assert union.next() == x
+        dropped = union.i_buckets.skip_to == {"held": EOF}
+        assert dropped == (i == len(order) - 1), order[:i + 1]
+    assert union.next() is EOF
+    assert started == ["emit"]
 
 
 @settings(max_examples=100)
@@ -270,7 +283,7 @@ def test_hop_union_delay_bounded_by_candidates(sets):
     m = CostMeter()
     it = HopUnionIterator(
         list(colls),
-        lambda i: ListCollection(colls[i]),
+        *bucket_steps(colls),
         candidates,
         m,
     )
@@ -280,3 +293,35 @@ def test_hop_union_delay_bounded_by_candidates(sets):
         if t is EOF:
             break
         assert m.total - before <= 6 * (len(candidates(t)) + 1)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.lists(st.integers(0, 15), unique=True, min_size=1, max_size=16),
+                min_size=1, max_size=6), st.randoms())
+def test_hop_union_matches_the_reference_union(sets, rng):
+    # the same element and the same ticks at every next() as one
+    # HopIterator per bucket, with exact candidate keys in shuffled order,
+    # and at the end the same hop maps per bucket and at the bucket level
+    orders = dict(enumerate(sets))
+    candidates = {}
+    for i, s in orders.items():
+        for t in s:
+            candidates.setdefault(t, []).append(i)
+    for keys in candidates.values():
+        rng.shuffle(keys)
+    m, ref_m = CostMeter(), CostMeter()
+    it = HopUnionIterator(list(orders), *bucket_steps(orders, m), candidates.__getitem__, m)
+    steps = bucket_steps(orders, ref_m)
+    ref = RefHopUnion(list(orders), lambda k: BoundBucket(steps, k), candidates.__getitem__,
+                      ref_m)
+    assert m.total == ref_m.total
+    while True:
+        before, ref_before = m.total, ref_m.total
+        t = it.next()
+        assert (t, m.total - before) == (ref.next(), ref_m.total - ref_before)
+        if t is EOF:
+            break
+    hops = {k: (h.skip_to, h.skipped_from) for k, h in ref.bucket_iters.items() if h.skip_to}
+    assert it.skips == hops
+    assert (it.i_buckets.skip_to, it.i_buckets.skipped_from) == (
+        ref.i_buckets.skip_to, ref.i_buckets.skipped_from)

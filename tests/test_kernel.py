@@ -3,10 +3,11 @@ they replace: the update steps `walk_probe`, `walk_close` and
 `lookup_close` against `slice_items` + `lookup` loops whose hits are
 written through `Relation.apply_delta`, partition routing against
 definitions through `slice_count` (a positive count is membership) and
-`lookup`, and enumeration's bound reads, a pair tree's rule and a hop
-union's `Bucket`, against a drained `slice_items` and a bucket built on
-`slice_head`, `slice_next` and `lookup`, and d1's and d2's read loop
-against a `UnionIterator` over them. Results, views and metered ops
+`lookup`, and enumeration's bound reads, a pair tree's rule and its hop
+union's bound bucket steps, against a drained `slice_items` and a bucket
+built on `slice_head`, `slice_next` and `lookup`, each hop union against
+one HopIterator per such bucket, and d1's and d2's read loop against a
+`UnionIterator` over those. Results, views and metered ops
 must all agree. A `walk_probe` step walks the shorter side, so its
 reference walks the same side. A probed group or a tree's third is read
 through getters: one per part of one or two, or, for four parts, as a
@@ -23,10 +24,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bound_rule
+from conftest import RefHopUnion, bound_rule
 from trimaint import fragments
 from trimaint.driver import Driver, make_engine
-from trimaint.fragments import Bucket, projector
+from trimaint import iterators
+from trimaint.fragments import projector
 from trimaint.iterators import EOF, KeyIterator, StaleIterator, UnionIterator
 from trimaint.oracle import RefMaintainer
 from trimaint.partition import strict_double, strict_single
@@ -744,7 +746,7 @@ def test_pair_rule_matches_drained_slice_items(ops, keep, seed):
 
 class RefBucket:
     """A hop union's bucket read through `slice_head`, `slice_next` and
-    `lookup`, one tick each: what a bound `Bucket` replaces. `contains`
+    `lookup`, one tick each: what the bound bucket steps replace. `contains`
     says whether the bucket holds an element, by the definition: its top
     entry is stored (for a tree with a root) and so is its pair entry."""
 
@@ -853,17 +855,17 @@ def test_bound_buckets_match_method_based_reads(query):
         eng, meter = drv.engine, drv.meter
         # the layouts may have been bound many updates ago
         hops = (eng._enum or eng._bind_enumeration())[0]
-        for t, (_, rooted, layout, _) in hops.items():
+        for t, (_, rooted, (first, successor), _) in hops.items():
             pair, top, keys = getattr(eng, t.pair), getattr(eng, t.top), eng._hops[t][2]
             buckets = [(r,) for r in top.linked_slices(t.root_idx)] if rooted else list(top.entries)
             # a root with no top slice is an empty bucket
             for k in buckets + [(-1,)] * rooted:
-                got, ref = Bucket(layout, k), RefBucket(pair, top, k, t.root_idx, keys)
-                x, ops = metered(meter, got.first)
+                ref = RefBucket(pair, top, k, t.root_idx, keys)
+                x, ops = metered(meter, first, k)
                 assert (x, ops) == metered(meter, ref.first), (t.pair, k)
                 while x is not None:
                     seen += 1
-                    y, ops = metered(meter, got.successor, x)
+                    y, ops = metered(meter, successor, k, x)
                     assert (y, ops) == metered(meter, ref.successor, x), (t.pair, k, x)
                     x = y
     assert seen > 100
@@ -956,12 +958,28 @@ def read_gaps(meter, open_read, step):
     return opened, out, meter.total - before
 
 
+def ref_hop_unions(eng):
+    """The hop unions of `KeyedEngine.open_union`, in its order, each as a
+    `RefHopUnion` over `RefBucket`s, with the tree's bound rule as its
+    candidate keys."""
+    out = []
+    for t, (live, rooted, _, rule) in eng._enum[0].items():
+        pair, top, keys = getattr(eng, t.pair), getattr(eng, t.top), eng._hops[t][2]
+        out.append(RefHopUnion(
+            zip(live) if rooted else live,
+            lambda k, pair=pair, top=top, idx=t.root_idx, keys=keys:
+                RefBucket(pair, top, k, idx, keys),
+            rule, eng.meter))
+    return out
+
+
 def ref_union(eng):
     """d1's or d2's read as the loop `KeyedEngine._enumerate` writes out:
-    a `UnionIterator` over `res`'s keys and the hop unions, each holding t
-    when its tree's rule at t lists a bucket."""
+    a `UnionIterator` over `res`'s keys and the reference hop unions (see
+    `ref_hop_unions`), each holding t when its tree's rule at t lists a
+    bucket."""
     rules = [rule for *_, rule in eng._enum[0].values()]
-    return UnionIterator([KeyIterator(eng.res)] + list(map(Probed, eng.open_union(), rules)),
+    return UnionIterator([KeyIterator(eng.res)] + list(map(Probed, ref_hop_unions(eng), rules)),
                          eng.meter, eng)
 
 
@@ -1003,3 +1021,44 @@ def test_read_loop_matches_the_union_iterator(query, epsilon):
                 next(it)
             drv.on_update(fresh[0], fresh[1], -1)
     assert hop_tuples > 100
+
+
+@pytest.mark.parametrize("query", ["d1", "d2"])
+def test_hop_unions_match_the_reference_union(query):
+    # each hop union the engine opens gives the same tuples, with the same
+    # ticks per gap, as one HopIterator per bucket over `RefBucket`s; the
+    # rules' kept walks serve neither side
+    emitted = 0
+    for drv in bound_read_states(query):
+        eng, meter = drv.engine, drv.meter
+        eng.multiplicity((-1,) * len(eng.out))  # binds the read path
+        for i in range(len(eng._hops)):
+            gaps = []
+            for open_hop in (lambda: eng.open_union()[i], lambda: ref_hop_unions(eng)[i]):
+                eng.version += 1
+                gaps.append(read_gaps(meter, open_hop,
+                                      lambda h: None if (t := h.next()) is EOF else (t,)))
+            assert gaps[0] == gaps[1], (query, i)
+            emitted += len(gaps[0][1])
+    assert emitted > 100
+
+
+@pytest.mark.parametrize("query", ["d1", "d2"])
+def test_a_read_makes_one_hop_iterator_per_hop_union(query, monkeypatch):
+    # a hop union walks its buckets with one HopIterator and holds the
+    # buckets' hop state itself: no HopIterator per bucket
+    made = []
+    init = iterators.HopIterator.__init__
+
+    def counted(self, *args):
+        made.append(self)
+        init(self, *args)
+    monkeypatch.setattr(iterators.HopIterator, "__init__", counted)
+    reads = emitted = 0
+    for drv in bound_read_states(query):
+        eng = drv.engine
+        made.clear()
+        emitted += sum(1 for _ in eng.enumerate_result())
+        assert len(made) == len(eng._hops)
+        reads += 1
+    assert reads and emitted > 100
