@@ -9,7 +9,6 @@ bench --double-partition`) and labels its rows `d0double`.
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 # the library of this checkout, never an installed copy
@@ -37,7 +36,7 @@ def main():
         spec = WorkloadSpec(
             seed=args.seed, domain=args.domain, updates=1, skew=args.skew
         )
-        rows.extend(replace(row, query=token)
+        rows.extend([token, *row[1:]]
                     for row in bench_sweep(query, epsilons, sizes, spec, double=double))
     write_rows(rows, args.out)
 

@@ -2,15 +2,16 @@
 
 Subcommands: run, verify, bench, oumv, static. All heavy lifting lives
 in the engine and driver modules; this file parses flags and files,
-feeds streams, and writes metrics rows as CSV. Wall-clock time is the
-last CSV column and is never part of any assertion.
+feeds streams, and writes metrics rows as CSV, every command's row built
+by `metrics_row`. Wall-clock time is the last CSV column and is never
+part of any assertion.
 """
 
 import argparse
 import csv
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import replace
 
 from trimaint.driver import Driver, make_engine
 from trimaint.oracle import DimensionMismatch, RefMaintainer
@@ -33,45 +34,20 @@ class InputError(Exception):
     """A flag value or file content the command line refuses (exit 2)."""
 
 
-@dataclass
-class MetricsRow:
-    query: str
-    epsilon: float
-    db_size: int
-    updates: int
-    rejected: int
-    total: int
-    apply: int
-    major: int
-    minor: int
-    max_update: int
-    max_delay: int
-    wall_s: float
-
-    def row(self):
-        out = [getattr(self, name) for name in CSV_HEADER[:-1]]
-        out[1] = f"{self.epsilon:g}"
-        out.append(f"{self.wall_s:.3f}")
-        return out
-
-
-CSV_HEADER = tuple(f.name for f in fields(MetricsRow))
+CSV_HEADER = ("query", "epsilon", "db_size", "updates", "rejected", "total", "apply",
+              "major", "minor", "max_update", "max_delay", "wall_s")
 
 
 def run_stream(query, epsilon, updates, double=False):
-    """Feed updates through a fresh driver; overdeletes are skipped."""
+    """Feed updates through a fresh driver; overdeletes are skipped (the
+    driver counts them)."""
     drv = Driver(make_engine(query, epsilon, double=double))
-    rejected = 0
-    max_update = 0
     for rel, key, m in updates:
         try:
-            costs = drv.on_update(rel, key, m)
+            drv.on_update(rel, key, m)
         except RejectedDelete:
-            rejected += 1
-            continue
-        if costs["total"] > max_update:
-            max_update = costs["total"]
-    return drv, rejected, max_update
+            pass
+    return drv
 
 
 def measure_delay(eng):
@@ -88,22 +64,17 @@ def measure_delay(eng):
     return max(mx, meter.total - prev)
 
 
-def metrics_row(query, drv, rejected, max_update, max_delay, wall_s):
+def metrics_row(query, drv, t0):
+    """The CSV row, in `CSV_HEADER` order, of a run that started at
+    monotonic time t0: its ops and counters after one delay read, and
+    the wall time to the end of that read."""
+    eng = drv.engine
+    delay = measure_delay(eng)
+    wall = time.monotonic() - t0
     snap = drv.meter.snapshot()
-    return MetricsRow(
-        query=query,
-        epsilon=drv.engine.epsilon,
-        db_size=drv.engine.db_size(),
-        updates=drv.updates,
-        rejected=rejected,
-        total=snap["total"],
-        apply=snap["apply"],
-        major=snap["major"],
-        minor=snap["minor"],
-        max_update=max_update,
-        max_delay=max_delay,
-        wall_s=wall_s,
-    )
+    return [query, f"{eng.epsilon:g}", eng.db_size(), drv.updates, drv.rejected,
+            snap["total"], snap["apply"], snap["major"], snap["minor"],
+            drv.max_update, delay, f"{wall:.3f}"]
 
 
 def verify_stream(query, epsilon, updates, double=False, cadence=0):
@@ -141,10 +112,8 @@ def bench_sweep(query, epsilons, sizes, base_spec, double=False):
         for n in sizes:
             spec = replace(base_spec, updates=n)
             t0 = time.monotonic()
-            drv, rejected, max_update = run_stream(query, eps, stream(spec), double)
-            delay = measure_delay(drv.engine)
-            wall = time.monotonic() - t0
-            rows.append(metrics_row(query, drv, rejected, max_update, delay, wall))
+            drv = run_stream(query, eps, stream(spec), double)
+            rows.append(metrics_row(query, drv, t0))
     return rows
 
 
@@ -205,8 +174,7 @@ def write_rows(rows, path):
     def emit(fh):
         w = csv.writer(fh)
         w.writerow(CSV_HEADER)
-        for r in rows:
-            w.writerow(r.row())
+        w.writerows(rows)
 
     if path:
         with open(path, "w", newline="") as fh:
@@ -215,14 +183,13 @@ def write_rows(rows, path):
         emit(sys.stdout)
 
 
-def dump_result(eng, out=None):
-    out = out if out is not None else sys.stdout
+def dump_result(eng):
     res = eng.query_result()
     if isinstance(res, int):
-        print(res, file=out)
+        print(res)
         return
     for key in sorted(res):
-        print(" ".join(str(v) for v in key + (res[key],)), file=out)
+        print(" ".join(str(v) for v in key + (res[key],)))
 
 
 def check_epsilon(eps):
@@ -297,19 +264,13 @@ def cmd_run(args):
     check_double(args)
     updates = load_updates(args)
     t0 = time.monotonic()
-    drv, rejected, max_update = run_stream(
-        args.query, args.epsilon, updates, args.double_partition
-    )
-    delay = measure_delay(drv.engine)
-    wall = time.monotonic() - t0
+    drv = run_stream(args.query, args.epsilon, updates, args.double_partition)
+    row = metrics_row(args.query, drv, t0)
     dump_result(drv.engine)
-    if rejected:
-        print(f"warning: {rejected} deletes rejected", file=sys.stderr)
+    if drv.rejected:
+        print(f"warning: {drv.rejected} deletes rejected", file=sys.stderr)
     if args.out:
-        write_rows(
-            [metrics_row(args.query, drv, rejected, max_update, delay, wall)],
-            args.out,
-        )
+        write_rows([row], args.out)
     return 0
 
 
@@ -347,11 +308,11 @@ def cmd_oumv(args):
     rounds = parse_file(args.vectors, parse_vectors, len(matrix))
     t0 = time.monotonic()
     bits, drv = solve_oumv(matrix, rounds, args.epsilon)
-    wall = time.monotonic() - t0
+    row = metrics_row("d0", drv, t0)
     for bit in bits:
         print(bit)
     if args.out:
-        write_rows([metrics_row("d0", drv, 0, 0, 0, wall)], args.out)
+        write_rows([row], args.out)
     return 0
 
 
@@ -359,11 +320,10 @@ def cmd_static(args):
     rd, sd, td = load_database(args.database)
     t0 = time.monotonic()
     drv = static_ternary(rd, sd, td, args.pre_classified)
-    delay = measure_delay(drv.engine)
-    wall = time.monotonic() - t0
+    row = metrics_row("d3", drv, t0)
     dump_result(drv.engine)
     if args.out:
-        write_rows([metrics_row("d3", drv, 0, 0, delay, wall)], args.out)
+        write_rows([row], args.out)
     return 0
 
 

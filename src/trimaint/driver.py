@@ -10,7 +10,9 @@ enters only the partition, so it rebases theta and moves just the
 values whose strict class changed, falling back to a full rebuild when
 those moves would cost more than one. The driver adds each rebalance's
 ops to the meter's major and minor counters, so the amortized bounds
-can be checked from the outside.
+can be checked from the outside. It also keeps the run's summary: the
+updates it applied, the overdeletes it refused and the most ops any one
+update took.
 
 The per-update path does only what the update needs: |D| is the
 engine's `size`, an integer its `apply_update` keeps, and the loose
@@ -21,7 +23,7 @@ bookkeeping runs only when a move is due.
 
 from trimaint.binary import BinaryEngine
 from trimaint.nullary import NullaryDoubleEngine, NullaryEngine
-from trimaint.store import Relation, audit
+from trimaint.store import RejectedDelete, Relation, audit
 from trimaint.ternary import TernaryEngine
 from trimaint.unary import UnaryEngine
 
@@ -50,6 +52,8 @@ class Driver:
         self.updates = 0
         self.majors = 0
         self.minors = 0
+        self.rejected = 0
+        self.max_update = 0
 
     @property
     def meter(self):
@@ -66,7 +70,8 @@ class Driver:
         tuple of two hashable values or a multiplicity that is not a
         nonzero int, and RejectedDelete if the delete would overshoot; in
         every case before touching anything, so the state is unchanged.
-        Returns this update's ops by phase.
+        Returns this update's ops; the meter's major and minor counters
+        hold the rebalancing part of them.
         """
         eng = self.engine
         try:
@@ -88,24 +93,28 @@ class Driver:
         meter = eng.meter
         t0 = meter.total
         label = part.affected_label(key, eng.epsilon)
-        eng.apply_update(rel, label, key, m)
+        try:
+            eng.apply_update(rel, label, key, m)
+        except RejectedDelete:
+            self.rejected += 1
+            raise
         size, n = eng.size, eng.threshold.N
-        major = minor = 0
         if size == n:
-            major = self._major(2 * n)
+            self._major(2 * n)
         elif size < n // 4:
-            major = self._major(max(n // 2 - 1, 1))
+            self._major(max(n // 2 - 1, 1))
         else:
             moves = part.minor_moves(key, label, eng.threshold.theta)
             if moves is not None:
-                minor = self._minor(rel, moves)
+                self._minor(rel, moves)
         self.updates += 1
-        total = meter.total - t0
-        return {"total": total, "apply": total - major - minor, "major": major, "minor": minor}
+        ops = meter.total - t0
+        if ops > self.max_update:
+            self.max_update = ops
+        return ops
 
     def _major(self, new_n):
-        """Strictly repartition at threshold base new_n; returns the ops it
-        took.
+        """Strictly repartition at threshold base new_n.
 
         Rebases theta, scans every partition for the values whose strict
         class changed (`strict_flips`) and moves their tuples, leaving
@@ -128,23 +137,19 @@ class Driver:
         else:
             for rel, (moves, _) in flips.items():
                 self._move_values(rel, moves)
-        ops = meter.total - t0
-        meter.major += ops
+        meter.major += meter.total - t0
         self._notify("major:after")
-        return ops
 
     def _minor(self, rel, moves):
-        """Move the values whose loose condition broke; returns the ops of
-        the moves (the check that found them is not part of the minor)."""
+        """Move the values whose loose condition broke; the minor's ops are
+        the moves' (the check that found them is not part of the minor)."""
         meter = self.engine.meter
         self._notify("minor:before")
         self.minors += 1
         t0 = meter.total
         self._move_values(rel, moves)
-        ops = meter.total - t0
-        meter.minor += ops
+        meter.minor += meter.total - t0
         self._notify("minor:after")
-        return ops
 
     def _move_values(self, rel, moves):
         """Flip each (side, value, direction) of `moves` to its new class."""

@@ -299,16 +299,16 @@ class Relation:
                 if s:
                     continue
             else:
+                # a dict slice held 3 tuples or more (its mark is above
+                # COMPACT_FLOOR and at most 4 times its length): never empties
                 del s[key]
-                if s:
-                    if 4 * len(s) < marks[sub]:
-                        marks[sub] = mark = _compact(s, marks[sub], meter)
-                        if mark <= COMPACT_FLOOR:
-                            # compacted to a list's size
-                            slices[sub] = list(s)
-                            del marks[sub]
-                    continue
-                del marks[sub]
+                if 4 * len(s) < marks[sub]:
+                    marks[sub] = mark = _compact(s, marks[sub], meter)
+                    if mark <= COMPACT_FLOOR:
+                        # compacted to a list's size
+                        slices[sub] = list(s)
+                        del marks[sub]
+                continue
             # the slice emptied: its key leaves the map
             del slices[sub]
             hwm = self._map_hwm

@@ -1,7 +1,9 @@
 import csv
 import io
 import itertools
+import os
 import random
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -17,7 +19,8 @@ from trimaint.cli import (
     static_ternary,
     verify_stream,
 )
-from trimaint.oracle import RefMaintainer, oracle_oumv, oracle_triangle
+from trimaint.driver import Driver, make_engine
+from trimaint.oracle import DimensionMismatch, RefMaintainer, oracle_oumv, oracle_triangle
 from trimaint.workload import (
     ParseError,
     WorkloadSpec,
@@ -258,13 +261,126 @@ def test_verify_stream_reports_stream_index(monkeypatch, cadence):
     assert not ok and bad == 2
 
 
-def test_measure_delay_positive():
-    from trimaint.driver import make_engine
+def test_verify_divergence_exits_1_with_one_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "RefMaintainer", _SeesS)
+    path = write(tmp_path, "s.txt", "- R 5 5\n+ R 1 2\n+ S 2 3\n")
+    assert main(["verify", "--query", "d1", "--stream", path]) == 1
+    out = capsys.readouterr()
+    assert out.out == "FAIL d1 eps=0.5 first divergence at update 2\n"
+    assert out.err == ""
 
+
+def test_measure_delay_positive():
     eng = make_engine("d3", 0.5, rd={(1, 2): 1}, sd={(2, 3): 1}, td={(3, 1): 1})
     assert measure_delay(eng) > 0
     eng0 = make_engine("d0", 0.5, rd={(1, 2): 1})
     assert measure_delay(eng0) >= 1
+
+
+def out_row(tmp_path, argv):
+    """The one CSV row that `argv --out` writes, without its wall time."""
+    path = tmp_path / "row.csv"
+    code, _, _ = call_main(argv + ["--out", str(path)])
+    assert code == 0
+    header, row = csv.reader(path.open())
+    assert tuple(header) == cli.CSV_HEADER
+    return dict(zip(header[:-1], row[:-1]))
+
+
+@pytest.mark.parametrize("seed", [None, 31])
+def test_static_writes_the_row_of_its_insert_stream(tmp_path, seed):
+    # a database listed R, then S, then T is the stream that plain static
+    # inserts, so its row is run's: the stream's ops plus one delay read
+    if seed is None:
+        text = "+ R 1 2\n+ R 4 2\n+ S 2 3\n+ T 3 1\n+ T 3 4\n"
+    else:
+        dbs = random_db(random.Random(seed), 150, 12)
+        text = "".join(format_update(rel, key, m) + "\n"
+                       for rel, db in zip("RST", dbs) for key, m in db.items())
+    path = write(tmp_path, "db.txt", text)
+    static = out_row(tmp_path, ["static", path])
+    run = out_row(tmp_path, ["run", "--query", "d3", "--epsilon", "0.5", "--stream", path])
+    assert static == run
+    assert int(static["max_update"]) > 0
+    pre = out_row(tmp_path, ["static", path, "--pre-classified"])
+    assert (pre["updates"], pre["max_update"]) == ("0", "0")
+
+
+@pytest.mark.parametrize("query", ["d0", "d1", "d2", "d3"])
+def test_run_writes_the_row_of_its_bench_cell(tmp_path, query):
+    flags = ["--query", query, "--seed", "4", "--domain", "12", "--epsilon", "0.5",
+             "--delete-frac", "0.3", "--updates", "300"]
+    run = out_row(tmp_path, ["run", *flags])
+    assert run == out_row(tmp_path, ["bench", *flags])
+
+
+class _Logged(Driver):
+    """A driver that logs the updates it is given."""
+
+    log = []
+
+    def on_update(self, rel, key, m):
+        self.log.append((rel, key, m))
+        return super().on_update(rel, key, m)
+
+
+def test_oumv_writes_its_deltas_run_row(tmp_path, monkeypatch):
+    # oumv's row holds its deltas' ops, plus the count read that answers
+    # each of its n rounds; its max_update is the largest per-update total
+    # of the deltas and its max_delay the count read's one tick
+    rng = random.Random(5)
+    n = 6
+    mpath = write(tmp_path, "m.txt", f"{n}\n" + "".join(
+        "".join(rng.choice("01") for _ in range(n)) + "\n" for _ in range(n)))
+    vpath = write(tmp_path, "v.txt", "".join(
+        "".join(rng.choice("01") for _ in range(n)) + "\n" for _ in range(2 * n)))
+    monkeypatch.setattr(cli, "Driver", _Logged)
+    monkeypatch.setattr(_Logged, "log", [])
+    oumv = out_row(tmp_path, ["oumv", mpath, vpath])
+    log = _Logged.log
+    drv = Driver(make_engine("d0", 0.5))
+    meter = drv.meter
+    totals = []
+    for upd in log:
+        t0 = meter.total
+        drv.on_update(*upd)
+        totals.append(meter.total - t0)
+    assert oumv["max_update"] == str(max(totals))
+    assert oumv["max_delay"] == "1"
+    monkeypatch.undo()
+    spath = write(tmp_path, "s.txt", "".join(format_update(*u) + "\n" for u in log))
+    run = out_row(tmp_path, ["run", "--query", "d0", "--stream", spath])
+    assert int(oumv["total"]) - int(run["total"]) == n
+    assert int(oumv["apply"]) - int(run["apply"]) == n
+    for col in ("total", "apply"):
+        del oumv[col], run[col]
+    assert oumv == run
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    # `python -m trimaint.cli` is the console entry point
+    path = write(tmp_path, "tri.txt", TRIANGLE)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONDONTWRITEBYTECODE="1")
+
+    def python_m(*argv):
+        return subprocess.run([sys.executable, "-m", "trimaint.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    proc = python_m("run", "--query", "d0", "--stream", path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
+    proc = python_m("frobnicate")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("usage: trimaint")
+
+
+def test_solve_oumv_refuses_mismatched_dimensions():
+    # the file parsers refuse such input first, so only a library caller
+    # reaches these checks
+    with pytest.raises(DimensionMismatch):
+        solve_oumv([[1, 0], [0]], [])
+    with pytest.raises(DimensionMismatch):
+        solve_oumv([[1, 0], [0, 1]], [((1, 0), (1,))])
 
 
 REFUSED = {
@@ -274,6 +390,7 @@ REFUSED = {
     "epsilon-high": ["run", "--epsilon", "1.5"],
     "epsilon-nan": ["run", "--epsilon", "nan"],
     "bench-epsilon": ["bench", "--epsilon", "0,x"],
+    "bench-updates": ["bench", "--updates", "64,-1"],
     "double-d2": ["verify", "--query", "d2", "--double-partition"],
     "cadence": ["verify", "--verify-cadence", "-1"],
     "database-below-zero": ["static", "{db}"],

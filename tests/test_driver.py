@@ -491,9 +491,10 @@ def test_a_major_moving_too_much_rebuilds(query, double, monkeypatch):
     rebuilt = None
     for upd in fallback_stream():
         ref.apply(*upd)
-        costs = drv.on_update(*upd)
+        major = drv.meter.major
+        drv.on_update(*upd)
         if rebuilds and rebuilt is None:
-            rebuilt = costs["major"]
+            rebuilt = drv.meter.major - major
             assert drv.engine.query_result() == ref.result()
     assert rebuilds == [(9, 512)]
     assert drv.engine.query_result() == ref.result()
@@ -568,7 +569,8 @@ def test_a_doubling_major_costs_less_than_a_rebuild(query, double, monkeypatch):
     eng.rebuild(eng.rel_items(), n)
     rebuild = meter.total - t0
     drv = Driver(eng)
-    assert drv._major(2 * n) < rebuild
+    drv._major(2 * n)
+    assert meter.major < rebuild
     assert drv.minors == 0
     drv.check_invariants(deep=True)
 
@@ -581,20 +583,13 @@ def test_meter_ledger_matches_the_returned_costs(query, double):
     drv = make_driver(query, 0.25, double=double)
     build = drv.meter.snapshot()
     assert build["major"] == build["minor"] == 0
-    summed = dict.fromkeys(("total", "apply", "major", "minor"), 0)
-    for upd in grow + shrink:
-        costs = drv.on_update(*upd)
-        assert costs["apply"] == costs["total"] - costs["major"] - costs["minor"]
-        for k, v in costs.items():
-            summed[k] += v
+    summed = sum(drv.on_update(*upd) for upd in grow + shrink)
     m = drv.meter
-    assert (m.major, m.minor) == (summed["major"], summed["minor"])
     assert m.major > 0 and m.minor > 0
-    assert m.total - build["total"] == summed["total"]
+    assert m.total - build["total"] == summed
     snap = m.snapshot()
     assert snap == {"total": m.total, "apply": m.total - m.major - m.minor,
                     "major": m.major, "minor": m.minor}
-    assert snap["apply"] - build["apply"] == summed["apply"]
 
 
 def test_deep_audit_checks_view_indexes():
