@@ -16,7 +16,6 @@ from dataclasses import replace
 from trimaint.driver import Driver, make_engine
 from trimaint.oracle import DimensionMismatch, RefMaintainer
 from trimaint.store import RejectedDelete
-from trimaint.ternary import TernaryEngine
 from trimaint.workload import (
     ParseError,
     WorkloadSpec,
@@ -120,18 +119,16 @@ def bench_sweep(query, epsilons, sizes, base_spec, double=False):
 def solve_oumv(matrix, rounds, epsilon=0.5):
     """Answer u^T M v rounds through the nullary count maintenance.
 
-    M lives in S over values 1..n; each round rewrites the R row and T
-    column attached to the constant a = 0 by issuing only the deltas
-    that change a bit, then reads the sign of the count.
+    M lives in S over values 1..n, loaded by `run_stream`; each round
+    rewrites the R row and T column attached to the constant a = 0 by
+    issuing only the deltas that change a bit, then reads the sign of
+    the count.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise DimensionMismatch(f"matrix is not {n}x{n}")
-    drv = Driver(make_engine("d0", epsilon))
-    for i in range(n):
-        for j in range(n):
-            if matrix[i][j]:
-                drv.on_update("S", (i + 1, j + 1), 1)
+    drv = run_stream("d0", epsilon, [("S", (i + 1, j + 1), 1) for i in range(n)
+                                     for j in range(n) if matrix[i][j]])
     cur_u = [0] * n
     cur_v = [0] * n
     bits = []
@@ -153,18 +150,16 @@ def solve_oumv(matrix, rounds, epsilon=0.5):
 def static_ternary(rd, sd, td, pre_classified=False):
     """Compute the full ternary result by inserting into an empty state.
 
-    Plain mode drives every insert through on_update at epsilon 1/2.
-    Pre-classified mode builds the state for the whole database at once
-    (`from_database`: N from the final size, each tuple in the part its
-    final degree dictates), and therefore never spends a rebalancing tick.
+    Plain mode feeds every insert, R's then S's then T's, to `run_stream`
+    at epsilon 1/2. Pre-classified mode builds the state for the whole
+    database at once (`make_engine` with the database: N from the final
+    size, each tuple in the part its final degree dictates), and
+    therefore never spends a rebalancing tick.
     """
     if pre_classified:
-        return Driver(TernaryEngine.from_database(rd, sd, td, 0.5))
-    drv = Driver(make_engine("d3", 0.5))
-    for rel, d in (("R", rd), ("S", sd), ("T", td)):
-        for key, m in d.items():
-            drv.on_update(rel, key, m)
-    return drv
+        return Driver(make_engine("d3", 0.5, rd=rd, sd=sd, td=td))
+    dbs = (("R", rd), ("S", sd), ("T", td))
+    return run_stream("d3", 0.5, [(rel, key, m) for rel, d in dbs for key, m in d.items()])
 
 
 # -- command plumbing -----------------------------------------------------

@@ -162,16 +162,14 @@ class Driver:
         """Move every tuple with this value from part src to part dst.
 
         Each tuple costs two engine applies: an insert into dst and a
-        delete from src, so all views stay consistent throughout. A move
-        keeps every tuple's total, so neither writes a double partition's
-        `totals` (no update of `rel` reads them).
+        delete from src, so all views stay consistent throughout.
         """
         eng = self.engine
         part = eng.parts[rel]
         moved = list(part.parts[src].slice_items((part.column(side),), value))
         for key, m in moved:
-            eng.apply_update(rel, dst, key, m, move=True)
-            eng.apply_update(rel, src, key, -m, move=True)
+            eng.apply_update(rel, dst, key, m)
+            eng.apply_update(rel, src, key, -m)
         return len(moved)
 
     def check_invariants(self, deep=False):

@@ -531,11 +531,11 @@ class FragmentEngine:
                        for (rel, lab), s in steps.items()}
         return self._steps
 
-    def apply_update(self, rel, label, key, m, move=False):
+    def apply_update(self, rel, label, key, m):
         """Apply the update key by m to part `label` of relation `rel` and
-        to every view. A double partition's `totals` is written beside the
-        part unless the update is one half of a rebalancing move (`move`),
-        which keeps every key's total."""
+        to every view. A double partition's `totals` takes the same m at
+        the key, so it agrees with the parts after every call, the halves
+        of a rebalancing move included."""
         assert m != 0
         part, steps, totals = (self._steps or self._bind())[rel, label]
         if m < 0:
@@ -557,11 +557,12 @@ class FragmentEngine:
             self.size += 1
         elif not v:
             self.size -= 1
-        if totals is not None and not move:
-            # a key lives in one part, so its total is the part's value
+        if totals is not None:
+            # one tick, as a lookup: the total moves by m
             self.meter.total += 1
-            if v:
-                totals[key] = v
+            t = totals.get(key, 0) + m
+            if t:
+                totals[key] = t
             else:
                 del totals[key]
         self.version += 1

@@ -50,26 +50,6 @@ def stale(version):
     return StaleIterator(f"state advanced past version {version}")
 
 
-class SeqIterator:
-    """Set iterator over an ordered duplicate-free sequence."""
-
-    def __init__(self, seq):
-        self._seq = list(seq)
-        self._set = set(self._seq)
-        assert len(self._set) == len(self._seq), "duplicates in sequence"
-        self._pos = 0
-
-    def next(self):
-        if self._pos >= len(self._seq):
-            return EOF
-        t = self._seq[self._pos]
-        self._pos += 1
-        return t
-
-    def contains(self, t):
-        return t in self._set
-
-
 class KeyIterator:
     """Set iterator over the keys of a Relation, in insertion order, as
     the head of a UnionIterator, which checks the engine version first.

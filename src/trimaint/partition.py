@@ -15,11 +15,11 @@ thresholds are done as 2*deg vs theta and 2*deg vs 3*theta.
 `total_gets` are the getters whose values at a key sum to the relation's
 multiplicity there, what a view tree's close and a probe of the whole
 relation read: a single partition's two parts, or one map a double
-partition keeps, `totals`, instead of its four. A key lives in one part,
-so an update writes the part's new value into `totals` (one tick) and a
-rebalancing move, which keeps every total, leaves it alone. The map is
-never iterated outside the audit, so, like a linked index's nodes map,
-it is outside the store's compaction rule.
+partition keeps, `totals`, instead of its four. Every update of a part
+adds its delta to the key's total (one tick), so `totals` agrees with
+the parts after every engine call, while a rebalancing move holds a key
+in two parts too. The map is never iterated outside the audit, so, like
+a linked index's nodes map, it is outside the store's compaction rule.
 """
 
 from __future__ import annotations
@@ -58,7 +58,8 @@ class Partition:
     side, its column and its parts, heavy ones first (kept on the class),
     the parts' slices maps of the side's column, the moves that flip a
     side's class, the audit (`violation`, `violations`,
-    `check_disjoint`) and a major's scan (`strict_flips`). The shapes,
+    `check_disjoint`), a major's scan (`strict_flips`) and a key's
+    multiplicity over the shape's `total_gets` (`total`). The shapes,
     `SinglePartition` and `DoublePartition`, write out the per-update
     kernels (`affected_label`, `minor_moves`) and `total_gets`: they read
     the parts' entries and slices maps directly and charge what the
@@ -173,6 +174,14 @@ class Partition:
         self.meter.total += values
         return flips, k
 
+    def total(self, key):
+        """The relation's multiplicity at `key`, a tick per getter of
+        `total_gets`. The kernels read `total_gets` instead; this is the
+        tests' reference, and bench/tracer.py's TARGETS spans it."""
+        gets = self.total_gets
+        self.meter.total += len(gets)
+        return sum(get(key, 0) for get in gets)
+
     def check_totals(self):
         """Raise AssertionError unless `totals`, where the shape keeps one,
         maps exactly the stored keys to their sums over the parts."""
@@ -208,13 +217,6 @@ class SinglePartition(Partition):
     @property
     def total_gets(self):
         return self._h.entries.get, self._l.entries.get
-
-    def total(self, key):
-        """The relation's multiplicity at `key`, a tick per part read. The
-        kernels read `total_gets` instead; this stays because
-        bench/tracer.py's TARGETS spans it by name."""
-        self.meter.total += 2
-        return self._h.entries.get(key, 0) + self._l.entries.get(key, 0)
 
     def affected_label(self, key, epsilon):
         """Part an update with this tuple lands in (heavy wins ties)."""
@@ -276,13 +278,6 @@ class DoublePartition(Partition):
     @property
     def total_gets(self):
         return (self.totals.get,)
-
-    def total(self, key):
-        """The relation's multiplicity at `key`: one read of `totals`, one
-        tick. The kernels read `total_gets` instead; this stays because
-        bench/tracer.py's TARGETS spans it by name."""
-        self.meter.total += 1
-        return self.totals.get(key, 0)
 
     def check_totals(self):
         want = {}

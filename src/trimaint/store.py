@@ -204,14 +204,14 @@ class Relation:
     subclass.
     """
 
-    __slots__ = ("name", "arity", "meter", "index_cols", "entries", "_hwm",
-                 "_map_hwm", "_by_cols", "_indexes")
+    __slots__ = ("name", "arity", "meter", "entries", "_hwm", "_map_hwm", "_by_cols",
+                 "_indexes")
 
     def __init__(self, name, arity, index_cols, meter, linked=()):
         self.name = name
         self.arity = arity
         self.meter = meter
-        self.index_cols = index_cols = tuple(map(tuple, index_cols))
+        index_cols = tuple(map(tuple, index_cols))
         self.entries = {}
         self._hwm = 0
         self._map_hwm = [0] * len(index_cols)
@@ -389,12 +389,9 @@ class Relation:
 
         The relation must not be mutated while the generator is live.
         """
-        ix = self._by_cols.get(cols)
-        if ix is None or ix[3] is not None:
-            raise self._missing(cols, "hash index")
+        s = self.hash_slices(cols).get(sub)
         meter = self.meter
         meter.total += 1
-        s = ix[1].get(sub)
         if s is None:
             return
         entries = self.entries

@@ -151,6 +151,27 @@ class Versioned:
     version = 0
 
 
+class SeqIterator:
+    """Set iterator over an ordered duplicate-free sequence, a set of a
+    UnionIterator."""
+
+    def __init__(self, seq):
+        self._seq = list(seq)
+        self._set = set(self._seq)
+        assert len(self._set) == len(self._seq), "duplicates in sequence"
+        self._pos = 0
+
+    def next(self):
+        if self._pos >= len(self._seq):
+            return EOF
+        t = self._seq[self._pos]
+        self._pos += 1
+        return t
+
+    def contains(self, t):
+        return t in self._set
+
+
 # the one triangle (a, b, c) = (1, 2, 3)
 TRIANGLE = (("R", (1, 2)), ("S", (2, 3)), ("T", (3, 1)))
 

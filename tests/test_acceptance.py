@@ -8,12 +8,13 @@ module's runtime and keeps stream lengths moderate on purpose.
 """
 
 import random
-from math import isqrt
+from math import isqrt, log
 
-from conftest import Versioned, bucket_steps, build_worked_hop_example, started_buckets
+from conftest import (SeqIterator, Versioned, bucket_steps, build_worked_hop_example,
+                      started_buckets)
 from trimaint.cli import measure_delay, run_stream, solve_oumv, static_ternary
 from trimaint.driver import Driver, make_engine
-from trimaint.iterators import EOF, HopUnionIterator, SeqIterator, UnionIterator
+from trimaint.iterators import EOF, HopUnionIterator, UnionIterator
 from trimaint.oracle import RefMaintainer, oracle_oumv, oracle_triangle
 from trimaint.store import CostMeter
 from trimaint.workload import WorkloadSpec, make_sampler, stream
@@ -143,6 +144,47 @@ def test_enumeration_delay_scaling():
     for q in ("d2", "d1"):
         a, b, c = delays[q]
         assert b <= 3.0 * a and c <= 3.0 * b, (q, delays[q])
+
+
+def heavy_pair_family(m, d):
+    """m light A-values joined to every one of d B-values in R and d
+    C-values in T, and S every (b, c): every triangle lies in d1's rootless
+    tree over T^HL and R^LH, and each a's pair slice holds d^2 entries,
+    each in its own bucket."""
+    a_s, b_s, c_s = range(m), range(1000, 1000 + d), range(2000, 2000 + d)
+    rd = {(a, b): 1 for a in a_s for b in b_s}
+    sd = {(b, c): 1 for b in b_s for c in c_s}
+    td = {(c, a): 1 for c in c_s for a in a_s}
+    return rd, sd, td
+
+
+# (eps, m per d) -> N and max_delay at d = 4, 8, 16: the delay is 8d^2 + 3
+# at both eps, linear in N, where the paper's d1 bound is N^(1 - eps)
+# (ROADMAP item 9; the README's known deviation)
+HEAVY_PAIR_DELAYS = {
+    (0.5, 5): ((353, 1409, 5633), (131, 515, 2051)),
+    (0.4, 2): ((161, 641, 2561), (131, 515, 2051)),
+}
+
+
+def test_d1_delay_on_heavy_pairs_is_linear():
+    for (eps, per_d), pin in HEAVY_PAIR_DELAYS.items():
+        ns, delays = [], []
+        for d in (4, 8, 16):
+            rd, sd, td = heavy_pair_family(per_d * d, d)
+            drv = Driver(make_engine("d1", eps, rd=rd, sd=sd, td=td))
+            ns.append(drv.engine.threshold.N)
+            delays.append(measure_delay(drv.engine))
+            assert drv.engine.query_result() == oracle_triangle(rd, sd, td, 1)
+            drv.check_invariants(deep=True)
+        assert (tuple(ns), tuple(delays)) == pin, (eps, ns, delays)
+        # the fitted log-log slope of the delay against N, where the
+        # bound's is 1 - eps
+        xs, ys = [log(n) for n in ns], [log(v) for v in delays]
+        mx, my = sum(xs) / 3, sum(ys) / 3
+        slope = (sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+                 / sum((x - mx) ** 2 for x in xs))
+        assert round(slope, 2) == 0.99, (eps, slope)
 
 
 def test_rebalance_transparency_hundred_runs():

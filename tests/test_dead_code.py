@@ -12,7 +12,9 @@ unused `total` (the meter's field) or `contains` (the iterators').
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "trimaint"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "trimaint"
+TRACER = ROOT / "bench" / "tracer.py"
 
 KEEP = {
     # spanned by name by bench/tracer.py's TARGETS; the kernels read the
@@ -30,7 +32,6 @@ KEEP = {
     "format_update": "writes a stream file, the inverse of parse_stream",
     "oracle_triangle": "the tests' and the bench's brute-force reference",
     "oracle_oumv": "the tests' reference for the oumv command",
-    "SeqIterator": "the tests' set iterator for the union",
 }
 
 
@@ -59,3 +60,22 @@ def test_every_kept_name_is_defined_and_unused():
     # a name that src/ now uses, or no longer defines, leaves the list
     defs, uses = definitions_and_uses()
     assert set(KEEP) <= set(defs) - uses
+
+
+def tracer_names():
+    """The owners and attributes named in bench/tracer.py's TARGETS, read
+    from the file's source: nothing under bench/ is imported."""
+    for node in ast.parse(TRACER.read_text(), str(TRACER)).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
+            return {name for _, owner, attr, *_ in ast.literal_eval(node.value)
+                    for name in (owner, attr) if name is not None}
+    raise AssertionError(f"{TRACER} assigns no TARGETS")
+
+
+def test_every_tracer_reason_is_a_tracer_target():
+    # a name kept for the tracer's sake leaves the list once the tracer
+    # no longer names it
+    names = tracer_names()
+    stale = {name for name, why in KEEP.items() if "bench/tracer.py" in why} - names
+    assert not stale, f"kept for bench/tracer.py, which does not name them: {stale}"

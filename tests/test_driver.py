@@ -1,7 +1,9 @@
 import os
 import random
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -24,6 +26,7 @@ GRID = [
     ("d2", False, 0.5),
     ("d3", False, 0.5),
 ]
+VARIANTS = [(query, double) for query, double, _ in GRID]
 
 
 def make_driver(query, eps, double=False, rd=None, sd=None, td=None):
@@ -168,12 +171,13 @@ def test_move_tuples_two_applies_per_tuple():
     before = eng.query_result()
     calls = []
     real = eng.apply_update
-    eng.apply_update = lambda *a, **kw: (calls.append(kw), real(*a, **kw))[1]
+    eng.apply_update = lambda *a, **kw: (calls.append((a, kw)), real(*a, **kw))[1]
     moved = drv.move_tuples("R", "X", 1, "L", "H")
     eng.apply_update = real
     assert moved == 3
-    # each apply is one half of a move, which keeps every tuple's total
-    assert calls == [{"move": True}] * 6
+    # six plain applies: per tuple, an insert into H, then a delete from L
+    assert calls == [(("R", lab, (1, b), m), {}) for b in range(3)
+                     for lab, m in (("H", 1), ("L", -1))]
     assert eng.parts["R"].parts["H"].slice_count((0,), 1) == 3
     assert eng.query_result() == before
     eng.verify_views()
@@ -189,6 +193,46 @@ def test_rejected_delete_leaves_state_unchanged():
     assert drv.updates == 0
     assert drv.engine.query_result() == before
     drv.check_invariants(deep=True)
+
+
+def grown_driver(query, double):
+    drv = make_driver(query, 0.5, double=double)
+    for upd in stream(WorkloadSpec(seed=5, domain=8, updates=200, delete_frac=0.3)):
+        drv.on_update(*upd)
+    return drv
+
+
+@pytest.mark.parametrize("bad", [("Q", (1, 2), 1), (["R"], (1, 2), 1), ("R", (1, 2), 0)],
+                         ids=["unknown", "unhashable", "zero"])
+@pytest.mark.parametrize("query,double", VARIANTS)
+def test_on_update_refuses_before_any_write(query, double, bad):
+    drv = grown_driver(query, double)
+    result = drv.engine.query_result()
+    before = (drv.meter.snapshot(), drv.engine.version, drv.updates)
+    with pytest.raises(ValueError):
+        drv.on_update(*bad)
+    assert (drv.meter.snapshot(), drv.engine.version, drv.updates) == before
+    assert drv.engine.query_result() == result
+    drv.check_invariants(deep=True)
+
+
+@pytest.mark.parametrize("bad", [{(1, 2, 3): 1}, {7: 1}, {(1, 2): 0}, {(1, 2): 1.5}],
+                         ids=["triple", "non-tuple", "zero", "fraction"])
+@pytest.mark.parametrize("rel", ["rd", "sd", "td"])
+def test_a_database_is_refused_before_any_write(rel, bad):
+    # the culprit is named after the fast whole-part check fails
+    meter = CostMeter()
+    dbs = dict(rd={(0, 1): 1}, sd={(1, 2): 1}, td={(2, 0): 1})
+    dbs[rel] = bad
+    for query, double in VARIANTS:
+        with pytest.raises(ValueError, match=re.escape(f"{rel[0].upper()}{next(iter(bad))!r}")):
+            make_engine(query, 0.5, double=double, meter=meter, **dbs)
+    assert meter.snapshot() == CostMeter().snapshot()
+
+
+def test_only_d0_is_double_partitioned():
+    with pytest.raises(ValueError, match="d0 only"):
+        make_engine("d1", 0.5, double=True)
 
 
 @pytest.mark.parametrize("query,double,eps", GRID)
@@ -265,23 +309,24 @@ def test_extreme_epsilon_never_minor_rebalances(eps):
 # to any other metered work shows there; "counts" add the compaction
 # ticks. The ops of a full enumeration at the stream's turning point are
 # pinned apart, as "enum", and left out of both; the majors and minors
-# ride along.
+# ride along (a tuple they move on a double partition writes its totals
+# map twice, a tick each).
 OP_PINS = {
     ("d0", False): dict(
         base={"total": 25696, "apply": 22532, "major": 1278, "minor": 1886},
         counts={"total": 25855, "apply": 22656, "major": 1311, "minor": 1888},
         enum=1, majors=14, minors=18),
     ("d0", True): dict(
-        base={"total": 51879, "apply": 44678, "major": 3293, "minor": 3908},
-        counts={"total": 52034, "apply": 44787, "major": 3318, "minor": 3929},
+        base={"total": 52345, "apply": 44678, "major": 3507, "minor": 4160},
+        counts={"total": 52500, "apply": 44787, "major": 3532, "minor": 4181},
         enum=1, majors=14, minors=31),
     ("d1", False): dict(
-        base={"total": 49732, "apply": 42915, "major": 3025, "minor": 3792},
-        counts={"total": 49894, "apply": 43049, "major": 3038, "minor": 3807},
+        base={"total": 50054, "apply": 42915, "major": 3165, "minor": 3974},
+        counts={"total": 50216, "apply": 43049, "major": 3178, "minor": 3989},
         enum=190, majors=14, minors=27),
     ("d2", False): dict(
-        base={"total": 51923, "apply": 44323, "major": 3030, "minor": 4570},
-        counts={"total": 52116, "apply": 44471, "major": 3056, "minor": 4589},
+        base={"total": 52233, "apply": 44323, "major": 3178, "minor": 4732},
+        counts={"total": 52426, "apply": 44471, "major": 3204, "minor": 4751},
         enum=476, majors=14, minors=29),
     ("d3", False): dict(
         base={"total": 28900, "apply": 25260, "major": 1406, "minor": 2234},
@@ -356,11 +401,11 @@ def test_view_writes_reach_apply_delta_only_to_insert_or_delete(query, double, m
 ZIPF_PINS = {
     ("d0", False): dict(ops={"total": 86574, "apply": 80446, "major": 980, "minor": 5148},
                         majors=11, minors=3),
-    ("d0", True): dict(ops={"total": 175014, "apply": 161815, "major": 3055, "minor": 10144},
+    ("d0", True): dict(ops={"total": 175558, "apply": 161815, "major": 3119, "minor": 10624},
                        majors=11, minors=5),
-    ("d1", False): dict(ops={"total": 159343, "apply": 147967, "major": 2751, "minor": 8625},
+    ("d1", False): dict(ops={"total": 159695, "apply": 147967, "major": 2815, "minor": 8913},
                         majors=11, minors=4),
-    ("d2", False): dict(ops={"total": 169389, "apply": 156008, "major": 1634, "minor": 11747},
+    ("d2", False): dict(ops={"total": 169773, "apply": 156008, "major": 1634, "minor": 12131},
                         majors=11, minors=5),
     ("d3", False): dict(ops={"total": 95090, "apply": 87746, "major": 980, "minor": 6364},
                         majors=11, minors=3),
@@ -469,8 +514,8 @@ def fallback_stream():
 # ninth, which scans and then rebuilds
 FALLBACK_PINS = {
     ("d0", False): dict(major=2454, rebuild=2276, majors=9, minors=33),
-    ("d0", True): dict(major=3990, rebuild=3564, majors=9, minors=45),
-    ("d1", False): dict(major=4402, rebuild=4012, majors=9, minors=45),
+    ("d0", True): dict(major=4020, rebuild=3564, majors=9, minors=45),
+    ("d1", False): dict(major=4432, rebuild=4012, majors=9, minors=45),
     ("d2", False): dict(major=4266, rebuild=3976, majors=9, minors=41),
     ("d3", False): dict(major=2982, rebuild=2804, majors=9, minors=33),
 }
@@ -549,6 +594,31 @@ def test_totals_follow_every_rebalance(query, double, monkeypatch):
             drv.on_update(rel, key, -m)
     drv.check_invariants(deep=True)
     assert all(not p.totals for p in eng.parts.values() if p.totals is not None)
+
+
+@pytest.mark.parametrize("updates", [ladder_stream, fallback_stream])
+@pytest.mark.parametrize("query,double", [("d0", True), ("d1", False), ("d2", False)])
+def test_totals_follow_the_parts_after_every_engine_call(query, double, updates, monkeypatch):
+    # each apply_update, either half of a rebalancing move included, leaves
+    # the updated relation's totals map the sum of its parts (the other
+    # relations' maps are not written)
+    apply_update = FragmentEngine.apply_update
+    calls = []
+
+    def checked(self, rel, *args, **kwargs):
+        apply_update(self, rel, *args, **kwargs)
+        calls.append(rel)
+        self.parts[rel].check_totals()
+
+    monkeypatch.setattr(FragmentEngine, "apply_update", checked)
+    drv = make_driver(query, 0.25, double=double)
+    ups = updates()
+    for upd in ups:
+        drv.on_update(*upd)
+    # a double partition's relation took moves' halves as well as updates
+    doubles = [rel for rel, p in drv.engine.parts.items() if isinstance(p, DoublePartition)]
+    updated = Counter(rel for rel, _, _ in ups)
+    assert any(calls.count(rel) > updated[rel] for rel in doubles)
 
 
 @pytest.mark.parametrize("query,double", list(OP_PINS))
@@ -700,6 +770,7 @@ def test_one_pair_slice_walk_per_emitted_tuple(query, monkeypatch):
 
 BOUNDARY_SCRIPT = """
 from trimaint.driver import Driver, make_engine
+from trimaint.store import CostMeter
 from trimaint.oracle import oracle_triangle
 from trimaint.workload import WorkloadSpec, stream
 
@@ -715,7 +786,7 @@ for query, double in VARIANTS:
         d[key] = d.get(key, 0) + m
         if not d[key]:
             del d[key]
-    state = (drv.meter.snapshot(), drv.updates)
+    state = (drv.meter.snapshot(), drv.engine.version, drv.updates)
     for bad in (("R", (1, 2), 0), ("Q", (1, 2), 1), ("S", (1, 2, 3), 1), (["R"], (1, 2), 1)):
         try:
             drv.on_update(*bad)
@@ -723,27 +794,36 @@ for query, double in VARIANTS:
             pass
         else:
             raise SystemExit(f"{query} accepted {bad}")
-    if (drv.meter.snapshot(), drv.updates) != state:
+    if (drv.meter.snapshot(), drv.engine.version, drv.updates) != state:
         raise SystemExit(f"{query}: a refused update changed the state")
     if drv.engine.query_result() != oracle_triangle(rels["R"], rels["S"], rels["T"], K[query]):
         raise SystemExit(f"{query}: result differs from the oracle")
     print("ok", query, double)
+meter = CostMeter()
 for bad in ({(1, 2): 0}, {(1, 2): -1}, {(1, 2): 1.5}, {(1, 2, 3): 1}, {(1,): 1}, {7: 1}):
     for query, double in VARIANTS:
         try:
             # a well-formed R, then a malformed T
-            make_engine(query, 0.5, double=double, rd={(0, 1): 1}, td=bad)
+            make_engine(query, 0.5, double=double, meter=meter, rd={(0, 1): 1}, td=bad)
         except ValueError as e:
             if len(str(e).splitlines()) != 1:
                 raise SystemExit(f"{query}: {bad} refused with {e!r}")
         else:
             raise SystemExit(f"{query} built from {bad}")
+if meter.total:
+    raise SystemExit("a refused database was charged")
 try:
     WorkloadSpec(skew="zipf:nan")
 except ValueError:
     pass
 else:
     raise SystemExit("accepted zipf:nan")
+try:
+    make_engine("d1", 0.5, double=True)
+except ValueError:
+    pass
+else:
+    raise SystemExit("double-partitioned d1")
 """
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (BoundBucket, RefHopUnion, Versioned, bucket_steps,
+from conftest import (BoundBucket, RefHopUnion, SeqIterator, Versioned, bucket_steps,
                       build_worked_hop_example, started_buckets)
 from trimaint.iterators import (
     EOF,
@@ -12,7 +12,6 @@ from trimaint.iterators import (
     HopUnionIterator,
     KeyIterator,
     ListCollection,
-    SeqIterator,
     StaleIterator,
     UnionIterator,
 )

@@ -1,6 +1,7 @@
 import sys
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +32,12 @@ def test_threshold_values():
     t = Threshold(16, 0.5)
     t.rebase(64)
     assert t.theta == 8.0
+
+
+@pytest.mark.parametrize("n,eps", [(0, 0.5), (1, 1.5)])
+def test_threshold_refuses_a_bad_base_or_exponent(n, eps):
+    with pytest.raises(ValueError):
+        Threshold(n, eps)
 
 
 def test_strict_single_splits_by_degree():

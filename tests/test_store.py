@@ -11,6 +11,15 @@ def make_rel():
     return Relation("R", 2, ((0,), (1,)), CostMeter())
 
 
+@pytest.mark.parametrize("cols,linked,why", [
+    (((0,), (2,)), (), "outside arity"),
+    (((0,),), ((1,),), "not declared"),
+])
+def test_relation_refuses_a_bad_index(cols, linked, why):
+    with pytest.raises(ValueError, match=why):
+        Relation("R", 2, cols, CostMeter(), linked)
+
+
 def test_insert_into_empty():
     r = make_rel()
     assert r.apply_delta((1, 2), 1) == 1

@@ -9,6 +9,7 @@ from trimaint.workload import (
     format_update,
     make_sampler,
     parse_matrix,
+    parse_skew,
     parse_stream,
     parse_vectors,
     stream,
@@ -94,6 +95,18 @@ def test_bad_skew_rejected():
     for bad in ("zipf:0", "zipf:-1", "zipf:nan"):
         with pytest.raises(ValueError):
             WorkloadSpec(skew=bad)
+
+
+@pytest.mark.parametrize("fields", [dict(updates=-1), dict(delete_frac=1.5),
+                                    dict(mult_lo=3, mult_hi=2)])
+def test_bad_spec_fields_rejected(fields):
+    with pytest.raises(ValueError):
+        WorkloadSpec(**fields)
+
+
+def test_parse_skew_refuses_a_non_number():
+    with pytest.raises(ValueError, match="zipf:x"):
+        parse_skew("zipf:x")
 
 
 def test_format_parse_roundtrip():
