@@ -9,11 +9,16 @@ first in even pairs and the change first in odd ones, and reads the last
 line of each run's stdout (one JSON object). Per end-to-end metric of the
 change's BENCHMARK.json it prints each side's median and quartiles, how
 many pairs the change won (ties count for neither side), the parent's
-interquartile range, whether a gain may be claimed (the change wins at
-least nine tenths of the pairs and its median is better than the
-parent's by more than the parent's interquartile range), and the
-regression verdict against the metric's `bound`, a fraction of the
-parent's median:
+interquartile range, whether a gain may be claimed, and the regression
+verdict against the metric's `bound`, a fraction of the parent's median.
+
+A gain may be claimed when the change wins at least nine tenths of the
+pairs and its median is better than the parent's by more than the
+parent's interquartile range. When that range is 0 (a metric that does
+not spread, such as a byte count), the median must also be better by
+more than the bound, so that a small steady step is not claimed.
+
+The regression verdict is one of:
 
   worse       the change's median is worse than the parent's by more
               than the bound;
@@ -76,7 +81,8 @@ def compare(parent_runs, change_runs, metrics):
         wins = sum(sign * (c - p) > 0 for p, c in zip(ps, cs))
         pq, cq = quartiles(ps), quartiles(cs)
         iqr, limit = pq[2] - pq[0], bound * abs(pq[1])
-        claim = wins >= 0.9 * len(ps) and sign * (cq[1] - pq[1]) > iqr
+        gain = sign * (cq[1] - pq[1])
+        claim = wins >= 0.9 * len(ps) and gain > iqr and (iqr > 0 or gain > limit)
         if sign * (pq[1] - cq[1]) > limit:
             verdict = "worse"
         elif iqr > limit and not all(sign * (c - p) > 0 for p in ps for c in cs):

@@ -275,9 +275,12 @@ def cmd_verify(args):
     if args.verify_cadence < 0:
         raise InputError(f"--verify-cadence must be nonnegative, got {args.verify_cadence}")
     updates = load_updates(args)
-    ok, bad, _ = verify_stream(
+    t0 = time.monotonic()
+    ok, bad, drv = verify_stream(
         args.query, args.epsilon, updates, args.double_partition, args.verify_cadence
     )
+    if args.out:
+        write_rows([metrics_row(args.query, drv, t0)], args.out)
     if ok:
         print(f"PASS {args.query} eps={args.epsilon:g} updates={len(updates)}")
         return 0

@@ -314,6 +314,22 @@ def test_run_writes_the_row_of_its_bench_cell(tmp_path, query):
     assert run == out_row(tmp_path, ["bench", *flags])
 
 
+@pytest.mark.parametrize("query", ["d0", "d1", "d2", "d3"])
+def test_verify_writes_the_row_of_run_plus_its_cadence_reads(tmp_path, query):
+    # the same stream and driver; verify's total and apply also hold the
+    # metered result reads it compares with the reference on its cadence
+    flags = ["--query", query, "--seed", "4", "--domain", "12", "--epsilon", "0.5",
+             "--delete-frac", "0.3", "--updates", "300"]
+    verify = out_row(tmp_path, ["verify", *flags])
+    run = out_row(tmp_path, ["run", *flags])
+    reads = int(verify["total"]) - int(run["total"])
+    assert reads > 0
+    assert int(verify["apply"]) - int(run["apply"]) == reads
+    for col in ("total", "apply"):
+        del verify[col], run[col]
+    assert verify == run
+
+
 class _Logged(Driver):
     """A driver that logs the updates it is given."""
 

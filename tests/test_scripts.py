@@ -17,11 +17,15 @@ def test_scripts_are_found():
     assert SCRIPTS
 
 
-@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
-def test_script_help_exits_0(script):
+# every script, and every subcommand of costs.py
+HELP = [[p.name] for p in SCRIPTS] + [["costs.py", cost] for cost in ("delay", "space", "update")]
+
+
+@pytest.mark.parametrize("argv", HELP, ids="-".join)
+def test_script_help_exits_0(argv):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run([sys.executable, str(script), "--help"], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:], "--help"],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "usage:" in proc.stdout
 
@@ -89,10 +93,18 @@ def test_ab_pairs_compare_gives_claims_and_regression_verdicts():
         "noisy_but_better": (10, True, "ok"),
     }
     assert out["flat"][0] == (99.25, 100.0, 100.75)
+    # a metric that does not spread: a gain must also pass the bound
+    steady = [{"name": "state_bytes_per_tuple", "better": "lower", "bound": 0.2}]
+    for before, after, claim in ((397.6, 397.5, False), (241.1, 241.1, False),
+                                 (397.6, 300.0, True)):
+        out = compare([{"state_bytes_per_tuple": before}] * 10,
+                      [{"state_bytes_per_tuple": after}] * 10, steady)
+        assert out["state_bytes_per_tuple"][3] is claim, (before, after)
+        assert out["state_bytes_per_tuple"][4] == "ok"
 
 
 def test_state_bytes_reports_the_totals_maps_apart():
-    mod = load_script("state_bytes")
+    mod = load_script("costs")
     from trimaint.driver import make_engine
     from trimaint.partition import DoublePartition
 
@@ -100,10 +112,44 @@ def test_state_bytes_reports_the_totals_maps_apart():
     for query, double in (("d0", False), ("d0", True), ("d1", False), ("d2", False)):
         eng = make_engine(query, 0.5, double=double, rd=db, sd=db, td=db)
         maps = [p.totals for p in eng.parts.values() if isinstance(p, DoublePartition)]
-        out, _ = mod.measure(eng)
+        out, _ = mod.state_bytes(eng)
         assert list(out) == list(mod.ROWS)
         assert out["totals maps"] == sum(map(sys.getsizeof, maps))
         assert (out["totals maps"] > 0) == bool(maps)
         # the maps share the parts' key tuples, which count once
         keyed = {id(k) for p in eng.parts.values() for r in p.parts.values() for k in r.entries}
         assert all(id(k) in keyed for t in maps for k in t)
+
+
+def printed_rows(capsys):
+    """The rows, split on blanks, of the table a costs.py subcommand
+    printed below its two header lines."""
+    return [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
+
+
+def test_costs_delay_counts_pair_slice_walks(capsys):
+    from trimaint import fragments
+
+    pair_rule = fragments._pair_rule
+    assert load_script("costs").main(["delay", "--workload", "singles-shrink", "--seed", "8"]) == 0
+    assert fragments._pair_rule is pair_rule
+    rows = printed_rows(capsys)
+    assert [r[0] for r in rows] == ["d1", "d2", "d3"]
+    # d1's and d2's walks are counted only while the wrapper of
+    # `fragments._pair_rule` finds each rule's pair view
+    for query, tuples, ops, walks, gap in rows:
+        assert int(tuples) > 0 and float(ops) > 0 and int(gap) > 0
+        assert float(walks) > 0
+
+
+def test_costs_update_prints_every_variant_and_its_gap(capsys, monkeypatch):
+    mod = load_script("costs")
+    monkeypatch.setattr(mod, "REPEATS", 1)
+    monkeypatch.setattr(mod, "PAIRS", 10)
+    assert mod.main(["update"]) == 0
+    rows = printed_rows(capsys)
+    assert [" ".join(r[:-3]) for r in rows] == ["d0", "d0 double", "d1", "d2", "d3"]
+    for row in rows:
+        on_update, apply_update, gap = map(float, row[-3:])
+        # each printed to two places, so the difference may be off by one
+        assert abs(gap - (on_update - apply_update)) <= 0.0101
